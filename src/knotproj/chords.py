@@ -180,14 +180,32 @@ def interleaved(cd: ChordDiagram, a: int, b: int) -> bool:
     return (i1 < j1 < i2) != (i1 < j2 < i2)
 
 
+def _interlacement_bits(word: tuple[int, ...]) -> list[int]:
+    """Interleavement graph as bitsets: entry a-1 has bit b-1 set iff a, b interleave.
+
+    Built in one pass over a normalized word.  XORing ``1 << (w[i] - 1)`` over
+    the positions strictly inside chord a's interval cancels every chord with
+    both endpoints inside and keeps exactly the chords with one endpoint
+    inside, which are the chords that interleave a.
+    """
+    bits = [0] * (len(word) // 2)
+    prefix = 0  # XOR over the positions read so far
+    for x in word:
+        bits[x - 1] ^= prefix
+        prefix ^= 1 << (x - 1)
+    # each entry now XORs its chord's first endpoint through the last position
+    # before its second endpoint, so it still holds the chord's own bit once
+    return [b ^ (1 << i) for i, b in enumerate(bits)]
+
+
 def interleavement_graph(cd: ChordDiagram) -> dict[int, frozenset[int]]:
     """Adjacency map of the interleavement (chord-crossing) graph."""
-    adj: dict[int, set[int]] = {a: set() for a in range(1, cd.n + 1)}
-    for a, b in combinations(range(1, cd.n + 1), 2):
-        if interleaved(cd, a, b):
-            adj[a].add(b)
-            adj[b].add(a)
-    return {a: frozenset(s) for a, s in adj.items()}
+    n = cd.n
+    bits = _interlacement_bits(cd.word)
+    return {
+        a: frozenset(b for b in range(1, n + 1) if bits[a - 1] >> (b - 1) & 1)
+        for a in range(1, n + 1)
+    }
 
 
 def count_x(cd: ChordDiagram) -> int:
@@ -239,8 +257,8 @@ def gauss_parity_violations(cd: ChordDiagram) -> list[int]:
     Every realizable code has none (the classical parity condition); the
     converse fails in general, so this is only a fast rejection filter.
     """
-    g = interleavement_graph(cd)
-    return sorted(a for a, s in g.items() if len(s) % 2)
+    bits = _interlacement_bits(cd.word)
+    return [a for a, b in enumerate(bits, start=1) if b.bit_count() & 1]
 
 
 def split_connected_sum(

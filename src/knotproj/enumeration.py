@@ -6,8 +6,10 @@ keeping the realizable ones.  Generation is canonical-first: a word can only
 be canonical when the forward gap of chord 1 equals the smallest cyclic gap
 of any chord, so the search fixes that gap and prunes every placement that
 would undercut it, then filters the survivors with a full orbit-minimality
-check.  Realizability is decided by the rotation search after the parity
-fast-reject.
+check.  Realizability is decided after the parity fast-reject by
+:func:`knotproj.planar._search_rotations`: crossing flips are propagated over
+the interlacement graph in O(n^2) bit operations and one face trace confirms
+or refutes the candidate rotation system.
 
 Datasets are JSONL: a {"schema":1} header line, then one record per curve,
 ordered by (n, code).  Rationals are serialized exactly ("p/q", or "k" for

@@ -5,9 +5,20 @@ runs from the t-th code position to the (t+1)-th; its tail dart is 2t and its
 head dart is 2t+1, so the edge involution is ``d ^ 1``.  Each vertex is
 visited by two strand passages, and transversality forces the in- and
 out-dart of one passage to sit opposite each other in the rotation, which
-leaves exactly two admissible rotations per vertex.  A rotation assignment is
-a spherical realization exactly when face tracing yields n + 2 orbits
-(Euler's formula with V = n, E = 2n).
+leaves exactly two admissible rotations per vertex, its flip.  A rotation
+assignment is a spherical realization exactly when face tracing yields n + 2
+orbits (Euler's formula with V = n, E = 2n).
+
+No search over the 2**n flip masks is needed.  By the interlacement-graph
+characterization of Gauss codes (Rosenstiehl, C. R. Acad. Sci. Paris 283,
+1976; de Fraysseix and Ossona de Mendez, "On a characterization of Gauss
+codes", Discrete Comput. Geom. 22, 1999), the flips of interleaved chords a
+and b of a spherical realization differ by the parity of g + |N(a) & N(b)|,
+with g the number of code positions strictly between their first
+occurrences and N the interlacement neighbourhood.  Propagating that rule
+over each component of the interlacement graph fixes every flip up to
+mirroring whole components, in O(n^2) bit operations; one face trace then
+confirms the candidate or shows the code is not spherical.
 
 Faces, monogons, strong 2-gons, teardrop loops and the connected-sum
 structure all live here because they need the realized map (or feed it).
@@ -15,10 +26,11 @@ structure all live here because they need the realized map (or feed it).
 A code can admit several inequivalent spherical embeddings (``1 1 2 2``
 already has two, with face profiles (1,1,2,4) and (1,1,3,3)), so
 face-derived quantities are properties of a realization, not of the code.
-:func:`realize` always returns the first admissible rotation system in a
-fixed search order; that deterministic choice is the semantics of every
-code-level entry point.  :func:`all_realizations` exposes the full set for
-callers that want to quantify over embeddings.
+:func:`realize` always returns the admissible rotation system with the
+smallest flip mask, the one a sweep in ascending mask order would find
+first; that deterministic choice is the semantics of every code-level entry
+point.  :func:`all_realizations` exposes the full set for callers that want
+to quantify over embeddings.
 """
 
 from __future__ import annotations
@@ -36,7 +48,6 @@ __all__ = [
     "U",
     "realize",
     "all_realizations",
-    "faces",
     "monogons",
     "strong_bigons",
     "find_teardrops",
@@ -91,8 +102,7 @@ class PlanarCurve:
 
     ``rotations[v-1]`` is the cyclic dart order at vertex v; ``faces`` is the
     full face list.  The curve's Euler circuit visits the darts in numeric
-    order (tail 2t, head 2t+1 for edge t), so ``traversal`` is just
-    0..4n-1.
+    order (tail 2t, head 2t+1 for edge t).
     """
 
     word: tuple[int, ...]
@@ -106,17 +116,6 @@ class PlanarCurve:
     @property
     def code(self) -> ChordDiagram:
         return ChordDiagram(self.word)
-
-    @property
-    def dart_count(self) -> int:
-        return 2 * len(self.word)
-
-    @property
-    def traversal(self) -> tuple[int, ...]:
-        return tuple(range(self.dart_count))
-
-    def opposite(self, dart: int) -> int:
-        return dart ^ 1
 
     def __repr__(self) -> str:
         return f"PlanarCurve({' '.join(map(str, self.word)) or 'U'!r})"
@@ -179,41 +178,92 @@ def _trace_faces(
     return out
 
 
-def _search_rotations(cd: ChordDiagram) -> PlanarCurve | None:
-    """First rotation assignment whose face count is n + 2, in mask order."""
-    n = cd.n
-    table = _vertex_dart_table(cd.word)
-    for mask in range(1 << n):
-        rotations = tuple(
-            _rotation_for(table[v], (mask >> (v - 1)) & 1) for v in range(1, n + 1)
-        )
-        fl = _trace_faces(cd.word, rotations)
-        if len(fl) == n + 2:
-            return PlanarCurve(cd.word, rotations, tuple(fl))
+def _flip_coset(word: tuple[int, ...]) -> tuple[int, list[int]]:
+    """Candidate flip mask and the indicator masks of the interlacement components.
+
+    Bit v-1 of a mask is vertex v's flip.  Flips are propagated through each
+    component of the interleavement graph from its smallest label, set to 0:
+    for interleaved a and b the flips of a spherical realization satisfy
+    flip[a] ^ flip[b] = (g + |N(a) & N(b)|) mod 2, where g counts the code
+    positions strictly between the first occurrences of a and b, and N is the
+    interleavement neighbourhood.  Flipping a whole component mirrors that
+    part of the curve, so when the code is realizable its valid masks are
+    exactly the returned mask XOR the span of the component indicators.  Each
+    component is then mirrored when its largest label carries flip 1, which
+    makes the mask the smallest valid one in numeric (sweep) order.
+    """
+    adj = chords._interlacement_bits(word)
+    first = [word.index(a) for a in range(1, len(adj) + 1)]
+    mask = 0
+    seen = 0
+    components = []
+    for root in range(len(adj)):
+        if seen >> root & 1:
+            continue
+        comp = 1 << root
+        seen |= comp
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            rest = adj[a] & ~seen
+            seen |= rest
+            comp |= rest
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b = low.bit_length() - 1
+                g = abs(first[b] - first[a]) - 1
+                if ((mask >> a & 1) + g + (adj[a] & adj[b]).bit_count()) & 1:
+                    mask |= low
+                stack.append(b)
+        if mask >> (comp.bit_length() - 1) & 1:
+            mask ^= comp
+        components.append(comp)
+    return mask, components
+
+
+def _curve_for_mask(
+    word: tuple[int, ...], table: dict[int, tuple[int, int, int, int]], mask: int
+) -> PlanarCurve | None:
+    """The curve with the given flip mask, or None unless it has n + 2 faces."""
+    n = len(word) // 2
+    rotations = tuple(
+        _rotation_for(table[v], (mask >> (v - 1)) & 1) for v in range(1, n + 1)
+    )
+    fl = _trace_faces(word, rotations)
+    if len(fl) == n + 2:
+        return PlanarCurve(word, rotations, tuple(fl))
     return None
 
 
-def all_realizations(cd: ChordDiagram) -> list[PlanarCurve]:
-    """Every accepted rotation assignment, with no parity prefilter.
+def _search_rotations(cd: ChordDiagram) -> PlanarCurve | None:
+    """First rotation assignment whose face count is n + 2, in mask order.
 
-    Exhaustive over all 2**n transversal rotation systems; used to verify
-    that the parity rejection in :func:`realize` never disagrees with the
-    full search, and that realization-dependent quantities do not actually
-    depend on the realization found first.
+    The flip mask comes from :func:`_flip_coset` in O(n^2) bit operations;
+    one face trace then confirms it, so a code that passes parity but is not
+    spherical still gets None.
+    """
+    mask, _ = _flip_coset(cd.word)
+    return _curve_for_mask(cd.word, _vertex_dart_table(cd.word), mask)
+
+
+def all_realizations(cd: ChordDiagram) -> list[PlanarCurve]:
+    """Every accepted rotation assignment in mask order, with no parity prefilter.
+
+    Only the 2**k masks of the coset from :func:`_flip_coset` can be
+    spherical (k interlacement components); each is confirmed by its own face
+    trace.  Used to check that realization-dependent quantities do not
+    actually depend on the realization found first.
     """
     if cd.n == 0:
         return [U]
-    n = cd.n
+    base, components = _flip_coset(cd.word)
+    masks = [base]
+    for comp in components:
+        masks += [m ^ comp for m in masks]
     table = _vertex_dart_table(cd.word)
-    found = []
-    for mask in range(1 << n):
-        rotations = tuple(
-            _rotation_for(table[v], (mask >> (v - 1)) & 1) for v in range(1, n + 1)
-        )
-        fl = _trace_faces(cd.word, rotations)
-        if len(fl) == n + 2:
-            found.append(PlanarCurve(cd.word, rotations, tuple(fl)))
-    return found
+    found = (_curve_for_mask(cd.word, table, m) for m in sorted(masks))
+    return [p for p in found if p is not None]
 
 
 def realize(cd: ChordDiagram) -> PlanarCurve:
@@ -234,11 +284,6 @@ def realize(cd: ChordDiagram) -> PlanarCurve:
     if p is None:
         raise NotRealizable("not realizable (no spherical rotation system)")
     return p
-
-
-def faces(p: PlanarCurve) -> list[Face]:
-    """All faces of the realized map (n + 2 of them; two 0-gons for U)."""
-    return list(p.faces)
 
 
 def monogons(p: PlanarCurve) -> list[Face]:

@@ -95,14 +95,23 @@ def trace_face_count(word, rings):
     return count
 
 
-def brute_force_realizable(word):
-    """True when some rotation assignment yields n + 2 faces (full sweep)."""
+def sweep_realizations(word):
+    """Rings of every rotation assignment with n + 2 faces, in mask order.
+
+    The full 2**n sweep: bit v-1 of the mask is vertex v's flip, and masks
+    are tried in ascending numeric order.  A generator, so that callers
+    wanting only the first realization stop early.
+    """
     n = len(word) // 2
     for mask in range(1 << n):
-        flips = tuple(bool(mask >> v & 1) for v in range(n))
-        if trace_face_count(word, vertex_rings(word, flips)) == n + 2:
-            return True
-    return False
+        rings = vertex_rings(word, tuple(bool(mask >> v & 1) for v in range(n)))
+        if trace_face_count(word, rings) == n + 2:
+            yield rings
+
+
+def brute_force_realizable(word):
+    """True when some rotation assignment yields n + 2 faces (full sweep)."""
+    return next(sweep_realizations(word), None) is not None
 
 
 def skein_average_a2(p):

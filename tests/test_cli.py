@@ -50,6 +50,14 @@ def test_analyze_unrealizable_exits_3(capsys):
     assert "parity fails at chord 1" in err
 
 
+def test_analyze_unrealizable_beyond_parity_exits_3(capsys):
+    # the parity-clean, non-spherical core plus 13 curls: n = 18
+    text = "1 2 3 1 2 4 5 3 4 5 " + " ".join(f"{v} {v}" for v in range(6, 19))
+    code, out, err = run(capsys, "analyze", text)
+    assert code == 3 and out == ""
+    assert "no spherical rotation system" in err
+
+
 def test_analyze_batch(tmp_path, capsys):
     src = tmp_path / "codes.txt"
     src.write_text("1 1\n\n1 2 3 1 2 3\n")

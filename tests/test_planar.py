@@ -2,11 +2,13 @@ import pytest
 
 from knotproj import (
     U,
+    ChordDiagram,
     all_realizations,
     connected_sum,
     count_tr,
     enumerate_curves,
     find_teardrops,
+    gauss_parity_violations,
     innermost_teardrop,
     is_reduced,
     monogons,
@@ -15,9 +17,11 @@ from knotproj import (
     realize,
     strong_bigons,
 )
+from knotproj import planar
+from knotproj.enumeration import _canonical_words
 from knotproj.errors import InvalidSite, NoCrossings, NotRealizable
 
-from conftest import trace_face_count
+from conftest import pairing_words, sweep_realizations, trace_face_count
 
 
 def degrees(p):
@@ -55,8 +59,6 @@ def test_realize_rejects_parity_failure():
 def test_realize_rejects_beyond_parity():
     # parity-clean but still not spherical
     cd = parse_code("1 2 3 1 2 4 5 3 4 5")
-    from knotproj import gauss_parity_violations
-
     assert gauss_parity_violations(cd) == []
     with pytest.raises(NotRealizable) as exc:
         realize(cd)
@@ -68,6 +70,66 @@ def test_realize_deterministic():
     b = realize(parse_code("1 1 2 2"))
     assert a.rotations == b.rotations
     assert [f.dart_cycle for f in a.faces] == [f.dart_cycle for f in b.faces]
+
+
+def assert_realize_matches_sweep(word):
+    """realize returns the first rotation system of the full mask-order sweep."""
+    first = next(sweep_realizations(word), None)
+    try:
+        got = realize(ChordDiagram(word)).rotations
+    except NotRealizable:
+        got = None
+    assert got == first, word
+
+
+def test_realize_matches_sweep_on_pairing_words():
+    for n in range(1, 7):
+        for word in pairing_words(n):
+            if not gauss_parity_violations(ChordDiagram(word)):
+                assert_realize_matches_sweep(word)
+
+
+def test_realize_matches_sweep_on_canonical_words():
+    # at n = 7 the full sweeps of the ~5,000 parity failures would dominate
+    # the suite's run time, so only the parity-passing words are swept there
+    for n in range(1, 8):
+        for word in _canonical_words(n):
+            if n < 7 or not gauss_parity_violations(ChordDiagram(word)):
+                assert_realize_matches_sweep(word)
+
+
+def test_realize_matches_sweep_on_rotated_and_reflected_curves():
+    """Flip propagation depends on the linearization; every one must agree."""
+    for n in range(1, 7):
+        for p in enumerate_curves(n):
+            m = len(p.word)
+            for seq in (p.word, p.word[::-1]):
+                for r in range(m):
+                    rotated = ChordDiagram.from_labels(seq[r:] + seq[:r])
+                    assert_realize_matches_sweep(rotated.word)
+
+
+def test_all_realizations_match_sweep():
+    for n in range(1, 8):
+        for p in enumerate_curves(n):
+            got = [r.rotations for r in all_realizations(p.code)]
+            assert got == list(sweep_realizations(p.word)), p.word
+
+
+def test_unrealizable_code_costs_one_face_trace(monkeypatch):
+    calls = []
+    trace = planar._trace_faces
+
+    def counting(word, rotations):
+        calls.append(len(word))
+        return trace(word, rotations)
+
+    monkeypatch.setattr(planar, "_trace_faces", counting)
+    cd = parse_code("1 2 3 1 2 4 5 3 4 5 " + " ".join(f"{v} {v}" for v in range(6, 19)))
+    assert cd.n == 18 and gauss_parity_violations(cd) == []
+    with pytest.raises(NotRealizable):
+        realize(cd)
+    assert calls == [36]
 
 
 def test_face_counts_against_independent_tracer():
