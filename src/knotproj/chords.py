@@ -32,7 +32,6 @@ __all__ = [
     "interleavement_graph",
     "count_x",
     "count_tr",
-    "count_tr_sextuples",
     "is_nugatory",
     "gauss_parity_violations",
     "split_connected_sum",
@@ -218,8 +217,8 @@ def count_tr(cd: ChordDiagram) -> int:
     """Number of triple chords: triples realizing the cyclic pattern a b c a b c.
 
     Counted as triangles of the interleavement graph, which is equivalent to
-    the direct pattern count (:func:`count_tr_sextuples` is the independent
-    implementation used as a test oracle).
+    the direct count of six-point patterns (the test suite keeps that count
+    as an independent oracle).
     """
     g = interleavement_graph(cd)
     return sum(
@@ -229,26 +228,10 @@ def count_tr(cd: ChordDiagram) -> int:
     )
 
 
-def count_tr_sextuples(cd: ChordDiagram) -> int:
-    """Count triple chords by matching the six-point pattern directly.
-
-    A triple {a, b, c} qualifies when its six endpoints, read in circle
-    order, spell x y z x y z; linearizing a cyclic word of that shape always
-    leaves position i and i+3 equal, which is what is checked.
-    """
-    total = 0
-    for triple in combinations(range(1, cd.n + 1), 3):
-        pos = sorted(p for lab in triple for p in cd.positions(lab))
-        lab = [cd.word[p] for p in pos]
-        if lab[0] == lab[3] and lab[1] == lab[4] and lab[2] == lab[5]:
-            total += 1
-    return total
-
-
 def is_nugatory(cd: ChordDiagram, a: int) -> bool:
     """Whether chord ``a`` interleaves no other chord (an isolated chord)."""
     cd.positions(a)
-    return all(not interleaved(cd, a, b) for b in range(1, cd.n + 1) if b != a)
+    return _interlacement_bits(cd.word)[a - 1] == 0
 
 
 def gauss_parity_violations(cd: ChordDiagram) -> list[int]:

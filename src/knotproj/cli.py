@@ -128,7 +128,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    ns = [0] if args.n == 0 else list(range(1, args.n + 1))
+    # n <= 0 goes to enumerate_curves as is, which refuses negative n
+    ns = [args.n] if args.n <= 0 else list(range(1, args.n + 1))
     budget = enumeration.enumeration_budget()
     if args.n > budget:
         return _fail(

@@ -1,15 +1,18 @@
 """Exhaustive enumeration of spherical curves and the JSONL dataset format.
 
 Curves are enumerated one per equivalence class (rotation, reflection,
-relabeling) by generating exactly the canonical double-occurrence words and
-keeping the realizable ones.  Generation is canonical-first: a word can only
-be canonical when the forward gap of chord 1 equals the smallest cyclic gap
-of any chord, so the search fixes that gap and prunes every placement that
-would undercut it, then filters the survivors with a full orbit-minimality
-check.  Realizability is decided after the parity fast-reject by
-:func:`knotproj.planar._search_rotations`: crossing flips are propagated over
-the interlacement graph in O(n^2) bit operations and one face trace confirms
-or refutes the candidate rotation system.
+relabeling) by generating the canonical double-occurrence words that pass
+the Gauss parity condition and keeping the realizable ones.  Generation is
+canonical-first and parity-pruned: a word can only be canonical when the
+forward gap of chord 1 equals the smallest cyclic gap of any chord, so the
+search fixes that gap and prunes every placement that would undercut it; and
+a chord's interlace count is complete once its second endpoint is placed, so
+a chord that would close interleaving an odd number of chords is never
+placed.  Only the survivors get the full orbit-minimality check.
+Realizability is decided by :func:`knotproj.planar._search_rotations`:
+crossing flips are propagated over the interlacement graph in O(n^2) bit
+operations and one face trace confirms or refutes the candidate rotation
+system.
 
 Datasets are JSONL: a {"schema":1} header line, then one record per curve,
 ordered by (n, code).  Rationals are serialized exactly ("p/q", or "k" for
@@ -76,18 +79,32 @@ def _is_canonical(w: tuple[int, ...]) -> bool:
 
 
 def _canonical_words(n: int) -> list[tuple[int, ...]]:
-    """All canonical double-occurrence words with n chords, ascending."""
+    """Canonical double-occurrence words with n chords that pass parity, ascending.
+
+    Chord 1 is fixed to close at ``gap``, the smallest cyclic gap of any
+    chord, and placements that would undercut it are pruned.  A chord's
+    interlace count is known the moment it closes: it is the number of labels
+    seen exactly once strictly inside its interval, the popcount of a
+    prefix-XOR difference.  Closing a chord with an odd count is pruned, so
+    in every word built each chord interleaves an even number of others.
+    Chords 2..gap all cross chord 1, so only odd gaps are searched.  The
+    orbit-minimality check runs on the complete survivors.
+    """
     if n == 0:
         return [()]
     m = 2 * n
     out: list[tuple[int, ...]] = []
-    for gap in range(1, n + 1):
+    for gap in range(1, n + 1, 2):
         # chord 1 closes at `gap`; the prefix before it is forced to be new chords
         word = [0] * m
         word[0] = 1
         word[gap] = 1
         for k in range(1, gap):
             word[k] = k + 1
+        # pref[i] XORs 1 << word[k] over k < i
+        pref = [0] * (m + 1)
+        for k in range(gap + 1):
+            pref[k + 1] = pref[k] ^ (1 << word[k])
         open_pos = {k + 1: k for k in range(1, gap)}
         state = [gap + 1]  # next fresh label
 
@@ -102,11 +119,15 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
                 if i > fp + (m - gap):
                     return
             for lab in sorted(open_pos):
-                d = i - open_pos[lab]
+                fp = open_pos[lab]
+                d = i - fp
                 if d < gap or d > m - gap:
                     continue
-                fp = open_pos.pop(lab)
+                if (pref[i] ^ pref[fp + 1]).bit_count() & 1:
+                    continue
+                del open_pos[lab]
                 word[i] = lab
+                pref[i + 1] = pref[i] ^ (1 << lab)
                 place(i + 1)
                 open_pos[lab] = fp
             if state[0] <= n:
@@ -114,6 +135,7 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
                 state[0] += 1
                 open_pos[lab] = i
                 word[i] = lab
+                pref[i + 1] = pref[i] ^ (1 << lab)
                 place(i + 1)
                 state[0] -= 1
                 del open_pos[lab]
@@ -130,6 +152,8 @@ def _curves(n: int) -> tuple[PlanarCurve, ...]:
     found = []
     for w in _canonical_words(n):
         cd = ChordDiagram(w)
+        # the generator already pruned parity failures; this one bitset pass
+        # per word guards that prune
         if chords.gauss_parity_violations(cd):
             continue
         p = planar._search_rotations(cd)

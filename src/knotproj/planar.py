@@ -379,8 +379,7 @@ def innermost_teardrop(p: PlanarCurve) -> Teardrop:
 
 def is_reduced(p: PlanarCurve) -> bool:
     """No nugatory crossing (every chord interleaves something); U is reduced."""
-    cd = p.code
-    return all(not chords.is_nugatory(cd, a) for a in range(1, p.n + 1))
+    return all(chords._interlacement_bits(p.word))
 
 
 def prime_decompose(p: PlanarCurve) -> list[PlanarCurve]:

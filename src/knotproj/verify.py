@@ -217,25 +217,22 @@ def check_teardrop_reversal(max_n: int) -> CheckReport:
     )
 
 
-CHECK_IDS = (
-    "main-theorem",
-    "inclusion-chain",
-    "two-strong-bigons",
-    "connected-sum-lemma",
-    "teardrop-reversal",
-)
+# Entries call the module-level functions by name at run time, so wrappers
+# installed on those names (tracers, monkeypatches) also apply through here.
+_CHECKS = {
+    "main-theorem": lambda max_n: check_main_theorem(max_n),
+    "inclusion-chain": lambda max_n: check_inclusion_chain(max_n, min(max_n, 5)),
+    "two-strong-bigons": lambda max_n: check_two_strong_bigons(max_n),
+    "connected-sum-lemma": lambda max_n: check_connected_sum_lemma(max_n),
+    "teardrop-reversal": lambda max_n: check_teardrop_reversal(max_n),
+}
+
+CHECK_IDS = tuple(_CHECKS)
 
 
 def run_check(check_id: str, max_n: int) -> CheckReport:
-    """Run one check by identifier; inclusion-chain caps its Arnold sweep at 5."""
-    if check_id == "main-theorem":
-        return check_main_theorem(max_n)
-    if check_id == "inclusion-chain":
-        return check_inclusion_chain(max_n, min(max_n, 5))
-    if check_id == "two-strong-bigons":
-        return check_two_strong_bigons(max_n)
-    if check_id == "connected-sum-lemma":
-        return check_connected_sum_lemma(max_n)
-    if check_id == "teardrop-reversal":
-        return check_teardrop_reversal(max_n)
-    raise KeyError(check_id)
+    """Run one check by identifier; inclusion-chain caps its Arnold sweep at 5.
+
+    Raises KeyError for an identifier not in :data:`CHECK_IDS`.
+    """
+    return _CHECKS[check_id](max_n)

@@ -8,6 +8,7 @@ is evidence and not tautology.
 import json
 import pathlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -41,6 +42,91 @@ def pairing_words(n):
             word[j] = lab
         out.append(tuple(word))
     return out
+
+
+def _is_canonical(w):
+    m = len(w)
+    for refl in (False, True):
+        s = w[::-1] if refl else w
+        for r in range(m):
+            if not refl and r == 0:
+                continue
+            ren = {}
+            for k in range(m):
+                x = s[(r + k) % m]
+                y = ren.setdefault(x, len(ren) + 1)
+                if y != w[k]:
+                    if y < w[k]:
+                        return False
+                    break
+    return True
+
+
+def all_canonical_words(n):
+    """Every canonical double-occurrence word with n chords, ascending.
+
+    The generator without the parity prune: parity-failing words are kept.
+    """
+    if n == 0:
+        return [()]
+    m = 2 * n
+    out = []
+    for gap in range(1, n + 1):
+        # chord 1 closes at `gap`; the prefix before it is forced to be new chords
+        word = [0] * m
+        word[0] = 1
+        word[gap] = 1
+        for k in range(1, gap):
+            word[k] = k + 1
+        open_pos = {k + 1: k for k in range(1, gap)}
+        state = [gap + 1]  # next fresh label
+
+        def place(i):
+            if i == m:
+                if not open_pos and _is_canonical(tuple(word)):
+                    out.append(tuple(word))
+                return
+            if len(open_pos) > m - i:
+                return
+            for lab, fp in open_pos.items():
+                if i > fp + (m - gap):
+                    return
+            for lab in sorted(open_pos):
+                d = i - open_pos[lab]
+                if d < gap or d > m - gap:
+                    continue
+                fp = open_pos.pop(lab)
+                word[i] = lab
+                place(i + 1)
+                open_pos[lab] = fp
+            if state[0] <= n:
+                lab = state[0]
+                state[0] += 1
+                open_pos[lab] = i
+                word[i] = lab
+                place(i + 1)
+                state[0] -= 1
+                del open_pos[lab]
+            word[i] = 0
+
+        place(gap + 1)
+    return out
+
+
+def count_tr_sextuples(cd):
+    """Count triple chords by matching the six-point pattern directly.
+
+    A triple {a, b, c} qualifies when its six endpoints, read in circle
+    order, spell x y z x y z; linearizing a cyclic word of that shape always
+    leaves position i and i+3 equal, which is what is checked.
+    """
+    total = 0
+    for triple in combinations(range(1, cd.n + 1), 3):
+        pos = sorted(p for lab in triple for p in cd.positions(lab))
+        lab = [cd.word[p] for p in pos]
+        if lab[0] == lab[3] and lab[1] == lab[4] and lab[2] == lab[5]:
+            total += 1
+    return total
 
 
 def vertex_rings(word, flips):

@@ -6,7 +6,6 @@ from knotproj import (
     ChordDiagram,
     canonicalize,
     count_tr,
-    count_tr_sextuples,
     count_x,
     gauss_parity_violations,
     interleaved,
@@ -16,6 +15,8 @@ from knotproj import (
 )
 from knotproj.chords import interleavement_graph
 from knotproj.errors import MalformedCode, UnknownLabel
+
+from conftest import count_tr_sextuples
 
 
 def random_word(rng, n):
@@ -164,6 +165,9 @@ def test_is_nugatory():
     cd = parse_code("1 1 2 3 2 3")
     assert is_nugatory(cd, 1)
     assert not is_nugatory(cd, 2)
+    for bad in (0, 4, "1"):
+        with pytest.raises(UnknownLabel):
+            is_nugatory(cd, bad)
 
 
 def test_gauss_parity_violations():

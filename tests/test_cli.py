@@ -135,6 +135,14 @@ def test_enumerate_over_budget_exits_4(tmp_path, capsys, monkeypatch):
     assert not out_path.exists()
 
 
+def test_enumerate_negative_n_exits_4(tmp_path, capsys):
+    out_path = tmp_path / "ds.jsonl"
+    code, out, err = run(capsys, "enumerate", "-1", "--out", str(out_path))
+    assert code == 4 and out == ""
+    assert "crossing number must be nonnegative" in err
+    assert not out_path.exists()
+
+
 def test_enumerate_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "2")
     out_path = tmp_path / "ds.jsonl"

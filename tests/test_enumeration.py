@@ -15,10 +15,20 @@ from knotproj import (
     write_dataset,
     U,
 )
-from knotproj.enumeration import BUDGET_ENV, DEFAULT_MAX_N, EnumerationRecord
+from knotproj.enumeration import (
+    BUDGET_ENV,
+    DEFAULT_MAX_N,
+    EnumerationRecord,
+    _canonical_words,
+)
 from knotproj.errors import BudgetExceeded, NotRealizable, SchemaError
 
-from conftest import brute_force_realizable, pairing_words, trace_face_count
+from conftest import (
+    all_canonical_words,
+    brute_force_realizable,
+    pairing_words,
+    trace_face_count,
+)
 
 
 # --- generation ------------------------------------------------------------------
@@ -30,6 +40,22 @@ def test_counts_match_census(census):
         if n > 6:
             continue  # n=7 is exercised by the acceptance suite
         assert len(enumerate_curves(n)) == expect
+
+
+def test_counts_match_census_beyond_default_tier(census, monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "9")
+    for n in (8, 9):
+        assert len(enumerate_curves(n)) == census["classes"][str(n)]
+
+
+def test_parity_pruned_words_equal_filtered_oracle():
+    for n in range(0, 8):
+        expect = [
+            w
+            for w in all_canonical_words(n)
+            if not gauss_parity_violations(ChordDiagram(w))
+        ]
+        assert _canonical_words(n) == expect
 
 
 def test_generator_equals_pairing_oracle():

@@ -18,10 +18,14 @@ from knotproj import (
     strong_bigons,
 )
 from knotproj import planar
-from knotproj.enumeration import _canonical_words
 from knotproj.errors import InvalidSite, NoCrossings, NotRealizable
 
-from conftest import pairing_words, sweep_realizations, trace_face_count
+from conftest import (
+    all_canonical_words,
+    pairing_words,
+    sweep_realizations,
+    trace_face_count,
+)
 
 
 def degrees(p):
@@ -93,7 +97,7 @@ def test_realize_matches_sweep_on_canonical_words():
     # at n = 7 the full sweeps of the ~5,000 parity failures would dominate
     # the suite's run time, so only the parity-passing words are swept there
     for n in range(1, 8):
-        for word in _canonical_words(n):
+        for word in all_canonical_words(n):
             if n < 7 or not gauss_parity_violations(ChordDiagram(word)):
                 assert_realize_matches_sweep(word)
 

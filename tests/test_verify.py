@@ -27,6 +27,18 @@ def test_all_checks_pass_small():
         assert rep.check_id == cid and rep.max_n == 4
 
 
+def test_check_ids_order_and_unknown_id():
+    assert CHECK_IDS == (
+        "main-theorem",
+        "inclusion-chain",
+        "two-strong-bigons",
+        "connected-sum-lemma",
+        "teardrop-reversal",
+    )
+    with pytest.raises(KeyError):
+        run_check("bogus", max_n=2)
+
+
 def test_main_theorem_counts_triple_free_only(census):
     rep = check_main_theorem(5)
     expect = sum(census["triple_free"][str(n)] for n in range(1, 6))
