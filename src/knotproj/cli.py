@@ -9,6 +9,7 @@ unknown check id, and 1 when a verify run finds violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,16 +24,13 @@ EXIT_BUDGET = 4
 EXIT_IO = 5
 EXIT_UNKNOWN_CHECK = 6
 
-ARNOLD_GUARD_N = 12
-
 
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
     return code
 
 
-def _analysis_obj(code_text: str, with_arnold: bool) -> dict:
-    cd = chords.parse_code(code_text)
+def _analysis_obj(cd: chords.ChordDiagram, with_arnold: bool) -> dict:
     p = planar.realize(cd)
     canon = chords.canonicalize(cd).text
     member, _ = moves.in_S(p)
@@ -86,14 +84,8 @@ def _cmd_analyze(args) -> int:
             cd = chords.parse_code(text)
         except MalformedCode as exc:
             return _fail(EXIT_MALFORMED, f"malformed code {text!r}: {exc}")
-        if args.arnold and cd.n > ARNOLD_GUARD_N and not args.force:
-            return _fail(
-                EXIT_BUDGET,
-                f"refusing the 2^{cd.n} resolution sweep for n={cd.n} > "
-                f"{ARNOLD_GUARD_N}; pass --force to proceed",
-            )
         try:
-            results.append(_analysis_obj(text, args.arnold))
+            results.append(_analysis_obj(cd, args.arnold))
         except NotRealizable as exc:
             return _fail(EXIT_NOT_REALIZABLE, str(exc))
     if args.json:
@@ -207,6 +199,7 @@ def _cmd_dot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knotproj",
@@ -216,9 +209,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="pattern counts, faces, and invariants")
     p_an.add_argument("code", nargs="?", default=None, help="Gauss code (quoted)")
-    p_an.add_argument("--arnold", action="store_true", help="also average a2")
+    p_an.add_argument(
+        "--arnold", action="store_true", help="also compute the Arnold invariant"
+    )
     p_an.add_argument("--json", action="store_true")
-    p_an.add_argument("--force", action="store_true", help="lift the n>12 arnold guard")
     p_an.add_argument("--in", dest="infile", default=None, help="batch file, one code per line")
 
     p_re = sub.add_parser("reduce", help="greedy 1b/s2b reduction or S-membership")
@@ -231,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--arnold-max",
         type=int,
         default=enumeration.DEFAULT_ARNOLD_MAX_N,
-        help="compute arnold only for n at most this (default 6)",
+        help="compute arnold only for n at most this (default %(default)s)",
     )
 
     p_ve = sub.add_parser("verify", help="run machine checks over the enumeration")

@@ -184,8 +184,9 @@ def enumerate_curves(n: int) -> list[PlanarCurve]:
 class EnumerationRecord:
     """One dataset row: the canonical code and its computed facts.
 
-    ``arnold`` is None when the record was built without the (exponential)
-    resolution average; it is then omitted from the JSON.
+    ``arnold`` is None when the record was built without the Arnold
+    invariant (the CLI computes it up to ``--arnold-max``); it is then
+    omitted from the JSON.
     """
 
     code: str

@@ -7,14 +7,22 @@ multiplying by 8 gives the projection invariant computed by
 :func:`arnold_invariant`; it vanishes on every curve reducible by 1b/s2b
 moves.
 
-Two independent a2 implementations are kept on purpose:
+:func:`average_a2` never enumerates resolutions.  The based Gauss-diagram
+formula for a2 (Polyak and Viro, IMRN 1994; Polyak, Topology 37, 1998) is a
+sum over interleaved chord pairs, and each pair's term depends only on the
+over/under bits of its own two crossings.  The average over 2**n resolutions
+is therefore an exact sum over pairs of the term averaged over its 4 bit
+combinations: O(n**2) work.
 
+The resolution-level routes are kept as oracles for that sum:
+
+* :func:`resolutions` and :func:`resolve` build the individual knot diagrams.
 * :func:`a2_skein` resolves crossings through the skein relation
   nabla(L+) - nabla(L-) = z * nabla(L0) until the diagrams are descending;
   it is the semantic definition.
 * :func:`a2_gauss_formula` sums sign products over interleaved arrow pairs of
-  the based Gauss diagram; it is the fast path and must agree with the skein
-  value everywhere and for every base point.
+  one based diagram; it must agree with the skein value everywhere and for
+  every base point.
 """
 
 from __future__ import annotations
@@ -322,8 +330,37 @@ def a2_gauss_formula(r: Resolution, base: int = 0) -> int:
 
 
 def average_a2(p: PlanarCurve) -> Fraction:
-    """Exact average of a2 over all 2**n resolutions."""
-    return Fraction(sum(a2_gauss_formula(r) for r in resolutions(p)), 1 << p.n)
+    """Exact average of a2 over all 2**n resolutions, as a sum over chord pairs.
+
+    An interleaved pair a, b (first[a] < first[b] < second[a] < second[b],
+    base point 0) contributes to :func:`a2_gauss_formula` in exactly one of
+    its 4 bit combinations, the arrow pattern ``_PV_*``, and there it adds
+    the product of the two crossing signs.  Every other bit is free, so the
+    pair adds a quarter of that product to the average.
+    """
+    table = planar._vertex_dart_table(p.word)
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
+    for t, v in enumerate(p.word):
+        (second if v in first else first)[v] = t
+    # each chord's sign with the bit its role in the _PV_* pattern asks for
+    sign_a = {
+        v: _crossing_sign(p.rotations[v - 1], table[v], not _PV_FIRST_UNDER)
+        for v in first
+    }
+    sign_b = {
+        v: _crossing_sign(p.rotations[v - 1], table[v], not _PV_SECOND_UNDER)
+        for v in first
+    }
+    order = list(first)  # chords by first occurrence
+    total = 0
+    for i, a in enumerate(order):
+        for b in order[i + 1:]:
+            if first[b] > second[a]:
+                break
+            if second[b] > second[a]:
+                total += sign_a[a] * sign_b[b]
+    return Fraction(total, 4)
 
 
 def arnold_invariant(p: PlanarCurve) -> Fraction:

@@ -200,6 +200,12 @@ def brute_force_realizable(word):
     return next(sweep_realizations(word), None) is not None
 
 
+def sweep_average_a2(p):
+    """Average a2 over all 2**n resolutions, through the based Gauss formula."""
+    total = sum(invariants.a2_gauss_formula(r) for r in invariants.resolutions(p))
+    return Fraction(total, 2 ** p.n)
+
+
 def skein_average_a2(p):
     """Average a2 over all resolutions, through the skein oracle only."""
     total = sum(invariants.a2_skein(r) for r in invariants.resolutions(p))

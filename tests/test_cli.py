@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from knotproj import cli, read_dataset
+from knotproj import cli, enumeration, read_dataset
 from knotproj.enumeration import BUDGET_ENV
 
 
@@ -72,18 +72,51 @@ def test_analyze_batch_missing_file_exits_5(capsys):
     assert "cannot read" in err
 
 
+def torus_word(k):
+    return " ".join(str(v) for v in list(range(1, k + 1)) * 2)
+
+
 def test_arnold_guard_refuses_large_sweep(capsys):
-    word = " ".join(str(v) for v in list(range(1, 14)) + list(range(1, 14)))
-    code, out, err = run(capsys, "analyze", word, "--arnold")
-    assert code == 4 and out == ""
-    assert "--force" in err
+    """The n > 12 guard is gone: the pair sum is O(n^2), so T(2,13) runs."""
+    code, out, err = run(capsys, "analyze", torus_word(13), "--arnold")
+    assert code == 0 and err == ""
+    assert "arnold:        12" in out
 
 
 def test_arnold_guard_force_proceeds(capsys):
-    word = " ".join(str(v) for v in list(range(1, 14)) + list(range(1, 14)))
-    code, out, _ = run(capsys, "analyze", word, "--arnold", "--force", "--json")
+    """No --force is needed any more, even at n = 41."""
+    code, out, _ = run(capsys, "analyze", torus_word(41), "--arnold", "--json")
+    assert code == 0
     obj = json.loads(out)
-    assert obj["n"] == 13 and "arnold" in obj
+    assert obj["n"] == 41 and obj["arnold"] == "40"
+
+
+def test_force_flag_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["analyze", "1 1", "--arnold", "--force"])
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
+def test_main_reuses_parser_across_calls(capsys):
+    code, out, _ = run(capsys, "analyze", "1 2 3 1 2 3", "--arnold", "--json")
+    assert code == 0 and json.loads(out)["arnold"] == "2"
+    code, out, _ = run(capsys, "analyze", "1 2 3 1 2 3", "--json")
+    assert code == 0 and "arnold" not in json.loads(out)
+    code, out, err = run(capsys, "verify", "--check", "bogus")
+    assert code == 6 and out == "" and "unknown check" in err
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_help_shows_arnold_max_default(capsys, monkeypatch):
+    monkeypatch.setattr(enumeration, "DEFAULT_ARNOLD_MAX_N", 9)
+    cli._build_parser.cache_clear()
+    try:
+        with pytest.raises(SystemExit):
+            cli.main(["enumerate", "--help"])
+    finally:
+        cli._build_parser.cache_clear()
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "(default 9)" in help_text
 
 
 # --- reduce ----------------------------------------------------------------------

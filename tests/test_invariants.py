@@ -6,10 +6,12 @@ from knotproj import (
     U,
     a2_gauss_formula,
     a2_skein,
+    all_realizations,
     arnold_invariant,
     average_a2,
     enumerate_curves,
     format_rational,
+    invariants,
     parse_code,
     parse_rational,
     realize,
@@ -18,11 +20,16 @@ from knotproj import (
 )
 from knotproj.invariants import conway_polynomial
 
-from conftest import skein_average_a2
+from conftest import skein_average_a2, sweep_average_a2
 
 
 def curve(text):
     return realize(parse_code(text))
+
+
+def torus_shadow(k):
+    """The T(2,k) shadow ``1..k 1..k``."""
+    return curve(" ".join(str(v) for v in list(range(1, k + 1)) * 2))
 
 
 # --- resolutions ----------------------------------------------------------------
@@ -124,6 +131,41 @@ def test_arnold_matches_skein_average():
         for p in enumerate_curves(n):
             assert average_a2(p) == skein_average_a2(p)
             assert arnold_invariant(p) == 8 * skein_average_a2(p)
+
+
+def test_pair_sum_matches_sweep_on_every_embedding():
+    for n in range(0, 6):
+        for p in enumerate_curves(n):
+            for q in all_realizations(p.code):
+                assert average_a2(q) == sweep_average_a2(q)
+
+
+def test_pair_sum_matches_sweep_through_n7():
+    for n in range(0, 8):
+        for p in enumerate_curves(n):
+            assert average_a2(p) == sweep_average_a2(p)
+
+
+def test_arnold_on_torus_shadows():
+    for k in range(1, 42, 2):
+        assert arnold_invariant(torus_shadow(k)) == k - 1
+
+
+def test_arnold_does_not_sweep_resolutions(monkeypatch):
+    calls = []
+    for name in ("resolve", "a2_gauss_formula"):
+        original = getattr(invariants, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(invariants, name, counted)
+    assert arnold_invariant(torus_shadow(41)) == 40
+    assert calls == []
+    # the counters do see the oracle route
+    invariants.a2_gauss_formula(invariants.resolve(torus_shadow(3), (True,) * 3))
+    assert calls == ["resolve", "a2_gauss_formula"]
 
 
 def test_arnold_exact_rational():
