@@ -13,13 +13,24 @@ Conventions:
   answered with index arithmetic,
 * labels are the dense integers 1..n assigned by first occurrence,
 * the empty word is the code of the simple closed curve U.
+
+Each chord-level concept has one implementation:
+
+* :func:`_normalize` validates (each label exactly twice) and relabels by
+  first occurrence, for the constructor, ``from_labels`` and
+  :func:`parse_code`,
+* :func:`_orbit_min` is the symmetry-orbit minimum, behind
+  :func:`canonicalize` and the enumeration's canonicity test,
+* :func:`_interlacement_bits` is the interlacement core: every interleave
+  question reads it, here and in :mod:`knotproj.planar` (strong 2-gons,
+  reducedness, realization); :func:`split_connected_sum` uses the prefix XOR
+  it is built from.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import MalformedCode, UnknownLabel
 
@@ -29,7 +40,6 @@ __all__ = [
     "parse_code",
     "canonicalize",
     "interleaved",
-    "interleavement_graph",
     "count_x",
     "count_tr",
     "is_nugatory",
@@ -40,15 +50,23 @@ __all__ = [
 _SEP = re.compile(r"[\s,]+")
 
 
-def _first_occurrence_relabeling(labels) -> tuple[int, ...]:
-    """Rename labels to 1..n in order of first appearance."""
-    seen: dict = {}
-    out = []
-    for x in labels:
-        if x not in seen:
-            seen[x] = len(seen) + 1
-        out.append(seen[x])
-    return tuple(out)
+def _normalize(labels) -> tuple[int, ...]:
+    """Rename labels to 1..n in order of first appearance.
+
+    Raises :class:`MalformedCode`, naming the first offending label as given,
+    unless every label occurs exactly twice.
+    """
+    ids: dict = {}
+    word = tuple([ids.setdefault(x, len(ids) + 1) for x in labels])
+    counts = [0] * (len(ids) + 1)
+    for y in word:
+        counts[y] += 1
+    for x, y in ids.items():
+        if counts[y] != 2:
+            raise MalformedCode(
+                f"label {x!r} appears {counts[y]} time(s), expected exactly 2"
+            )
+    return word
 
 
 @dataclass(frozen=True)
@@ -63,17 +81,8 @@ class ChordDiagram:
     word: tuple[int, ...]
 
     def __post_init__(self):
-        w = self.word
-        if len(w) % 2:
-            raise MalformedCode(f"odd length {len(w)}: not a double-occurrence word")
-        counts: dict[int, int] = {}
-        for x in w:
-            counts[x] = counts.get(x, 0) + 1
-        bad = sorted(x for x, c in counts.items() if c != 2)
-        if bad:
-            raise MalformedCode(f"labels without exactly two occurrences: {bad}")
-        if w != _first_occurrence_relabeling(w):
-            raise MalformedCode(f"word {w!r} is not labeled by first occurrence")
+        if _normalize(self.word) != self.word:
+            raise MalformedCode(f"word {self.word!r} is not labeled by first occurrence")
 
     @property
     def n(self) -> int:
@@ -82,18 +91,11 @@ class ChordDiagram:
     @classmethod
     def from_labels(cls, labels) -> "ChordDiagram":
         """Build a diagram from arbitrary hashable labels, renaming them."""
-        labels = tuple(labels)
-        counts: dict = {}
-        for x in labels:
-            counts[x] = counts.get(x, 0) + 1
-        bad = [x for x, c in counts.items() if c != 2]
-        if bad:
-            raise MalformedCode(f"labels without exactly two occurrences: {bad}")
-        return cls(_first_occurrence_relabeling(labels))
+        return cls(_normalize(labels))
 
     def positions(self, label: int) -> tuple[int, int]:
         """The two positions of ``label`` in the linearized word, ascending."""
-        if not isinstance(label, int) or not 1 <= label <= self.n:
+        if type(label) is not int or not 1 <= label <= self.n:  # bools too
             raise UnknownLabel(f"label {label!r} not in 1..{self.n}")
         i = self.word.index(label)
         return i, self.word.index(label, i + 1)
@@ -139,44 +141,64 @@ def parse_code(text: str) -> ChordDiagram:
         if v <= 0:
             raise MalformedCode(f"labels must be positive integers, got {tok!r}")
         labels.append(v)
-    counts: dict[int, int] = {}
-    for v in labels:
-        counts[v] = counts.get(v, 0) + 1
-    bad = sorted(x for x, c in counts.items() if c != 2)
-    if bad:
-        raise MalformedCode(
-            f"label {bad[0]} appears {counts[bad[0]]} time(s), expected exactly 2"
-        )
-    return ChordDiagram(_first_occurrence_relabeling(labels))
+    return ChordDiagram(_normalize(labels))
+
+
+def _orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Least word over all rotations and both reflections of a normalized word.
+
+    Each transform is relabeled by first occurrence.  Only a transform that
+    starts on an endpoint whose partner lies g steps ahead, g the least such
+    distance in the word, can be least: it reads 1 2 .. g 1 (a chord nested
+    inside would be closer still), while any other transform reads at least
+    g + 1 fresh labels before its first repeat.  Each of those candidates is
+    relabeled only until it differs from the best so far.
+    """
+    m = len(word)
+    first: dict[int, int] = {}
+    ahead = [0] * m  # steps from each position forward to its partner
+    for i, x in enumerate(word):
+        j = first.setdefault(x, i)
+        ahead[i] = (j - i) % m
+        ahead[j] = i - j
+    g = min(ahead, default=0)
+    rev = word[::-1]
+    starts = [(word, i) for i in range(m) if ahead[i] == g]
+    starts += [(rev, m - 1 - i) for i in range(m) if ahead[i] == m - g]
+    best: tuple[int, ...] = ()
+    for seq, r in starts:
+        ids: dict[int, int] = {}
+        cand = []
+        tied = bool(best)
+        for x in seq[r:] + seq[:r]:
+            y = ids.setdefault(x, len(ids) + 1)
+            if tied:
+                b = best[len(cand)]
+                if y > b:
+                    break
+                tied = y == b
+            cand.append(y)
+        else:
+            best = tuple(cand)
+    return best
 
 
 def canonicalize(cd: ChordDiagram) -> CanonicalCode:
     """Least first-occurrence word over all rotations and both reflections.
 
     The orbit has at most 4n words (2n rotations, 2 directions, relabeled by
-    first occurrence after each transform); ties collapse because the
-    relabeled words are compared as tuples.
+    first occurrence after each transform); see :func:`_orbit_min`.
     """
-    w = cd.word
-    m = len(w)
-    if m == 0:
-        return CanonicalCode("")
-    best: tuple[int, ...] | None = None
-    for seq in (w, w[::-1]):
-        for r in range(m):
-            cand = _first_occurrence_relabeling(seq[r:] + seq[:r])
-            if best is None or cand < best:
-                best = cand
-    return CanonicalCode(" ".join(map(str, best)))
+    return CanonicalCode(" ".join(map(str, _orbit_min(cd.word))))
 
 
 def interleaved(cd: ChordDiagram, a: int, b: int) -> bool:
     """Whether chords ``a`` and ``b`` alternate as a..b..a..b around the circle."""
     if a == b:
         raise UnknownLabel(f"interleaved needs two distinct labels, got {a} twice")
-    i1, i2 = cd.positions(a)
-    j1, j2 = cd.positions(b)
-    return (i1 < j1 < i2) != (i1 < j2 < i2)
+    cd.positions(a)
+    cd.positions(b)
+    return bool(_interlacement_bits(cd.word)[a - 1] >> (b - 1) & 1)
 
 
 def _interlacement_bits(word: tuple[int, ...]) -> list[int]:
@@ -197,34 +219,25 @@ def _interlacement_bits(word: tuple[int, ...]) -> list[int]:
     return [b ^ (1 << i) for i, b in enumerate(bits)]
 
 
-def interleavement_graph(cd: ChordDiagram) -> dict[int, frozenset[int]]:
-    """Adjacency map of the interleavement (chord-crossing) graph."""
-    n = cd.n
-    bits = _interlacement_bits(cd.word)
-    return {
-        a: frozenset(b for b in range(1, n + 1) if bits[a - 1] >> (b - 1) & 1)
-        for a in range(1, n + 1)
-    }
-
-
 def count_x(cd: ChordDiagram) -> int:
     """Number of interleaved chord pairs (cyclic pattern a b a b)."""
-    g = interleavement_graph(cd)
-    return sum(len(s) for s in g.values()) // 2
+    return sum(row.bit_count() for row in _interlacement_bits(cd.word)) // 2
 
 
 def count_tr(cd: ChordDiagram) -> int:
     """Number of triple chords: triples realizing the cyclic pattern a b c a b c.
 
-    Counted as triangles of the interleavement graph, which is equivalent to
+    Counted as triangles a < b < c of the interleavement graph: for each
+    interleaved pair, the common neighbours above b.  This is equivalent to
     the direct count of six-point patterns (the test suite keeps that count
     as an independent oracle).
     """
-    g = interleavement_graph(cd)
+    adj = _interlacement_bits(cd.word)
     return sum(
-        1
-        for a, b, c in combinations(range(1, cd.n + 1), 3)
-        if b in g[a] and c in g[a] and c in g[b]
+        ((adj[a] & adj[b]) >> (b + 1)).bit_count()
+        for a in range(len(adj))
+        for b in range(a + 1, len(adj))
+        if adj[a] >> b & 1
     )
 
 
@@ -258,19 +271,17 @@ def split_connected_sum(
     m = len(w)
     if cd.n < 2:
         return None
-    spans = {}
-    for a in range(1, cd.n + 1):
-        spans[a] = cd.positions(a)
+    # an interval is closed under the pairing exactly when every label occurs
+    # in it an even number of times, i.e. when its prefix XORs agree
+    ww = w + w
+    pref = [0]
+    for x in ww:
+        pref.append(pref[-1] ^ (1 << x))
     for start in range(m):
-        for length in range(2, m - 1, 2):
-            inside = [(start + k) % m for k in range(length)]
-            member = [False] * m
-            for i in inside:
-                member[i] = True
-            if all(member[i1] == member[i2] for i1, i2 in spans.values()):
-                outside = [(start + length + k) % m for k in range(m - length)]
+        for end in range(start + 2, start + m - 1, 2):
+            if pref[end] == pref[start]:
                 return (
-                    ChordDiagram.from_labels(w[i] for i in inside),
-                    ChordDiagram.from_labels(w[i] for i in outside),
+                    ChordDiagram.from_labels(ww[start:end]),
+                    ChordDiagram.from_labels(ww[end : start + m]),
                 )
     return None

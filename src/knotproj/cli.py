@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from . import chords, enumeration, invariants, moves, planar, verify
+from . import chords, enumeration, moves, planar, verify
 from .errors import BudgetExceeded, MalformedCode, NotRealizable
 
 EXIT_OK = 0
@@ -31,26 +31,20 @@ def _fail(code: int, message: str) -> int:
 
 
 def _analysis_obj(cd: chords.ChordDiagram, with_arnold: bool) -> dict:
+    """The dataset record of ``cd`` plus ``realizable`` and ``prime_factors``."""
     p = planar.realize(cd)
-    canon = chords.canonicalize(cd).text
-    member, _ = moves.in_S(p)
-    obj = {
-        "code": canon,
-        "n": p.n,
-        "x": chords.count_x(cd),
-        "tr": chords.count_tr(cd),
-        "realizable": True,
-        "face_degrees": sorted(f.degree for f in p.faces),
-        "monogons": len(planar.monogons(p)),
-        "strong_bigons": len(planar.strong_bigons(p)),
-        "reduced": planar.is_reduced(p),
-        "prime_factors": [
-            chords.canonicalize(f.code).text for f in planar.prime_decompose(p)
-        ],
-        "in_S": member,
-    }
-    if with_arnold:
-        obj["arnold"] = invariants.format_rational(invariants.arnold_invariant(p))
+    rec = enumeration.build_record(p, with_arnold)
+    if rec.prime:
+        factors = [rec.code]
+    else:
+        factors = [chords.canonicalize(f.code).text for f in planar.prime_decompose(p)]
+    obj = {}
+    for key, val in enumeration._record_to_obj(rec).items():
+        if key == "face_degrees":
+            obj["realizable"] = True
+        if key == "prime":
+            key, val = "prime_factors", factors
+        obj[key] = val
     return obj
 
 

@@ -60,24 +60,6 @@ def enumeration_budget() -> int:
         raise BudgetExceeded(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
-def _is_canonical(w: tuple[int, ...]) -> bool:
-    m = len(w)
-    for refl in (False, True):
-        s = w[::-1] if refl else w
-        for r in range(m):
-            if not refl and r == 0:
-                continue
-            ren: dict[int, int] = {}
-            for k in range(m):
-                x = s[(r + k) % m]
-                y = ren.setdefault(x, len(ren) + 1)
-                if y != w[k]:
-                    if y < w[k]:
-                        return False
-                    break
-    return True
-
-
 def _canonical_words(n: int) -> list[tuple[int, ...]]:
     """Canonical double-occurrence words with n chords that pass parity, ascending.
 
@@ -110,8 +92,9 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
 
         def place(i: int) -> None:
             if i == m:
-                if not open_pos and _is_canonical(tuple(word)):
-                    out.append(tuple(word))
+                w = tuple(word)
+                if not open_pos and chords._orbit_min(w) == w:
+                    out.append(w)
                 return
             if len(open_pos) > m - i:
                 return

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import chords
-from .chords import ChordDiagram, interleaved
+from .chords import ChordDiagram
 from .errors import InvalidSite, NoCrossings, NotRealizable
 
 __all__ = [
@@ -302,14 +302,14 @@ def strong_bigons(p: PlanarCurve) -> list[Face]:
     s2b move.
     """
     out = []
-    cd = p.code
+    bits = chords._interlacement_bits(p.word)
     for f in p.faces:
         if f.degree != 2:
             continue
         a, b = f.corners
         if a == b:
             continue
-        if not interleaved(cd, a, b):
+        if not bits[a - 1] >> (b - 1) & 1:
             out.append(f)
     return out
 
@@ -398,9 +398,12 @@ def prime_decompose(p: PlanarCurve) -> list[PlanarCurve]:
 
 
 def _check_site(p: PlanarCurve, site, name: str) -> None:
-    if not isinstance(site, int) or isinstance(site, bool):
+    if p.n == 0:
+        if site is not None:
+            raise InvalidSite("U has no edges; its site must be None")
+    elif not isinstance(site, int) or isinstance(site, bool):
         raise InvalidSite(f"{name} must be an edge index, got {site!r}")
-    if not 0 <= site < 2 * p.n:
+    elif not 0 <= site < 2 * p.n:
         raise InvalidSite(f"{name}={site} out of range 0..{2 * p.n - 1}")
 
 
@@ -416,22 +419,12 @@ def connected_sum(
     on either side (its site must be None, having no edges).  The spliced
     code is relabeled and realized; the result always is realizable.
     """
-    if p1.n == 0:
-        if site1 is not None:
-            raise InvalidSite("U has no edges; its site must be None")
-        if p2.n == 0:
-            if site2 is not None:
-                raise InvalidSite("U has no edges; its site must be None")
-            return U
-        _check_site(p2, site2, "site2")
-        return p2
-    if p2.n == 0:
-        if site2 is not None:
-            raise InvalidSite("U has no edges; its site must be None")
-        _check_site(p1, site1, "site1")
-        return p1
     _check_site(p1, site1, "site1")
     _check_site(p2, site2, "site2")
+    if p1.n == 0:
+        return p2
+    if p2.n == 0:
+        return p1
     w1, w2 = p1.word, p2.word
     shifted = tuple(x + p1.n for x in w2[site2 + 1:] + w2[: site2 + 1])
     merged = w1[: site1 + 1] + shifted + w1[site1 + 1:]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import chords, invariants, moves, planar
 from .enumeration import enumerate_curves
-from .errors import TheoremViolation
+from .errors import BudgetExceeded, TheoremViolation
 from .invariants import arnold_invariant, format_rational
 from .planar import PlanarCurve
 
@@ -233,6 +233,11 @@ CHECK_IDS = tuple(_CHECKS)
 def run_check(check_id: str, max_n: int) -> CheckReport:
     """Run one check by identifier; inclusion-chain caps its Arnold sweep at 5.
 
-    Raises KeyError for an identifier not in :data:`CHECK_IDS`.
+    Raises KeyError for an identifier not in :data:`CHECK_IDS`, and
+    :class:`BudgetExceeded` for a negative bound, as :func:`enumerate_curves`
+    does for a negative crossing number.
     """
-    return _CHECKS[check_id](max_n)
+    check = _CHECKS[check_id]
+    if max_n < 0:
+        raise BudgetExceeded(f"crossing number must be nonnegative, got {max_n}")
+    return check(max_n)

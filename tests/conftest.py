@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from knotproj import invariants
+from knotproj import ChordDiagram, invariants
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -127,6 +127,61 @@ def count_tr_sextuples(cd):
         if lab[0] == lab[3] and lab[1] == lab[4] and lab[2] == lab[5]:
             total += 1
     return total
+
+
+def interleavement_graph(cd):
+    """Adjacency map of the interleavement graph, from endpoint positions."""
+    pos = {a: cd.positions(a) for a in range(1, cd.n + 1)}
+    return {
+        a: frozenset(
+            b
+            for b, (j1, j2) in pos.items()
+            if b != a and (i1 < j1 < i2) != (i1 < j2 < i2)
+        )
+        for a, (i1, i2) in pos.items()
+    }
+
+
+def _relabel(labels):
+    seen = {}
+    return tuple(seen.setdefault(x, len(seen) + 1) for x in labels)
+
+
+def canonical_text_full_relabel(cd):
+    """Canonical code text: relabel all 4n rotations and reflections, take the min."""
+    w = cd.word
+    if not w:
+        return ""
+    orbit = [
+        _relabel(seq[r:] + seq[:r]) for seq in (w, w[::-1]) for r in range(len(w))
+    ]
+    return " ".join(map(str, min(orbit)))
+
+
+def split_connected_sum_members(cd):
+    """First proper cyclic interval closed under the pairing, by member arrays.
+
+    Same order as the package (smallest start, then smallest even length);
+    returns the (inside, outside) words relabeled by first occurrence, or None.
+    """
+    w = cd.word
+    m = len(w)
+    if cd.n < 2:
+        return None
+    spans = [cd.positions(a) for a in range(1, cd.n + 1)]
+    for start in range(m):
+        for length in range(2, m - 1, 2):
+            inside = [(start + k) % m for k in range(length)]
+            member = [False] * m
+            for i in inside:
+                member[i] = True
+            if all(member[i1] == member[i2] for i1, i2 in spans):
+                outside = [(start + length + k) % m for k in range(m - length)]
+                return (
+                    ChordDiagram.from_labels(w[i] for i in inside),
+                    ChordDiagram.from_labels(w[i] for i in outside),
+                )
+    return None
 
 
 def vertex_rings(word, flips):

@@ -7,16 +7,22 @@ from knotproj import (
     canonicalize,
     count_tr,
     count_x,
+    enumerate_curves,
     gauss_parity_violations,
     interleaved,
     is_nugatory,
     parse_code,
     split_connected_sum,
 )
-from knotproj.chords import interleavement_graph
 from knotproj.errors import MalformedCode, UnknownLabel
 
-from conftest import count_tr_sextuples
+from conftest import (
+    canonical_text_full_relabel,
+    count_tr_sextuples,
+    interleavement_graph,
+    pairing_words,
+    split_connected_sum_members,
+)
 
 
 def random_word(rng, n):
@@ -70,6 +76,12 @@ def test_diagram_validates_construction():
         ChordDiagram((1, 2, 1))
     with pytest.raises(MalformedCode):
         ChordDiagram((2, 2, 1, 1))  # not first-occurrence normalized
+    # every constructor shares one check, which names labels as given
+    for build in (ChordDiagram, ChordDiagram.from_labels):
+        with pytest.raises(MalformedCode, match=r"label 3 appears 1 time\(s\)"):
+            build((1, 1, 2, 2, 3))
+    with pytest.raises(MalformedCode, match=r"label 'b' appears 1 time\(s\)"):
+        ChordDiagram.from_labels("aab")
 
 
 def test_positions_ascending_and_unknown_label():
@@ -132,6 +144,8 @@ def test_interleaved_basic():
     assert interleaved(cd, 1, 2) and interleaved(cd, 2, 1)
     nested = parse_code("1 2 2 1")
     assert not interleaved(nested, 1, 2)
+    with pytest.raises(UnknownLabel):
+        interleaved(cd, True, 2)
 
 
 def test_count_x_examples():
@@ -165,7 +179,7 @@ def test_is_nugatory():
     cd = parse_code("1 1 2 3 2 3")
     assert is_nugatory(cd, 1)
     assert not is_nugatory(cd, 2)
-    for bad in (0, 4, "1"):
+    for bad in (0, 4, "1", True, False):
         with pytest.raises(UnknownLabel):
             is_nugatory(cd, bad)
 
@@ -199,3 +213,36 @@ def test_split_parts_rejoin_label_counts():
     assert got is not None
     inside, outside = got
     assert inside.n + outside.n == cd.n
+
+
+# --- bitset and orbit routes against the from-scratch oracles ----------------
+
+
+def assert_routes_match_oracles(cd):
+    assert canonicalize(cd).text == canonical_text_full_relabel(cd)
+    got = split_connected_sum(cd)
+    want = split_connected_sum_members(cd)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [part.word for part in got] == [part.word for part in want]
+    assert count_tr(cd) == count_tr_sextuples(cd)
+    g = interleavement_graph(cd)
+    assert count_x(cd) == sum(len(s) for s in g.values()) // 2
+    for a in range(1, cd.n + 1):
+        assert is_nugatory(cd, a) == (not g[a])
+
+
+def test_chord_routes_match_oracles_on_pairing_words():
+    for n in range(6):
+        for w in pairing_words(n):
+            assert_routes_match_oracles(ChordDiagram(w))
+
+
+def test_chord_routes_match_oracles_on_enumerated_curves():
+    for n in range(8):
+        for p in enumerate_curves(n):
+            w = p.word
+            assert_routes_match_oracles(p.code)
+            # enumerated codes are canonical already; move off the orbit minimum
+            assert_routes_match_oracles(ChordDiagram.from_labels(w[n:] + w[:n]))
+            assert_routes_match_oracles(ChordDiagram.from_labels(w[::-1]))

@@ -33,6 +33,56 @@ def test_analyze_json_with_arnold(capsys):
     assert obj["prime_factors"] == ["1 2 3 1 2 3"]
 
 
+COMPOSITE_WITH_CURL = "1 2 3 1 4 4 2 3"  # a trefoil with a curl spliced in
+
+
+def test_analyze_json_stdout_pinned(capsys):
+    code, out, err = run(capsys, "analyze", COMPOSITE_WITH_CURL, "--json", "--arnold")
+    assert code == 0 and err == ""
+    assert out == """{
+  "code": "1 1 2 3 4 2 3 4",
+  "n": 4,
+  "x": 3,
+  "tr": 1,
+  "realizable": true,
+  "face_degrees": [
+    1,
+    2,
+    2,
+    3,
+    4,
+    4
+  ],
+  "monogons": 1,
+  "strong_bigons": 0,
+  "reduced": false,
+  "prime_factors": [
+    "1 1",
+    "1 2 3 1 2 3"
+  ],
+  "in_S": false,
+  "arnold": "2"
+}
+"""
+
+
+def test_analyze_human_stdout_pinned(capsys):
+    code, out, err = run(capsys, "analyze", COMPOSITE_WITH_CURL)
+    assert code == 0 and err == ""
+    assert out == """code:          1 1 2 3 4 2 3 4
+n:             4
+x:             3
+tr:            1
+realizable:    true
+face_degrees:  [1, 2, 2, 3, 4, 4]
+monogons:      1
+strong_bigons: 0
+reduced:       false
+prime_factors: ["1 1", "1 2 3 1 2 3"]
+in_S:          false
+"""
+
+
 def test_analyze_u(capsys):
     code, out, _ = run(capsys, "analyze", "")
     assert code == 0 and "(U)" in out
@@ -209,6 +259,13 @@ def test_verify_all_json_byte_stable(capsys):
         __import__("knotproj").CHECK_IDS
     )
     assert all(o["passed"] for o in arr)
+
+
+def test_verify_negative_max_n_exits_4(capsys):
+    for argv in (["--all"], ["--check", "main-theorem"]):
+        code, out, err = run(capsys, "verify", *argv, "--max-n", "-2")
+        assert code == 4 and out == ""
+        assert "crossing number must be nonnegative, got -2" in err
 
 
 def test_verify_unknown_check_exits_6(capsys):

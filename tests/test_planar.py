@@ -22,6 +22,7 @@ from knotproj.errors import InvalidSite, NoCrossings, NotRealizable
 
 from conftest import (
     all_canonical_words,
+    interleavement_graph,
     pairing_words,
     sweep_realizations,
     trace_face_count,
@@ -190,6 +191,22 @@ def test_repeated_corner_bigon_is_not_strong():
     assert strong_bigons(p) == []
 
 
+def test_strong_bigons_match_position_oracle():
+    # the bitset read against endpoint positions, on every embedding n <= 6
+    for n in range(7):
+        for p in enumerate_curves(n):
+            for r in all_realizations(p.code):
+                g = interleavement_graph(r.code)
+                want = [
+                    f
+                    for f in r.faces
+                    if f.degree == 2
+                    and f.corners[0] != f.corners[1]
+                    and f.corners[1] not in g[f.corners[0]]
+                ]
+                assert strong_bigons(r) == want
+
+
 def test_monogon_or_strong_bigon_in_every_realization():
     # the disjunction needs no embedding choice at desk scale
     for n in range(1, 6):
@@ -283,8 +300,16 @@ def test_connected_sum_site_validation():
         connected_sum(loop, loop, 5, 0)
     with pytest.raises(InvalidSite):
         connected_sum(loop, loop, 0, -1)
-    with pytest.raises(InvalidSite):
+    with pytest.raises(InvalidSite, match="U has no edges"):
         connected_sum(U, loop, 0, 0)
+    with pytest.raises(InvalidSite, match="U has no edges"):
+        connected_sum(loop, U, 0, 0)
+    with pytest.raises(InvalidSite, match="U has no edges"):
+        connected_sum(U, U, None, 0)
+    with pytest.raises(InvalidSite, match="site2 must be an edge index"):
+        connected_sum(U, loop, None, None)
+    with pytest.raises(InvalidSite, match="site1 must be an edge index"):
+        connected_sum(loop, U, True, None)
 
 
 def test_connected_sum_crossing_count_adds():
