@@ -21,16 +21,18 @@ Each chord-level concept has one implementation:
   :func:`parse_code`,
 * :func:`_orbit_min` is the symmetry-orbit minimum, behind
   :func:`canonicalize` and the enumeration's canonicity test,
-* :func:`_interlacement_bits` is the interlacement core: every interleave
-  question reads it, here and in :mod:`knotproj.planar` (strong 2-gons,
-  reducedness, realization); :func:`split_connected_sum` uses the prefix XOR
-  it is built from.
+* :func:`_interlacement_bits` is the interlacement core, built once per
+  diagram and cached as ``ChordDiagram._bits``: every interleave question
+  reads it, here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
+  realization); :func:`split_connected_sum` uses the prefix XOR it is built
+  from.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MalformedCode, UnknownLabel
 
@@ -87,6 +89,11 @@ class ChordDiagram:
     @property
     def n(self) -> int:
         return len(self.word) // 2
+
+    @cached_property
+    def _bits(self) -> tuple[int, ...]:
+        """This diagram's :func:`_interlacement_bits`, built on first use."""
+        return _interlacement_bits(self.word)
 
     @classmethod
     def from_labels(cls, labels) -> "ChordDiagram":
@@ -198,16 +205,17 @@ def interleaved(cd: ChordDiagram, a: int, b: int) -> bool:
         raise UnknownLabel(f"interleaved needs two distinct labels, got {a} twice")
     cd.positions(a)
     cd.positions(b)
-    return bool(_interlacement_bits(cd.word)[a - 1] >> (b - 1) & 1)
+    return bool(cd._bits[a - 1] >> (b - 1) & 1)
 
 
-def _interlacement_bits(word: tuple[int, ...]) -> list[int]:
+def _interlacement_bits(word: tuple[int, ...]) -> tuple[int, ...]:
     """Interleavement graph as bitsets: entry a-1 has bit b-1 set iff a, b interleave.
 
     Built in one pass over a normalized word.  XORing ``1 << (w[i] - 1)`` over
     the positions strictly inside chord a's interval cancels every chord with
     both endpoints inside and keeps exactly the chords with one endpoint
-    inside, which are the chords that interleave a.
+    inside, which are the chords that interleave a.  Callers read it through
+    ``ChordDiagram._bits``, so each diagram builds it once.
     """
     bits = [0] * (len(word) // 2)
     prefix = 0  # XOR over the positions read so far
@@ -216,12 +224,12 @@ def _interlacement_bits(word: tuple[int, ...]) -> list[int]:
         prefix ^= 1 << (x - 1)
     # each entry now XORs its chord's first endpoint through the last position
     # before its second endpoint, so it still holds the chord's own bit once
-    return [b ^ (1 << i) for i, b in enumerate(bits)]
+    return tuple([b ^ (1 << i) for i, b in enumerate(bits)])
 
 
 def count_x(cd: ChordDiagram) -> int:
     """Number of interleaved chord pairs (cyclic pattern a b a b)."""
-    return sum(row.bit_count() for row in _interlacement_bits(cd.word)) // 2
+    return sum(row.bit_count() for row in cd._bits) // 2
 
 
 def count_tr(cd: ChordDiagram) -> int:
@@ -232,7 +240,7 @@ def count_tr(cd: ChordDiagram) -> int:
     the direct count of six-point patterns (the test suite keeps that count
     as an independent oracle).
     """
-    adj = _interlacement_bits(cd.word)
+    adj = cd._bits
     return sum(
         ((adj[a] & adj[b]) >> (b + 1)).bit_count()
         for a in range(len(adj))
@@ -244,7 +252,7 @@ def count_tr(cd: ChordDiagram) -> int:
 def is_nugatory(cd: ChordDiagram, a: int) -> bool:
     """Whether chord ``a`` interleaves no other chord (an isolated chord)."""
     cd.positions(a)
-    return _interlacement_bits(cd.word)[a - 1] == 0
+    return cd._bits[a - 1] == 0
 
 
 def gauss_parity_violations(cd: ChordDiagram) -> list[int]:
@@ -253,8 +261,7 @@ def gauss_parity_violations(cd: ChordDiagram) -> list[int]:
     Every realizable code has none (the classical parity condition); the
     converse fails in general, so this is only a fast rejection filter.
     """
-    bits = _interlacement_bits(cd.word)
-    return [a for a, b in enumerate(bits, start=1) if b.bit_count() & 1]
+    return [a for a, b in enumerate(cd._bits, start=1) if b.bit_count() & 1]
 
 
 def split_connected_sum(

@@ -1,13 +1,53 @@
 """Reduction moves 1b and s2b, and membership in the class S.
 
 1b deletes the crossing at a monogon; s2b deletes the two crossings of a
-strong 2-gon.  Both are implemented on the code (drop the occurrences, then
-re-realize) rather than by map surgery: the deleted faces bound empty disks,
-so the pruned code is again realizable.
+strong 2-gon.  Both act on the embedded curve they are given, by map
+surgery: the deleted crossings leave, every other crossing keeps its local
+rotation, and one face trace rebuilds the faces.  So the result of a move
+depends only on the curve and the set of crossings it deletes.
 
 S is the class of curves reducible to the simple closed curve U using only
-these two moves.  Crossing numbers strictly decrease, so membership is a
-finite backtracking search.
+these two moves.  One greedy run decides it: take the first applicable
+move until none applies; the curve is in S exactly when the run ends at U.
+This follows from Newman's lemma (M. H. A. Newman, "On theories with a
+combinatorial definition of 'equivalence'", Ann. of Math. 43, 1942).  Every
+move deletes crossings, so every run terminates.  Local confluence is left
+to show: when two different moves apply to a curve P, the two results can be
+reduced to one common curve.  The site of a move is the set of corners of
+its face, which is also the set of crossings it deletes.
+
+* Disjoint sites commute.  A face with no corner at a deleted crossing has
+  none of its edges there either (each edge of a face joins two of its
+  corners), and the surviving crossings keep their rotations, so the face
+  keeps its boundary and its corners.  Whether two chords interleave depends
+  only on their own four endpoints, so a strong 2-gon stays strong when
+  other chords are deleted.  Hence each move still applies after the other,
+  and both orders delete the same set from P.
+* 1b@v and s2b@(v, w).  Each corner of v lies between one dart of each of
+  its passages, and the two corners beside the monogon's corner belong to
+  the face that runs around the outside of the loop, which meets v twice.
+  A 2-gon with corners v and w meets v once, so it is the corner opposite
+  the monogon, and both its edges run to w: the word reads w v v w
+  cyclically.  After 1b@v the word reads w w, the 2-gon has lost its corner
+  at v, and w bounds a monogon.  1b@w then deletes {v, w}, the set s2b@(v, w)
+  deletes.
+* s2b@(a, b) and s2b@(b, c), a != c.  Two faces at b that shared an edge
+  would have the other end of that edge, a or c, as a corner of both, so the
+  two 2-gons sit at opposite corners of b.  At a crossing only the two
+  corners that pair the in-dart of one passage with the out-dart of the
+  other can hold a strong 2-gon (the other two give the parallel pattern
+  a b .. a b), so the word reads c b a X a b c Y cyclically: two strands
+  meet at c, b and a in turn, and the 2-gons lie between consecutive
+  meetings.  Deleting {a, b} leaves c X c Y and deleting {b, c} leaves
+  a X a Y, the same cyclic word with the remaining crossing where the twist
+  was.  Along such a twist the second strand crosses the first alternately
+  from its left and from its right, so a and c cross in the same direction
+  and the remaining crossing has the same rotation in both results: the two
+  results are the same curve.
+
+So every curve has one normal form, the curve reached when no move
+applies, and it is U exactly when some sequence of moves reaches U.  The
+tests check every overlapping pair of moves on every embedding with n <= 7.
 """
 
 from __future__ import annotations
@@ -15,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import planar
-from .chords import CanonicalCode, ChordDiagram, canonicalize, count_tr
+from .chords import CanonicalCode, canonicalize, count_tr
 from .errors import InapplicableMove, PreconditionTripleChord, TheoremViolation
 from .planar import PlanarCurve
 
@@ -67,12 +107,36 @@ def applicable_moves(p: PlanarCurve) -> list[Move]:
 
 
 def apply_move(p: PlanarCurve, move: Move) -> PlanarCurve:
-    """Apply one currently-applicable move and re-realize the pruned code."""
+    """Apply one currently-applicable move to the embedded curve ``p``."""
     if move not in applicable_moves(p):
         raise InapplicableMove(f"{move} is not applicable to {p!r}")
-    drop = set(move.site)
-    word = tuple(x for x in p.word if x not in drop)
-    return planar.realize(ChordDiagram.from_labels(word))
+    return planar._delete_vertices(p, move.site)
+
+
+def _reduce(p: PlanarCurve) -> tuple[list[tuple[Move, PlanarCurve]], PlanarCurve]:
+    """Take the first applicable move until none applies.
+
+    Returns the (move, curve) steps and the curve where the run stopped.
+    """
+    steps = []
+    cur = p
+    while cur.n:
+        # looked up at run time, so a wrapper installed on the name applies
+        ms = applicable_moves(cur)
+        if not ms:
+            break
+        cur = planar._delete_vertices(cur, ms[0].site)
+        steps.append((ms[0], cur))
+    return steps, cur
+
+
+def _trace(p: PlanarCurve, steps: list[tuple[Move, PlanarCurve]]) -> ReductionTrace:
+    """The witness of a run that reached U, each code canonicalized once."""
+    start = canonicalize(p.code)
+    coded = tuple((mv, canonicalize(q.code)) for mv, q in steps)
+    return ReductionTrace(
+        start=start, steps=coded, terminal=coded[-1][1] if coded else start
+    )
 
 
 def reduce_no_triple(p: PlanarCurve) -> ReductionTrace:
@@ -87,55 +151,23 @@ def reduce_no_triple(p: PlanarCurve) -> ReductionTrace:
         raise PreconditionTripleChord(
             f"curve {canonicalize(p.code).text!r} contains a triple chord"
         )
-    start = canonicalize(p.code)
-    steps = []
-    cur = p
-    while cur.n:
-        ms = applicable_moves(cur)
-        if not ms:
-            raise TheoremViolation(
-                f"no 1b/s2b move applies to triple-chord-free curve "
-                f"{canonicalize(cur.code).text!r}"
-            )
-        cur = apply_move(cur, ms[0])
-        steps.append((ms[0], canonicalize(cur.code)))
-    return ReductionTrace(start=start, steps=tuple(steps), terminal=canonicalize(cur.code))
+    steps, cur = _reduce(p)
+    if cur.n:
+        raise TheoremViolation(
+            f"no 1b/s2b move applies to triple-chord-free curve "
+            f"{canonicalize(cur.code).text!r}"
+        )
+    return _trace(p, steps)
 
 
 def in_S(p: PlanarCurve) -> tuple[bool, ReductionTrace | None]:
     """Decide membership in S; on success also return a witness trace.
 
-    Backtracking over applicable moves in their deterministic order, with
-    results memoized per canonical code for the duration of this call (every
-    move deletes chords, so the search space is the finite set of sub-codes).
+    One greedy run (see the module docstring for why it decides membership):
+    the curve is in S exactly when the run reaches U, and the run is the
+    witness.
     """
-    memo: dict[str, bool] = {}
-    succ: dict[str, tuple[Move, PlanarCurve]] = {}
-
-    def dfs(cur: PlanarCurve) -> bool:
-        key = canonicalize(cur.code).text
-        if key in memo:
-            return memo[key]
-        if cur.n == 0:
-            memo[key] = True
-            return True
-        memo[key] = False
-        for mv in applicable_moves(cur):
-            child = apply_move(cur, mv)
-            if dfs(child):
-                memo[key] = True
-                succ[key] = (mv, child)
-                return True
-        return False
-
-    if not dfs(p):
+    steps, cur = _reduce(p)
+    if cur.n:
         return False, None
-    steps = []
-    cur = p
-    while cur.n:
-        mv, child = succ[canonicalize(cur.code).text]
-        steps.append((mv, canonicalize(child.code)))
-        cur = child
-    return True, ReductionTrace(
-        start=canonicalize(p.code), steps=tuple(steps), terminal=canonicalize(cur.code)
-    )
+    return True, _trace(p, steps)

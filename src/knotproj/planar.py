@@ -36,6 +36,7 @@ to quantify over embeddings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import chords
 from .chords import ChordDiagram
@@ -102,7 +103,8 @@ class PlanarCurve:
 
     ``rotations[v-1]`` is the cyclic dart order at vertex v; ``faces`` is the
     full face list.  The curve's Euler circuit visits the darts in numeric
-    order (tail 2t, head 2t+1 for edge t).
+    order (tail 2t, head 2t+1 for edge t).  ``code`` is built and validated
+    once, on first use.
     """
 
     word: tuple[int, ...]
@@ -113,7 +115,7 @@ class PlanarCurve:
     def n(self) -> int:
         return len(self.word) // 2
 
-    @property
+    @cached_property
     def code(self) -> ChordDiagram:
         return ChordDiagram(self.word)
 
@@ -178,7 +180,7 @@ def _trace_faces(
     return out
 
 
-def _flip_coset(word: tuple[int, ...]) -> tuple[int, list[int]]:
+def _flip_coset(cd: ChordDiagram) -> tuple[int, list[int]]:
     """Candidate flip mask and the indicator masks of the interlacement components.
 
     Bit v-1 of a mask is vertex v's flip.  Flips are propagated through each
@@ -192,8 +194,8 @@ def _flip_coset(word: tuple[int, ...]) -> tuple[int, list[int]]:
     component is then mirrored when its largest label carries flip 1, which
     makes the mask the smallest valid one in numeric (sweep) order.
     """
-    adj = chords._interlacement_bits(word)
-    first = [word.index(a) for a in range(1, len(adj) + 1)]
+    adj = cd._bits
+    first = [cd.word.index(a) for a in range(1, len(adj) + 1)]
     mask = 0
     seen = 0
     components = []
@@ -236,6 +238,34 @@ def _curve_for_mask(
     return None
 
 
+def _delete_vertices(p: PlanarCurve, drop) -> PlanarCurve:
+    """The curve left when the crossings in ``drop`` are deleted from ``p``.
+
+    The map is edited, not re-realized: every surviving vertex keeps its flip
+    (``rotations[v-1][1]`` is even exactly when v has flip 1), survivors are
+    relabeled by rank, which is first-occurrence order again, and one face
+    trace rebuilds the faces.  Deleting the crossing of a monogon or the two
+    crossings of a 2-gon leaves the rest of the curve in place, so the result
+    is the embedded curve the move produces.  Raises :class:`NotRealizable`
+    for a vertex set whose deletion does not give n + 2 faces.
+    """
+    keep = [v for v in range(1, p.n + 1) if v not in drop]
+    if not keep:
+        return U
+    rank = {v: i for i, v in enumerate(keep, start=1)}
+    word = tuple([rank[x] for x in p.word if x in rank])
+    mask = 0
+    for i, v in enumerate(keep):
+        if p.rotations[v - 1][1] % 2 == 0:
+            mask |= 1 << i
+    q = _curve_for_mask(word, _vertex_dart_table(word), mask)
+    if q is None:
+        raise NotRealizable(
+            f"deleting crossings {sorted(drop)} from {p!r} leaves no spherical map"
+        )
+    return q
+
+
 def _search_rotations(cd: ChordDiagram) -> PlanarCurve | None:
     """First rotation assignment whose face count is n + 2, in mask order.
 
@@ -243,7 +273,7 @@ def _search_rotations(cd: ChordDiagram) -> PlanarCurve | None:
     one face trace then confirms it, so a code that passes parity but is not
     spherical still gets None.
     """
-    mask, _ = _flip_coset(cd.word)
+    mask, _ = _flip_coset(cd)
     return _curve_for_mask(cd.word, _vertex_dart_table(cd.word), mask)
 
 
@@ -257,7 +287,7 @@ def all_realizations(cd: ChordDiagram) -> list[PlanarCurve]:
     """
     if cd.n == 0:
         return [U]
-    base, components = _flip_coset(cd.word)
+    base, components = _flip_coset(cd)
     masks = [base]
     for comp in components:
         masks += [m ^ comp for m in masks]
@@ -302,7 +332,7 @@ def strong_bigons(p: PlanarCurve) -> list[Face]:
     s2b move.
     """
     out = []
-    bits = chords._interlacement_bits(p.word)
+    bits = p.code._bits
     for f in p.faces:
         if f.degree != 2:
             continue
@@ -379,7 +409,7 @@ def innermost_teardrop(p: PlanarCurve) -> Teardrop:
 
 def is_reduced(p: PlanarCurve) -> bool:
     """No nugatory crossing (every chord interleaves something); U is reduced."""
-    return all(chords._interlacement_bits(p.word))
+    return all(p.code._bits)
 
 
 def prime_decompose(p: PlanarCurve) -> list[PlanarCurve]:

@@ -12,7 +12,9 @@ from itertools import combinations
 
 import pytest
 
-from knotproj import ChordDiagram, invariants
+from knotproj import ChordDiagram, applicable_moves, canonicalize, invariants, realize
+from knotproj.errors import InapplicableMove
+from knotproj.moves import ReductionTrace
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -265,6 +267,100 @@ def skein_average_a2(p):
     """Average a2 over all resolutions, through the skein oracle only."""
     total = sum(invariants.a2_skein(r) for r in invariants.resolutions(p))
     return Fraction(total, 2 ** p.n)
+
+
+def rerealizing_move(p, move):
+    """A move on the code: drop the site's chords, realize the rest from scratch.
+
+    The embedding of the result is the first one of the pruned code, not
+    necessarily the curve the move leaves.
+    """
+    if move not in applicable_moves(p):
+        raise InapplicableMove(f"{move} is not applicable to {p!r}")
+    drop = set(move.site)
+    return realize(ChordDiagram.from_labels(x for x in p.word if x not in drop))
+
+
+def dfs_in_S(p):
+    """Membership in S by memoized backtracking over re-realizing moves.
+
+    Tries the applicable moves in order, keyed per canonical code, and
+    rebuilds the first successful path as the witness.
+    """
+    memo = {}
+    succ = {}
+
+    def dfs(cur):
+        key = canonicalize(cur.code).text
+        if key in memo:
+            return memo[key]
+        if cur.n == 0:
+            memo[key] = True
+            return True
+        memo[key] = False
+        for mv in applicable_moves(cur):
+            child = rerealizing_move(cur, mv)
+            if dfs(child):
+                memo[key] = True
+                succ[key] = (mv, child)
+                return True
+        return False
+
+    if not dfs(p):
+        return False, None
+    steps = []
+    cur = p
+    while cur.n:
+        mv, child = succ[canonicalize(cur.code).text]
+        steps.append((mv, canonicalize(child.code)))
+        cur = child
+    return True, ReductionTrace(
+        start=canonicalize(p.code), steps=tuple(steps), terminal=canonicalize(cur.code)
+    )
+
+
+def embedding_key(p):
+    """A key equal for two embedded curves exactly when they are isomorphic.
+
+    The least (word, flips) over every base point and both directions of
+    traversal, relabeled by first occurrence.  Rotations are read as
+    geometric cyclic orders of darts, which neither change is allowed to
+    alter; mirror images get different keys.
+    """
+    w = p.word
+    m = len(w)
+    nxt = {}
+    for rot in p.rotations:
+        for k in range(4):
+            nxt[rot[k]] = rot[(k + 1) % 4]
+    best = ((), ())
+    for rev in (False, True):
+        for r in range(m):
+            # new position i holds old position at[i]; old_dart maps new darts back
+            at = [(r - i) % m if rev else (r + i) % m for i in range(m)]
+            old_dart = {}
+            for t in range(m):
+                if rev:  # new edge t runs from old position at[t] back to at[t] - 1
+                    old_dart[2 * t] = 2 * ((at[t] - 1) % m) + 1
+                    old_dart[2 * t + 1] = 2 * ((at[t] - 1) % m)
+                else:
+                    old_dart[2 * t] = 2 * at[t]
+                    old_dart[2 * t + 1] = 2 * at[t] + 1
+            ren = {}
+            word = tuple(ren.setdefault(w[i], len(ren) + 1) for i in at)
+            occ = {}
+            for t, lab in enumerate(word):
+                occ.setdefault(lab, []).append(t)
+            flips = []
+            for lab in range(1, len(occ) + 1):
+                t1, t2 = occ[lab]
+                in1 = old_dart[2 * ((t1 - 1) % m) + 1]
+                in2 = old_dart[2 * ((t2 - 1) % m) + 1]
+                flips.append(nxt[in1] != in2)
+            key = (word, tuple(flips))
+            if best == ((), ()) or key < best:
+                best = key
+    return best
 
 
 @pytest.fixture(scope="session")

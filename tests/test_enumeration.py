@@ -15,6 +15,7 @@ from knotproj import (
     write_dataset,
     U,
 )
+from knotproj import chords
 from knotproj.enumeration import (
     BUDGET_ENV,
     DEFAULT_MAX_N,
@@ -124,6 +125,23 @@ def test_build_record_trefoil():
     assert (rec.monogons, rec.strong_bigons) == (0, 0)
     assert rec.reduced and rec.prime and not rec.in_S
     assert rec.arnold == Fraction(2)
+
+
+def test_build_record_builds_one_interlacement_core(monkeypatch):
+    # a curl on the trefoil core: in_S takes a move before it gets stuck
+    p = realize(ChordDiagram((1, 1, 2, 3, 4, 2, 3, 4)))
+    words = []
+    original = chords._interlacement_bits
+
+    def counted(word):
+        words.append(word)
+        return original(word)
+
+    monkeypatch.setattr(chords, "_interlacement_bits", counted)
+    rec = build_record(p)
+    assert (rec.x, rec.tr, rec.strong_bigons, rec.reduced, rec.in_S) == (3, 1, 0, False, False)
+    assert words.count(p.word) == 1
+    assert p.code is p.code
 
 
 def test_build_record_u():

@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import pytest
 
 from knotproj import (
     Move,
     U,
+    all_realizations,
     applicable_moves,
     apply_move,
     canonicalize,
@@ -13,7 +16,10 @@ from knotproj import (
     realize,
     reduce_no_triple,
 )
+from knotproj import planar
 from knotproj.errors import InapplicableMove, PreconditionTripleChord, TheoremViolation
+
+from conftest import dfs_in_S, embedding_key, vertex_rings
 
 
 def curve(text):
@@ -159,6 +165,135 @@ def test_in_s_members_have_replayable_traces():
 
 def test_in_s_rejects_triple_chord_with_monogon():
     # has an applicable 1b move, but every reduction path dead-ends at the
-    # trefoil core; the exhaustive search must still say no
+    # trefoil core; in_S must still say no
     ok, trace = in_S(curve("1 1 2 3 4 2 3 4"))
     assert ok is False and trace is None
+
+
+# --- moves act on the embedding ---------------------------------------------------
+
+
+def embeddings(max_n):
+    return [
+        r
+        for n in range(1, max_n + 1)
+        for p in enumerate_curves(n)
+        for r in all_realizations(p.code)
+    ]
+
+
+def flips(p):
+    """Each vertex's flip, read by matching its ring against the oracle's two."""
+    n = p.n
+    zero = vertex_rings(p.word, (False,) * n)
+    one = vertex_rings(p.word, (True,) * n)
+    out = []
+    for v in range(n):
+        assert p.rotations[v] in (zero[v], one[v])
+        out.append(p.rotations[v] == one[v])
+    return out
+
+
+def test_moves_keep_surviving_flips():
+    for p in embeddings(6):
+        before = flips(p)
+        for mv in applicable_moves(p):
+            q = apply_move(p, mv)
+            kept = [f for v, f in enumerate(before, start=1) if v not in mv.site]
+            assert flips(q) == kept, (p, mv)
+
+
+def test_moves_never_realize(monkeypatch):
+    torus_with_curls = list(range(1, 42)) * 2
+    torus_with_curls[30:30] = [42, 42]
+    torus_with_curls[0:0] = [43, 43]
+    p = realize(parse_code(" ".join(map(str, torus_with_curls))))
+    spiral = realize(parse_code(" ".join(map(str, [*range(1, 31), *range(30, 0, -1)]))))
+    calls = []
+    for name in ("realize", "_search_rotations", "_flip_coset"):
+        original = getattr(planar, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(planar, name, counted)
+    assert in_S(p) == (False, None)
+    assert apply_move(p, Move("1b", (1,))).n == 42
+    with pytest.raises(PreconditionTripleChord):
+        reduce_no_triple(p)
+    assert str(reduce_no_triple(spiral).terminal) == ""
+    assert calls == []
+    # the counters do see realization
+    planar.realize(parse_code("1 1"))
+    assert calls == ["realize", "_search_rotations", "_flip_coset"]
+
+
+def test_in_s_matches_dfs_oracle_through_n8():
+    members = 0
+    for n in range(0, 9):
+        for p in enumerate_curves(n):
+            ok, trace = in_S(p)
+            want_ok, want = dfs_in_S(p)
+            assert ok is want_ok, p
+            if not ok:
+                assert trace is None
+                continue
+            members += 1
+            assert trace.to_json_obj() == want.to_json_obj(), p
+            assert (trace.start, trace.terminal) == (want.start, want.terminal)
+    assert members == 363
+
+
+def test_in_s_verdicts_match_dfs_oracle_on_every_embedding():
+    for p in embeddings(6):
+        assert in_S(p)[0] is dfs_in_S(p)[0], p
+
+
+def test_overlapping_moves_join():
+    """The two overlap cases of the local-confluence argument in moves."""
+    overlaps = 0
+    for p in embeddings(7):
+        for m1, m2 in combinations(applicable_moves(p), 2):
+            shared = set(m1.site) & set(m2.site)
+            if not shared:
+                continue
+            overlaps += 1
+            r1, r2 = apply_move(p, m1), apply_move(p, m2)
+            if m1.kind == "1b":
+                # 1b@v with s2b@(v, w): w bounds a monogon after 1b@v
+                (v,) = m1.site
+                (w,) = set(m2.site) - shared
+                assert apply_move(r1, Move("1b", (w - (w > v),))) == r2, (p, m1, m2)
+            else:
+                # s2b@(a, b) with s2b@(b, c): the same curve
+                assert embedding_key(r1) == embedding_key(r2), (p, m1, m2)
+    assert overlaps == 4492
+
+
+def relabeled(mv, deleted):
+    return Move(mv.kind, tuple(v - sum(x < v for x in deleted) for v in mv.site))
+
+
+def test_disjoint_moves_commute():
+    for p in embeddings(5):
+        for m1, m2 in combinations(applicable_moves(p), 2):
+            if set(m1.site) & set(m2.site):
+                continue
+            a = apply_move(apply_move(p, m1), relabeled(m2, m1.site))
+            b = apply_move(apply_move(p, m2), relabeled(m1, m2.site))
+            assert a == b, (p, m1, m2)
+
+
+def test_normal_form_does_not_depend_on_the_first_move():
+    def normal_form(p, pick):
+        while True:
+            ms = applicable_moves(p)
+            if not ms:
+                return p
+            p = apply_move(p, pick(ms))
+
+    for p in embeddings(6):
+        first = normal_form(p, lambda ms: ms[0])
+        last = normal_form(p, lambda ms: ms[-1])
+        assert embedding_key(first) == embedding_key(last), p

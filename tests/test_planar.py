@@ -137,6 +137,13 @@ def test_unrealizable_code_costs_one_face_trace(monkeypatch):
     assert calls == [36]
 
 
+def test_deleting_a_crossing_off_any_move_can_leave_no_spherical_map():
+    t = realize(parse_code("1 2 3 1 2 3"))
+    with pytest.raises(NotRealizable, match="no spherical map"):
+        planar._delete_vertices(t, {1})
+    assert planar._delete_vertices(t, {1, 2, 3}) is U
+
+
 def test_face_counts_against_independent_tracer():
     for n in range(1, 5):
         for p in enumerate_curves(n):
