@@ -20,7 +20,8 @@ Each chord-level concept has one implementation:
   first occurrence, for the constructor, ``from_labels`` and
   :func:`parse_code`,
 * :func:`_orbit_min` is the symmetry-orbit minimum, behind
-  :func:`canonicalize` and the enumeration's canonicity test,
+  :func:`canonicalize` (and :func:`_canonical`, its form for a word already
+  normalized) and the enumeration's canonicity test,
 * :func:`_interlacement_bits` is the interlacement core, built once per
   diagram and cached as ``ChordDiagram._bits``: every interleave question
   reads it, here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
@@ -196,7 +197,13 @@ def canonicalize(cd: ChordDiagram) -> CanonicalCode:
     The orbit has at most 4n words (2n rotations, 2 directions, relabeled by
     first occurrence after each transform); see :func:`_orbit_min`.
     """
-    return CanonicalCode(" ".join(map(str, _orbit_min(cd.word))))
+    return _canonical(cd.word)
+
+
+def _canonical(word: tuple[int, ...]) -> CanonicalCode:
+    """:func:`canonicalize` of a word already in normal form, with no diagram
+    built or validated (the reduction loop's words are normal by construction)."""
+    return CanonicalCode(" ".join(map(str, _orbit_min(word))))
 
 
 def interleaved(cd: ChordDiagram, a: int, b: int) -> bool:

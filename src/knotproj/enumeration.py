@@ -198,7 +198,7 @@ def build_record(p: PlanarCurve, with_arnold: bool = True) -> EnumerationRecord:
         strong_bigons=len(planar.strong_bigons(p)),
         reduced=planar.is_reduced(p),
         prime=p.n >= 1 and chords.split_connected_sum(cd) is None,
-        in_S=moves.in_S(p)[0],
+        in_S=moves._reaches_U(p),
         arnold=invariants.arnold_invariant(p) if with_arnold else None,
     )
 

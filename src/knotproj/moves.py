@@ -48,6 +48,28 @@ its face, which is also the set of crossings it deletes.
 So every curve has one normal form, the curve reached when no move
 applies, and it is U exactly when some sequence of moves reaches U.  The
 tests check every overlapping pair of moves on every embedding with n <= 7.
+
+The greedy run carries a normalized word and a flip mask, not a curve, and
+traces faces only when it must look up a 2-gon.
+
+* A monogon is exactly a loop edge, a label at two cyclically adjacent
+  positions, whatever the flips.  A degree-1 face is one dart whose edge
+  returns to its own crossing.  Conversely, a loop edge leaves one passage
+  of v on out1 and enters the other on in2 (or leaves on out2 and enters on
+  in1, when it wraps around the word's end), and both admissible rotations,
+  (in1, in2, out1, out2) and (in1, out2, out1, in2), put those two darts
+  next to each other, so the loop bounds a face of degree 1.  When the word
+  has a loop edge, the first applicable move is therefore 1b at the
+  smallest such label, and no face is needed to find it.
+* Deleting crossings keeps every survivor's flip and relabels the survivors
+  by rank (:func:`planar._drop_labels`), and a curve is fixed by its word
+  and flip mask.  So the curve built from the carried word and mask once the
+  word has no loop edge is the curve that a face trace after every move
+  would have reached, and it has the same 2-gons.
+
+Only the starting curve, which the caller built, is asked for its moves
+directly.  The tests compare the run with a face trace after every move on
+every embedding with n <= 7.
 """
 
 from __future__ import annotations
@@ -55,9 +77,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import planar
-from .chords import CanonicalCode, canonicalize, count_tr
+from .chords import CanonicalCode, _canonical, canonicalize, count_tr
 from .errors import InapplicableMove, PreconditionTripleChord, TheoremViolation
-from .planar import PlanarCurve
+from .planar import PlanarCurve, U
 
 __all__ = [
     "Move",
@@ -113,30 +135,52 @@ def apply_move(p: PlanarCurve, move: Move) -> PlanarCurve:
     return planar._delete_vertices(p, move.site)
 
 
-def _reduce(p: PlanarCurve) -> tuple[list[tuple[Move, PlanarCurve]], PlanarCurve]:
+def _first_loop(word: tuple[int, ...]) -> int:
+    """The smallest label at two cyclically adjacent positions, or 0."""
+    return min((x for x, y in zip(word, word[1:] + word[:1]) if x == y), default=0)
+
+
+def _reduce(p: PlanarCurve) -> tuple[list[tuple[Move, tuple[int, ...]]], PlanarCurve]:
     """Take the first applicable move until none applies.
 
-    Returns the (move, curve) steps and the curve where the run stopped.
+    Returns the (move, word) steps and the curve where the run stopped: U,
+    or a curve that admits no move.  A curve is built, with one face trace,
+    only when the word has no monogon; see the module docstring.
     """
     steps = []
-    cur = p
-    while cur.n:
-        # looked up at run time, so a wrapper installed on the name applies
-        ms = applicable_moves(cur)
-        if not ms:
-            break
-        cur = planar._delete_vertices(cur, ms[0].site)
-        steps.append((ms[0], cur))
-    return steps, cur
+    word, mask = p.word, planar._flip_mask(p)
+    cur = p  # the curve of (word, mask) once built; the start is asked as given
+    while word:
+        v = _first_loop(word) if cur is None else 0
+        if v:
+            move = Move("1b", (v,))
+        else:
+            if cur is None:
+                cur = planar._embed(word, mask)
+            # looked up at run time, so a wrapper installed on the name applies
+            ms = applicable_moves(cur)
+            if not ms:
+                return steps, cur
+            move, cur = ms[0], None
+        word, mask = planar._drop_labels(word, mask, move.site)
+        steps.append((move, word))
+    return steps, U
 
 
-def _trace(p: PlanarCurve, steps: list[tuple[Move, PlanarCurve]]) -> ReductionTrace:
+def _trace(
+    p: PlanarCurve, steps: list[tuple[Move, tuple[int, ...]]]
+) -> ReductionTrace:
     """The witness of a run that reached U, each code canonicalized once."""
     start = canonicalize(p.code)
-    coded = tuple((mv, canonicalize(q.code)) for mv, q in steps)
+    coded = tuple((mv, _canonical(word)) for mv, word in steps)
     return ReductionTrace(
         start=start, steps=coded, terminal=coded[-1][1] if coded else start
     )
+
+
+def _reaches_U(p: PlanarCurve) -> bool:
+    """The verdict of :func:`in_S` alone, with no witness built."""
+    return _reduce(p)[1].n == 0
 
 
 def reduce_no_triple(p: PlanarCurve) -> ReductionTrace:

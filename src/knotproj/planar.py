@@ -238,32 +238,63 @@ def _curve_for_mask(
     return None
 
 
-def _delete_vertices(p: PlanarCurve, drop) -> PlanarCurve:
-    """The curve left when the crossings in ``drop`` are deleted from ``p``.
-
-    The map is edited, not re-realized: every surviving vertex keeps its flip
-    (``rotations[v-1][1]`` is even exactly when v has flip 1), survivors are
-    relabeled by rank, which is first-occurrence order again, and one face
-    trace rebuilds the faces.  Deleting the crossing of a monogon or the two
-    crossings of a 2-gon leaves the rest of the curve in place, so the result
-    is the embedded curve the move produces.  Raises :class:`NotRealizable`
-    for a vertex set whose deletion does not give n + 2 faces.
-    """
-    keep = [v for v in range(1, p.n + 1) if v not in drop]
-    if not keep:
-        return U
-    rank = {v: i for i, v in enumerate(keep, start=1)}
-    word = tuple([rank[x] for x in p.word if x in rank])
+def _flip_mask(p: PlanarCurve) -> int:
+    """The flip mask of ``p``: bit v-1 is set when ``rotations[v-1][1]`` is
+    out2, an even (tail) dart, i.e. when v has flip 1."""
     mask = 0
-    for i, v in enumerate(keep):
-        if p.rotations[v - 1][1] % 2 == 0:
+    for i, rot in enumerate(p.rotations):
+        if rot[1] % 2 == 0:
             mask |= 1 << i
+    return mask
+
+
+def _drop_labels(
+    word: tuple[int, ...], mask: int, drop
+) -> tuple[tuple[int, ...], int]:
+    """Delete the labels in ``drop`` from a normalized word and its flip mask.
+
+    Survivors are relabeled by rank, which is first-occurrence order again,
+    so the word stays normalized, and each survivor keeps its flip bit.
+    """
+    rank = [0] * (len(word) // 2 + 1)
+    kept = 0
+    out = 0
+    for v in range(1, len(rank)):
+        if v in drop:
+            continue
+        out |= (mask >> (v - 1) & 1) << kept
+        kept += 1
+        rank[v] = kept
+    return tuple([rank[x] for x in word if rank[x]]), out
+
+
+def _embed(word: tuple[int, ...], mask: int) -> PlanarCurve:
+    """The curve with this normalized word and flip mask, after one face trace.
+
+    Raises :class:`NotRealizable` unless the trace gives n + 2 faces.
+    """
+    if not word:
+        return U
     q = _curve_for_mask(word, _vertex_dart_table(word), mask)
     if q is None:
         raise NotRealizable(
-            f"deleting crossings {sorted(drop)} from {p!r} leaves no spherical map"
+            f"flip mask {mask:#x} on {' '.join(map(str, word))!r} "
+            "leaves no spherical map"
         )
     return q
+
+
+def _delete_vertices(p: PlanarCurve, drop) -> PlanarCurve:
+    """The curve left when the crossings in ``drop`` are deleted from ``p``.
+
+    The map is edited, not re-realized: :func:`_drop_labels` keeps every
+    survivor's flip, and one face trace rebuilds the faces.  Deleting the
+    crossing of a monogon or the two crossings of a 2-gon leaves the rest of
+    the curve in place, so the result is the embedded curve the move
+    produces.  Raises :class:`NotRealizable` for a vertex set whose deletion
+    does not give n + 2 faces.
+    """
+    return _embed(*_drop_labels(p.word, _flip_mask(p), drop))
 
 
 def _search_rotations(cd: ChordDiagram) -> PlanarCurve | None:

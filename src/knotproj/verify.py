@@ -104,7 +104,7 @@ def check_inclusion_chain(max_n: int, arnold_max_n: int) -> CheckReport:
             tr = chords.count_tr(cd)
             if x == 0 and tr != 0:
                 violations.append((_code(p), f"x=0 but tr={tr}"))
-            member, _ = moves.in_S(p)
+            member = moves._reaches_U(p)
             if tr == 0 and not member:
                 violations.append((_code(p), "tr=0 but not in S"))
             if tr == 0 and x > 0:

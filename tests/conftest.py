@@ -12,7 +12,14 @@ from itertools import combinations
 
 import pytest
 
-from knotproj import ChordDiagram, applicable_moves, canonicalize, invariants, realize
+from knotproj import (
+    ChordDiagram,
+    applicable_moves,
+    canonicalize,
+    invariants,
+    planar,
+    realize,
+)
 from knotproj.errors import InapplicableMove
 from knotproj.moves import ReductionTrace
 
@@ -279,6 +286,24 @@ def rerealizing_move(p, move):
         raise InapplicableMove(f"{move} is not applicable to {p!r}")
     drop = set(move.site)
     return realize(ChordDiagram.from_labels(x for x in p.word if x not in drop))
+
+
+def stepwise_reduce(p):
+    """The greedy reduction with a face trace after every move.
+
+    Each step lists the moves with ``applicable_moves`` and deletes the
+    first one's crossings with ``planar._delete_vertices``.  Returns the
+    (move, word) steps and the curve where the run stopped.
+    """
+    steps = []
+    cur = p
+    while cur.n:
+        ms = applicable_moves(cur)
+        if not ms:
+            break
+        cur = planar._delete_vertices(cur, ms[0].site)
+        steps.append((ms[0], cur.word))
+    return steps, cur
 
 
 def dfs_in_S(p):

@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -16,10 +17,10 @@ from knotproj import (
     realize,
     reduce_no_triple,
 )
-from knotproj import planar
+from knotproj import chords, moves, planar
 from knotproj.errors import InapplicableMove, PreconditionTripleChord, TheoremViolation
 
-from conftest import dfs_in_S, embedding_key, vertex_rings
+from conftest import dfs_in_S, embedding_key, stepwise_reduce, vertex_rings
 
 
 def curve(text):
@@ -173,6 +174,7 @@ def test_in_s_rejects_triple_chord_with_monogon():
 # --- moves act on the embedding ---------------------------------------------------
 
 
+@cache
 def embeddings(max_n):
     return [
         r
@@ -203,12 +205,22 @@ def test_moves_keep_surviving_flips():
             assert flips(q) == kept, (p, mv)
 
 
+def torus_with_curls():
+    """T(2,41) with two curls: only 1b moves apply, then the run is stuck."""
+    word = list(range(1, 42)) * 2
+    word[30:30] = [42, 42]
+    word[0:0] = [43, 43]
+    return realize(parse_code(" ".join(map(str, word))))
+
+
+def nested_spiral():
+    """30 nested loops: every curve along its reduction has a monogon."""
+    return realize(parse_code(" ".join(map(str, [*range(1, 31), *range(30, 0, -1)]))))
+
+
 def test_moves_never_realize(monkeypatch):
-    torus_with_curls = list(range(1, 42)) * 2
-    torus_with_curls[30:30] = [42, 42]
-    torus_with_curls[0:0] = [43, 43]
-    p = realize(parse_code(" ".join(map(str, torus_with_curls))))
-    spiral = realize(parse_code(" ".join(map(str, [*range(1, 31), *range(30, 0, -1)]))))
+    p = torus_with_curls()
+    spiral = nested_spiral()
     calls = []
     for name in ("realize", "_search_rotations", "_flip_coset"):
         original = getattr(planar, name)
@@ -297,3 +309,54 @@ def test_normal_form_does_not_depend_on_the_first_move():
         first = normal_form(p, lambda ms: ms[0])
         last = normal_form(p, lambda ms: ms[-1])
         assert embedding_key(first) == embedding_key(last), p
+
+
+# --- the greedy loop against a face trace per move --------------------------------
+
+
+def test_reduce_matches_stepwise_oracle_through_n7():
+    stuck = 0
+    for p in embeddings(7):
+        steps, end = moves._reduce(p)
+        want_steps, want_end = stepwise_reduce(p)
+        assert steps == want_steps, p
+        assert (end.word, end.rotations, end.faces) == (
+            want_end.word,
+            want_end.rotations,
+            want_end.faces,
+        ), p
+        stuck += end.n > 0
+    assert stuck == 2162
+
+
+def test_step_words_are_normalized():
+    for p in embeddings(7):
+        for _, word in moves._reduce(p)[0]:
+            assert chords._normalize(word) == word, p
+
+
+def has_loop_edge(word):
+    return any(word[i] == word[(i + 1) % len(word)] for i in range(len(word)))
+
+
+def test_face_traces_only_where_no_monogon_is_left(monkeypatch):
+    spiral, torus = nested_spiral(), torus_with_curls()
+    small = embeddings(6)
+    traced = []
+    original = planar._trace_faces
+
+    def counted(word, rotations):
+        traced.append(word)
+        return original(word, rotations)
+
+    monkeypatch.setattr(planar, "_trace_faces", counted)
+    assert in_S(spiral)[0]
+    assert str(reduce_no_triple(spiral).terminal) == ""
+    assert traced == []
+    assert in_S(torus) == (False, None)
+    assert len(traced) == 1
+    traced.clear()
+    for p in small:
+        in_S(p)
+    assert traced
+    assert not any(has_loop_edge(word) for word in traced)
