@@ -30,12 +30,10 @@ from .enumeration import (
 from .invariants import (
     Resolution,
     a2_gauss_formula,
-    a2_skein,
     arnold_invariant,
     average_a2,
     format_rational,
     parse_rational,
-    resolutions,
     resolve,
 )
 from .moves import Move, ReductionTrace, applicable_moves, apply_move, in_S, reduce_no_triple
@@ -87,12 +85,10 @@ __all__ = [
     "write_dataset",
     "Resolution",
     "a2_gauss_formula",
-    "a2_skein",
     "arnold_invariant",
     "average_a2",
     "format_rational",
     "parse_rational",
-    "resolutions",
     "resolve",
     "Move",
     "ReductionTrace",

@@ -114,18 +114,11 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    # n <= 0 goes to enumerate_curves as is, which refuses negative n
-    ns = [args.n] if args.n <= 0 else list(range(1, args.n + 1))
-    budget = enumeration.enumeration_budget()
-    if args.n > budget:
-        return _fail(
-            EXIT_BUDGET,
-            f"n={args.n} exceeds the enumeration budget {budget} "
-            f"(set {enumeration.BUDGET_ENV} to raise it)",
-        )
     records = []
     try:
-        for n in ns:
+        # the largest n is checked up front, so a refusal prints no count line
+        enumeration.check_budget(args.n)
+        for n in range(1, args.n + 1) if args.n else [0]:
             curves = enumeration.enumerate_curves(n)
             for p in curves:
                 records.append(

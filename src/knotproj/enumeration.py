@@ -37,6 +37,7 @@ __all__ = [
     "BUDGET_ENV",
     "EnumerationRecord",
     "enumeration_budget",
+    "check_budget",
     "enumerate_curves",
     "build_record",
     "write_dataset",
@@ -58,6 +59,22 @@ def enumeration_budget() -> int:
         return int(raw)
     except ValueError:
         raise BudgetExceeded(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
+
+
+def check_budget(n: int) -> None:
+    """Raise :class:`BudgetExceeded` unless ``enumerate_curves(n)`` may run.
+
+    Refuses a negative n, an n above :func:`enumeration_budget`, and a
+    non-integer budget override in the environment.
+    """
+    if n < 0:
+        raise BudgetExceeded(f"crossing number must be nonnegative, got {n}")
+    budget = enumeration_budget()
+    if n > budget:
+        raise BudgetExceeded(
+            f"n={n} exceeds the enumeration budget {budget} "
+            f"(set {BUDGET_ENV} to raise it)"
+        )
 
 
 def _canonical_words(n: int) -> list[tuple[int, ...]]:
@@ -149,17 +166,9 @@ def enumerate_curves(n: int) -> list[PlanarCurve]:
     """All realizable curves with exactly n crossings, one per class.
 
     Codes come out canonical and in ascending word order.  Raises
-    :class:`BudgetExceeded` above the configured maximum
-    (:func:`enumeration_budget`).
+    :class:`BudgetExceeded` where :func:`check_budget` refuses n.
     """
-    if n < 0:
-        raise BudgetExceeded(f"crossing number must be nonnegative, got {n}")
-    budget = enumeration_budget()
-    if n > budget:
-        raise BudgetExceeded(
-            f"n={n} exceeds the enumeration budget {budget} "
-            f"(set {BUDGET_ENV} to raise it)"
-        )
+    check_budget(n)
     return list(_curves(n))
 
 

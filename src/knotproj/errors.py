@@ -10,7 +10,6 @@ __all__ = [
     "InapplicableMove",
     "PreconditionTripleChord",
     "TheoremViolation",
-    "SimplificationStuck",
     "BudgetExceeded",
     "SchemaError",
 ]
@@ -62,14 +61,6 @@ class TheoremViolation(KnotprojError):
     Raised by the reduction driver when a triple-chord-free curve with
     crossings admits neither a 1b nor an s2b move.  Reaching this is a bug
     (or a counterexample); it is never expected.
-    """
-
-
-class SimplificationStuck(KnotprojError):
-    """The skein recursion exceeded its node budget.
-
-    The recursion is strictly terminating, so this signals a bug or an input
-    far beyond desk scale, not a mathematical dead end.
     """
 
 

@@ -11,9 +11,9 @@ runs are byte-identical.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import chords, invariants, moves, planar
+from . import chords, moves, planar
 from .enumeration import enumerate_curves
 from .errors import BudgetExceeded, TheoremViolation
 from .invariants import arnold_invariant, format_rational

@@ -264,16 +264,235 @@ def brute_force_realizable(word):
     return next(sweep_realizations(word), None) is not None
 
 
+def resolutions(p):
+    """All 2**n resolutions, in bit-counter order (bit v-1 belongs to vertex v)."""
+    for mask in range(1 << p.n):
+        yield invariants.resolve(p, tuple(bool(mask >> k & 1) for k in range(p.n)))
+
+
+# --- skein recursion ------------------------------------------------------
+#
+# The semantic definition of a2: resolve crossings through the skein relation
+# nabla(L+) - nabla(L-) = z * nabla(L0) until the diagrams are descending.
+# Link diagrams inside the recursion are lists of components, each a list of
+# (crossing, over) passages in traversal order, plus a sign per crossing.
+# The two passages of a crossing always carry complementary flags.  Smoothing
+# and the Reidemeister deletions below only ever rewire passages, so the
+# planarity of the starting diagram is preserved throughout.
+
+_NODE_BUDGET = 1_000_000
+
+
+def _is_split(comps):
+    k = len(comps)
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    where = {}
+    for ci, comp in enumerate(comps):
+        for c, _ in comp:
+            if c in where:
+                a, b = find(where[c]), find(ci)
+                parent[a] = b
+            else:
+                where[c] = ci
+    return len({find(i) for i in range(k)}) > 1
+
+
+def _reduce_r1(comps, signs):
+    for comp in comps:
+        m = len(comp)
+        if m < 2:
+            continue
+        for i in range(m):
+            j = (i + 1) % m
+            if i != j and comp[i][0] == comp[j][0]:
+                c = comp[i][0]
+                for k in sorted((i, j), reverse=True):
+                    del comp[k]
+                del signs[c]
+                return True
+    return False
+
+
+def _reduce_r2(comps, signs):
+    adj = []
+    for ci, comp in enumerate(comps):
+        m = len(comp)
+        if m < 2:
+            continue
+        for i in range(m):
+            j = (i + 1) % m
+            if i == j:
+                continue
+            adj.append((ci, i, j, comp[i][0], comp[j][0], comp[i][1], comp[j][1]))
+    for a in range(len(adj)):
+        ci, i1, j1, c, d, o1, o2 = adj[a]
+        if c == d or o1 != o2:
+            continue
+        for b in range(a + 1, len(adj)):
+            cj, i2, j2, e, f, _, _ = adj[b]
+            if {e, f} != {c, d}:
+                continue
+            p1 = {(ci, i1), (ci, j1)}
+            p2 = {(cj, i2), (cj, j2)}
+            if p1 & p2:
+                continue
+            # flags on the other strand are complementary by invariant
+            removals = {}
+            for comp_i, pos in p1 | p2:
+                removals.setdefault(comp_i, []).append(pos)
+            for comp_i, poss in removals.items():
+                for pos in sorted(poss, reverse=True):
+                    del comps[comp_i][pos]
+            del signs[c]
+            del signs[d]
+            return True
+    return False
+
+
+def _smooth(comps, signs, c):
+    comps = [list(comp) for comp in comps]
+    signs = dict(signs)
+    hits = [
+        (ci, i)
+        for ci, comp in enumerate(comps)
+        for i, (cc, _) in enumerate(comp)
+        if cc == c
+    ]
+    (c1, a), (c2, b) = hits
+    if c1 == c2:
+        comp = comps[c1]
+        piece1 = comp[a + 1: b]
+        piece2 = comp[b + 1:] + comp[:a]
+        comps[c1: c1 + 1] = [piece1, piece2]
+    else:
+        merged = comps[c1][a + 1:] + comps[c1][:a] + comps[c2][b + 1:] + comps[c2][:b]
+        comps[c1] = merged
+        del comps[c2]
+    del signs[c]
+    return comps, signs
+
+
+def _conway(comps, signs, counter):
+    counter[0] += 1
+    if counter[0] > _NODE_BUDGET:
+        raise RuntimeError(f"skein recursion exceeded {_NODE_BUDGET} nodes")
+    comps = [list(comp) for comp in comps]
+    signs = dict(signs)
+    while True:
+        if any(not comp for comp in comps):
+            # a crossing-free circle is split from the rest
+            return {0: 1} if len(comps) == 1 else {}
+        if len(comps) > 1 and _is_split(comps):
+            return {}
+        if _reduce_r1(comps, signs):
+            continue
+        if _reduce_r2(comps, signs):
+            continue
+        break
+    seen = set()
+    violator = None
+    for comp in comps:
+        for c, over in comp:
+            if c not in seen:
+                seen.add(c)
+                if not over:
+                    violator = c
+                    break
+        if violator is not None:
+            break
+    if violator is None:
+        # descending: each component an unknot, stacked by first visit
+        return {0: 1} if len(comps) == 1 else {}
+    s = signs[violator]
+    switched = [
+        [(c, (not o) if c == violator else o) for c, o in comp] for comp in comps
+    ]
+    sw_signs = dict(signs)
+    sw_signs[violator] = -s
+    sm_comps, sm_signs = _smooth(comps, signs, violator)
+    poly = dict(_conway(switched, sw_signs, counter))
+    for deg, coef in _conway(sm_comps, sm_signs, counter).items():
+        poly[deg + 1] = poly.get(deg + 1, 0) + s * coef
+    return {deg: coef for deg, coef in poly.items() if coef}
+
+
+def _knot_diagram(r):
+    word = r.base.word
+    first = {}
+    comp = []
+    for t, v in enumerate(word):
+        if v not in first:
+            first[v] = t
+            over = r.over_under[v - 1]
+        else:
+            over = not r.over_under[v - 1]
+        comp.append((v, over))
+    return [comp], {v: r.signs[v - 1] for v in range(1, r.base.n + 1)}
+
+
+def conway_polynomial(r):
+    """Conway polynomial of the resolved diagram as {degree: coefficient}."""
+    comps, signs = _knot_diagram(r)
+    return _conway(comps, signs, [0])
+
+
+def a2_skein(r):
+    """z^2 coefficient of the Conway polynomial, via the skein relation."""
+    return conway_polynomial(r).get(2, 0)
+
+
 def sweep_average_a2(p):
     """Average a2 over all 2**n resolutions, through the based Gauss formula."""
-    total = sum(invariants.a2_gauss_formula(r) for r in invariants.resolutions(p))
+    total = sum(invariants.a2_gauss_formula(r) for r in resolutions(p))
     return Fraction(total, 2 ** p.n)
 
 
 def skein_average_a2(p):
     """Average a2 over all resolutions, through the skein oracle only."""
-    total = sum(invariants.a2_skein(r) for r in invariants.resolutions(p))
+    total = sum(a2_skein(r) for r in resolutions(p))
     return Fraction(total, 2 ** p.n)
+
+
+def dart_average_a2(p):
+    """The pair sum read from the embedding: crossing signs off the rotations.
+
+    An interleaved pair a, b (first[a] < first[b] < second[a] < second[b])
+    adds a quarter of sign(a) * sign(b), each sign taken with the bit that
+    the arrow pattern ``invariants._PV_*`` asks of its chord.
+    """
+    table = planar._vertex_dart_table(p.word)
+    first = {}
+    second = {}
+    for t, v in enumerate(p.word):
+        (second if v in first else first)[v] = t
+    sign_a = {
+        v: invariants._crossing_sign(
+            p.rotations[v - 1], table[v], not invariants._PV_FIRST_UNDER
+        )
+        for v in first
+    }
+    sign_b = {
+        v: invariants._crossing_sign(
+            p.rotations[v - 1], table[v], not invariants._PV_SECOND_UNDER
+        )
+        for v in first
+    }
+    order = list(first)  # chords by first occurrence
+    total = 0
+    for i, a in enumerate(order):
+        for b in order[i + 1:]:
+            if first[b] > second[a]:
+                break
+            if second[b] > second[a]:
+                total += sign_a[a] * sign_b[b]
+    return Fraction(total, 4)
 
 
 def rerealizing_move(p, move):

@@ -15,11 +15,12 @@ import pytest
 
 import knotproj as kp
 from knotproj import planar
-from knotproj.invariants import a2_skein
 
 from conftest import (
+    a2_skein,
     brute_force_realizable,
     pairing_words,
+    resolutions,
     skein_average_a2,
     trace_face_count,
 )
@@ -85,7 +86,7 @@ def test_criterion_6_invariant_oracles(capfd):
     with criterion(capfd, 6, "closed a2 formula == skein oracle on every resolution, n <= 5"):
         for n in range(0, 6):
             for p in kp.enumerate_curves(n):
-                for r in kp.resolutions(p):
+                for r in resolutions(p):
                     want = a2_skein(r)
                     assert kp.a2_gauss_formula(r) == want
                     mirror = kp.resolve(p, tuple(not b for b in r.over_under))

@@ -233,6 +233,15 @@ def test_enumerate_env_override(tmp_path, capsys, monkeypatch):
     assert code == 4 and out == ""
 
 
+def test_enumerate_non_integer_budget_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "abc")
+    out_path = tmp_path / "ds.jsonl"
+    code, out, err = run(capsys, "enumerate", "3", "--out", str(out_path))
+    assert code == 4 and out == ""
+    assert err == f"{BUDGET_ENV} must be an integer, got 'abc'\n"
+    assert not out_path.exists()
+
+
 def test_enumerate_unwritable_exits_5(tmp_path, capsys):
     code, out, err = run(capsys, "enumerate", "1", "--out", "/nonexistent/dir/ds.jsonl")
     assert code == 5

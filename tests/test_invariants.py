@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from knotproj import (
+    ChordDiagram,
     U,
     a2_gauss_formula,
-    a2_skein,
     all_realizations,
     arnold_invariant,
     average_a2,
@@ -14,13 +14,19 @@ from knotproj import (
     invariants,
     parse_code,
     parse_rational,
+    planar,
     realize,
-    resolutions,
     resolve,
 )
-from knotproj.invariants import conway_polynomial
 
-from conftest import skein_average_a2, sweep_average_a2
+from conftest import (
+    a2_skein,
+    conway_polynomial,
+    dart_average_a2,
+    resolutions,
+    skein_average_a2,
+    sweep_average_a2,
+)
 
 
 def curve(text):
@@ -146,26 +152,52 @@ def test_pair_sum_matches_sweep_through_n7():
             assert average_a2(p) == sweep_average_a2(p)
 
 
+def test_word_sum_matches_dart_sum_through_n7():
+    # every embedding of each curve, then the curve read from every base
+    # point in both directions (a new word each time)
+    checked = 0
+    for n in range(0, 8):
+        for p in enumerate_curves(n):
+            curves = list(all_realizations(p.code))
+            w = p.word
+            for seq in (w, w[::-1]):
+                for r in range(len(w)):
+                    cd = ChordDiagram.from_labels(seq[r:] + seq[:r])
+                    curves.append(realize(cd))
+            for q in curves:
+                assert average_a2(q) == dart_average_a2(q), q
+            checked += len(curves)
+    assert checked == 7305 + 6276  # embeddings, plus 4n words per curve
+
+
 def test_arnold_on_torus_shadows():
     for k in range(1, 42, 2):
         assert arnold_invariant(torus_shadow(k)) == k - 1
 
 
 def test_arnold_does_not_sweep_resolutions(monkeypatch):
+    t41, t3 = torus_shadow(41), torus_shadow(3)  # realized before counting
     calls = []
-    for name in ("resolve", "a2_gauss_formula"):
-        original = getattr(invariants, name)
+    for module, name in (
+        (invariants, "resolve"),
+        (invariants, "a2_gauss_formula"),
+        (invariants, "_crossing_sign"),
+        (planar, "_vertex_dart_table"),
+    ):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(invariants, name, counted)
-    assert arnold_invariant(torus_shadow(41)) == 40
+        monkeypatch.setattr(module, name, counted)
+    assert arnold_invariant(t41) == 40
     assert calls == []
-    # the counters do see the oracle route
-    invariants.a2_gauss_formula(invariants.resolve(torus_shadow(3), (True,) * 3))
-    assert calls == ["resolve", "a2_gauss_formula"]
+    # the counters do see the resolution route, which reads the darts
+    invariants.a2_gauss_formula(invariants.resolve(t3, (True,) * 3))
+    assert calls == ["resolve", "_vertex_dart_table"] + ["_crossing_sign"] * 3 + [
+        "a2_gauss_formula"
+    ]
 
 
 def test_arnold_exact_rational():
