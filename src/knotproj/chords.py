@@ -16,12 +16,17 @@ Conventions:
 
 Each chord-level concept has one implementation:
 
-* :func:`_normalize` validates (each label exactly twice) and relabels by
-  first occurrence, for the constructor, ``from_labels`` and
-  :func:`parse_code`,
-* :func:`_orbit_min` is the symmetry-orbit minimum, behind
-  :func:`canonicalize` (and :func:`_canonical`, its form for a word already
-  normalized) and the enumeration's canonicity test,
+* :func:`_relabel` renames labels by first occurrence; :func:`_normalize`
+  adds the validation (each label exactly twice), once per diagram built
+  from outside labels (``from_labels``, :func:`parse_code`, or the
+  constructor given a word),
+* :func:`_candidate_starts` lists the transforms that can read least in a
+  word's symmetry orbit, and :func:`_reads_below` relabels one transform
+  and compares it with a given word; together they are the orbit minimum
+  :func:`_orbit_min`, behind :func:`canonicalize` (and :func:`_canonical`,
+  its form for a word already normalized), and the early-exit canonicity
+  test :func:`_is_orbit_min`; the enumeration's close-time prune reads a
+  partial word through :func:`_reads_below` too,
 * :func:`_interlacement_bits` is the interlacement core, built once per
   diagram and cached as ``ChordDiagram._bits``: every interleave question
   reads it, here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
@@ -53,19 +58,25 @@ __all__ = [
 _SEP = re.compile(r"[\s,]+")
 
 
+def _relabel(labels) -> tuple[int, ...]:
+    """Rename labels to 1, 2, .. in order of first appearance; no validation."""
+    ids: dict = {}
+    return tuple([ids.setdefault(x, len(ids) + 1) for x in labels])
+
+
 def _normalize(labels) -> tuple[int, ...]:
-    """Rename labels to 1..n in order of first appearance.
+    """:func:`_relabel` a sequence of labels, checking each occurs exactly twice.
 
     Raises :class:`MalformedCode`, naming the first offending label as given,
     unless every label occurs exactly twice.
     """
-    ids: dict = {}
-    word = tuple([ids.setdefault(x, len(ids) + 1) for x in labels])
-    counts = [0] * (len(ids) + 1)
+    word = _relabel(labels)
+    counts = [0] * (max(word, default=0) + 1)
     for y in word:
         counts[y] += 1
-    for x, y in ids.items():
+    for y in range(1, len(counts)):
         if counts[y] != 2:
+            x = labels[word.index(y)]
             raise MalformedCode(
                 f"label {x!r} appears {counts[y]} time(s), expected exactly 2"
             )
@@ -98,8 +109,15 @@ class ChordDiagram:
 
     @classmethod
     def from_labels(cls, labels) -> "ChordDiagram":
-        """Build a diagram from arbitrary hashable labels, renaming them."""
-        return cls(_normalize(labels))
+        """Build a diagram from a sequence of hashable labels, renaming them."""
+        return cls._of_normal(_normalize(labels))
+
+    @classmethod
+    def _of_normal(cls, word: tuple[int, ...]) -> "ChordDiagram":
+        """A diagram for a word already normalized, with no second validation."""
+        cd = object.__new__(cls)
+        object.__setattr__(cd, "word", word)
+        return cd
 
     def positions(self, label: int) -> tuple[int, int]:
         """The two positions of ``label`` in the linearized word, ascending."""
@@ -149,18 +167,19 @@ def parse_code(text: str) -> ChordDiagram:
         if v <= 0:
             raise MalformedCode(f"labels must be positive integers, got {tok!r}")
         labels.append(v)
-    return ChordDiagram(_normalize(labels))
+    return ChordDiagram._of_normal(_normalize(labels))
 
 
-def _orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
-    """Least word over all rotations and both reflections of a normalized word.
+def _candidate_starts(word: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The transforms of a normalized word that can read least in its orbit.
 
-    Each transform is relabeled by first occurrence.  Only a transform that
-    starts on an endpoint whose partner lies g steps ahead, g the least such
-    distance in the word, can be least: it reads 1 2 .. g 1 (a chord nested
-    inside would be closer still), while any other transform reads at least
-    g + 1 fresh labels before its first repeat.  Each of those candidates is
-    relabeled only until it differs from the best so far.
+    Each is a pair (sequence, start): the word or its reversal, read
+    cyclically from the start.  Only a transform that starts on an endpoint
+    whose partner lies g steps ahead, g the least such distance in the word,
+    can be least: it reads 1 2 .. g 1 (a chord nested inside would be closer
+    still), while any other transform reads at least g + 1 fresh labels
+    before its first repeat.  The word itself is the first pair whenever its
+    chord 1 closes at g.
     """
     m = len(word)
     first: dict[int, int] = {}
@@ -173,22 +192,45 @@ def _orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
     rev = word[::-1]
     starts = [(word, i) for i in range(m) if ahead[i] == g]
     starts += [(rev, m - 1 - i) for i in range(m) if ahead[i] == m - g]
+    return starts
+
+
+def _reads_below(seq: tuple[int, ...], r: int, word: tuple[int, ...]) -> bool:
+    """Whether ``seq``, read cyclically from ``r`` and relabeled by first
+    occurrence, is less than ``word``.
+
+    The reading stops at its first label that differs from ``word``'s.  A
+    ``seq`` and ``word`` of equal length may be prefixes of longer words.
+    """
+    ids: dict[int, int] = {}
+    for k, x in enumerate(seq[r:] + seq[:r]):
+        y = ids.setdefault(x, len(ids) + 1)
+        if y != word[k]:
+            return y < word[k]
+    return False
+
+
+def _orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Least word over all rotations and both reflections of a normalized word.
+
+    Each transform is relabeled by first occurrence.  Only the
+    :func:`_candidate_starts` are read, each only until it differs from the
+    best so far.
+    """
     best: tuple[int, ...] = ()
-    for seq, r in starts:
-        ids: dict[int, int] = {}
-        cand = []
-        tied = bool(best)
-        for x in seq[r:] + seq[:r]:
-            y = ids.setdefault(x, len(ids) + 1)
-            if tied:
-                b = best[len(cand)]
-                if y > b:
-                    break
-                tied = y == b
-            cand.append(y)
-        else:
-            best = tuple(cand)
+    for seq, r in _candidate_starts(word):
+        if not best or _reads_below(seq, r, best):
+            best = _relabel(seq[r:] + seq[:r])
     return best
+
+
+def _is_orbit_min(word: tuple[int, ...]) -> bool:
+    """Whether a normalized word equals its :func:`_orbit_min`.
+
+    ``word`` seeds the comparison (it is its own start-0 reading), so the
+    test stops at the first candidate that reads below it.
+    """
+    return not any(_reads_below(seq, r, word) for seq, r in _candidate_starts(word))
 
 
 def canonicalize(cd: ChordDiagram) -> CanonicalCode:

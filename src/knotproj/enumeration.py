@@ -5,10 +5,14 @@ relabeling) by generating the canonical double-occurrence words that pass
 the Gauss parity condition and keeping the realizable ones.  Generation is
 canonical-first and parity-pruned: a word can only be canonical when the
 forward gap of chord 1 equals the smallest cyclic gap of any chord, so the
-search fixes that gap and prunes every placement that would undercut it; and
-a chord's interlace count is complete once its second endpoint is placed, so
+search fixes that gap and prunes every placement that would undercut it; a
+chord's interlace count is complete once its second endpoint is placed, so
 a chord that would close interleaving an odd number of chords is never
-placed.  Only the survivors get the full orbit-minimality check.
+placed; and, as in orderly generation (R. C. Read, "Every one a winner",
+Ann. Discrete Math. 2, 1978), a partial word is dropped as soon as one of
+its reflections is known to read smaller.  Only the survivors get the
+orbit-minimality check, which stops at the first candidate reading below
+the word.
 Realizability is decided by :func:`knotproj.planar._search_rotations`:
 crossing flips are propagated over the interlacement graph in O(n^2) bit
 operations and one face trace confirms or refutes the candidate rotation
@@ -61,14 +65,20 @@ def enumeration_budget() -> int:
         raise BudgetExceeded(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
+def _check_nonnegative(n: int) -> None:
+    """Raise :class:`BudgetExceeded` for a negative crossing number."""
+    if n < 0:
+        raise BudgetExceeded(f"crossing number must be nonnegative, got {n}")
+
+
 def check_budget(n: int) -> None:
     """Raise :class:`BudgetExceeded` unless ``enumerate_curves(n)`` may run.
 
-    Refuses a negative n, an n above :func:`enumeration_budget`, and a
-    non-integer budget override in the environment.
+    Refuses a negative n (:func:`_check_nonnegative`), an n above
+    :func:`enumeration_budget`, and a non-integer budget override in the
+    environment.
     """
-    if n < 0:
-        raise BudgetExceeded(f"crossing number must be nonnegative, got {n}")
+    _check_nonnegative(n)
     budget = enumeration_budget()
     if n > budget:
         raise BudgetExceeded(
@@ -86,8 +96,19 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
     seen exactly once strictly inside its interval, the popcount of a
     prefix-XOR difference.  Closing a chord with an odd count is pruned, so
     in every word built each chord interleaves an even number of others.
-    Chords 2..gap all cross chord 1, so only odd gaps are searched.  The
-    orbit-minimality check runs on the complete survivors.
+    Chords 2..gap all cross chord 1, so only odd gaps are searched.
+
+    Canonicity is pruned as minimal-gap chords close (orderly generation).
+    When a chord closes at position i exactly ``gap`` after its first
+    endpoint, the reflection of the finished word read backward from i is one
+    of the transforms :func:`chords._orbit_min` compares.  Its first i + 1
+    symbols are word[i], word[i-1], .., word[0], all placed already, and
+    relabeling by first occurrence gives a prefix that depends on them alone.
+    If that prefix reads below word[0..i], the reflection reads below every
+    completion of the word, so no completion is canonical and the placement
+    is skipped; the prune is exact.  Chord 1's own closing reads 1 2 .. gap 1,
+    the word's own prefix, and never prunes.  The complete survivors get
+    :func:`chords._is_orbit_min`, which also reads the forward transforms.
     """
     if n == 0:
         return [()]
@@ -110,7 +131,7 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
         def place(i: int) -> None:
             if i == m:
                 w = tuple(word)
-                if not open_pos and chords._orbit_min(w) == w:
+                if not open_pos and chords._is_orbit_min(w):
                     out.append(w)
                 return
             if len(open_pos) > m - i:
@@ -125,8 +146,12 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
                     continue
                 if (pref[i] ^ pref[fp + 1]).bit_count() & 1:
                     continue
-                del open_pos[lab]
                 word[i] = lab
+                if d == gap and chords._reads_below(
+                    tuple(word[i::-1]), 0, tuple(word[: i + 1])
+                ):
+                    continue
+                del open_pos[lab]
                 pref[i + 1] = pref[i] ^ (1 << lab)
                 place(i + 1)
                 open_pos[lab] = fp

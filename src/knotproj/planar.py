@@ -103,8 +103,9 @@ class PlanarCurve:
 
     ``rotations[v-1]`` is the cyclic dart order at vertex v; ``faces`` is the
     full face list.  The curve's Euler circuit visits the darts in numeric
-    order (tail 2t, head 2t+1 for edge t).  ``code`` is built and validated
-    once, on first use.
+    order (tail 2t, head 2t+1 for edge t).  A curve from :func:`realize` or
+    a move carries the diagram it was built from as ``code``; any other
+    curve builds and validates ``code`` once, on first use.
     """
 
     word: tuple[int, ...]
@@ -225,17 +226,23 @@ def _flip_coset(cd: ChordDiagram) -> tuple[int, list[int]]:
 
 
 def _curve_for_mask(
-    word: tuple[int, ...], table: dict[int, tuple[int, int, int, int]], mask: int
+    cd: ChordDiagram, table: dict[int, tuple[int, int, int, int]], mask: int
 ) -> PlanarCurve | None:
-    """The curve with the given flip mask, or None unless it has n + 2 faces."""
-    n = len(word) // 2
+    """The curve with the given flip mask, or None unless it has n + 2 faces.
+
+    The curve's ``code`` is ``cd`` itself, so it is not validated again and
+    keeps the interlacement core ``cd`` has already built.
+    """
+    n = cd.n
     rotations = tuple(
         _rotation_for(table[v], (mask >> (v - 1)) & 1) for v in range(1, n + 1)
     )
-    fl = _trace_faces(word, rotations)
-    if len(fl) == n + 2:
-        return PlanarCurve(word, rotations, tuple(fl))
-    return None
+    fl = _trace_faces(cd.word, rotations)
+    if len(fl) != n + 2:
+        return None
+    p = PlanarCurve(cd.word, rotations, tuple(fl))
+    p.__dict__["code"] = cd  # fills the cached property
+    return p
 
 
 def _flip_mask(p: PlanarCurve) -> int:
@@ -271,11 +278,13 @@ def _drop_labels(
 def _embed(word: tuple[int, ...], mask: int) -> PlanarCurve:
     """The curve with this normalized word and flip mask, after one face trace.
 
-    Raises :class:`NotRealizable` unless the trace gives n + 2 faces.
+    The word is normal by construction in every caller (:func:`_drop_labels`
+    and the reduction loop), so its diagram is not validated again.  Raises
+    :class:`NotRealizable` unless the trace gives n + 2 faces.
     """
     if not word:
         return U
-    q = _curve_for_mask(word, _vertex_dart_table(word), mask)
+    q = _curve_for_mask(ChordDiagram._of_normal(word), _vertex_dart_table(word), mask)
     if q is None:
         raise NotRealizable(
             f"flip mask {mask:#x} on {' '.join(map(str, word))!r} "
@@ -305,7 +314,7 @@ def _search_rotations(cd: ChordDiagram) -> PlanarCurve | None:
     spherical still gets None.
     """
     mask, _ = _flip_coset(cd)
-    return _curve_for_mask(cd.word, _vertex_dart_table(cd.word), mask)
+    return _curve_for_mask(cd, _vertex_dart_table(cd.word), mask)
 
 
 def all_realizations(cd: ChordDiagram) -> list[PlanarCurve]:
@@ -323,7 +332,7 @@ def all_realizations(cd: ChordDiagram) -> list[PlanarCurve]:
     for comp in components:
         masks += [m ^ comp for m in masks]
     table = _vertex_dart_table(cd.word)
-    found = (_curve_for_mask(cd.word, table, m) for m in sorted(masks))
+    found = (_curve_for_mask(cd, table, m) for m in sorted(masks))
     return [p for p in found if p is not None]
 
 

@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass
 
 from . import chords, moves, planar
-from .enumeration import enumerate_curves
-from .errors import BudgetExceeded, TheoremViolation
+from .enumeration import _check_nonnegative, enumerate_curves
+from .errors import TheoremViolation
 from .invariants import arnold_invariant, format_rational
 from .planar import PlanarCurve
 
@@ -238,6 +238,6 @@ def run_check(check_id: str, max_n: int) -> CheckReport:
     does for a negative crossing number.
     """
     check = _CHECKS[check_id]
-    if max_n < 0:
-        raise BudgetExceeded(f"crossing number must be nonnegative, got {max_n}")
+    # not check_budget: connected-sum-lemma enumerates only below max_n
+    _check_nonnegative(max_n)
     return check(max_n)

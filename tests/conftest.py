@@ -6,6 +6,7 @@ is evidence and not tautology.
 """
 
 import json
+import os
 import pathlib
 from fractions import Fraction
 from itertools import combinations
@@ -16,6 +17,7 @@ from knotproj import (
     ChordDiagram,
     applicable_moves,
     canonicalize,
+    chords,
     invariants,
     planar,
     realize,
@@ -24,6 +26,16 @@ from knotproj.errors import InapplicableMove
 from knotproj.moves import ReductionTrace
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip tests marked ``slow`` unless KNOTPROJ_SLOW=1."""
+    if os.environ.get("KNOTPROJ_SLOW") == "1":
+        return
+    skip = pytest.mark.skip(reason="slow; set KNOTPROJ_SLOW=1 to run")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
 
 
 def pairing_words(n):
@@ -113,6 +125,70 @@ def all_canonical_words(n):
                 state[0] += 1
                 open_pos[lab] = i
                 word[i] = lab
+                place(i + 1)
+                state[0] -= 1
+                del open_pos[lab]
+            word[i] = 0
+
+        place(gap + 1)
+    return out
+
+
+def leaf_checked_words(n: int) -> list[tuple[int, ...]]:
+    """The parity-pruned generator with canonicity checked only at the leaves.
+
+    :func:`knotproj.enumeration._canonical_words` before its close-time
+    canonicity prune, kept verbatim: the gap and parity prunes, then
+    ``chords._orbit_min(w) == w`` on every complete word.  Wrapping
+    ``chords._orbit_min`` counts (or records) the leaves it checks.
+    """
+    if n == 0:
+        return [()]
+    m = 2 * n
+    out: list[tuple[int, ...]] = []
+    for gap in range(1, n + 1, 2):
+        # chord 1 closes at `gap`; the prefix before it is forced to be new chords
+        word = [0] * m
+        word[0] = 1
+        word[gap] = 1
+        for k in range(1, gap):
+            word[k] = k + 1
+        # pref[i] XORs 1 << word[k] over k < i
+        pref = [0] * (m + 1)
+        for k in range(gap + 1):
+            pref[k + 1] = pref[k] ^ (1 << word[k])
+        open_pos = {k + 1: k for k in range(1, gap)}
+        state = [gap + 1]  # next fresh label
+
+        def place(i: int) -> None:
+            if i == m:
+                w = tuple(word)
+                if not open_pos and chords._orbit_min(w) == w:
+                    out.append(w)
+                return
+            if len(open_pos) > m - i:
+                return
+            for lab, fp in open_pos.items():
+                if i > fp + (m - gap):
+                    return
+            for lab in sorted(open_pos):
+                fp = open_pos[lab]
+                d = i - fp
+                if d < gap or d > m - gap:
+                    continue
+                if (pref[i] ^ pref[fp + 1]).bit_count() & 1:
+                    continue
+                del open_pos[lab]
+                word[i] = lab
+                pref[i + 1] = pref[i] ^ (1 << lab)
+                place(i + 1)
+                open_pos[lab] = fp
+            if state[0] <= n:
+                lab = state[0]
+                state[0] += 1
+                open_pos[lab] = i
+                word[i] = lab
+                pref[i + 1] = pref[i] ^ (1 << lab)
                 place(i + 1)
                 state[0] -= 1
                 del open_pos[lab]

@@ -27,6 +27,7 @@ from knotproj.errors import BudgetExceeded, NotRealizable, SchemaError
 from conftest import (
     all_canonical_words,
     brute_force_realizable,
+    leaf_checked_words,
     pairing_words,
     trace_face_count,
 )
@@ -57,6 +58,61 @@ def test_parity_pruned_words_equal_filtered_oracle():
             if not gauss_parity_violations(ChordDiagram(w))
         ]
         assert _canonical_words(n) == expect
+
+
+def test_orderly_words_equal_leaf_checked_oracle():
+    for n in (8, 9):
+        assert _canonical_words(n) == leaf_checked_words(n)
+
+
+@pytest.mark.slow
+def test_orderly_words_equal_leaf_checked_oracle_at_10():
+    words = _canonical_words(10)
+    assert len(words) == 93_196
+    assert words == leaf_checked_words(10)
+
+
+def _counting(monkeypatch, name, record):
+    original = getattr(chords, name)
+
+    def counted(w):
+        record.append(w)
+        return original(w)
+
+    monkeypatch.setattr(chords, name, counted)
+
+
+def test_close_time_prune_cuts_leaf_checks(monkeypatch):
+    new, old = [], []
+    _counting(monkeypatch, "_is_orbit_min", new)
+    _counting(monkeypatch, "_orbit_min", old)
+    _canonical_words(8)
+    leaf_checked_words(8)
+    assert len(old) == 5_892
+    # pinned; a further close-time prune may lower it
+    assert len(new) == 3_542
+
+
+def test_is_orbit_min_agrees_on_leaf_checked_leaves(monkeypatch):
+    leaves = []
+    _counting(monkeypatch, "_orbit_min", leaves)
+    for n in range(0, 9):
+        leaf_checked_words(n)
+    monkeypatch.undo()
+    assert len(leaves) > 5_892
+    for w in leaves:
+        assert chords._is_orbit_min(w) == (chords._orbit_min(w) == w), w
+
+
+def test_is_orbit_min_agrees_on_rotations_and_reflections():
+    for n in range(0, 8):
+        # every canonical word up to 6 chords; the parity-passing ones at 7
+        words = all_canonical_words(n) if n <= 6 else leaf_checked_words(n)
+        for w in words:
+            for seq in (w, w[::-1]):
+                for r in range(len(w) or 1):
+                    t = chords._normalize(seq[r:] + seq[:r])
+                    assert chords._is_orbit_min(t) == (chords._orbit_min(t) == t), t
 
 
 def test_generator_equals_pairing_oracle():
@@ -129,7 +185,6 @@ def test_build_record_trefoil():
 
 def test_build_record_builds_one_interlacement_core(monkeypatch):
     # a curl on the trefoil core: in_S takes a move before it gets stuck
-    p = realize(ChordDiagram((1, 1, 2, 3, 4, 2, 3, 4)))
     words = []
     original = chords._interlacement_bits
 
@@ -138,6 +193,8 @@ def test_build_record_builds_one_interlacement_core(monkeypatch):
         return original(word)
 
     monkeypatch.setattr(chords, "_interlacement_bits", counted)
+    # realize builds the core for parity and flips; the curve keeps it
+    p = realize(ChordDiagram((1, 1, 2, 3, 4, 2, 3, 4)))
     rec = build_record(p)
     assert (rec.x, rec.tr, rec.strong_bigons, rec.reduced, rec.in_S) == (3, 1, 0, False, False)
     assert words.count(p.word) == 1

@@ -17,12 +17,13 @@ from knotproj import (
     realize,
     strong_bigons,
 )
-from knotproj import planar
+from knotproj import chords, planar
 from knotproj.errors import InvalidSite, NoCrossings, NotRealizable
 
 from conftest import (
     all_canonical_words,
     interleavement_graph,
+    leaf_checked_words,
     pairing_words,
     sweep_realizations,
     trace_face_count,
@@ -101,6 +102,33 @@ def test_realize_matches_sweep_on_canonical_words():
         for word in all_canonical_words(n):
             if n < 7 or not gauss_parity_violations(ChordDiagram(word)):
                 assert_realize_matches_sweep(word)
+
+
+@pytest.mark.slow
+def test_realize_matches_sweep_on_parity_passing_words_at_8():
+    words = leaf_checked_words(8)
+    assert len(words) == 1_466
+    for word in words:
+        assert_realize_matches_sweep(word)
+
+
+def test_realized_code_is_validated_once(monkeypatch):
+    calls = []
+    original = chords._normalize
+
+    def counted(labels):
+        calls.append(labels)
+        return original(labels)
+
+    monkeypatch.setattr(chords, "_normalize", counted)
+    for text in ("1 1 2 2", "1 2 3 1 2 3", "1 1 2 3 4 2 3 4"):
+        calls.clear()
+        p = realize(parse_code(text))
+        assert p.code is p.code
+        assert len(calls) == 1, text
+    # deleting a monogon's crossing builds no second validation either
+    assert planar._delete_vertices(p, {1}).code.word == (1, 2, 3, 1, 2, 3)
+    assert len(calls) == 1
 
 
 def test_realize_matches_sweep_on_rotated_and_reflected_curves():
