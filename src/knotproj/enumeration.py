@@ -15,8 +15,8 @@ orbit-minimality check, which stops at the first candidate reading below
 the word.
 Realizability is decided by :func:`knotproj.planar._search_rotations`:
 crossing flips are propagated over the interlacement graph in O(n^2) bit
-operations and one face trace confirms or refutes the candidate rotation
-system.
+operations and one count of the face orbits confirms or refutes the
+candidate rotation system.
 
 Datasets are JSONL: a {"schema":1} header line, then one record per curve,
 ordered by (n, code).  Rationals are serialized exactly ("p/q", or "k" for

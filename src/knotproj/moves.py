@@ -49,8 +49,9 @@ So every curve has one normal form, the curve reached when no move
 applies, and it is U exactly when some sequence of moves reaches U.  The
 tests check every overlapping pair of moves on every embedding with n <= 7.
 
-The greedy run carries a normalized word and a flip mask, not a curve, and
-traces faces only when it must look up a 2-gon.
+A :class:`~knotproj.planar.PlanarCurve` is its normalized word and its flip
+mask (``p.flips``), so the greedy run carries just those two and builds a
+curve, with its one face trace, only when it must look up a 2-gon.
 
 * A monogon is exactly a loop edge, a label at two cyclically adjacent
   positions, whatever the flips.  A degree-1 face is one dart whose edge
@@ -148,7 +149,7 @@ def _reduce(p: PlanarCurve) -> tuple[list[tuple[Move, tuple[int, ...]]], PlanarC
     only when the word has no monogon; see the module docstring.
     """
     steps = []
-    word, mask = p.word, planar._flip_mask(p)
+    word, mask = p.word, p.flips
     cur = p  # the curve of (word, mask) once built; the start is asked as given
     while word:
         v = _first_loop(word) if cur is None else 0

@@ -5,9 +5,13 @@ runs from the t-th code position to the (t+1)-th; its tail dart is 2t and its
 head dart is 2t+1, so the edge involution is ``d ^ 1``.  Each vertex is
 visited by two strand passages, and transversality forces the in- and
 out-dart of one passage to sit opposite each other in the rotation, which
-leaves exactly two admissible rotations per vertex, its flip.  A rotation
-assignment is a spherical realization exactly when face tracing yields n + 2
-orbits (Euler's formula with V = n, E = 2n).
+leaves exactly two admissible rotations per vertex, its flip.  A curve is
+therefore fixed by its word and its flip mask, and :class:`PlanarCurve` holds
+just those two; its rotations and faces are built on first read.  A flip
+mask is a spherical realization exactly when face tracing yields n + 2
+orbits (Euler's formula with V = n, E = 2n), and a candidate is accepted or
+rejected by counting those orbits alone (:func:`_orbit_count`), with no
+faces built.
 
 No search over the 2**n flip masks is needed.  By the interlacement-graph
 characterization of Gauss codes (Rosenstiehl, C. R. Acad. Sci. Paris 283,
@@ -17,7 +21,7 @@ and b of a spherical realization differ by the parity of g + |N(a) & N(b)|,
 with g the number of code positions strictly between their first
 occurrences and N the interlacement neighbourhood.  Propagating that rule
 over each component of the interlacement graph fixes every flip up to
-mirroring whole components, in O(n^2) bit operations; one face trace then
+mirroring whole components, in O(n^2) bit operations; one orbit count then
 confirms the candidate or shows the code is not spherical.
 
 Faces, monogons, strong 2-gons, teardrop loops and the connected-sum
@@ -101,16 +105,19 @@ class Teardrop:
 class PlanarCurve:
     """A Gauss code together with a spherical rotation system.
 
-    ``rotations[v-1]`` is the cyclic dart order at vertex v; ``faces`` is the
-    full face list.  The curve's Euler circuit visits the darts in numeric
-    order (tail 2t, head 2t+1 for edge t).  A curve from :func:`realize` or
-    a move carries the diagram it was built from as ``code``; any other
-    curve builds and validates ``code`` once, on first use.
+    Bit v-1 of ``flips`` is crossing v's flip, which picks one of the two
+    admissible rotations :func:`_rotation_for` gives.  ``rotations[v-1]`` is
+    the cyclic dart order at vertex v and ``faces`` the full face list; both
+    are derived from the word and the flips on first read and then cached,
+    so a curve that is only counted or compared never builds them.  The
+    curve's Euler circuit visits the darts in numeric order (tail 2t, head
+    2t+1 for edge t).  A curve from :func:`realize` or a move carries the
+    diagram it was built from as ``code``; any other curve builds and
+    validates ``code`` once, on first use.
     """
 
     word: tuple[int, ...]
-    rotations: tuple[tuple[int, int, int, int], ...]
-    faces: tuple[Face, ...]
+    flips: int
 
     @property
     def n(self) -> int:
@@ -120,11 +127,25 @@ class PlanarCurve:
     def code(self) -> ChordDiagram:
         return ChordDiagram(self.word)
 
+    @cached_property
+    def rotations(self) -> tuple[tuple[int, int, int, int], ...]:
+        table = _vertex_dart_table(self.word)
+        return tuple(
+            _rotation_for(table[v], self.flips >> (v - 1) & 1)
+            for v in range(1, self.n + 1)
+        )
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        if not self.word:
+            return (Face((), ()), Face((), ()))
+        return tuple(_trace_faces(self.word, self.rotations))
+
     def __repr__(self) -> str:
         return f"PlanarCurve({' '.join(map(str, self.word)) or 'U'!r})"
 
 
-U = PlanarCurve(word=(), rotations=(), faces=(Face((), ()), Face((), ())))
+U = PlanarCurve(word=(), flips=0)
 
 
 def _vertex_dart_table(word: tuple[int, ...]) -> dict[int, tuple[int, int, int, int]]:
@@ -181,6 +202,44 @@ def _trace_faces(
     return out
 
 
+def _orbit_count(word: tuple[int, ...], flips: int) -> int:
+    """The number of faces of the curve with this word and flip mask.
+
+    It equals ``len(_trace_faces(word, rotations))`` for the rotations that
+    :func:`_rotation_for` builds from the same flips, without a dart table,
+    rotation tuples or faces.  Vertex v with occurrences t1 < t2 has darts
+    in1 = 2*t1 - 1 (mod 4n), out1 = 2*t1, in2 = 2*t2 - 1, out2 = 2*t2, and
+    the rotation (in1, in2, out1, out2) at flip 0 and (in1, out2, out1, in2)
+    at flip 1, the two orders of :func:`_rotation_for`.  A face steps from
+    dart d to the successor of d ^ 1 in its rotation, so ``step[a ^ 1] = b``
+    for each rotation successor a -> b, and the faces are the cycles of
+    ``step``.
+    """
+    nd = 2 * len(word)
+    step = [0] * nd
+    first = [-1] * (len(word) // 2 + 1)
+    for t, v in enumerate(word):
+        t1 = first[v]
+        if t1 < 0:
+            first[v] = t
+            continue
+        in1, out1, in2, out2 = (2 * t1 - 1) % nd, 2 * t1, 2 * t - 1, 2 * t
+        if flips >> (v - 1) & 1:
+            step[in1 ^ 1], step[out2 ^ 1] = out2, out1
+            step[out1 ^ 1], step[in2 ^ 1] = in2, in1
+        else:
+            step[in1 ^ 1], step[in2 ^ 1] = in2, out1
+            step[out1 ^ 1], step[out2 ^ 1] = out2, in1
+    count = 0
+    for d in range(nd):
+        if step[d] < 0:
+            continue
+        count += 1
+        while step[d] >= 0:  # a visited dart's step is set to -1
+            step[d], d = -1, step[d]
+    return count
+
+
 def _flip_coset(cd: ChordDiagram) -> tuple[int, list[int]]:
     """Candidate flip mask and the indicator masks of the interlacement components.
 
@@ -225,34 +284,19 @@ def _flip_coset(cd: ChordDiagram) -> tuple[int, list[int]]:
     return mask, components
 
 
-def _curve_for_mask(
-    cd: ChordDiagram, table: dict[int, tuple[int, int, int, int]], mask: int
-) -> PlanarCurve | None:
+def _curve_for_mask(cd: ChordDiagram, mask: int) -> PlanarCurve | None:
     """The curve with the given flip mask, or None unless it has n + 2 faces.
 
-    The curve's ``code`` is ``cd`` itself, so it is not validated again and
-    keeps the interlacement core ``cd`` has already built.
+    The faces are only counted (:func:`_orbit_count`); the curve builds them
+    when they are first read.  Its ``code`` is ``cd`` itself, so it is not
+    validated again and keeps the interlacement core ``cd`` has already
+    built.
     """
-    n = cd.n
-    rotations = tuple(
-        _rotation_for(table[v], (mask >> (v - 1)) & 1) for v in range(1, n + 1)
-    )
-    fl = _trace_faces(cd.word, rotations)
-    if len(fl) != n + 2:
+    if _orbit_count(cd.word, mask) != cd.n + 2:
         return None
-    p = PlanarCurve(cd.word, rotations, tuple(fl))
+    p = PlanarCurve(cd.word, mask)
     p.__dict__["code"] = cd  # fills the cached property
     return p
-
-
-def _flip_mask(p: PlanarCurve) -> int:
-    """The flip mask of ``p``: bit v-1 is set when ``rotations[v-1][1]`` is
-    out2, an even (tail) dart, i.e. when v has flip 1."""
-    mask = 0
-    for i, rot in enumerate(p.rotations):
-        if rot[1] % 2 == 0:
-            mask |= 1 << i
-    return mask
 
 
 def _drop_labels(
@@ -278,18 +322,23 @@ def _drop_labels(
 def _embed(word: tuple[int, ...], mask: int) -> PlanarCurve:
     """The curve with this normalized word and flip mask, after one face trace.
 
-    The word is normal by construction in every caller (:func:`_drop_labels`
-    and the reduction loop), so its diagram is not validated again.  Raises
-    :class:`NotRealizable` unless the trace gives n + 2 faces.
+    Every caller reads the faces next (the greedy loop looks up a 2-gon,
+    :func:`_delete_vertices` returns a move's result), so they are traced
+    here, once, and the same trace checks their number; no orbit count is
+    made first.  The word is normal by construction in every caller
+    (:func:`_drop_labels` and the reduction loop), so its diagram is not
+    validated again.  Raises :class:`NotRealizable` unless the trace gives
+    n + 2 faces.
     """
     if not word:
         return U
-    q = _curve_for_mask(ChordDiagram._of_normal(word), _vertex_dart_table(word), mask)
-    if q is None:
+    q = PlanarCurve(word, mask)
+    if len(q.faces) != q.n + 2:
         raise NotRealizable(
             f"flip mask {mask:#x} on {' '.join(map(str, word))!r} "
             "leaves no spherical map"
         )
+    q.__dict__["code"] = ChordDiagram._of_normal(word)  # fills the cached property
     return q
 
 
@@ -303,26 +352,26 @@ def _delete_vertices(p: PlanarCurve, drop) -> PlanarCurve:
     produces.  Raises :class:`NotRealizable` for a vertex set whose deletion
     does not give n + 2 faces.
     """
-    return _embed(*_drop_labels(p.word, _flip_mask(p), drop))
+    return _embed(*_drop_labels(p.word, p.flips, drop))
 
 
 def _search_rotations(cd: ChordDiagram) -> PlanarCurve | None:
     """First rotation assignment whose face count is n + 2, in mask order.
 
     The flip mask comes from :func:`_flip_coset` in O(n^2) bit operations;
-    one face trace then confirms it, so a code that passes parity but is not
+    one orbit count then confirms it, so a code that passes parity but is not
     spherical still gets None.
     """
     mask, _ = _flip_coset(cd)
-    return _curve_for_mask(cd, _vertex_dart_table(cd.word), mask)
+    return _curve_for_mask(cd, mask)
 
 
 def all_realizations(cd: ChordDiagram) -> list[PlanarCurve]:
     """Every accepted rotation assignment in mask order, with no parity prefilter.
 
     Only the 2**k masks of the coset from :func:`_flip_coset` can be
-    spherical (k interlacement components); each is confirmed by its own face
-    trace.  Used to check that realization-dependent quantities do not
+    spherical (k interlacement components); each is confirmed by its own
+    orbit count.  Used to check that realization-dependent quantities do not
     actually depend on the realization found first.
     """
     if cd.n == 0:
@@ -331,8 +380,7 @@ def all_realizations(cd: ChordDiagram) -> list[PlanarCurve]:
     masks = [base]
     for comp in components:
         masks += [m ^ comp for m in masks]
-    table = _vertex_dart_table(cd.word)
-    found = (_curve_for_mask(cd, table, m) for m in sorted(masks))
+    found = (_curve_for_mask(cd, m) for m in sorted(masks))
     return [p for p in found if p is not None]
 
 
@@ -487,7 +535,13 @@ def connected_sum(
 
     Edge t runs between code positions t and t+1.  U is the neutral element
     on either side (its site must be None, having no edges).  The spliced
-    code is relabeled and realized; the result always is realizable.
+    word is relabeled by first occurrence, which makes it normal by
+    construction, so it is not validated again.  It also passes the parity
+    test by construction: no chord of one factor interleaves a chord of the
+    other, and each factor's chords interleave each other as they did in
+    its own (cyclically rotated) word, so the parity check of
+    :func:`realize` is skipped and the rotation search runs directly.  The
+    result is the curve ``realize(ChordDiagram.from_labels(merged))`` gives.
     """
     _check_site(p1, site1, "site1")
     _check_site(p2, site2, "site2")
@@ -498,4 +552,7 @@ def connected_sum(
     w1, w2 = p1.word, p2.word
     shifted = tuple(x + p1.n for x in w2[site2 + 1:] + w2[: site2 + 1])
     merged = w1[: site1 + 1] + shifted + w1[site1 + 1:]
-    return realize(ChordDiagram.from_labels(merged))
+    q = _search_rotations(ChordDiagram._of_normal(chords._relabel(merged)))
+    if q is None:
+        raise NotRealizable("not realizable (no spherical rotation system)")
+    return q

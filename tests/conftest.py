@@ -295,6 +295,11 @@ def vertex_rings(word, flips):
     return tuple(rings)
 
 
+def mask_rings(word, mask):
+    """``vertex_rings`` for an integer flip mask (bit v-1 is vertex v's flip)."""
+    return vertex_rings(word, tuple(bool(mask >> v & 1) for v in range(len(word) // 2)))
+
+
 def trace_face_count(word, rings):
     """Independent face tracer: orbit count of the face permutation.
 
@@ -330,7 +335,7 @@ def sweep_realizations(word):
     """
     n = len(word) // 2
     for mask in range(1 << n):
-        rings = vertex_rings(word, tuple(bool(mask >> v & 1) for v in range(n)))
+        rings = mask_rings(word, mask)
         if trace_face_count(word, rings) == n + 2:
             yield rings
 
@@ -338,6 +343,35 @@ def sweep_realizations(word):
 def brute_force_realizable(word):
     """True when some rotation assignment yields n + 2 faces (full sweep)."""
     return next(sweep_realizations(word), None) is not None
+
+
+def flip_coset_masks(cd):
+    """Every mask of the ``_flip_coset`` span, ascending: the only candidates."""
+    base, components = planar._flip_coset(cd)
+    masks = [base]
+    for comp in components:
+        masks += [m ^ comp for m in masks]
+    return sorted(masks)
+
+
+def eager_realizations(cd):
+    """(word, rotations, faces) of every accepted mask, built the eager way.
+
+    The construction curves had when they stored all three: for each mask of
+    the coset span in ascending order, build the rotations, trace the faces
+    with ``planar._trace_faces``, and accept on n + 2 faces.  The rotations
+    come from ``vertex_rings``; the faces from the package's one tracer,
+    since nothing else builds ``Face`` objects.
+    """
+    if cd.n == 0:
+        return [((), (), (planar.Face((), ()), planar.Face((), ())))]
+    out = []
+    for mask in flip_coset_masks(cd):
+        rotations = mask_rings(cd.word, mask)
+        faces = tuple(planar._trace_faces(cd.word, rotations))
+        if len(faces) == cd.n + 2:
+            out.append((cd.word, rotations, faces))
+    return out
 
 
 def resolutions(p):
@@ -581,6 +615,15 @@ def rerealizing_move(p, move):
         raise InapplicableMove(f"{move} is not applicable to {p!r}")
     drop = set(move.site)
     return realize(ChordDiagram.from_labels(x for x in p.word if x not in drop))
+
+
+def realized_connected_sum(p1, p2, site1, site2):
+    """The splice of two curves with crossings, through ``from_labels`` and
+    ``realize``: validation, the parity check and the rotation search."""
+    w2 = p2.word
+    shifted = tuple(x + p1.n for x in w2[site2 + 1:] + w2[: site2 + 1])
+    merged = p1.word[: site1 + 1] + shifted + p1.word[site1 + 1:]
+    return realize(ChordDiagram.from_labels(merged))
 
 
 def stepwise_reduce(p):

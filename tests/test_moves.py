@@ -342,6 +342,8 @@ def has_loop_edge(word):
 def test_face_traces_only_where_no_monogon_is_left(monkeypatch):
     spiral, torus = nested_spiral(), torus_with_curls()
     small = embeddings(6)
+    for p in (spiral, torus, *small):
+        p.faces  # built on first read; read here, so only the run is counted
     traced = []
     original = planar._trace_faces
 

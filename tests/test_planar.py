@@ -3,6 +3,7 @@ import pytest
 from knotproj import (
     U,
     ChordDiagram,
+    PlanarCurve,
     all_realizations,
     connected_sum,
     count_tr,
@@ -22,9 +23,13 @@ from knotproj.errors import InvalidSite, NoCrossings, NotRealizable
 
 from conftest import (
     all_canonical_words,
+    eager_realizations,
+    flip_coset_masks,
     interleavement_graph,
     leaf_checked_words,
+    mask_rings,
     pairing_words,
+    realized_connected_sum,
     sweep_realizations,
     trace_face_count,
 )
@@ -112,6 +117,56 @@ def test_realize_matches_sweep_on_parity_passing_words_at_8():
         assert_realize_matches_sweep(word)
 
 
+def orbit_count_mismatches(word, masks):
+    """Masks whose orbit count differs from the face trace; returns (bad, rejected)."""
+    bad, rejected = [], 0
+    for mask in masks:
+        traced = len(planar._trace_faces(word, mask_rings(word, mask)))
+        if planar._orbit_count(word, mask) != traced:
+            bad.append(mask)
+        rejected += traced != len(word) // 2 + 2
+    return bad, rejected
+
+
+def test_orbit_count_matches_face_trace_on_flip_coset_spans():
+    rejected = 0
+    for n in range(1, 8):
+        for word in leaf_checked_words(n):
+            bad, r = orbit_count_mismatches(word, flip_coset_masks(ChordDiagram(word)))
+            assert bad == [], word
+            rejected += r
+    assert rejected == 454  # the spans of the 100 parity-passing codes that do not embed
+
+
+@pytest.mark.slow
+def test_orbit_count_matches_face_trace_on_flip_coset_spans_at_8():
+    words = leaf_checked_words(8)
+    assert len(words) == 1_466
+    for word in words:
+        assert orbit_count_mismatches(word, flip_coset_masks(ChordDiagram(word)))[0] == []
+
+
+def test_orbit_count_matches_face_trace_on_every_mask():
+    """Masks outside the coset too; a swapped flip convention would give the
+    mirror map, with the same count, so rotations are pinned separately."""
+    for n in range(1, 5):
+        for word in pairing_words(n):
+            assert orbit_count_mismatches(word, range(1 << n))[0] == [], word
+    for word in ((1, 2, 1, 2), (1, 1, 2, 3, 2, 3)):
+        for mask in range(1 << len(word) // 2):
+            assert PlanarCurve(word, mask).rotations == mask_rings(word, mask)
+
+
+def test_all_realizations_match_eager_construction():
+    assert [(p.word, p.rotations, p.faces) for p in all_realizations(U.code)] == (
+        eager_realizations(U.code)
+    )
+    for n in range(1, 8):
+        for p in enumerate_curves(n):
+            got = [(r.word, r.rotations, r.faces) for r in all_realizations(p.code)]
+            assert got == eager_realizations(p.code), p.word
+
+
 def test_realized_code_is_validated_once(monkeypatch):
     calls = []
     original = chords._normalize
@@ -150,19 +205,21 @@ def test_all_realizations_match_sweep():
 
 
 def test_unrealizable_code_costs_one_face_trace(monkeypatch):
+    """The one check is an orbit count over the 36 positions; no face is built."""
     calls = []
-    trace = planar._trace_faces
+    for name in ("_trace_faces", "_orbit_count"):
+        original = getattr(planar, name)
 
-    def counting(word, rotations):
-        calls.append(len(word))
-        return trace(word, rotations)
+        def counting(word, arg, _name=name, _original=original):
+            calls.append((_name, len(word)))
+            return _original(word, arg)
 
-    monkeypatch.setattr(planar, "_trace_faces", counting)
+        monkeypatch.setattr(planar, name, counting)
     cd = parse_code("1 2 3 1 2 4 5 3 4 5 " + " ".join(f"{v} {v}" for v in range(6, 19)))
     assert cd.n == 18 and gauss_parity_violations(cd) == []
     with pytest.raises(NotRealizable):
         realize(cd)
-    assert calls == [36]
+    assert calls == [("_orbit_count", 36)]
 
 
 def test_deleting_a_crossing_off_any_move_can_leave_no_spherical_map():
@@ -353,3 +410,19 @@ def test_connected_sum_crossing_count_adds():
     for s1 in range(2 * a.n):
         for s2 in range(2 * b.n):
             assert connected_sum(a, b, s1, s2).n == a.n + b.n
+
+
+def test_connected_sum_matches_realize_route():
+    curves = {n: enumerate_curves(n) for n in range(1, 6)}
+    sites = 0
+    for n1 in range(1, 6):
+        for n2 in range(1, 7 - n1):
+            for a in curves[n1]:
+                for b in curves[n2]:
+                    for s1 in range(2 * n1):
+                        for s2 in range(2 * n2):
+                            got = connected_sum(a, b, s1, s2)
+                            want = realized_connected_sum(a, b, s1, s2)
+                            assert (got, got.code) == (want, want.code), (a, b, s1, s2)
+                            sites += 1
+    assert sites == 1_656

@@ -64,6 +64,20 @@ def test_connected_sum_lemma_small():
     assert rep.passed and rep.curves_tested > 0
 
 
+def test_connected_sum_lemma_builds_no_faces(monkeypatch):
+    """The check reads only each splice's code, so no face is ever traced."""
+    traced = []
+    original = planar._trace_faces
+
+    def counted(word, rotations):
+        traced.append(word)
+        return original(word, rotations)
+
+    monkeypatch.setattr(planar, "_trace_faces", counted)
+    assert check_connected_sum_lemma(6).passed
+    assert traced == []
+
+
 def test_teardrop_reversal_flags_triple_chords_as_excluded():
     rep = check_teardrop_reversal(3)
     assert rep.passed
