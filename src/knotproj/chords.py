@@ -23,10 +23,11 @@ Each chord-level concept has one implementation:
 * :func:`_candidate_starts` lists the transforms that can read least in a
   word's symmetry orbit, and :func:`_reads_below` relabels one transform
   and compares it with a given word; together they are the orbit minimum
-  :func:`_orbit_min`, behind :func:`canonicalize` (and :func:`_canonical`,
-  its form for a word already normalized), and the early-exit canonicity
-  test :func:`_is_orbit_min`; the enumeration's close-time prune reads a
-  partial word through :func:`_reads_below` too,
+  :func:`_orbit_min`, behind :func:`canonicalize` (cached per diagram as
+  ``ChordDiagram._canon``; :func:`_canonical` is its form for a word already
+  normalized), and the early-exit canonicity test :func:`_is_orbit_min`;
+  the enumeration's close-time prune reads a partial word through
+  :func:`_reads_below` too,
 * :func:`_interlacement_bits` is the interlacement core, built once per
   diagram and cached as ``ChordDiagram._bits``: every interleave question
   reads it, here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
@@ -106,6 +107,15 @@ class ChordDiagram:
     def _bits(self) -> tuple[int, ...]:
         """This diagram's :func:`_interlacement_bits`, built on first use."""
         return _interlacement_bits(self.word)
+
+    @cached_property
+    def _canon(self) -> "CanonicalCode":
+        """This diagram's :func:`canonicalize`, computed on first use.
+
+        The enumeration fills it for the words it keeps, each of which is
+        its own orbit minimum.
+        """
+        return _canonical(self.word)
 
     @classmethod
     def from_labels(cls, labels) -> "ChordDiagram":
@@ -237,9 +247,10 @@ def canonicalize(cd: ChordDiagram) -> CanonicalCode:
     """Least first-occurrence word over all rotations and both reflections.
 
     The orbit has at most 4n words (2n rotations, 2 directions, relabeled by
-    first occurrence after each transform); see :func:`_orbit_min`.
+    first occurrence after each transform); see :func:`_orbit_min`.  Each
+    diagram computes it once (``ChordDiagram._canon``).
     """
-    return _canonical(cd.word)
+    return cd._canon
 
 
 def _canonical(word: tuple[int, ...]) -> CanonicalCode:

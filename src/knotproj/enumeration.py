@@ -2,17 +2,33 @@
 
 Curves are enumerated one per equivalence class (rotation, reflection,
 relabeling) by generating the canonical double-occurrence words that pass
-the Gauss parity condition and keeping the realizable ones.  Generation is
-canonical-first and parity-pruned: a word can only be canonical when the
-forward gap of chord 1 equals the smallest cyclic gap of any chord, so the
-search fixes that gap and prunes every placement that would undercut it; a
-chord's interlace count is complete once its second endpoint is placed, so
-a chord that would close interleaving an odd number of chords is never
-placed; and, as in orderly generation (R. C. Read, "Every one a winner",
-Ann. Discrete Math. 2, 1978), a partial word is dropped as soon as one of
-its reflections is known to read smaller.  Only the survivors get the
-orbit-minimality check, which stops at the first candidate reading below
-the word.
+the first two of Rosenstiehl's conditions for a spherical Gauss code
+(C. R. Acad. Sci. Paris 283, 1976; proved by de Fraysseix and Ossona de
+Mendez, Discrete Comput. Geom. 22, 1999) and keeping the realizable ones;
+the third condition is left to the realization step.  Generation is
+canonical-first and pruned as chords close:
+
+* a word can only be canonical when the forward gap of chord 1 equals the
+  smallest cyclic gap of any chord, so the search fixes that gap and prunes
+  every placement that would undercut it;
+* a chord's interlacement neighbourhood N(c) is complete once its second
+  endpoint is placed, so a chord that would close interleaving an odd
+  number of chords is never placed (parity, the first condition);
+* nor is one that would close with an odd number of common neighbours with
+  an already closed chord it does not interleave (the second condition);
+  both neighbourhoods are complete then, and each non-interleaved pair is
+  checked when its later chord closes, so the prune is exact;
+* as in orderly generation (R. C. Read, "Every one a winner", Ann. Discrete
+  Math. 2, 1978), a partial word is dropped as soon as one of its
+  reflections is known to read smaller.
+
+Both conditions speak only of the interlacement graph, which rotating,
+reflecting and relabeling the word leave unchanged (up to renaming its
+vertices), so a word passes them exactly when its canonical form does: the
+prunes lose no class, and the canonicity prune needs no change.  Only the
+survivors get the orbit-minimality check, which stops at the first
+candidate reading below the word.
+
 Realizability is decided by :func:`knotproj.planar._search_rotations`:
 crossing flips are propagated over the interlacement graph in O(n^2) bit
 operations and one count of the face orbits confirms or refutes the
@@ -88,15 +104,26 @@ def check_budget(n: int) -> None:
 
 
 def _canonical_words(n: int) -> list[tuple[int, ...]]:
-    """Canonical double-occurrence words with n chords that pass parity, ascending.
+    """Canonical double-occurrence words with n chords that pass Rosenstiehl's
+    first two conditions, ascending.
 
     Chord 1 is fixed to close at ``gap``, the smallest cyclic gap of any
     chord, and placements that would undercut it are pruned.  A chord's
-    interlace count is known the moment it closes: it is the number of labels
-    seen exactly once strictly inside its interval, the popcount of a
-    prefix-XOR difference.  Closing a chord with an odd count is pruned, so
-    in every word built each chord interleaves an even number of others.
+    interlacement neighbourhood N(c) is known the moment it closes: it is the
+    set of labels seen exactly once strictly inside its interval, a
+    prefix-XOR difference.  Closing a chord with N(c) of odd size is pruned,
+    so in every word built each chord interleaves an even number of others.
     Chords 2..gap all cross chord 1, so only odd gaps are searched.
+
+    Each closed chord keeps N(c).  Closing c is also pruned when some closed
+    chord a outside N(c) has ``N(a) & N(c)`` of odd size: non-interleaved
+    chords of a spherical code share an even number of neighbours.  Every
+    non-interleaved pair is checked once, when its later chord closes, and
+    with both neighbourhoods complete, so exactly the words failing the
+    condition are cut.  The condition reads the interlacement graph alone,
+    which rotations and reflections of the word keep, so a word's canonical
+    form passes it exactly when the word does: no class loses its canonical
+    word, and the canonicity prune below needs no change.
 
     Canonicity is pruned as minimal-gap chords close (orderly generation).
     When a chord closes at position i exactly ``gap`` after its first
@@ -126,6 +153,8 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
         for k in range(gap + 1):
             pref[k + 1] = pref[k] ^ (1 << word[k])
         open_pos = {k + 1: k for k in range(1, gap)}
+        # the interlacement neighbourhood (bit b for label b) of each closed chord
+        closed = {1: pref[gap] ^ pref[1]}
         state = [gap + 1]  # next fresh label
 
         def place(i: int) -> None:
@@ -144,7 +173,10 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
                 d = i - fp
                 if d < gap or d > m - gap:
                     continue
-                if (pref[i] ^ pref[fp + 1]).bit_count() & 1:
+                nc = pref[i] ^ pref[fp + 1]
+                if nc.bit_count() & 1:
+                    continue
+                if _odd_common_neighbours(nc, closed):
                     continue
                 word[i] = lab
                 if d == gap and chords._reads_below(
@@ -152,8 +184,10 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
                 ):
                     continue
                 del open_pos[lab]
+                closed[lab] = nc
                 pref[i + 1] = pref[i] ^ (1 << lab)
                 place(i + 1)
+                del closed[lab]
                 open_pos[lab] = fp
             if state[0] <= n:
                 lab = state[0]
@@ -170,6 +204,19 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _odd_common_neighbours(nc: int, closed: dict[int, int]) -> bool:
+    """Whether some closed chord that a chord with neighbourhood ``nc`` does
+    not interleave shares an odd number of neighbours with it.
+
+    ``closed`` maps each closed chord's label a to its neighbourhood N(a);
+    bit b of a neighbourhood stands for label b.
+    """
+    for a, na in closed.items():
+        if (na & nc).bit_count() & 1 and not nc >> a & 1:
+            return True
+    return False
+
+
 @lru_cache(maxsize=None)
 def _curves(n: int) -> tuple[PlanarCurve, ...]:
     if n == 0:
@@ -181,6 +228,8 @@ def _curves(n: int) -> tuple[PlanarCurve, ...]:
         # per word guards that prune
         if chords.gauss_parity_violations(cd):
             continue
+        # every generated word is its own orbit minimum
+        cd.__dict__["_canon"] = chords.CanonicalCode(" ".join(map(str, w)))
         p = planar._search_rotations(cd)
         if p is not None:
             found.append(p)

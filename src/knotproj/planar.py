@@ -7,11 +7,15 @@ visited by two strand passages, and transversality forces the in- and
 out-dart of one passage to sit opposite each other in the rotation, which
 leaves exactly two admissible rotations per vertex, its flip.  A curve is
 therefore fixed by its word and its flip mask, and :class:`PlanarCurve` holds
-just those two; its rotations and faces are built on first read.  A flip
-mask is a spherical realization exactly when face tracing yields n + 2
-orbits (Euler's formula with V = n, E = 2n), and a candidate is accepted or
-rejected by counting those orbits alone (:func:`_orbit_count`), with no
-faces built.
+just those two; its rotations and faces are built on first read.
+
+Faces come from one step array, :func:`_face_step`, built from the word and
+the flip mask alone: it sends each dart to the next dart of its face.  A flip
+mask is a spherical realization exactly when that permutation has n + 2
+cycles (Euler's formula with V = n, E = 2n).  A candidate is accepted or
+rejected by counting the cycles (:func:`_orbit_count`), with no faces built,
+and a curve's ``faces`` walk the same cycles (:func:`_trace_faces`); neither
+reads the rotations, which stay a derived view for readers of the map.
 
 No search over the 2**n flip masks is needed.  By the interlacement-graph
 characterization of Gauss codes (Rosenstiehl, C. R. Acad. Sci. Paris 283,
@@ -107,11 +111,11 @@ class PlanarCurve:
 
     Bit v-1 of ``flips`` is crossing v's flip, which picks one of the two
     admissible rotations :func:`_rotation_for` gives.  ``rotations[v-1]`` is
-    the cyclic dart order at vertex v and ``faces`` the full face list; both
-    are derived from the word and the flips on first read and then cached,
-    so a curve that is only counted or compared never builds them.  The
-    curve's Euler circuit visits the darts in numeric order (tail 2t, head
-    2t+1 for edge t).  A curve from :func:`realize` or a move carries the
+    the cyclic dart order at vertex v and ``faces`` the full face list; each
+    is derived from the word and the flips alone on first read and then
+    cached, so a curve that is only counted or compared never builds them.
+    The curve's Euler circuit visits the darts in numeric order (tail 2t,
+    head 2t+1 for edge t).  A curve from :func:`realize` or a move carries the
     diagram it was built from as ``code``; any other curve builds and
     validates ``code`` once, on first use.
     """
@@ -139,7 +143,7 @@ class PlanarCurve:
     def faces(self) -> tuple[Face, ...]:
         if not self.word:
             return (Face((), ()), Face((), ()))
-        return tuple(_trace_faces(self.word, self.rotations))
+        return tuple(_trace_faces(self.word, self.flips))
 
     def __repr__(self) -> str:
         return f"PlanarCurve({' '.join(map(str, self.word)) or 'U'!r})"
@@ -171,49 +175,15 @@ def _rotation_for(darts: tuple[int, int, int, int], flip: int) -> tuple[int, int
     return (in1, out2, out1, in2) if flip else (in1, in2, out1, out2)
 
 
-def _trace_faces(
-    word: tuple[int, ...], rotations: tuple[tuple[int, int, int, int], ...]
-) -> list[Face]:
-    m = len(word)
-    nd = 2 * m
-    succ = [0] * nd
-    for rot in rotations:
-        for k in range(4):
-            succ[rot[k]] = rot[(k + 1) % 4]
-    # dart incidence: tail 2t at word[t], head 2t+1 at word[t+1]
-    vertex_of = [0] * nd
-    for t in range(m):
-        vertex_of[2 * t] = word[t]
-        vertex_of[2 * t + 1] = word[(t + 1) % m]
-    out: list[Face] = []
-    seen = [False] * nd
-    for start in range(nd):
-        if seen[start]:
-            continue
-        cycle = []
-        corners = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            cycle.append(d)
-            corners.append(vertex_of[d ^ 1])
-            d = succ[d ^ 1]
-        out.append(Face(tuple(cycle), tuple(corners)))
-    return out
+def _face_step(word: tuple[int, ...], flips: int) -> list[int]:
+    """The face permutation of the curve with this word and flip mask.
 
-
-def _orbit_count(word: tuple[int, ...], flips: int) -> int:
-    """The number of faces of the curve with this word and flip mask.
-
-    It equals ``len(_trace_faces(word, rotations))`` for the rotations that
-    :func:`_rotation_for` builds from the same flips, without a dart table,
-    rotation tuples or faces.  Vertex v with occurrences t1 < t2 has darts
+    A face steps from dart d to ``step[d]``, the successor of d ^ 1 in the
+    rotation at its vertex.  Vertex v with occurrences t1 < t2 has darts
     in1 = 2*t1 - 1 (mod 4n), out1 = 2*t1, in2 = 2*t2 - 1, out2 = 2*t2, and
     the rotation (in1, in2, out1, out2) at flip 0 and (in1, out2, out1, in2)
-    at flip 1, the two orders of :func:`_rotation_for`.  A face steps from
-    dart d to the successor of d ^ 1 in its rotation, so ``step[a ^ 1] = b``
-    for each rotation successor a -> b, and the faces are the cycles of
-    ``step``.
+    at flip 1, the two orders of :func:`_rotation_for`; each rotation
+    successor a -> b gives ``step[a ^ 1] = b``.
     """
     nd = 2 * len(word)
     step = [0] * nd
@@ -230,14 +200,48 @@ def _orbit_count(word: tuple[int, ...], flips: int) -> int:
         else:
             step[in1 ^ 1], step[in2 ^ 1] = in2, out1
             step[out1 ^ 1], step[out2 ^ 1] = out2, in1
+    return step
+
+
+def _orbit_count(word: tuple[int, ...], flips: int) -> int:
+    """The number of faces of the curve with this word and flip mask.
+
+    It counts the cycles of :func:`_face_step`, with no faces built.
+    """
+    step = _face_step(word, flips)
     count = 0
-    for d in range(nd):
+    for d in range(len(step)):
         if step[d] < 0:
             continue
         count += 1
         while step[d] >= 0:  # a visited dart's step is set to -1
             step[d], d = -1, step[d]
     return count
+
+
+def _trace_faces(word: tuple[int, ...], flips: int) -> list[Face]:
+    """The faces of the curve with this word and flip mask, as :class:`Face` objects.
+
+    The cycles of :func:`_face_step`, each from its smallest dart, in the
+    order of those darts.  The corner passed on leaving dart d is the vertex
+    at the head of d ^ 1: a tail dart 2t sits at ``word[t]`` and a head dart
+    2t+1 at ``word[t+1]``, so the corner is ``word[((d ^ 1) + 1) // 2 % m]``.
+    """
+    m = len(word)
+    step = _face_step(word, flips)
+    out: list[Face] = []
+    for start in range(len(step)):
+        if step[start] < 0:
+            continue
+        cycle = []
+        corners = []
+        d = start
+        while step[d] >= 0:  # a visited dart's step is set to -1
+            cycle.append(d)
+            corners.append(word[((d ^ 1) + 1) // 2 % m])
+            step[d], d = -1, step[d]
+        out.append(Face(tuple(cycle), tuple(corners)))
+    return out
 
 
 def _flip_coset(cd: ChordDiagram) -> tuple[int, list[int]]:

@@ -198,6 +198,28 @@ def leaf_checked_words(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def second_condition_violations(word):
+    """Pairs of non-interleaved chords with an odd number of common neighbours.
+
+    Rosenstiehl's second condition for a spherical Gauss code, read from
+    label-position sets: chord b interleaves chord a when exactly one of b's
+    two positions lies strictly inside a's interval.  A spherical code has
+    no such pair.
+    """
+    spans = {}
+    for i, x in enumerate(word):
+        spans.setdefault(x, []).append(i)
+    inside = {a: set(range(i1 + 1, i2)) for a, (i1, i2) in spans.items()}
+    nbr = {
+        a: {b for b in spans if len(inside[a] & set(spans[b])) == 1} for a in spans
+    }
+    return [
+        (a, b)
+        for a, b in combinations(sorted(spans), 2)
+        if b not in nbr[a] and len(nbr[a] & nbr[b]) % 2
+    ]
+
+
 def count_tr_sextuples(cd):
     """Count triple chords by matching the six-point pattern directly.
 
@@ -300,6 +322,43 @@ def mask_rings(word, mask):
     return vertex_rings(word, tuple(bool(mask >> v & 1) for v in range(len(word) // 2)))
 
 
+def ring_traced_faces(word, rings):
+    """The faces of a rotation system as ``planar.Face`` objects.
+
+    Built from the rings, not from the package's step array: a dart's
+    successor is read off its vertex ring, a face steps from d to the
+    successor of d ^ 1, and the corner passed there is the vertex at the
+    head of d ^ 1.  Faces start at their smallest dart, in the order of
+    those darts.
+    """
+    m = len(word)
+    nd = 2 * m
+    succ = [0] * nd
+    for ring in rings:
+        for k in range(4):
+            succ[ring[k]] = ring[(k + 1) % 4]
+    # dart incidence: tail 2t at word[t], head 2t+1 at word[t+1]
+    vertex_of = [0] * nd
+    for t in range(m):
+        vertex_of[2 * t] = word[t]
+        vertex_of[2 * t + 1] = word[(t + 1) % m]
+    out = []
+    seen = [False] * nd
+    for start in range(nd):
+        if seen[start]:
+            continue
+        cycle = []
+        corners = []
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            cycle.append(d)
+            corners.append(vertex_of[d ^ 1])
+            d = succ[d ^ 1]
+        out.append(planar.Face(tuple(cycle), tuple(corners)))
+    return out
+
+
 def trace_face_count(word, rings):
     """Independent face tracer: orbit count of the face permutation.
 
@@ -359,16 +418,15 @@ def eager_realizations(cd):
 
     The construction curves had when they stored all three: for each mask of
     the coset span in ascending order, build the rotations, trace the faces
-    with ``planar._trace_faces``, and accept on n + 2 faces.  The rotations
-    come from ``vertex_rings``; the faces from the package's one tracer,
-    since nothing else builds ``Face`` objects.
+    from them, and accept on n + 2 faces.  The rotations come from
+    ``vertex_rings`` and the faces from ``ring_traced_faces``.
     """
     if cd.n == 0:
         return [((), (), (planar.Face((), ()), planar.Face((), ())))]
     out = []
     for mask in flip_coset_masks(cd):
         rotations = mask_rings(cd.word, mask)
-        faces = tuple(planar._trace_faces(cd.word, rotations))
+        faces = tuple(ring_traced_faces(cd.word, rotations))
         if len(faces) == cd.n + 2:
             out.append((cd.word, rotations, faces))
     return out

@@ -15,7 +15,7 @@ from knotproj import (
     write_dataset,
     U,
 )
-from knotproj import chords
+from knotproj import chords, planar
 from knotproj.enumeration import (
     BUDGET_ENV,
     DEFAULT_MAX_N,
@@ -29,6 +29,7 @@ from conftest import (
     brute_force_realizable,
     leaf_checked_words,
     pairing_words,
+    second_condition_violations,
     trace_face_count,
 )
 
@@ -50,26 +51,57 @@ def test_counts_match_census_beyond_default_tier(census, monkeypatch):
         assert len(enumerate_curves(n)) == census["classes"][str(n)]
 
 
+def realizable(words):
+    return [
+        w for w in words if planar._search_rotations(ChordDiagram(w)) is not None
+    ]
+
+
+@pytest.mark.slow
+def test_counts_match_census_at_10(census, monkeypatch):
+    """The pruned generator's curves against the unpruned generator's."""
+    monkeypatch.setenv(BUDGET_ENV, "10")
+    curves = [p.word for p in enumerate_curves(10)]
+    assert len(curves) == census["classes"]["10"]
+    assert realizable(leaf_checked_words(10)) == curves
+
+
+def test_unembedded_survivors_are_pinned(census):
+    """Words that pass every close-time prune and still do not embed."""
+    for n_text, expect in census["unembedded_survivors"].items():
+        words = _canonical_words(int(n_text))
+        assert len(words) - len(realizable(words)) == expect, n_text
+
+
 def test_parity_pruned_words_equal_filtered_oracle():
     for n in range(0, 8):
         expect = [
             w
             for w in all_canonical_words(n)
             if not gauss_parity_violations(ChordDiagram(w))
+            and not second_condition_violations(w)
         ]
         assert _canonical_words(n) == expect
 
 
 def test_orderly_words_equal_leaf_checked_oracle():
     for n in (8, 9):
-        assert _canonical_words(n) == leaf_checked_words(n)
+        expect = [w for w in leaf_checked_words(n) if not second_condition_violations(w)]
+        assert _canonical_words(n) == expect
+
+
+def test_pruned_words_keep_every_realizable_word():
+    for n in range(1, 10):
+        assert realizable(_canonical_words(n)) == realizable(leaf_checked_words(n)), n
 
 
 @pytest.mark.slow
 def test_orderly_words_equal_leaf_checked_oracle_at_10():
     words = _canonical_words(10)
-    assert len(words) == 93_196
-    assert words == leaf_checked_words(10)
+    assert len(words) == 23_584
+    assert words == [
+        w for w in leaf_checked_words(10) if not second_condition_violations(w)
+    ]
 
 
 def _counting(monkeypatch, name, record):
@@ -90,7 +122,7 @@ def test_close_time_prune_cuts_leaf_checks(monkeypatch):
     leaf_checked_words(8)
     assert len(old) == 5_892
     # pinned; a further close-time prune may lower it
-    assert len(new) == 3_542
+    assert len(new) == 1_967
 
 
 def test_is_orbit_min_agrees_on_leaf_checked_leaves(monkeypatch):
@@ -150,6 +182,13 @@ def test_enumerated_codes_are_canonical_sorted_and_euler():
             assert canonicalize(p.code).text == str(p.code)
             assert gauss_parity_violations(p.code) == []
             assert trace_face_count(p.word, p.rotations) == p.n + 2
+
+
+def test_enumerated_codes_carry_their_canonical_code():
+    for n in range(1, 9):
+        for p in enumerate_curves(n):
+            assert "_canon" in p.code.__dict__  # filled by the enumeration
+            assert canonicalize(p.code) == chords._canonical(p.word), p.word
 
 
 def test_enumerate_zero_is_u():

@@ -347,9 +347,9 @@ def test_face_traces_only_where_no_monogon_is_left(monkeypatch):
     traced = []
     original = planar._trace_faces
 
-    def counted(word, rotations):
+    def counted(word, flips):
         traced.append(word)
-        return original(word, rotations)
+        return original(word, flips)
 
     monkeypatch.setattr(planar, "_trace_faces", counted)
     assert in_S(spiral)[0]

@@ -30,6 +30,7 @@ from conftest import (
     mask_rings,
     pairing_words,
     realized_connected_sum,
+    ring_traced_faces,
     sweep_realizations,
     trace_face_count,
 )
@@ -121,7 +122,7 @@ def orbit_count_mismatches(word, masks):
     """Masks whose orbit count differs from the face trace; returns (bad, rejected)."""
     bad, rejected = [], 0
     for mask in masks:
-        traced = len(planar._trace_faces(word, mask_rings(word, mask)))
+        traced = len(ring_traced_faces(word, mask_rings(word, mask)))
         if planar._orbit_count(word, mask) != traced:
             bad.append(mask)
         rejected += traced != len(word) // 2 + 2
@@ -165,6 +166,17 @@ def test_all_realizations_match_eager_construction():
         for p in enumerate_curves(n):
             got = [(r.word, r.rotations, r.faces) for r in all_realizations(p.code)]
             assert got == eager_realizations(p.code), p.word
+
+
+def test_step_array_faces_match_ring_traced_faces():
+    embeddings = 0
+    for n in range(1, 8):
+        for p in enumerate_curves(n):
+            for r in all_realizations(p.code):
+                want = ring_traced_faces(r.word, mask_rings(r.word, r.flips))
+                assert planar._trace_faces(r.word, r.flips) == want, r.word
+                embeddings += 1
+    assert embeddings == 7_304
 
 
 def test_realized_code_is_validated_once(monkeypatch):

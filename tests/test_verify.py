@@ -69,9 +69,9 @@ def test_connected_sum_lemma_builds_no_faces(monkeypatch):
     traced = []
     original = planar._trace_faces
 
-    def counted(word, rotations):
+    def counted(word, flips):
         traced.append(word)
-        return original(word, rotations)
+        return original(word, flips)
 
     monkeypatch.setattr(planar, "_trace_faces", counted)
     assert check_connected_sum_lemma(6).passed
