@@ -332,7 +332,10 @@ def split_connected_sum(
     Returns the (inside, outside) sub-diagrams of the first such interval
     (smallest start position, then smallest even length), or None when the
     diagram is prime or has fewer than two chords.  Both parts keep their
-    traversal order and are relabeled by first occurrence.
+    traversal order and are relabeled by first occurrence.  They are not
+    validated again: a window shorter than the word whose prefix XORs agree
+    holds each of its labels an even number of times and at most twice, so
+    exactly twice, and so does its complement.
     """
     w = cd.word
     m = len(w)
@@ -348,7 +351,7 @@ def split_connected_sum(
         for end in range(start + 2, start + m - 1, 2):
             if pref[end] == pref[start]:
                 return (
-                    ChordDiagram.from_labels(ww[start:end]),
-                    ChordDiagram.from_labels(ww[end : start + m]),
+                    ChordDiagram._of_normal(_relabel(ww[start:end])),
+                    ChordDiagram._of_normal(_relabel(ww[end : start + m])),
                 )
     return None

@@ -30,7 +30,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import planar
 from .planar import PlanarCurve
 
 __all__ = [
@@ -49,11 +48,19 @@ class Resolution:
     """One over/under choice per crossing of a realized curve.
 
     ``over_under[v-1]`` is True when the strand of the *first* code
-    occurrence of v goes over.  ``signs[v-1]`` is the crossing sign derived
-    from the rotation system, the traversal orientation and the over/under
-    bit; flipping a bit flips exactly that sign.  The global handedness
-    convention cancels out of everything computed here (a2 is mirror
-    invariant), which the tests verify.
+    occurrence of v goes over.  ``signs[v-1]`` is the crossing sign: -1
+    exactly when ``over_under[v-1]`` differs from v's flip bit, so flipping
+    either bit flips exactly that sign.  The global handedness convention
+    cancels out of everything computed here (a2 is mirror invariant), which
+    the tests verify.
+
+    Why.  Vertex v has darts in1, out1 of its first passage and in2, out2 of
+    its second; flip 0 orders them (in1, in2, out1, out2) and flip 1 (in1,
+    out2, out1, in2) (``planar._face_step``).  A crossing's sign is +1 when
+    the under strand's in-dart follows the over strand's out-dart.  With the
+    first passage over, that asks whether in2 follows out1, which holds only
+    at flip 1; with the first passage under, whether in1 follows out2, which
+    holds only at flip 0.
     """
 
     base: PlanarCurve
@@ -61,27 +68,17 @@ class Resolution:
     signs: tuple[int, ...]
 
 
-def _crossing_sign(
-    rotation: tuple[int, int, int, int],
-    darts: tuple[int, int, int, int],
-    first_over: bool,
-) -> int:
-    in1, out1, in2, out2 = darts
-    over_out = out1 if first_over else out2
-    under_in = in2 if first_over else in1
-    return 1 if rotation.index(under_in) == (rotation.index(over_out) + 1) % 4 else -1
-
-
 def resolve(p: PlanarCurve, over_under: tuple[bool, ...]) -> Resolution:
-    """Build the resolution of ``p`` with the given over/under bits."""
+    """Build the resolution of ``p`` with the given over/under bits.
+
+    Crossing v's sign is -1 exactly when ``over_under[v-1] ^ flip[v]`` is
+    set (the rule :class:`Resolution` derives); no dart is read.
+    """
     if len(over_under) != p.n:
         raise ValueError(f"expected {p.n} bits, got {len(over_under)}")
-    table = planar._vertex_dart_table(p.word)
-    signs = tuple(
-        _crossing_sign(p.rotations[v - 1], table[v], over_under[v - 1])
-        for v in range(1, p.n + 1)
-    )
-    return Resolution(base=p, over_under=tuple(bool(b) for b in over_under), signs=signs)
+    bits = tuple(bool(b) for b in over_under)
+    signs = tuple(-1 if (p.flips >> k & 1) ^ b else 1 for k, b in enumerate(bits))
+    return Resolution(base=p, over_under=bits, signs=signs)
 
 
 # Arrow-pair pattern of the based-diagram formula: over the four endpoint
@@ -158,14 +155,10 @@ def average_a2(p: PlanarCurve) -> Fraction:
     word in two steps.
 
     1. sign(a) * sign(b) = (-1) ** (1 + flip[a] + flip[b]) in that pattern.
-       Vertex v has darts in1, out1, in2, out2; flip 0 orders them (in1,
-       in2, out1, out2) and flip 1 (in1, out2, out1, in2)
-       (``planar._rotation_for``).  A crossing's sign is +1 when the under
-       strand's in-dart follows the over strand's out-dart.  With a's first
-       passage over, that asks whether in2 follows out1, which holds only
-       for flip 1: sign(a) = (-1) ** (1 + flip[a]).  With b's first passage
-       under, it asks whether in1 follows out2, which holds only for flip 0:
-       sign(b) = (-1) ** flip[b].
+       A sign is -1 exactly when the first passage's over bit differs from
+       the flip (:class:`Resolution` derives this rule), so with a's first
+       passage over sign(a) = (-1) ** (1 + flip[a]), and with b's first
+       passage under sign(b) = (-1) ** flip[b].
     2. Every spherical realization satisfies flip[a] ^ flip[b] = (g +
        |N(a) & N(b)|) mod 2 for interleaved a and b, with g = first[b] -
        first[a] - 1 the number of positions strictly between their first

@@ -5,17 +5,21 @@ runs from the t-th code position to the (t+1)-th; its tail dart is 2t and its
 head dart is 2t+1, so the edge involution is ``d ^ 1``.  Each vertex is
 visited by two strand passages, and transversality forces the in- and
 out-dart of one passage to sit opposite each other in the rotation, which
-leaves exactly two admissible rotations per vertex, its flip.  A curve is
-therefore fixed by its word and its flip mask, and :class:`PlanarCurve` holds
-just those two; its rotations and faces are built on first read.
+leaves exactly two admissible rotations per vertex, its flip.  With darts
+in1, out1 of the first passage and in2, out2 of the second, flip 0 is the
+cyclic order (in1, in2, out1, out2) and flip 1 is (in1, out2, out1, in2).
+A curve is therefore fixed by its word and its flip mask, and
+:class:`PlanarCurve` holds just those two; its rotations and faces are built
+on first read.
 
 Faces come from one step array, :func:`_face_step`, built from the word and
 the flip mask alone: it sends each dart to the next dart of its face.  A flip
 mask is a spherical realization exactly when that permutation has n + 2
 cycles (Euler's formula with V = n, E = 2n).  A candidate is accepted or
 rejected by counting the cycles (:func:`_orbit_count`), with no faces built,
-and a curve's ``faces`` walk the same cycles (:func:`_trace_faces`); neither
-reads the rotations, which stay a derived view for readers of the map.
+and a curve's ``faces`` walk the same cycles (:func:`_trace_faces`).  The
+step array is the one place that writes the rotation rule down: a curve's
+``rotations`` are read back off it, a derived view for readers of the map.
 
 No search over the 2**n flip masks is needed.  By the interlacement-graph
 characterization of Gauss codes (Rosenstiehl, C. R. Acad. Sci. Paris 283,
@@ -109,11 +113,12 @@ class Teardrop:
 class PlanarCurve:
     """A Gauss code together with a spherical rotation system.
 
-    Bit v-1 of ``flips`` is crossing v's flip, which picks one of the two
-    admissible rotations :func:`_rotation_for` gives.  ``rotations[v-1]`` is
-    the cyclic dart order at vertex v and ``faces`` the full face list; each
-    is derived from the word and the flips alone on first read and then
-    cached, so a curve that is only counted or compared never builds them.
+    Bit v-1 of ``flips`` is crossing v's flip.  ``rotations[v-1]`` is the
+    cyclic dart order at vertex v, starting at its first in-dart: (in1, in2,
+    out1, out2) at flip 0 and (in1, out2, out1, in2) at flip 1.  ``faces``
+    is the full face list.  Both are read off :func:`_face_step` on first
+    read and then cached, so a curve that is only counted or compared never
+    builds them.
     The curve's Euler circuit visits the darts in numeric order (tail 2t,
     head 2t+1 for edge t).  A curve from :func:`realize` or a move carries the
     diagram it was built from as ``code``; any other curve builds and
@@ -133,11 +138,16 @@ class PlanarCurve:
 
     @cached_property
     def rotations(self) -> tuple[tuple[int, int, int, int], ...]:
-        table = _vertex_dart_table(self.word)
-        return tuple(
-            _rotation_for(table[v], self.flips >> (v - 1) & 1)
-            for v in range(1, self.n + 1)
-        )
+        # the rotation successor of dart a is step[a ^ 1]
+        step = _face_step(self.word, self.flips)
+        rings = [()] * self.n
+        for t, v in enumerate(self.word):
+            if not rings[v - 1]:  # v's first occurrence: in1 = 2t - 1 (mod 4n)
+                ring = [(2 * t - 1) % len(step)]
+                for _ in range(3):
+                    ring.append(step[ring[-1] ^ 1])
+                rings[v - 1] = tuple(ring)
+        return tuple(rings)
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
@@ -152,29 +162,6 @@ class PlanarCurve:
 U = PlanarCurve(word=(), flips=0)
 
 
-def _vertex_dart_table(word: tuple[int, ...]) -> dict[int, tuple[int, int, int, int]]:
-    """Per vertex: (in1, out1, in2, out2) darts of its two passages."""
-    m = len(word)
-    occ: dict[int, list[int]] = {}
-    for t, v in enumerate(word):
-        occ.setdefault(v, []).append(t)
-    table = {}
-    for v, (t1, t2) in occ.items():
-        table[v] = (
-            2 * ((t1 - 1) % m) + 1,
-            2 * t1,
-            2 * ((t2 - 1) % m) + 1,
-            2 * t2,
-        )
-    return table
-
-
-def _rotation_for(darts: tuple[int, int, int, int], flip: int) -> tuple[int, int, int, int]:
-    # transversality: in1 opposite out1, in2 opposite out2; two cyclic orders remain
-    in1, out1, in2, out2 = darts
-    return (in1, out2, out1, in2) if flip else (in1, in2, out1, out2)
-
-
 def _face_step(word: tuple[int, ...], flips: int) -> list[int]:
     """The face permutation of the curve with this word and flip mask.
 
@@ -182,8 +169,10 @@ def _face_step(word: tuple[int, ...], flips: int) -> list[int]:
     rotation at its vertex.  Vertex v with occurrences t1 < t2 has darts
     in1 = 2*t1 - 1 (mod 4n), out1 = 2*t1, in2 = 2*t2 - 1, out2 = 2*t2, and
     the rotation (in1, in2, out1, out2) at flip 0 and (in1, out2, out1, in2)
-    at flip 1, the two orders of :func:`_rotation_for`; each rotation
-    successor a -> b gives ``step[a ^ 1] = b``.
+    at flip 1, the two orders transversality allows; each rotation successor
+    a -> b gives ``step[a ^ 1] = b``.  This is the only statement of the
+    rotation rule: ``PlanarCurve.rotations`` reads the rings back off the
+    array.
     """
     nd = 2 * len(word)
     step = [0] * nd

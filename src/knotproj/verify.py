@@ -86,8 +86,8 @@ def check_main_theorem(max_n: int) -> CheckReport:
     )
 
 
-def check_inclusion_chain(max_n: int, arnold_max_n: int) -> CheckReport:
-    """x=0 => tr=0; tr=0 => in S; in S => arnold invariant 0 (up to arnold_max_n).
+def check_inclusion_chain(max_n: int) -> CheckReport:
+    """x=0 => tr=0; tr=0 => in S; in S => arnold invariant 0.
 
     Strictness witnesses (curves separating consecutive classes) are reported
     but are not violations.
@@ -111,14 +111,11 @@ def check_inclusion_chain(max_n: int, arnold_max_n: int) -> CheckReport:
                 witnesses.append((_code(p), f"strict: tr=0, x={x}"))
             if member and tr > 0:
                 witnesses.append((_code(p), f"strict: in S, tr={tr}"))
-            if n <= arnold_max_n:
-                a = arnold_invariant(p)
-                if member and a != 0:
-                    violations.append(
-                        (_code(p), f"in S but arnold={format_rational(a)}")
-                    )
-                if a == 0 and not member:
-                    witnesses.append((_code(p), "strict: arnold=0, not in S"))
+            a = arnold_invariant(p)
+            if member and a != 0:
+                violations.append((_code(p), f"in S but arnold={format_rational(a)}"))
+            if a == 0 and not member:
+                witnesses.append((_code(p), "strict: arnold=0, not in S"))
     return CheckReport(
         "inclusion-chain",
         max_n,
@@ -221,7 +218,7 @@ def check_teardrop_reversal(max_n: int) -> CheckReport:
 # installed on those names (tracers, monkeypatches) also apply through here.
 _CHECKS = {
     "main-theorem": lambda max_n: check_main_theorem(max_n),
-    "inclusion-chain": lambda max_n: check_inclusion_chain(max_n, min(max_n, 5)),
+    "inclusion-chain": lambda max_n: check_inclusion_chain(max_n),
     "two-strong-bigons": lambda max_n: check_two_strong_bigons(max_n),
     "connected-sum-lemma": lambda max_n: check_connected_sum_lemma(max_n),
     "teardrop-reversal": lambda max_n: check_teardrop_reversal(max_n),
@@ -231,7 +228,7 @@ CHECK_IDS = tuple(_CHECKS)
 
 
 def run_check(check_id: str, max_n: int) -> CheckReport:
-    """Run one check by identifier; inclusion-chain caps its Arnold sweep at 5.
+    """Run one check by identifier.
 
     Raises KeyError for an identifier not in :data:`CHECK_IDS`, and
     :class:`BudgetExceeded` for a negative bound, as :func:`enumerate_curves`

@@ -628,6 +628,30 @@ def skein_average_a2(p):
     return Fraction(total, 2 ** p.n)
 
 
+def vertex_dart_table(word):
+    """Per vertex: (in1, out1, in2, out2) darts of its two passages."""
+    m = len(word)
+    occ = {}
+    for t, v in enumerate(word):
+        occ.setdefault(v, []).append(t)
+    return {
+        v: (2 * ((t1 - 1) % m) + 1, 2 * t1, 2 * ((t2 - 1) % m) + 1, 2 * t2)
+        for v, (t1, t2) in occ.items()
+    }
+
+
+def crossing_sign(rotation, darts, first_over):
+    """A crossing's sign read off its vertex ring.
+
+    +1 when the under strand's in-dart follows the over strand's out-dart in
+    ``rotation``; ``darts`` is the vertex's (in1, out1, in2, out2).
+    """
+    in1, out1, in2, out2 = darts
+    over_out = out1 if first_over else out2
+    under_in = in2 if first_over else in1
+    return 1 if rotation.index(under_in) == (rotation.index(over_out) + 1) % 4 else -1
+
+
 def dart_average_a2(p):
     """The pair sum read from the embedding: crossing signs off the rotations.
 
@@ -635,23 +659,16 @@ def dart_average_a2(p):
     adds a quarter of sign(a) * sign(b), each sign taken with the bit that
     the arrow pattern ``invariants._PV_*`` asks of its chord.
     """
-    table = planar._vertex_dart_table(p.word)
+    table = vertex_dart_table(p.word)
     first = {}
     second = {}
     for t, v in enumerate(p.word):
         (second if v in first else first)[v] = t
-    sign_a = {
-        v: invariants._crossing_sign(
-            p.rotations[v - 1], table[v], not invariants._PV_FIRST_UNDER
-        )
-        for v in first
-    }
-    sign_b = {
-        v: invariants._crossing_sign(
-            p.rotations[v - 1], table[v], not invariants._PV_SECOND_UNDER
-        )
-        for v in first
-    }
+    rot = p.rotations
+    a_over = not invariants._PV_FIRST_UNDER
+    b_over = not invariants._PV_SECOND_UNDER
+    sign_a = {v: crossing_sign(rot[v - 1], table[v], a_over) for v in first}
+    sign_b = {v: crossing_sign(rot[v - 1], table[v], b_over) for v in first}
     order = list(first)  # chords by first occurrence
     total = 0
     for i, a in enumerate(order):

@@ -111,10 +111,10 @@ def test_criterion_7_strongness_discriminator(capfd, monkeypatch):
                 and kp.interleaved(p.code, *f.corners)
             ]
 
-        healthy = kp.check_inclusion_chain(3, 3)
+        healthy = kp.check_inclusion_chain(3)
         assert healthy.passed
         monkeypatch.setattr(planar, "strong_bigons", interleaved_variant)
-        mutated = kp.check_inclusion_chain(3, 3)
+        mutated = kp.check_inclusion_chain(3)
         bigons = kp.check_two_strong_bigons(4)
         assert not mutated.passed or not bigons.passed
         assert any(

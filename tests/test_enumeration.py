@@ -15,7 +15,7 @@ from knotproj import (
     write_dataset,
     U,
 )
-from knotproj import chords, planar
+from knotproj import chords, enumeration, planar
 from knotproj.enumeration import (
     BUDGET_ENV,
     DEFAULT_MAX_N,
@@ -238,6 +238,17 @@ def test_build_record_builds_one_interlacement_core(monkeypatch):
     assert (rec.x, rec.tr, rec.strong_bigons, rec.reduced, rec.in_S) == (3, 1, 0, False, False)
     assert words.count(p.word) == 1
     assert p.code is p.code
+
+
+def test_census_records_validate_no_word(monkeypatch):
+    # generated words and connected-sum parts are normal by construction
+    calls = []
+    _counting(monkeypatch, "_normalize", calls)
+    enumeration._curves.cache_clear()
+    for n in range(1, 8):
+        for p in enumerate_curves(n):
+            build_record(p)
+    assert calls == []
 
 
 def test_build_record_u():

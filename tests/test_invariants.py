@@ -14,7 +14,6 @@ from knotproj import (
     invariants,
     parse_code,
     parse_rational,
-    planar,
     realize,
     resolve,
 )
@@ -22,10 +21,13 @@ from knotproj import (
 from conftest import (
     a2_skein,
     conway_polynomial,
+    crossing_sign,
     dart_average_a2,
+    mask_rings,
     resolutions,
     skein_average_a2,
     sweep_average_a2,
+    vertex_dart_table,
 )
 
 
@@ -67,6 +69,25 @@ def test_flipping_one_bit_flips_exactly_that_sign():
                 for u in range(1, n + 1):
                     expect = -base.signs[u - 1] if u == v else base.signs[u - 1]
                     assert r.signs[u - 1] == expect
+
+
+def test_resolve_signs_match_ring_signs_through_n6():
+    # the flip-bit rule against signs read off the vertex rings
+    embeddings = resolved = 0
+    for n in range(1, 7):
+        for p in enumerate_curves(n):
+            for q in all_realizations(p.code):
+                rings = mask_rings(q.word, q.flips)
+                table = vertex_dart_table(q.word)
+                for r in resolutions(q):
+                    want = tuple(
+                        crossing_sign(rings[v - 1], table[v], r.over_under[v - 1])
+                        for v in range(1, n + 1)
+                    )
+                    assert r.signs == want, (q, r.over_under)
+                    resolved += 1
+                embeddings += 1
+    assert (embeddings, resolved) == (1_404, 78_084)
 
 
 # --- skein oracle ----------------------------------------------------------------
@@ -177,28 +198,20 @@ def test_arnold_on_torus_shadows():
 
 def test_arnold_does_not_sweep_resolutions(monkeypatch):
     t41, t3 = torus_shadow(41), torus_shadow(3)  # realized before counting
-    t3.rotations  # built on first read; read here, so only the route is counted
     calls = []
-    for module, name in (
-        (invariants, "resolve"),
-        (invariants, "a2_gauss_formula"),
-        (invariants, "_crossing_sign"),
-        (planar, "_vertex_dart_table"),
-    ):
-        original = getattr(module, name)
+    for name in ("resolve", "a2_gauss_formula"):
+        original = getattr(invariants, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(invariants, name, counted)
     assert arnold_invariant(t41) == 40
     assert calls == []
-    # the counters do see the resolution route, which reads the darts
+    # the counters do see the resolution route
     invariants.a2_gauss_formula(invariants.resolve(t3, (True,) * 3))
-    assert calls == ["resolve", "_vertex_dart_table"] + ["_crossing_sign"] * 3 + [
-        "a2_gauss_formula"
-    ]
+    assert calls == ["resolve", "a2_gauss_formula"]
 
 
 def test_arnold_exact_rational():

@@ -13,7 +13,7 @@ from knotproj import (
     interleaved,
     run_check,
 )
-from knotproj import planar
+from knotproj import planar, verify
 
 
 # --- the checks at small scale -------------------------------------------------
@@ -46,10 +46,26 @@ def test_main_theorem_counts_triple_free_only(census):
 
 
 def test_inclusion_chain_has_strictness_witnesses():
-    rep = check_inclusion_chain(4, 4)
+    rep = check_inclusion_chain(4)
     assert rep.passed
     kinds = {w[1].split(",")[0] for w in rep.witnesses}
     assert "strict: tr=0" in kinds  # x=0 => tr=0 does not reverse
+
+
+def test_inclusion_chain_reads_arnold_at_every_n(monkeypatch):
+    seen = []
+    original = verify.arnold_invariant
+
+    def counted(p):
+        seen.append(p)
+        return original(p)
+
+    monkeypatch.setattr(verify, "arnold_invariant", counted)
+    rep = run_check("inclusion-chain", 8)
+    assert rep.passed
+    assert len(seen) == rep.curves_tested
+    # no curve with n <= 10 has arnold 0 outside S; the first ones are at n = 11
+    assert not [w for w in rep.witnesses if w[1] == "strict: arnold=0, not in S"]
 
 
 def test_two_strong_bigons_tests_the_reduced_stratum(census):
@@ -141,10 +157,10 @@ def test_interleaved_mutant_breaks_the_chain(monkeypatch):
     """With strongness flipped to the interleaved reading, the trefoil's
     bigons all become deletable, the trefoil enters S, and membership no
     longer forces the arnold invariant to vanish."""
-    baseline = check_inclusion_chain(3, 3)
+    baseline = check_inclusion_chain(3)
     assert baseline.passed
     monkeypatch.setattr(planar, "strong_bigons", weak_variant)
-    mutated = check_inclusion_chain(3, 3)
+    mutated = check_inclusion_chain(3)
     assert not mutated.passed
     assert any("arnold" in reason for _, reason in mutated.violations)
 
