@@ -3,7 +3,9 @@
 Subcommands: analyze, reduce, enumerate, verify, dot.  Failure paths write
 diagnostics to stderr only; exit codes are 2 for malformed codes, 3 for
 unrealizable codes, 4 for budget refusals, 5 for file I/O problems, 6 for an
-unknown check id, and 1 when a verify run finds violations.
+unknown check id, and 1 when a verify run finds violations.  The first three
+are mapped from their exceptions in one place, :func:`main`; the subcommands
+just let them propagate.
 """
 
 from __future__ import annotations
@@ -28,6 +30,14 @@ EXIT_UNKNOWN_CHECK = 6
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
     return code
+
+
+def _parse(text: str) -> chords.ChordDiagram:
+    """:func:`chords.parse_code`, its error message prefixed with the code text."""
+    try:
+        return chords.parse_code(text)
+    except MalformedCode as exc:
+        raise MalformedCode(f"malformed code {text!r}: {exc}") from None
 
 
 def _analysis_obj(cd: chords.ChordDiagram, with_arnold: bool) -> dict:
@@ -72,16 +82,7 @@ def _cmd_analyze(args) -> int:
             return _fail(EXIT_IO, f"cannot read {args.infile}: {exc}")
     else:
         code_texts = [args.code if args.code is not None else ""]
-    results = []
-    for text in code_texts:
-        try:
-            cd = chords.parse_code(text)
-        except MalformedCode as exc:
-            return _fail(EXIT_MALFORMED, f"malformed code {text!r}: {exc}")
-        try:
-            results.append(_analysis_obj(cd, args.arnold))
-        except NotRealizable as exc:
-            return _fail(EXIT_NOT_REALIZABLE, str(exc))
+    results = [_analysis_obj(_parse(text), args.arnold) for text in code_texts]
     if args.json:
         payload = results[0] if args.infile is None else results
         print(json.dumps(payload, indent=2))
@@ -91,14 +92,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    try:
-        cd = chords.parse_code(args.code)
-    except MalformedCode as exc:
-        return _fail(EXIT_MALFORMED, f"malformed code {args.code!r}: {exc}")
-    try:
-        p = planar.realize(cd)
-    except NotRealizable as exc:
-        return _fail(EXIT_NOT_REALIZABLE, str(exc))
+    cd = _parse(args.code)
+    p = planar.realize(cd)
     if chords.count_tr(cd) == 0:
         trace = moves.reduce_no_triple(p)
     else:
@@ -115,18 +110,15 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     records = []
-    try:
-        # the largest n is checked up front, so a refusal prints no count line
-        enumeration.check_budget(args.n)
-        for n in range(1, args.n + 1) if args.n else [0]:
-            curves = enumeration.enumerate_curves(n)
-            for p in curves:
-                records.append(
-                    enumeration.build_record(p, with_arnold=n <= args.arnold_max)
-                )
-            print(f"n={n}: {len(curves)}")
-    except BudgetExceeded as exc:
-        return _fail(EXIT_BUDGET, str(exc))
+    # the largest n is checked up front, so a refusal prints no count line
+    enumeration.check_budget(args.n)
+    for n in range(1, args.n + 1) if args.n else [0]:
+        curves = enumeration.enumerate_curves(n)
+        for p in curves:
+            records.append(
+                enumeration.build_record(p, with_arnold=n <= args.arnold_max)
+            )
+        print(f"n={n}: {len(curves)}")
     try:
         enumeration.write_dataset(records, args.out)
     except OSError as exc:
@@ -142,10 +134,7 @@ def _cmd_verify(args) -> int:
             EXIT_UNKNOWN_CHECK,
             f"unknown check {args.check!r}; known: {', '.join(verify.CHECK_IDS)}",
         )
-    try:
-        reports = [verify.run_check(cid, args.max_n) for cid in ids]
-    except BudgetExceeded as exc:
-        return _fail(EXIT_BUDGET, str(exc))
+    reports = [verify.run_check(cid, args.max_n) for cid in ids]
     if args.json:
         payload = (
             reports[0].to_json_obj()
@@ -168,10 +157,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    try:
-        cd = chords.parse_code(args.code)
-    except MalformedCode as exc:
-        return _fail(EXIT_MALFORMED, f"malformed code {args.code!r}: {exc}")
+    cd = _parse(args.code)
     m = 2 * cd.n
     lines = ["graph chord_diagram {", "  layout=circo;"]
     for t in range(m):
@@ -237,7 +223,14 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "dot": _cmd_dot,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except MalformedCode as exc:
+        return _fail(EXIT_MALFORMED, str(exc))
+    except NotRealizable as exc:
+        return _fail(EXIT_NOT_REALIZABLE, str(exc))
+    except BudgetExceeded as exc:
+        return _fail(EXIT_BUDGET, str(exc))
 
 
 if __name__ == "__main__":

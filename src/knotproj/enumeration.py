@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -251,7 +251,9 @@ def enumerate_curves(n: int) -> list[PlanarCurve]:
 class EnumerationRecord:
     """One dataset row: the canonical code and its computed facts.
 
-    ``arnold`` is None when the record was built without the Arnold
+    This class is the record schema: its fields, in order, are the keys of a
+    dataset line, and the writer and the reader take their field lists from
+    it.  ``arnold`` is None when the record was built without the Arnold
     invariant (the CLI computes it up to ``--arnold-max``); it is then
     omitted from the JSON.
     """
@@ -287,38 +289,26 @@ def build_record(p: PlanarCurve, with_arnold: bool = True) -> EnumerationRecord:
     )
 
 
-_RECORD_FIELDS = (
-    "code",
-    "n",
-    "x",
-    "tr",
-    "face_degrees",
-    "monogons",
-    "strong_bigons",
-    "reduced",
-    "prime",
-    "in_S",
-    "arnold",
-)
-
-_INT_FIELDS = ("n", "x", "tr", "monogons", "strong_bigons")
-_BOOL_FIELDS = ("reduced", "prime", "in_S")
+_FIELDS = fields(EnumerationRecord)
+_RECORD_FIELDS = tuple(f.name for f in _FIELDS)
+_REQUIRED_FIELDS = tuple(f.name for f in _FIELDS if f.default is MISSING)
+# annotations are strings here (postponed evaluation)
+_INT_FIELDS = tuple(f.name for f in _FIELDS if f.type == "int")
+_BOOL_FIELDS = tuple(f.name for f in _FIELDS if f.type == "bool")
 
 
 def _record_to_obj(rec: EnumerationRecord) -> dict:
-    obj = {
-        "code": rec.code,
-        "n": rec.n,
-        "x": rec.x,
-        "tr": rec.tr,
-        "face_degrees": list(rec.face_degrees),
-        "monogons": rec.monogons,
-        "strong_bigons": rec.strong_bigons,
-        "reduced": rec.reduced,
-        "prime": rec.prime,
-        "in_S": rec.in_S,
-    }
-    if rec.arnold is not None:
+    """The JSON object of a record, its keys in field order.
+
+    ``face_degrees`` becomes a list and ``arnold`` rational text, or is left
+    out when it is None.  Fields are read one by one, not with
+    ``dataclasses.asdict``, which would deep-copy every record.
+    """
+    obj = {f: getattr(rec, f) for f in _RECORD_FIELDS}
+    obj["face_degrees"] = list(rec.face_degrees)
+    if rec.arnold is None:
+        del obj["arnold"]
+    else:
         obj["arnold"] = invariants.format_rational(rec.arnold)
     return obj
 
@@ -338,7 +328,7 @@ def _parse_record(obj: dict, line: int) -> EnumerationRecord:
     unknown = sorted(set(obj) - set(_RECORD_FIELDS))
     if unknown:
         raise SchemaError(f"unknown field(s) {unknown}", line)
-    missing = [f for f in _RECORD_FIELDS if f != "arnold" and f not in obj]
+    missing = [f for f in _REQUIRED_FIELDS if f not in obj]
     if missing:
         raise SchemaError(f"missing field(s) {missing}", line)
     if not isinstance(obj["code"], str):
@@ -362,19 +352,7 @@ def _parse_record(obj: dict, line: int) -> EnumerationRecord:
             arnold = invariants.parse_rational(obj["arnold"])
         except ValueError as exc:
             raise SchemaError(str(exc), line) from None
-    return EnumerationRecord(
-        code=obj["code"],
-        n=obj["n"],
-        x=obj["x"],
-        tr=obj["tr"],
-        face_degrees=tuple(fd),
-        monogons=obj["monogons"],
-        strong_bigons=obj["strong_bigons"],
-        reduced=obj["reduced"],
-        prime=obj["prime"],
-        in_S=obj["in_S"],
-        arnold=arnold,
-    )
+    return EnumerationRecord(**{**obj, "face_degrees": tuple(fd), "arnold": arnold})
 
 
 def read_dataset(path) -> list[EnumerationRecord]:

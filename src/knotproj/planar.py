@@ -9,8 +9,8 @@ leaves exactly two admissible rotations per vertex, its flip.  With darts
 in1, out1 of the first passage and in2, out2 of the second, flip 0 is the
 cyclic order (in1, in2, out1, out2) and flip 1 is (in1, out2, out1, in2).
 A curve is therefore fixed by its word and its flip mask, and
-:class:`PlanarCurve` holds just those two; its rotations and faces are built
-on first read.
+:class:`PlanarCurve` holds just those two, the word as its diagram; its
+rotations and faces are built on first read.
 
 Faces come from one step array, :func:`_face_step`, built from the word and
 the flip mask alone: it sends each dart to the next dart of its face.  A flip
@@ -113,28 +113,27 @@ class Teardrop:
 class PlanarCurve:
     """A Gauss code together with a spherical rotation system.
 
-    Bit v-1 of ``flips`` is crossing v's flip.  ``rotations[v-1]`` is the
-    cyclic dart order at vertex v, starting at its first in-dart: (in1, in2,
-    out1, out2) at flip 0 and (in1, out2, out1, in2) at flip 1.  ``faces``
-    is the full face list.  Both are read off :func:`_face_step` on first
-    read and then cached, so a curve that is only counted or compared never
-    builds them.
+    ``code`` is the diagram the curve was built from, and ``word`` is its
+    word.  Bit v-1 of ``flips`` is crossing v's flip.  ``rotations[v-1]`` is
+    the cyclic dart order at vertex v, starting at its first in-dart: (in1,
+    in2, out1, out2) at flip 0 and (in1, out2, out1, in2) at flip 1.
+    ``faces`` is the full face list.  Both are read off :func:`_face_step` on
+    first read and then cached, so a curve that is only counted or compared
+    never builds them.  Equality and hashing compare the word and the flips.
     The curve's Euler circuit visits the darts in numeric order (tail 2t,
-    head 2t+1 for edge t).  A curve from :func:`realize` or a move carries the
-    diagram it was built from as ``code``; any other curve builds and
-    validates ``code`` once, on first use.
+    head 2t+1 for edge t).
     """
 
-    word: tuple[int, ...]
+    code: ChordDiagram
     flips: int
 
     @property
-    def n(self) -> int:
-        return len(self.word) // 2
+    def word(self) -> tuple[int, ...]:
+        return self.code.word
 
-    @cached_property
-    def code(self) -> ChordDiagram:
-        return ChordDiagram(self.word)
+    @property
+    def n(self) -> int:
+        return self.code.n
 
     @cached_property
     def rotations(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -159,7 +158,7 @@ class PlanarCurve:
         return f"PlanarCurve({' '.join(map(str, self.word)) or 'U'!r})"
 
 
-U = PlanarCurve(word=(), flips=0)
+U = PlanarCurve(ChordDiagram(()), 0)
 
 
 def _face_step(word: tuple[int, ...], flips: int) -> list[int]:
@@ -281,15 +280,12 @@ def _curve_for_mask(cd: ChordDiagram, mask: int) -> PlanarCurve | None:
     """The curve with the given flip mask, or None unless it has n + 2 faces.
 
     The faces are only counted (:func:`_orbit_count`); the curve builds them
-    when they are first read.  Its ``code`` is ``cd`` itself, so it is not
-    validated again and keeps the interlacement core ``cd`` has already
-    built.
+    when they are first read.  Its ``code`` is ``cd`` itself, which keeps
+    the interlacement core ``cd`` has already built.
     """
     if _orbit_count(cd.word, mask) != cd.n + 2:
         return None
-    p = PlanarCurve(cd.word, mask)
-    p.__dict__["code"] = cd  # fills the cached property
-    return p
+    return PlanarCurve(cd, mask)
 
 
 def _drop_labels(
@@ -325,13 +321,12 @@ def _embed(word: tuple[int, ...], mask: int) -> PlanarCurve:
     """
     if not word:
         return U
-    q = PlanarCurve(word, mask)
+    q = PlanarCurve(ChordDiagram._of_normal(word), mask)
     if len(q.faces) != q.n + 2:
         raise NotRealizable(
             f"flip mask {mask:#x} on {' '.join(map(str, word))!r} "
             "leaves no spherical map"
         )
-    q.__dict__["code"] = ChordDiagram._of_normal(word)  # fills the cached property
     return q
 
 
@@ -474,18 +469,14 @@ def find_teardrops(p: PlanarCurve) -> list[Teardrop]:
 def innermost_teardrop(p: PlanarCurve) -> Teardrop:
     """A teardrop whose interval contains no other teardrop's interval.
 
-    Containment is proper inclusion of the position sets; ties are broken by
-    shortest interval, then smallest origin label, then loop start, so the
-    result is deterministic.
+    Containment is proper inclusion of the position sets.  The teardrop with
+    the shortest interval (ties broken by smallest origin label, then loop
+    start, so the result is deterministic) is innermost: a properly
+    contained interval would be strictly shorter.
     """
-    cands = find_teardrops(p)
-    sets = [frozenset(t.interval) for t in cands]
-    inner = [
-        t
-        for t, si in zip(cands, sets)
-        if not any(sj < si for sj in sets)
-    ]
-    return min(inner, key=lambda t: (len(t.interval), t.origin, t.loop_start))
+    return min(
+        find_teardrops(p), key=lambda t: (len(t.interval), t.origin, t.loop_start)
+    )
 
 
 def is_reduced(p: PlanarCurve) -> bool:

@@ -701,6 +701,16 @@ def realized_connected_sum(p1, p2, site1, site2):
     return realize(ChordDiagram.from_labels(merged))
 
 
+def filtered_innermost_teardrop(p):
+    """The innermost teardrop by its definition: drop every teardrop whose
+    interval properly contains another's, then take the least of the rest by
+    (interval length, origin, loop start)."""
+    cands = planar.find_teardrops(p)
+    sets = [frozenset(t.interval) for t in cands]
+    inner = [t for t, si in zip(cands, sets) if not any(sj < si for sj in sets)]
+    return min(inner, key=lambda t: (len(t.interval), t.origin, t.loop_start))
+
+
 def stepwise_reduce(p):
     """The greedy reduction with a face trace after every move.
 

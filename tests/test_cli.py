@@ -12,6 +12,9 @@ def run(capsys, *argv):
     return code, cap.out, cap.err
 
 
+MALFORMED_1_2_1 = "malformed code '1 2 1': label 2 appears 1 time(s), expected exactly 2\n"
+
+
 # --- analyze --------------------------------------------------------------------
 
 
@@ -91,13 +94,13 @@ def test_analyze_u(capsys):
 def test_analyze_malformed_exits_2_stdout_clean(capsys):
     code, out, err = run(capsys, "analyze", "1 2 1")
     assert code == 2 and out == ""
-    assert "malformed" in err
+    assert err == MALFORMED_1_2_1
 
 
 def test_analyze_unrealizable_exits_3(capsys):
     code, out, err = run(capsys, "analyze", "1 2 1 2")
     assert code == 3 and out == ""
-    assert "parity fails at chord 1" in err
+    assert err == "not realizable (parity fails at chord 1)\n"
 
 
 def test_analyze_unrealizable_beyond_parity_exits_3(capsys):
@@ -105,7 +108,7 @@ def test_analyze_unrealizable_beyond_parity_exits_3(capsys):
     text = "1 2 3 1 2 4 5 3 4 5 " + " ".join(f"{v} {v}" for v in range(6, 19))
     code, out, err = run(capsys, "analyze", text)
     assert code == 3 and out == ""
-    assert "no spherical rotation system" in err
+    assert err == "not realizable (no spherical rotation system)\n"
 
 
 def test_analyze_batch(tmp_path, capsys):
@@ -114,6 +117,15 @@ def test_analyze_batch(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", "--in", str(src), "--json")
     arr = json.loads(out)
     assert [o["code"] for o in arr] == ["1 1", "1 2 3 1 2 3"]
+
+
+def test_analyze_batch_malformed_line_exits_2_stdout_clean(tmp_path, capsys):
+    """A bad line stops the batch before anything is printed."""
+    src = tmp_path / "codes.txt"
+    src.write_text("1 1\n1 2 1\n1 2 3 1 2 3\n")
+    code, out, err = run(capsys, "analyze", "--in", str(src), "--json")
+    assert code == 2 and out == ""
+    assert err == MALFORMED_1_2_1
 
 
 def test_analyze_batch_missing_file_exits_5(capsys):
@@ -188,6 +200,21 @@ def test_reduce_non_member(capsys):
     assert code == 0 and out == "1 2 3 1 2 3: not in S\n"
 
 
+def test_reduce_malformed_exits_2(capsys):
+    code, out, err = run(capsys, "reduce", "1 2 1")
+    assert code == 2 and out == ""
+    assert err == MALFORMED_1_2_1
+
+
+def test_reduce_unrealizable_exits_3(capsys):
+    code, out, err = run(capsys, "reduce", "1 2 1 2")
+    assert code == 3 and out == ""
+    assert err == "not realizable (parity fails at chord 1)\n"
+    code, out, err = run(capsys, "reduce", "1 2 3 1 2 4 5 3 4 5")
+    assert code == 3 and out == ""
+    assert err == "not realizable (no spherical rotation system)\n"
+
+
 # --- enumerate -------------------------------------------------------------------
 
 
@@ -214,7 +241,9 @@ def test_enumerate_over_budget_exits_4(tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "ds.jsonl"
     code, out, err = run(capsys, "enumerate", "9", "--out", str(out_path))
     assert code == 4 and out == ""
-    assert BUDGET_ENV in err
+    assert err == (
+        f"n=9 exceeds the enumeration budget 8 (set {BUDGET_ENV} to raise it)\n"
+    )
     assert not out_path.exists()
 
 
@@ -222,7 +251,7 @@ def test_enumerate_negative_n_exits_4(tmp_path, capsys):
     out_path = tmp_path / "ds.jsonl"
     code, out, err = run(capsys, "enumerate", "-1", "--out", str(out_path))
     assert code == 4 and out == ""
-    assert "crossing number must be nonnegative" in err
+    assert err == "crossing number must be nonnegative, got -1\n"
     assert not out_path.exists()
 
 
@@ -274,7 +303,7 @@ def test_verify_negative_max_n_exits_4(capsys):
     for argv in (["--all"], ["--check", "main-theorem"]):
         code, out, err = run(capsys, "verify", *argv, "--max-n", "-2")
         assert code == 4 and out == ""
-        assert "crossing number must be nonnegative, got -2" in err
+        assert err == "crossing number must be nonnegative, got -2\n"
 
 
 def test_verify_unknown_check_exits_6(capsys):
@@ -305,3 +334,4 @@ def test_dot_output(capsys):
 def test_dot_malformed_exits_2(capsys):
     code, out, err = run(capsys, "dot", "1")
     assert code == 2 and out == ""
+    assert err == "malformed code '1': label 1 appears 1 time(s), expected exactly 2\n"

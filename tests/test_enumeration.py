@@ -347,6 +347,28 @@ def test_arnold_round_trips_as_rational_text(tmp_path):
             3,
             "not a rational literal",
         ),
+        (lambda lines: lines[:2] + ["[1, 2]"], 3, "record is not a JSON object"),
+        (
+            lambda lines: lines[:2] + [lines[2].replace('"code":"1 1"', '"code":11')],
+            3,
+            "code must be a string",
+        ),
+        (
+            lambda lines: lines[:2] + [lines[2].replace('"reduced":false', '"reduced":0')],
+            3,
+            "reduced must be a boolean",
+        ),
+        (
+            lambda lines: lines[:2]
+            + [lines[2].replace('"face_degrees":[1,1,2]', '"face_degrees":[1,true,2]')],
+            3,
+            "face_degrees must be a list of integers",
+        ),
+        (
+            lambda lines: lines[:2] + [lines[2].replace('"arnold":"0"', '"arnold":0')],
+            3,
+            "arnold must be a rational string",
+        ),
     ],
 )
 def test_schema_errors_carry_line_numbers(tmp_path, mutate, line, fragment):

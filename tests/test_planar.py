@@ -24,6 +24,7 @@ from knotproj.errors import InvalidSite, NoCrossings, NotRealizable
 from conftest import (
     all_canonical_words,
     eager_realizations,
+    filtered_innermost_teardrop,
     flip_coset_masks,
     interleavement_graph,
     leaf_checked_words,
@@ -155,7 +156,8 @@ def test_orbit_count_matches_face_trace_on_every_mask():
             assert orbit_count_mismatches(word, range(1 << n))[0] == [], word
     for word in ((1, 2, 1, 2), (1, 1, 2, 3, 2, 3)):
         for mask in range(1 << len(word) // 2):
-            assert PlanarCurve(word, mask).rotations == mask_rings(word, mask)
+            curve = PlanarCurve(ChordDiagram(word), mask)
+            assert curve.rotations == mask_rings(word, mask)
 
 
 def test_all_realizations_match_eager_construction():
@@ -366,6 +368,18 @@ def test_innermost_has_no_nested_teardrop():
             span = frozenset(inner.interval)
             for other in drops:
                 assert not frozenset(other.interval) < span
+
+
+def test_innermost_teardrop_matches_containment_filter():
+    """The shortest teardrop is the one the proper-inclusion filter keeps
+    first, on every embedding with n <= 7."""
+    checked = 0
+    for n in range(1, 8):
+        for p in enumerate_curves(n):
+            for r in all_realizations(p.code):
+                assert innermost_teardrop(r) == filtered_innermost_teardrop(r), r
+                checked += 1
+    assert checked == 7_304
 
 
 # --- reducedness and prime structure -------------------------------------------
