@@ -8,7 +8,6 @@ together.
 
 from . import errors
 from .chords import (
-    CanonicalCode,
     ChordDiagram,
     canonicalize,
     count_tr,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "CanonicalCode",
     "ChordDiagram",
     "canonicalize",
     "count_tr",

@@ -24,8 +24,8 @@ Each chord-level concept has one implementation:
   word's symmetry orbit, and :func:`_reads_below` relabels one transform
   and compares it with a given word; together they are the orbit minimum
   :func:`_orbit_min`, behind :func:`canonicalize` (cached per diagram as
-  ``ChordDiagram._canon``; :func:`_canonical` is its form for a word already
-  normalized), and the early-exit canonicity test :func:`_is_orbit_min`;
+  ``ChordDiagram._canon``, the canonical diagram, whose own ``_canon`` is
+  itself), and the early-exit canonicity test :func:`_is_orbit_min`;
   the enumeration's close-time prune reads a partial word through
   :func:`_reads_below` too,
 * :func:`_interlacement_bits` is the interlacement core, built once per
@@ -45,7 +45,6 @@ from .errors import MalformedCode, UnknownLabel
 
 __all__ = [
     "ChordDiagram",
-    "CanonicalCode",
     "parse_code",
     "canonicalize",
     "interleaved",
@@ -109,13 +108,9 @@ class ChordDiagram:
         return _interlacement_bits(self.word)
 
     @cached_property
-    def _canon(self) -> "CanonicalCode":
-        """This diagram's :func:`canonicalize`, computed on first use.
-
-        The enumeration fills it for the words it keeps, each of which is
-        its own orbit minimum.
-        """
-        return _canonical(self.word)
+    def _canon(self) -> "ChordDiagram":
+        """This diagram's :func:`canonicalize`, computed on first use."""
+        return ChordDiagram._of_canonical(_orbit_min(self.word))
 
     @classmethod
     def from_labels(cls, labels) -> "ChordDiagram":
@@ -129,6 +124,14 @@ class ChordDiagram:
         object.__setattr__(cd, "word", word)
         return cd
 
+    @classmethod
+    def _of_canonical(cls, word: tuple[int, ...]) -> "ChordDiagram":
+        """:meth:`_of_normal` for a word that is its own orbit minimum, so the
+        diagram is its own :func:`canonicalize`."""
+        cd = cls._of_normal(word)
+        cd.__dict__["_canon"] = cd
+        return cd
+
     def positions(self, label: int) -> tuple[int, int]:
         """The two positions of ``label`` in the linearized word, ascending."""
         if type(label) is not int or not 1 <= label <= self.n:  # bools too
@@ -138,26 +141,6 @@ class ChordDiagram:
 
     def __str__(self) -> str:
         return " ".join(map(str, self.word))
-
-
-@dataclass(frozen=True)
-class CanonicalCode:
-    """The lexicographically least word over a diagram's symmetry orbit.
-
-    Two codes describe the same unoriented spherical curve pattern exactly
-    when their canonical codes agree, so the text is usable as a dict key.
-    The empty string is U.
-    """
-
-    text: str
-
-    def word(self) -> tuple[int, ...]:
-        if not self.text:
-            return ()
-        return tuple(int(t) for t in self.text.split())
-
-    def __str__(self) -> str:
-        return self.text
 
 
 def parse_code(text: str) -> ChordDiagram:
@@ -243,20 +226,17 @@ def _is_orbit_min(word: tuple[int, ...]) -> bool:
     return not any(_reads_below(seq, r, word) for seq, r in _candidate_starts(word))
 
 
-def canonicalize(cd: ChordDiagram) -> CanonicalCode:
-    """Least first-occurrence word over all rotations and both reflections.
+def canonicalize(cd: ChordDiagram) -> ChordDiagram:
+    """The diagram of the least first-occurrence word over all rotations and
+    both reflections.
 
-    The orbit has at most 4n words (2n rotations, 2 directions, relabeled by
-    first occurrence after each transform); see :func:`_orbit_min`.  Each
-    diagram computes it once (``ChordDiagram._canon``).
+    Two codes describe the same unoriented spherical curve pattern exactly
+    when their canonical diagrams are equal; ``str`` gives the canonical
+    code's text, empty for U.  The orbit has at most 4n words (2n rotations,
+    2 directions, relabeled by first occurrence after each transform); see
+    :func:`_orbit_min`.  Each diagram computes it once (``ChordDiagram._canon``).
     """
     return cd._canon
-
-
-def _canonical(word: tuple[int, ...]) -> CanonicalCode:
-    """:func:`canonicalize` of a word already in normal form, with no diagram
-    built or validated (the reduction loop's words are normal by construction)."""
-    return CanonicalCode(" ".join(map(str, _orbit_min(word))))
 
 
 def interleaved(cd: ChordDiagram, a: int, b: int) -> bool:

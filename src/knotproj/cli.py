@@ -47,7 +47,7 @@ def _analysis_obj(cd: chords.ChordDiagram, with_arnold: bool) -> dict:
     if rec.prime:
         factors = [rec.code]
     else:
-        factors = [chords.canonicalize(f.code).text for f in planar.prime_decompose(p)]
+        factors = [str(chords.canonicalize(f.code)) for f in planar.prime_decompose(p)]
     obj = {}
     for key, val in enumeration._record_to_obj(rec).items():
         if key == "face_degrees":
@@ -99,12 +99,12 @@ def _cmd_reduce(args) -> int:
     else:
         member, trace = moves.in_S(p)
         if not member:
-            print(f"{chords.canonicalize(cd).text}: not in S")
+            print(f"{chords.canonicalize(cd)}: not in S")
             return EXIT_OK
-    print(f"start: {trace.start.text or '(U)'}")
+    print(f"start: {str(trace.start) or '(U)'}")
     for mv, code in trace.steps:
-        print(f"  {mv} -> {code.text or '(U)'}")
-    print(f"terminal: {trace.terminal.text or '(U)'}")
+        print(f"  {mv} -> {str(code) or '(U)'}")
+    print(f"terminal: {str(trace.terminal) or '(U)'}")
     return EXIT_OK
 
 
@@ -181,12 +181,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="pattern counts, faces, and invariants")
-    p_an.add_argument("code", nargs="?", default=None, help="Gauss code (quoted)")
+    source = p_an.add_mutually_exclusive_group()
+    source.add_argument("code", nargs="?", default=None, help="Gauss code (quoted)")
     p_an.add_argument(
         "--arnold", action="store_true", help="also compute the Arnold invariant"
     )
     p_an.add_argument("--json", action="store_true")
-    p_an.add_argument("--in", dest="infile", default=None, help="batch file, one code per line")
+    source.add_argument("--in", dest="infile", default=None, help="batch file, one code per line")
 
     p_re = sub.add_parser("reduce", help="greedy 1b/s2b reduction or S-membership")
     p_re.add_argument("code")

@@ -223,14 +223,13 @@ def _curves(n: int) -> tuple[PlanarCurve, ...]:
         return (planar.U,)
     found = []
     for w in _canonical_words(n):
-        cd = ChordDiagram._of_normal(w)  # generated words are normal
+        # generated words are normal, each its own orbit minimum
+        cd = ChordDiagram._of_canonical(w)
         # the generator already pruned parity failures; this one bitset pass
         # per word guards that prune, and the benchmark's tracer counts the
         # generated words through it
         if chords.gauss_parity_violations(cd):
             continue
-        # every generated word is its own orbit minimum
-        cd.__dict__["_canon"] = chords.CanonicalCode(" ".join(map(str, w)))
         p = planar._search_rotations(cd)
         if p is not None:
             found.append(p)
@@ -275,7 +274,7 @@ def build_record(p: PlanarCurve, with_arnold: bool = True) -> EnumerationRecord:
     """Compute a record for one realized curve."""
     cd = p.code
     return EnumerationRecord(
-        code=chords.canonicalize(cd).text,
+        code=str(chords.canonicalize(cd)),
         n=p.n,
         x=chords.count_x(cd),
         tr=chords.count_tr(cd),

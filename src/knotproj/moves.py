@@ -78,7 +78,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import planar
-from .chords import CanonicalCode, _canonical, canonicalize, count_tr
+from .chords import ChordDiagram, canonicalize, count_tr
 from .errors import InapplicableMove, PreconditionTripleChord, TheoremViolation
 from .planar import PlanarCurve, U
 
@@ -107,17 +107,18 @@ class Move:
 class ReductionTrace:
     """A witness reduction: the codes visited and the moves taken.
 
-    ``steps`` pairs each move with the canonical code it produced; the trace
-    serializes to a JSON array of {move, site, code} records.
+    ``steps`` pairs each move with the canonical diagram it produced; the
+    trace serializes to a JSON array of {move, site, code} records, each code
+    as its text.
     """
 
-    start: CanonicalCode
-    steps: tuple[tuple[Move, CanonicalCode], ...]
-    terminal: CanonicalCode
+    start: ChordDiagram
+    steps: tuple[tuple[Move, ChordDiagram], ...]
+    terminal: ChordDiagram
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {"move": mv.kind, "site": list(mv.site), "code": code.text}
+            {"move": mv.kind, "site": list(mv.site), "code": str(code)}
             for mv, code in self.steps
         ]
 
@@ -173,7 +174,9 @@ def _trace(
 ) -> ReductionTrace:
     """The witness of a run that reached U, each code canonicalized once."""
     start = canonicalize(p.code)
-    coded = tuple((mv, _canonical(word)) for mv, word in steps)
+    coded = tuple(
+        (mv, canonicalize(ChordDiagram._of_normal(word))) for mv, word in steps
+    )
     return ReductionTrace(
         start=start, steps=coded, terminal=coded[-1][1] if coded else start
     )
@@ -194,13 +197,13 @@ def reduce_no_triple(p: PlanarCurve) -> ReductionTrace:
     """
     if count_tr(p.code):
         raise PreconditionTripleChord(
-            f"curve {canonicalize(p.code).text!r} contains a triple chord"
+            f"curve {str(canonicalize(p.code))!r} contains a triple chord"
         )
     steps, cur = _reduce(p)
     if cur.n:
         raise TheoremViolation(
             f"no 1b/s2b move applies to triple-chord-free curve "
-            f"{canonicalize(cur.code).text!r}"
+            f"{str(canonicalize(cur.code))!r}"
         )
     return _trace(p, steps)
 

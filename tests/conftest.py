@@ -739,7 +739,7 @@ def dfs_in_S(p):
     succ = {}
 
     def dfs(cur):
-        key = canonicalize(cur.code).text
+        key = str(canonicalize(cur.code))
         if key in memo:
             return memo[key]
         if cur.n == 0:
@@ -759,7 +759,7 @@ def dfs_in_S(p):
     steps = []
     cur = p
     while cur.n:
-        mv, child = succ[canonicalize(cur.code).text]
+        mv, child = succ[str(canonicalize(cur.code))]
         steps.append((mv, canonicalize(child.code)))
         cur = child
     return True, ReductionTrace(

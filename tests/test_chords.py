@@ -96,37 +96,39 @@ def test_positions_ascending_and_unknown_label():
 
 
 def test_canonicalize_known_values():
-    assert canonicalize(parse_code("1 2 3 1 2 3")).text == "1 2 3 1 2 3"
-    assert canonicalize(parse_code("1 2 2 1")).text == "1 1 2 2"
-    assert canonicalize(parse_code("")).text == ""
+    assert str(canonicalize(parse_code("1 2 3 1 2 3"))) == "1 2 3 1 2 3"
+    assert str(canonicalize(parse_code("1 2 2 1"))) == "1 1 2 2"
+    assert str(canonicalize(parse_code(""))) == ""
 
 
 def test_canonicalize_orbit_collapse():
     # every rotation and both directions of the trefoil code agree
     base = (1, 2, 3, 1, 2, 3)
-    expect = canonicalize(ChordDiagram(base)).text
+    expect = str(canonicalize(ChordDiagram(base)))
     for r in range(6):
         rot = base[r:] + base[:r]
-        assert canonicalize(ChordDiagram.from_labels(rot)).text == expect
-        assert canonicalize(ChordDiagram.from_labels(rot[::-1])).text == expect
+        assert str(canonicalize(ChordDiagram.from_labels(rot))) == expect
+        assert str(canonicalize(ChordDiagram.from_labels(rot[::-1]))) == expect
 
 
 @settings(max_examples=150)
 @given(words)
 def test_canonicalize_invariant_under_symmetries(bag):
     cd = ChordDiagram.from_labels(bag)
-    canon = canonicalize(cd).text
+    canon = str(canonicalize(cd))
     w = cd.word
-    assert canonicalize(ChordDiagram.from_labels(w[3:] + w[:3])).text == canon
-    assert canonicalize(ChordDiagram.from_labels(w[::-1])).text == canon
+    assert str(canonicalize(ChordDiagram.from_labels(w[3:] + w[:3]))) == canon
+    assert str(canonicalize(ChordDiagram.from_labels(w[::-1]))) == canon
     # canonicalize is idempotent: the canonical word canonicalizes to itself
-    back = canonicalize(ChordDiagram(canonicalize(cd).word()))
-    assert back.text == canon
+    back = canonicalize(ChordDiagram(canonicalize(cd).word))
+    assert str(back) == canon
+    # and the canonical diagram is its own canonical form, not a copy
+    assert canonicalize(canonicalize(cd)) is canonicalize(cd)
 
 
 def test_canonical_word_is_minimal_in_orbit():
     cd = parse_code("1 2 1 3 2 3")
-    canon = canonicalize(cd).word()
+    canon = canonicalize(cd).word
     w = cd.word
     orbit = []
     for direction in (w, w[::-1]):
@@ -219,7 +221,7 @@ def test_split_parts_rejoin_label_counts():
 
 
 def assert_routes_match_oracles(cd):
-    assert canonicalize(cd).text == canonical_text_full_relabel(cd)
+    assert str(canonicalize(cd)) == canonical_text_full_relabel(cd)
     got = split_connected_sum(cd)
     want = split_connected_sum_members(cd)
     assert (got is None) == (want is None)

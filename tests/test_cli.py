@@ -134,6 +134,18 @@ def test_analyze_batch_missing_file_exits_5(capsys):
     assert "cannot read" in err
 
 
+def test_analyze_code_and_in_exclude_each_other(tmp_path, capsys):
+    """A positional code next to --in is refused, not silently dropped."""
+    src = tmp_path / "codes.txt"
+    src.write_text("1 1\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "1 2 1 2", "--in", str(src), "--json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --in: not allowed with argument code" in err
+
+
 def torus_word(k):
     return " ".join(str(v) for v in list(range(1, k + 1)) * 2)
 
@@ -193,6 +205,11 @@ def test_reduce_trace(capsys):
         "  1b@1 -> (U)",
         "terminal: (U)",
     ]
+
+
+def test_reduce_u(capsys):
+    code, out, _ = run(capsys, "reduce", "")
+    assert code == 0 and out == "start: (U)\nterminal: (U)\n"
 
 
 def test_reduce_non_member(capsys):

@@ -66,6 +66,12 @@ def test_counts_match_census_at_10(census, monkeypatch):
     assert realizable(leaf_checked_words(10)) == curves
 
 
+@pytest.mark.slow
+def test_counts_match_census_at_11(census, monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "11")
+    assert len(enumerate_curves(11)) == census["classes"]["11"] == 129_845
+
+
 def test_unembedded_survivors_are_pinned(census):
     """Words that pass every close-time prune and still do not embed."""
     for n_text, expect in census["unembedded_survivors"].items():
@@ -156,7 +162,7 @@ def test_generator_equals_pairing_oracle():
                 continue
             if not brute_force_realizable(word):
                 continue
-            oracle.add(canonicalize(cd).text)
+            oracle.add(str(canonicalize(cd)))
         got = {str(p.code) for p in enumerate_curves(n)}
         assert got == oracle
 
@@ -179,7 +185,7 @@ def test_enumerated_codes_are_canonical_sorted_and_euler():
         texts = [str(p.code) for p in curves]
         assert texts == sorted(texts, key=lambda t: tuple(map(int, t.split())))
         for p in curves:
-            assert canonicalize(p.code).text == str(p.code)
+            assert str(canonicalize(p.code)) == str(p.code)
             assert gauss_parity_violations(p.code) == []
             assert trace_face_count(p.word, p.rotations) == p.n + 2
 
@@ -188,7 +194,8 @@ def test_enumerated_codes_carry_their_canonical_code():
     for n in range(1, 9):
         for p in enumerate_curves(n):
             assert "_canon" in p.code.__dict__  # filled by the enumeration
-            assert canonicalize(p.code) == chords._canonical(p.word), p.word
+            assert p.code._canon is p.code
+            assert canonicalize(p.code) == canonicalize(ChordDiagram(p.word)), p.word
 
 
 def test_enumerate_zero_is_u():

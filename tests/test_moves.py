@@ -115,7 +115,7 @@ def test_reduce_reaches_u_and_keeps_tr_zero():
             cur = p
             for mv, code in trace.steps:
                 cur = apply_move(cur, mv)
-                assert canonicalize(cur.code).text == code.text
+                assert str(canonicalize(cur.code)) == str(code)
                 assert count_tr(cur.code) == 0
 
 
@@ -160,7 +160,7 @@ def test_in_s_members_have_replayable_traces():
             cur = p
             for mv, code in trace.steps:
                 cur = apply_move(cur, mv)
-                assert canonicalize(cur.code).text == code.text
+                assert str(canonicalize(cur.code)) == str(code)
             assert cur.n == 0
 
 

@@ -1,8 +1,12 @@
 """The CLI transcripts and the dataset example in README.md are what the CLI
-writes, byte for byte."""
+writes, byte for byte, and the values claimed in its Library block are what
+the library returns."""
 
+import ast
+import io
 import pathlib
 import shlex
+import tokenize
 
 import pytest
 
@@ -43,3 +47,40 @@ def test_readme_dataset_line_matches_enumerate(tmp_path, capsys):
     assert cli.main(["enumerate", "1", "--out", str(path)]) == 0
     capsys.readouterr()
     assert path.read_text(encoding="utf-8") == '{"schema":1}\n' + example
+
+
+def library_claims():
+    """Run README's Library block statement by statement; yield each
+    expression's source, the ``repr`` of its value and the value claimed in
+    its comment: the inline ``# value``, or else the comment lines below it,
+    joined."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {
+        tok.start[0]: tok.string.removeprefix("# ")
+        for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    lines = block.splitlines()
+    namespace = {}
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+            continue
+        end = node.end_lineno
+        claim = comments.get(end)
+        if claim is None:
+            below = []
+            while end + 1 in comments and lines[end].lstrip().startswith("#"):
+                end += 1
+                below.append(comments[end])
+            claim = "".join(below)
+        yield source, repr(eval(source, namespace)), claim
+
+
+def test_readme_library_claims_hold():
+    claims = list(library_claims())
+    assert len(claims) == 7
+    for source, got, claim in claims:
+        assert got == claim, source

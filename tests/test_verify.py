@@ -14,6 +14,7 @@ from knotproj import (
     run_check,
 )
 from knotproj import planar, verify
+from knotproj.enumeration import BUDGET_ENV
 
 
 # --- the checks at small scale -------------------------------------------------
@@ -66,6 +67,20 @@ def test_inclusion_chain_reads_arnold_at_every_n(monkeypatch):
     assert len(seen) == rep.curves_tested
     # no curve with n <= 10 has arnold 0 outside S; the first ones are at n = 11
     assert not [w for w in rep.witnesses if w[1] == "strict: arnold=0, not in S"]
+
+
+@pytest.mark.slow
+def test_inclusion_chain_at_11_has_the_first_arnold_witnesses(monkeypatch):
+    """The first curves with Arnold invariant 0 outside S appear at n = 11."""
+    monkeypatch.setenv(BUDGET_ENV, "11")
+    rep = run_check("inclusion-chain", 11)
+    assert rep.passed
+    assert rep.curves_tested == 156_378
+    assert [c for c, kind in rep.witnesses if kind == "strict: arnold=0, not in S"] == [
+        "1 2 3 4 5 1 6 7 4 8 2 6 9 10 11 5 8 3 7 9 10 11",
+        "1 2 3 4 5 1 6 7 4 8 2 9 10 6 11 5 8 3 9 10 7 11",
+        "1 2 3 4 5 1 6 7 8 9 4 10 2 6 11 5 10 3 7 8 9 11",
+    ]
 
 
 def test_two_strong_bigons_tests_the_reduced_stratum(census):
