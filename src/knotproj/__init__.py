@@ -43,7 +43,6 @@ from .planar import (
     U,
     all_realizations,
     connected_sum,
-    find_teardrops,
     innermost_teardrop,
     is_reduced,
     monogons,
@@ -100,7 +99,6 @@ __all__ = [
     "U",
     "all_realizations",
     "connected_sum",
-    "find_teardrops",
     "innermost_teardrop",
     "is_reduced",
     "monogons",

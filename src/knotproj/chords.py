@@ -147,20 +147,24 @@ def parse_code(text: str) -> ChordDiagram:
     """Parse a Gauss-code string into a :class:`ChordDiagram`.
 
     Tokens are separated by whitespace and/or commas and must be positive
-    integers, each appearing exactly twice.  Labels are renamed to 1..n by
+    integers written in ASCII decimal digits (no sign, underscore or other
+    script), each appearing exactly twice.  Labels are renamed to 1..n by
     first occurrence; the empty string gives U.
     """
     stripped = text.strip()
     labels = []
     for tok in _SEP.split(stripped) if stripped else []:
         try:
-            v = int(tok)
+            # int() alone also takes "+1", "1_0" and non-ASCII digits
+            if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+                raise ValueError
+            v = int(tok)  # ValueError too past the interpreter's digit limit
         except ValueError:
             raise MalformedCode(f"unparseable token {tok!r}") from None
         if v <= 0:
             raise MalformedCode(f"labels must be positive integers, got {tok!r}")
         labels.append(v)
-    return ChordDiagram._of_normal(_normalize(labels))
+    return ChordDiagram.from_labels(labels)
 
 
 def _candidate_starts(word: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:

@@ -155,9 +155,9 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
         open_pos = {k + 1: k for k in range(1, gap)}
         # the interlacement neighbourhood (bit b for label b) of each closed chord
         closed = {1: pref[gap] ^ pref[1]}
-        state = [gap + 1]  # next fresh label
 
-        def place(i: int) -> None:
+        def place(i: int, fresh: int) -> None:
+            # fresh is the next unused label
             if i == m:
                 w = tuple(word)
                 if not open_pos and chords._is_orbit_min(w):
@@ -186,21 +186,17 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
                 del open_pos[lab]
                 closed[lab] = nc
                 pref[i + 1] = pref[i] ^ (1 << lab)
-                place(i + 1)
+                place(i + 1, fresh)
                 del closed[lab]
                 open_pos[lab] = fp
-            if state[0] <= n:
-                lab = state[0]
-                state[0] += 1
-                open_pos[lab] = i
-                word[i] = lab
-                pref[i + 1] = pref[i] ^ (1 << lab)
-                place(i + 1)
-                state[0] -= 1
-                del open_pos[lab]
-            word[i] = 0
+            if fresh <= n:
+                open_pos[fresh] = i
+                word[i] = fresh
+                pref[i + 1] = pref[i] ^ (1 << fresh)
+                place(i + 1, fresh + 1)
+                del open_pos[fresh]
 
-        place(gap + 1)
+        place(gap + 1, gap + 1)
     return out
 
 

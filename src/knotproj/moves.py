@@ -131,10 +131,14 @@ def applicable_moves(p: PlanarCurve) -> list[Move]:
 
 
 def apply_move(p: PlanarCurve, move: Move) -> PlanarCurve:
-    """Apply one currently-applicable move to the embedded curve ``p``."""
+    """Apply one currently-applicable move to the embedded curve ``p``.
+
+    The map is edited, not re-realized: :func:`planar._drop_labels` keeps
+    every surviving crossing's flip, and one face trace rebuilds the faces.
+    """
     if move not in applicable_moves(p):
         raise InapplicableMove(f"{move} is not applicable to {p!r}")
-    return planar._delete_vertices(p, move.site)
+    return planar._embed(*planar._drop_labels(p.word, p.flips, move.site))
 
 
 def _first_loop(word: tuple[int, ...]) -> int:

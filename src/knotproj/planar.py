@@ -32,8 +32,9 @@ over each component of the interlacement graph fixes every flip up to
 mirroring whole components, in O(n^2) bit operations; one orbit count then
 confirms the candidate or shows the code is not spherical.
 
-Faces, monogons, strong 2-gons, teardrop loops and the connected-sum
-structure all live here because they need the realized map (or feed it).
+Faces, monogons, strong 2-gons and the connected-sum structure all live
+here because they need the realized map (or feed it).  Teardrop loops live
+here too, but read only the word, not the map.
 
 A code can admit several inequivalent spherical embeddings (``1 1 2 2``
 already has two, with face profiles (1,1,2,4) and (1,1,3,3)), so
@@ -63,7 +64,6 @@ __all__ = [
     "all_realizations",
     "monogons",
     "strong_bigons",
-    "find_teardrops",
     "innermost_teardrop",
     "is_reduced",
     "prime_decompose",
@@ -312,7 +312,7 @@ def _embed(word: tuple[int, ...], mask: int) -> PlanarCurve:
     """The curve with this normalized word and flip mask, after one face trace.
 
     Every caller reads the faces next (the greedy loop looks up a 2-gon,
-    :func:`_delete_vertices` returns a move's result), so they are traced
+    ``moves.apply_move`` returns a move's result), so they are traced
     here, once, and the same trace checks their number; no orbit count is
     made first.  The word is normal by construction in every caller
     (:func:`_drop_labels` and the reduction loop), so its diagram is not
@@ -328,19 +328,6 @@ def _embed(word: tuple[int, ...], mask: int) -> PlanarCurve:
             "leaves no spherical map"
         )
     return q
-
-
-def _delete_vertices(p: PlanarCurve, drop) -> PlanarCurve:
-    """The curve left when the crossings in ``drop`` are deleted from ``p``.
-
-    The map is edited, not re-realized: :func:`_drop_labels` keeps every
-    survivor's flip, and one face trace rebuilds the faces.  Deleting the
-    crossing of a monogon or the two crossings of a 2-gon leaves the rest of
-    the curve in place, so the result is the embedded curve the move
-    produces.  Raises :class:`NotRealizable` for a vertex set whose deletion
-    does not give n + 2 faces.
-    """
-    return _embed(*_drop_labels(p.word, p.flips, drop))
 
 
 def _search_rotations(cd: ChordDiagram) -> PlanarCurve | None:
@@ -420,62 +407,41 @@ def strong_bigons(p: PlanarCurve) -> list[Face]:
     return out
 
 
-def _cyclic_interior(m: int, s: int, e: int) -> list[int]:
-    out = []
-    i = (s + 1) % m
-    while i != e:
-        out.append(i)
-        i = (i + 1) % m
-    return out
+def innermost_teardrop(p: PlanarCurve) -> Teardrop:
+    """A teardrop whose interval contains no other teardrop's interval.
 
-
-def find_teardrops(p: PlanarCurve) -> list[Teardrop]:
-    """All embedded sub-loops based at a crossing.
-
-    One candidate per (vertex, side): the loop from one occurrence of v to
-    the other is embedded exactly when no label repeats strictly inside that
-    code interval.  Every curve with n >= 1 has at least one (trace the curve
-    to the first repeated crossing).  Ordered by vertex, then by side
-    (first-to-second occurrence before the wraparound side).
+    Containment is proper inclusion of the position sets.  It is read off
+    the word in one pass: chord v with positions t1 < t2 has two sides, the
+    t2 - t1 - 1 positions strictly between them and the (t1 - t2 - 1) mod 2n
+    that wrap past the end of the word, and the shortest side of any chord
+    (ties broken by smallest origin label, then loop start, so the result is
+    deterministic) is the teardrop returned.  It is a teardrop, since a label
+    twice inside it would give that chord a strictly shorter side; and it is
+    innermost, since a teardrop properly inside it would be shorter still.
+    Teardrops are sides too, so this is also the shortest teardrop.
     """
     if p.n == 0:
         raise NoCrossings("U has no crossings, hence no teardrops")
     w = p.word
     m = len(w)
-    out = []
-    cd = p.code
-    for v in range(1, p.n + 1):
-        t1, t2 = cd.positions(v)
-        for s, e in ((t1, t2), (t2, t1)):
-            interior = _cyclic_interior(m, s, e)
-            plabels = [w[i] for i in interior]
-            if len(set(plabels)) != len(plabels):
-                continue
-            bset = set(plabels)
-            q = [w[i] for i in _cyclic_interior(m, e, s) if w[i] in bset]
-            index = {lab: k + 1 for k, lab in enumerate(plabels)}
-            out.append(
-                Teardrop(
-                    origin=v,
-                    loop_start=s,
-                    interval=tuple(interior),
-                    boundary_labels=(v, *plabels),
-                    sigma=tuple(index[lab] for lab in q),
-                )
-            )
-    return out
-
-
-def innermost_teardrop(p: PlanarCurve) -> Teardrop:
-    """A teardrop whose interval contains no other teardrop's interval.
-
-    Containment is proper inclusion of the position sets.  The teardrop with
-    the shortest interval (ties broken by smallest origin label, then loop
-    start, so the result is deterministic) is innermost: a properly
-    contained interval would be strictly shorter.
-    """
-    return min(
-        find_teardrops(p), key=lambda t: (len(t.interval), t.origin, t.loop_start)
+    first: dict[int, int] = {}
+    sides = []
+    for t, v in enumerate(w):
+        t1 = first.setdefault(v, t)
+        if t1 < t:
+            sides += [(t - t1 - 1, v, t1), ((t1 - t - 1) % m, v, t)]
+    size, origin, start = min(sides)
+    ww = w + w
+    plabels = ww[start + 1 : start + 1 + size]
+    index = {lab: k for k, lab in enumerate(plabels, 1)}
+    # the complementary arc runs from the loop's end back round to its start
+    rest = ww[start + size + 2 : start + m]
+    return Teardrop(
+        origin=origin,
+        loop_start=start,
+        interval=tuple(i % m for i in range(start + 1, start + 1 + size)),
+        boundary_labels=(origin, *plabels),
+        sigma=tuple(index[lab] for lab in rest if lab in index),
     )
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from knotproj import (
     ChordDiagram,
+    Teardrop,
     applicable_moves,
     canonicalize,
     chords,
@@ -22,7 +23,7 @@ from knotproj import (
     planar,
     realize,
 )
-from knotproj.errors import InapplicableMove
+from knotproj.errors import InapplicableMove, NoCrossings
 from knotproj.moves import ReductionTrace
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -701,11 +702,57 @@ def realized_connected_sum(p1, p2, site1, site2):
     return realize(ChordDiagram.from_labels(merged))
 
 
+def _cyclic_interior(m: int, s: int, e: int) -> list[int]:
+    out = []
+    i = (s + 1) % m
+    while i != e:
+        out.append(i)
+        i = (i + 1) % m
+    return out
+
+
+def find_teardrops(p):
+    """All embedded sub-loops based at a crossing.
+
+    One candidate per (vertex, side): the loop from one occurrence of v to
+    the other is embedded exactly when no label repeats strictly inside that
+    code interval.  Every curve with n >= 1 has at least one (trace the curve
+    to the first repeated crossing).  Ordered by vertex, then by side
+    (first-to-second occurrence before the wraparound side).
+    """
+    if p.n == 0:
+        raise NoCrossings("U has no crossings, hence no teardrops")
+    w = p.word
+    m = len(w)
+    out = []
+    cd = p.code
+    for v in range(1, p.n + 1):
+        t1, t2 = cd.positions(v)
+        for s, e in ((t1, t2), (t2, t1)):
+            interior = _cyclic_interior(m, s, e)
+            plabels = [w[i] for i in interior]
+            if len(set(plabels)) != len(plabels):
+                continue
+            bset = set(plabels)
+            q = [w[i] for i in _cyclic_interior(m, e, s) if w[i] in bset]
+            index = {lab: k + 1 for k, lab in enumerate(plabels)}
+            out.append(
+                Teardrop(
+                    origin=v,
+                    loop_start=s,
+                    interval=tuple(interior),
+                    boundary_labels=(v, *plabels),
+                    sigma=tuple(index[lab] for lab in q),
+                )
+            )
+    return out
+
+
 def filtered_innermost_teardrop(p):
     """The innermost teardrop by its definition: drop every teardrop whose
     interval properly contains another's, then take the least of the rest by
     (interval length, origin, loop start)."""
-    cands = planar.find_teardrops(p)
+    cands = find_teardrops(p)
     sets = [frozenset(t.interval) for t in cands]
     inner = [t for t, si in zip(cands, sets) if not any(sj < si for sj in sets)]
     return min(inner, key=lambda t: (len(t.interval), t.origin, t.loop_start))
@@ -715,8 +762,8 @@ def stepwise_reduce(p):
     """The greedy reduction with a face trace after every move.
 
     Each step lists the moves with ``applicable_moves`` and deletes the
-    first one's crossings with ``planar._delete_vertices``.  Returns the
-    (move, word) steps and the curve where the run stopped.
+    first one's crossings with ``planar._drop_labels`` and ``planar._embed``.
+    Returns the (move, word) steps and the curve where the run stopped.
     """
     steps = []
     cur = p
@@ -724,7 +771,7 @@ def stepwise_reduce(p):
         ms = applicable_moves(cur)
         if not ms:
             break
-        cur = planar._delete_vertices(cur, ms[0].site)
+        cur = planar._embed(*planar._drop_labels(cur.word, cur.flips, ms[0].site))
         steps.append((ms[0], cur.word))
     return steps, cur
 

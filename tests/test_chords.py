@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +65,18 @@ def test_parse_empty_is_u():
         ("-1 -1", "positive"),
         ("a b", "unparseable token"),
         ("1.5 1.5", "unparseable token"),
+        ("1_0 10", "unparseable token"),
+        ("+1 +1", "unparseable token"),
+        ("\uff11 \uff11", "unparseable token"),
+        pytest.param(
+            "9" * 5000 + " 1 1",
+            "unparseable token",
+            id="past-int-digit-limit",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="int() has no digit limit before Python 3.11",
+            ),
+        ),
     ],
 )
 def test_parse_rejects_malformed(text, fragment):

@@ -1,6 +1,9 @@
-"""Every exported name resolves, so a removed function leaves no stale export."""
+"""Every exported name resolves, so a removed function leaves no stale export;
+every private helper has a caller in the package."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import knotproj
@@ -24,3 +27,21 @@ def test_star_import():
     namespace = {}
     exec("from knotproj import *", namespace)
     assert set(knotproj.__all__) <= set(namespace)
+
+
+def test_every_private_definition_is_named_in_the_package():
+    """A private function or class that no code in ``knotproj`` names, as a
+    name or an attribute, is dead or used only by tests, and code only tests
+    use belongs in ``tests/``."""
+    defined = set()
+    named = set()
+    for path in pathlib.Path(knotproj.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert sorted(defined - named) == []

@@ -8,7 +8,6 @@ from knotproj import (
     connected_sum,
     count_tr,
     enumerate_curves,
-    find_teardrops,
     gauss_parity_violations,
     innermost_teardrop,
     is_reduced,
@@ -25,6 +24,7 @@ from conftest import (
     all_canonical_words,
     eager_realizations,
     filtered_innermost_teardrop,
+    find_teardrops,
     flip_coset_masks,
     interleavement_graph,
     leaf_checked_words,
@@ -196,7 +196,8 @@ def test_realized_code_is_validated_once(monkeypatch):
         assert p.code is p.code
         assert len(calls) == 1, text
     # deleting a monogon's crossing builds no second validation either
-    assert planar._delete_vertices(p, {1}).code.word == (1, 2, 3, 1, 2, 3)
+    q = planar._embed(*planar._drop_labels(p.word, p.flips, {1}))
+    assert q.code.word == (1, 2, 3, 1, 2, 3)
     assert len(calls) == 1
 
 
@@ -239,8 +240,8 @@ def test_unrealizable_code_costs_one_face_trace(monkeypatch):
 def test_deleting_a_crossing_off_any_move_can_leave_no_spherical_map():
     t = realize(parse_code("1 2 3 1 2 3"))
     with pytest.raises(NotRealizable, match="no spherical map"):
-        planar._delete_vertices(t, {1})
-    assert planar._delete_vertices(t, {1, 2, 3}) is U
+        planar._embed(*planar._drop_labels(t.word, t.flips, {1}))
+    assert planar._embed(*planar._drop_labels(t.word, t.flips, {1, 2, 3})) is U
 
 
 def test_face_counts_against_independent_tracer():
@@ -337,14 +338,14 @@ def test_innermost_teardrop_reversing_example():
 
 
 def test_teardrop_fields():
-    p = realize(parse_code("1 1 2 2"))
-    drops = find_teardrops(p)
-    assert drops
-    for td in drops:
-        assert p.word[td.loop_start] != td.origin or True
-        assert td.origin in range(1, p.n + 1)
-        assert len(td.sigma) == len(td.boundary_labels) - 1
-        assert sorted(td.sigma) == list(range(1, len(td.sigma) + 1))
+    for n in range(1, 8):
+        for p in enumerate_curves(n):
+            td = innermost_teardrop(p)
+            assert p.word[td.loop_start] == td.origin
+            assert td.origin in range(1, p.n + 1)
+            assert td.boundary_labels == (td.origin, *(p.word[i] for i in td.interval))
+            assert len(td.sigma) == len(td.boundary_labels) - 1
+            assert sorted(td.sigma) == list(range(1, len(td.sigma) + 1))
 
 
 def test_empty_loop_teardrop():
@@ -354,8 +355,6 @@ def test_empty_loop_teardrop():
 
 
 def test_teardrops_need_crossings():
-    with pytest.raises(NoCrossings):
-        find_teardrops(U)
     with pytest.raises(NoCrossings):
         innermost_teardrop(U)
 
@@ -371,8 +370,10 @@ def test_innermost_has_no_nested_teardrop():
 
 
 def test_innermost_teardrop_matches_containment_filter():
-    """The shortest teardrop is the one the proper-inclusion filter keeps
-    first, on every embedding with n <= 7."""
+    """The shortest side of any chord is the teardrop the proper-inclusion
+    filter keeps first, on every embedding with n <= 7 and on every pairing
+    word with n <= 5 (teardrops read only the word, so flips 0 serve for a
+    word that is not spherical too)."""
     checked = 0
     for n in range(1, 8):
         for p in enumerate_curves(n):
@@ -380,6 +381,13 @@ def test_innermost_teardrop_matches_containment_filter():
                 assert innermost_teardrop(r) == filtered_innermost_teardrop(r), r
                 checked += 1
     assert checked == 7_304
+    checked = 0
+    for n in range(1, 6):
+        for word in pairing_words(n):
+            p = PlanarCurve(ChordDiagram(word), 0)
+            assert innermost_teardrop(p) == filtered_innermost_teardrop(p), word
+            checked += 1
+    assert checked == 1_069
 
 
 # --- reducedness and prime structure -------------------------------------------
