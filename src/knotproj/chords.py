@@ -31,8 +31,9 @@ Each chord-level concept has one implementation:
 * :func:`_interlacement_bits` is the interlacement core, built once per
   diagram and cached as ``ChordDiagram._bits``: every interleave question
   reads it, here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
-  realization); :func:`split_connected_sum` uses the prefix XOR it is built
-  from.
+  realization); :func:`_first_closed_interval`, behind
+  :func:`split_connected_sum` and ``planar.prime_decompose``, uses the prefix
+  XOR it is built from.
 """
 
 from __future__ import annotations
@@ -280,17 +281,21 @@ def count_tr(cd: ChordDiagram) -> int:
     """Number of triple chords: triples realizing the cyclic pattern a b c a b c.
 
     Counted as triangles a < b < c of the interleavement graph: for each
-    interleaved pair, the common neighbours above b.  This is equivalent to
-    the direct count of six-point patterns (the test suite keeps that count
-    as an independent oracle).
+    interleaved pair, the common neighbours above b.  Only the set bits of
+    each row are visited, so the cost follows the edges, not the n^2 pairs.
+    This is equivalent to the direct count of six-point patterns (the test
+    suite keeps that count as an independent oracle).
     """
     adj = cd._bits
-    return sum(
-        ((adj[a] & adj[b]) >> (b + 1)).bit_count()
-        for a in range(len(adj))
-        for b in range(a + 1, len(adj))
-        if adj[a] >> b & 1
-    )
+    total = 0
+    for a, row in enumerate(adj):
+        above = row >> (a + 1)  # bit j is the neighbour b = a + 1 + j
+        while above:
+            low = above & -above
+            above ^= low
+            b = a + low.bit_length()
+            total += ((row & adj[b]) >> (b + 1)).bit_count()
+    return total
 
 
 def is_nugatory(cd: ChordDiagram, a: int) -> bool:
@@ -308,34 +313,49 @@ def gauss_parity_violations(cd: ChordDiagram) -> list[int]:
     return [a for a, b in enumerate(cd._bits, start=1) if b.bit_count() & 1]
 
 
-def split_connected_sum(
-    cd: ChordDiagram,
-) -> tuple[ChordDiagram, ChordDiagram] | None:
-    """Split off a proper cyclic interval closed under the chord pairing.
+def _first_closed_interval(word: tuple[int, ...]) -> tuple[int, int] | None:
+    """The first proper cyclic interval closed under the chord pairing.
 
-    Returns the (inside, outside) sub-diagrams of the first such interval
-    (smallest start position, then smallest even length), or None when the
-    diagram is prime or has fewer than two chords.  Both parts keep their
-    traversal order and are relabeled by first occurrence.  They are not
-    validated again: a window shorter than the word whose prefix XORs agree
-    holds each of its labels an even number of times and at most twice, so
-    exactly twice, and so does its complement.
+    Returns (start, end) with ``word`` doubled, ``(word + word)[start:end]``
+    the interval: the smallest start, then the smallest even length.  None
+    when there is none (a prime word, or fewer than two chords).  An interval
+    is closed exactly when every label occurs in it an even number of times,
+    i.e. when its prefix XORs agree.
     """
-    w = cd.word
-    m = len(w)
-    if cd.n < 2:
+    m = len(word)
+    if m < 4:
         return None
-    # an interval is closed under the pairing exactly when every label occurs
-    # in it an even number of times, i.e. when its prefix XORs agree
-    ww = w + w
+    ww = word + word
     pref = [0]
     for x in ww:
         pref.append(pref[-1] ^ (1 << x))
     for start in range(m):
         for end in range(start + 2, start + m - 1, 2):
             if pref[end] == pref[start]:
-                return (
-                    ChordDiagram._of_normal(_relabel(ww[start:end])),
-                    ChordDiagram._of_normal(_relabel(ww[end : start + m])),
-                )
+                return start, end
     return None
+
+
+def split_connected_sum(
+    cd: ChordDiagram,
+) -> tuple[ChordDiagram, ChordDiagram] | None:
+    """Split off a proper cyclic interval closed under the chord pairing.
+
+    Returns the (inside, outside) sub-diagrams of
+    :func:`_first_closed_interval`, or None when the diagram is prime or has
+    fewer than two chords.  Both parts keep their traversal order, the inside
+    read from the interval's start and the outside from its end, and are
+    relabeled by first occurrence.  They are not validated again: a window
+    shorter than the word whose prefix XORs agree holds each of its labels an
+    even number of times and at most twice, so exactly twice, and so does
+    its complement.
+    """
+    found = _first_closed_interval(cd.word)
+    if found is None:
+        return None
+    start, end = found
+    ww = cd.word + cd.word
+    return (
+        ChordDiagram._of_normal(_relabel(ww[start:end])),
+        ChordDiagram._of_normal(_relabel(ww[end : start + len(cd.word)])),
+    )

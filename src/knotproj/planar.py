@@ -33,7 +33,9 @@ mirroring whole components, in O(n^2) bit operations; one orbit count then
 confirms the candidate or shows the code is not spherical.
 
 Faces, monogons, strong 2-gons and the connected-sum structure all live
-here because they need the realized map (or feed it).  Teardrop loops live
+here because they need the realized map (or feed it); a connected sum
+splices two maps and a prime decomposition splits one, each carrying the
+flip bits, with no flip search.  Teardrop loops live
 here too, but read only the word, not the map.
 
 A code can admit several inequivalent spherical embeddings (``1 1 2 2``
@@ -453,16 +455,34 @@ def is_reduced(p: PlanarCurve) -> bool:
 def prime_decompose(p: PlanarCurve) -> list[PlanarCurve]:
     """Connected-sum factors, each prime, in recursive split order.
 
+    The curve is split at :func:`chords._first_closed_interval`, inside
+    first, and each part is split again.  A part is ``p`` with the other
+    part's crossings deleted, each survivor keeping its flip bit
+    (:func:`_drop_labels`), so no part is realized again.  That mask is
+    spherical: a closed interval is an arc of the curve that meets the rest
+    only at its two ends, and a circle on the sphere round that arc cuts the
+    curve twice.  Replacing the other side's arc by a simple arc along that
+    circle draws the part as a closed curve on the same sphere, and each of
+    its crossings keeps its local picture, hence its flip.  A part's word is
+    the subsequence of ``p.word`` it keeps, so it may be a rotation of the
+    word read from the interval's ends; its canonical code is the same.
+
     U decomposes into no factors.  The factor multiset (by canonical code)
     does not depend on which valid split is taken first; tests assert this.
     """
     if p.n == 0:
         return []
-    split = chords.split_connected_sum(p.code)
-    if split is None:
+    found = chords._first_closed_interval(p.word)
+    if found is None:
         return [p]
-    inner, outer = split
-    return prime_decompose(realize(inner)) + prime_decompose(realize(outer))
+    start, end = found
+    inside = set((p.word + p.word)[start:end])
+    outside = set(range(1, p.n + 1)) - inside
+    factors = []
+    for drop in (outside, inside):
+        word, mask = _drop_labels(p.word, p.flips, drop)
+        factors += prime_decompose(PlanarCurve(ChordDiagram._of_normal(word), mask))
+    return factors
 
 
 def _check_site(p: PlanarCurve, site, name: str) -> None:
@@ -484,14 +504,27 @@ def connected_sum(
     """Splice ``p2`` into ``p1``, cutting edge ``site1`` of p1 and ``site2`` of p2.
 
     Edge t runs between code positions t and t+1.  U is the neutral element
-    on either side (its site must be None, having no edges).  The spliced
-    word is relabeled by first occurrence, which makes it normal by
-    construction, so it is not validated again.  It also passes the parity
-    test by construction: no chord of one factor interleaves a chord of the
-    other, and each factor's chords interleave each other as they did in
-    its own (cyclically rotated) word, so the parity check of
-    :func:`realize` is skipped and the rotation search runs directly.  The
-    result is the curve ``realize(ChordDiagram.from_labels(merged))`` gives.
+    on either side (its site must be None, having no edges).  The result is
+    the splice of the two embeddings given, not a realization of the spliced
+    code: p2's word, read from position ``site2 + 1``, is inserted after
+    position ``site1`` of p1's, and the maps are joined along the two cut
+    edges.  Two spherical maps spliced along an edge give a spherical map,
+    with (n1 + 2) + (n2 + 2) - 2 = n + 2 faces: a curve's map has no
+    bridge, so two distinct faces border each cut edge, and each of p1's
+    merges with one of p2's.  So no flip is searched and no face
+    counted; the flips carry over:
+
+    * p1's chords keep their passage order, so they keep their rotations and
+      their flip bits;
+    * a p2 chord with both passages on one side of the cut keeps its flip.
+      One that straddles it is met at its second passage first, which swaps
+      its passages and turns (in1, in2, out1, out2) into (in1, out2, out1,
+      in2), toggling its flip.  The straddling chords are those with exactly
+      one occurrence in ``w2[:site2 + 1]``, the XOR of their bits.
+
+    The spliced word is relabeled by first occurrence, each bit moving with
+    its label, which makes it normal by construction, so it is not validated
+    again.
     """
     _check_site(p1, site1, "site1")
     _check_site(p2, site2, "site2")
@@ -500,9 +533,15 @@ def connected_sum(
     if p2.n == 0:
         return p1
     w1, w2 = p1.word, p2.word
+    straddling = 0
+    for x in w2[: site2 + 1]:
+        straddling ^= 1 << (x - 1)
+    flips = p1.flips | (p2.flips ^ straddling) << p1.n
     shifted = tuple(x + p1.n for x in w2[site2 + 1:] + w2[: site2 + 1])
     merged = w1[: site1 + 1] + shifted + w1[site1 + 1:]
-    q = _search_rotations(ChordDiagram._of_normal(chords._relabel(merged)))
-    if q is None:
-        raise NotRealizable("not realizable (no spherical rotation system)")
-    return q
+    ids: dict[int, int] = {}
+    word = tuple([ids.setdefault(x, len(ids) + 1) for x in merged])
+    mask = 0
+    for x, y in ids.items():
+        mask |= (flips >> (x - 1) & 1) << (y - 1)
+    return PlanarCurve(ChordDiagram._of_normal(word), mask)

@@ -15,6 +15,7 @@ from knotproj import (
     parse_code,
     prime_decompose,
     realize,
+    split_connected_sum,
     strong_bigons,
 )
 from knotproj import chords, planar
@@ -22,6 +23,7 @@ from knotproj.errors import InvalidSite, NoCrossings, NotRealizable
 
 from conftest import (
     all_canonical_words,
+    count_tr_sextuples,
     eager_realizations,
     filtered_innermost_teardrop,
     find_teardrops,
@@ -446,17 +448,77 @@ def test_connected_sum_crossing_count_adds():
             assert connected_sum(a, b, s1, s2).n == a.n + b.n
 
 
-def test_connected_sum_matches_realize_route():
-    curves = {n: enumerate_curves(n) for n in range(1, 6)}
-    sites = 0
+def test_connected_sum_splices_the_embeddings():
+    """Every splice of every pair of embeddings with n1 + n2 <= 6: it has the
+    code the realize route gives, n + 2 faces, and a flip mask in the coset
+    of its code; the two triple-chord counts agree on it."""
+    embeddings = {
+        n: [(p, all_realizations(p.code)) for p in enumerate_curves(n)]
+        for n in range(1, 6)
+    }
+    sites = splices = 0
     for n1 in range(1, 6):
         for n2 in range(1, 7 - n1):
-            for a in curves[n1]:
-                for b in curves[n2]:
+            for a, a_maps in embeddings[n1]:
+                for b, b_maps in embeddings[n2]:
                     for s1 in range(2 * n1):
                         for s2 in range(2 * n2):
-                            got = connected_sum(a, b, s1, s2)
-                            want = realized_connected_sum(a, b, s1, s2)
-                            assert (got, got.code) == (want, want.code), (a, b, s1, s2)
+                            want = realized_connected_sum(a, b, s1, s2).code
+                            assert count_tr(want) == count_tr_sextuples(want)
+                            base, components = planar._flip_coset(want)
                             sites += 1
-    assert sites == 1_656
+                            for ra in a_maps:
+                                for rb in b_maps:
+                                    q = connected_sum(ra, rb, s1, s2)
+                                    assert q.code == want, (ra, rb, s1, s2)
+                                    assert planar._orbit_count(q.word, q.flips) == q.n + 2
+                                    diff = q.flips ^ base
+                                    assert all(diff & c in (0, c) for c in components)
+                                    splices += 1
+    assert (sites, splices) == (1_656, 53_184)
+
+
+def test_prime_decompose_inverts_connected_sum():
+    """Splitting the splice of two prime embeddings gives both back: the first
+    exactly, the second as read from the cut, which splices back to the same
+    curve read from its position 0 (a reading that toggles no flip)."""
+    primes = {
+        n: [r for p in enumerate_curves(n) if split_connected_sum(p.code) is None
+            for r in all_realizations(p.code)]
+        for n in range(1, 6)
+    }
+    checked = 0
+    for n1 in range(1, 6):
+        for n2 in range(1, 7 - n1):
+            for p1 in primes[n1]:
+                for p2 in primes[n2]:
+                    for s1 in range(2 * n1):
+                        for s2 in range(2 * n2):
+                            q = connected_sum(p1, p2, s1, s2)
+                            factors = prime_decompose(q)
+                            assert len(factors) == 2, (p1, p2, s1, s2)
+                            f1, f2 = factors if factors[0] == p1 else factors[::-1]
+                            for f in factors:
+                                assert planar._orbit_count(f.word, f.flips) == f.n + 2
+                            assert (f1.word, f1.flips) == (p1.word, p1.flips)
+                            back = connected_sum(f1, f2, s1, 2 * n2 - 1)
+                            assert (back.word, back.flips) == (q.word, q.flips)
+                            checked += 1
+    assert checked == 704
+
+
+def test_prime_decompose_realizes_no_part(monkeypatch):
+    """Three prime factors come back with no realization and no face count."""
+    trefoil = realize(parse_code("1 2 3 1 2 3"))
+    loop = realize(parse_code("1 1"))
+    q = connected_sum(connected_sum(trefoil, loop, 2, 1), trefoil, 4, 3)
+
+    def refuse(*args):
+        raise AssertionError("prime_decompose re-realized a part")
+
+    for name in ("realize", "_search_rotations", "_flip_coset", "_orbit_count"):
+        monkeypatch.setattr(planar, name, refuse)
+    factors = prime_decompose(q)
+    assert sorted(str(chords.canonicalize(f.code)) for f in factors) == [
+        "1 1", "1 2 3 1 2 3", "1 2 3 1 2 3"
+    ]

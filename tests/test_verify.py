@@ -10,6 +10,7 @@ from knotproj import (
     check_main_theorem,
     check_teardrop_reversal,
     check_two_strong_bigons,
+    enumerate_curves,
     interleaved,
     run_check,
 )
@@ -96,7 +97,10 @@ def test_connected_sum_lemma_small():
 
 
 def test_connected_sum_lemma_builds_no_faces(monkeypatch):
-    """The check reads only each splice's code, so no face is ever traced."""
+    """The check reads only each splice's code, so no face is ever traced,
+    and the splice searches no flip and counts no face orbit."""
+    for n in range(1, 6):
+        enumerate_curves(n)  # the pools; enumeration itself realizes
     traced = []
     original = planar._trace_faces
 
@@ -104,7 +108,12 @@ def test_connected_sum_lemma_builds_no_faces(monkeypatch):
         traced.append(word)
         return original(word, flips)
 
+    def refuse(*args):
+        raise AssertionError("a splice searched or counted its map")
+
     monkeypatch.setattr(planar, "_trace_faces", counted)
+    monkeypatch.setattr(planar, "_flip_coset", refuse)
+    monkeypatch.setattr(planar, "_orbit_count", refuse)
     assert check_connected_sum_lemma(6).passed
     assert traced == []
 
