@@ -31,8 +31,11 @@ candidate reading below the word.
 
 Realizability is decided by :func:`knotproj.planar._search_rotations`:
 crossing flips are propagated over the interlacement graph in O(n^2) bit
-operations and one count of the face orbits confirms or refutes the
+operations and one walk of the face permutation confirms or refutes the
 candidate rotation system.
+
+A record reads its face degrees, monogons and strong 2-gons off one such
+walk (:func:`knotproj.planar._face_walk`), with no face list built.
 
 Datasets are JSONL: a {"schema":1} header line, then one record per curve,
 ordered by (n, code).  Rationals are serialized exactly ("p/q", or "k" for
@@ -267,18 +270,24 @@ class EnumerationRecord:
 
 
 def build_record(p: PlanarCurve, with_arnold: bool = True) -> EnumerationRecord:
-    """Compute a record for one realized curve."""
+    """Compute a record for one realized curve.
+
+    The face fields come from one :func:`planar._face_walk`, which counts
+    exactly what ``p.faces``, ``planar.monogons`` and ``planar.strong_bigons``
+    list, and ``prime`` asks only whether a closed interval exists.
+    """
     cd = p.code
+    degrees, sites = planar._face_walk(p.word, p.flips)
     return EnumerationRecord(
         code=str(chords.canonicalize(cd)),
         n=p.n,
         x=chords.count_x(cd),
         tr=chords.count_tr(cd),
-        face_degrees=tuple(sorted(f.degree for f in p.faces)),
-        monogons=len(planar.monogons(p)),
-        strong_bigons=len(planar.strong_bigons(p)),
+        face_degrees=tuple(sorted(degrees)),
+        monogons=degrees.count(1),
+        strong_bigons=len(sites),
         reduced=planar.is_reduced(p),
-        prime=p.n >= 1 and chords.split_connected_sum(cd) is None,
+        prime=p.n >= 1 and chords._first_closed_interval(cd.word) is None,
         in_S=moves._reaches_U(p),
         arnold=invariants.arnold_invariant(p) if with_arnold else None,
     )

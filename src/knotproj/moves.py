@@ -50,8 +50,9 @@ applies, and it is U exactly when some sequence of moves reaches U.  The
 tests check every overlapping pair of moves on every embedding with n <= 7.
 
 A :class:`~knotproj.planar.PlanarCurve` is its normalized word and its flip
-mask (``p.flips``), so the greedy run carries just those two and builds a
-curve, with its one face trace, only when it must look up a 2-gon.
+mask (``p.flips``), so the greedy run carries just those two, from the
+first step on, and builds no face, no curve and no interlacement core while
+it looks for a move.
 
 * A monogon is exactly a loop edge, a label at two cyclically adjacent
   positions, whatever the flips.  A degree-1 face is one dart whose edge
@@ -62,15 +63,20 @@ curve, with its one face trace, only when it must look up a 2-gon.
   next to each other, so the loop bounds a face of degree 1.  When the word
   has a loop edge, the first applicable move is therefore 1b at the
   smallest such label, and no face is needed to find it.
+* Otherwise one walk of the face permutation
+  (:func:`planar._face_walk`) lists the strong 2-gons by their sites, read
+  off the word by the orientation rule :func:`planar._is_strong`, and the
+  smallest site is the first s2b move :func:`applicable_moves` would list.
+  The same walk checks that the carried mask still has n + 2 faces.
 * Deleting crossings keeps every survivor's flip and relabels the survivors
   by rank (:func:`planar._drop_labels`), and a curve is fixed by its word
-  and flip mask.  So the curve built from the carried word and mask once the
-  word has no loop edge is the curve that a face trace after every move
-  would have reached, and it has the same 2-gons.
+  and flip mask.  So the carried word and mask are the curve that a face
+  trace after every move would have reached, with the same monogons and
+  strong 2-gons.
 
-Only the starting curve, which the caller built, is asked for its moves
-directly.  The tests compare the run with a face trace after every move on
-every embedding with n <= 7.
+A curve is built only where the run stops short of U, and its faces are
+left for the caller to read.  The tests compare the run with a face trace
+after every move on every embedding with n <= 7.
 """
 
 from __future__ import annotations
@@ -150,24 +156,23 @@ def _reduce(p: PlanarCurve) -> tuple[list[tuple[Move, tuple[int, ...]]], PlanarC
     """Take the first applicable move until none applies.
 
     Returns the (move, word) steps and the curve where the run stopped: U,
-    or a curve that admits no move.  A curve is built, with one face trace,
-    only when the word has no monogon; see the module docstring.
+    or a curve that admits no move.  Only the word and the flip mask are
+    carried, and a word with no loop edge is walked once; see the module
+    docstring.
     """
     steps = []
     word, mask = p.word, p.flips
-    cur = p  # the curve of (word, mask) once built; the start is asked as given
     while word:
-        v = _first_loop(word) if cur is None else 0
+        v = _first_loop(word)
         if v:
             move = Move("1b", (v,))
         else:
-            if cur is None:
-                cur = planar._embed(word, mask)
-            # looked up at run time, so a wrapper installed on the name applies
-            ms = applicable_moves(cur)
-            if not ms:
-                return steps, cur
-            move, cur = ms[0], None
+            degrees, sites = planar._face_walk(word, mask)
+            if len(degrees) != len(word) // 2 + 2:
+                raise planar._not_spherical(word, mask)
+            if not sites:
+                return steps, PlanarCurve(ChordDiagram._of_normal(word), mask)
+            move = Move("s2b", min(sites))
         word, mask = planar._drop_labels(word, mask, move.site)
         steps.append((move, word))
     return steps, U

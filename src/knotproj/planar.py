@@ -15,9 +15,12 @@ rotations and faces are built on first read.
 Faces come from one step array, :func:`_face_step`, built from the word and
 the flip mask alone: it sends each dart to the next dart of its face.  A flip
 mask is a spherical realization exactly when that permutation has n + 2
-cycles (Euler's formula with V = n, E = 2n).  A candidate is accepted or
-rejected by counting the cycles (:func:`_orbit_count`), with no faces built,
-and a curve's ``faces`` walk the same cycles (:func:`_trace_faces`).  The
+cycles (Euler's formula with V = n, E = 2n).  Two walkers read the cycles.
+:func:`_face_walk` is the lean one: one pass gives each face's degree and
+the sites of the strong 2-gons, with no :class:`Face` built, and it is all
+that accepts or rejects a candidate mask, drives the greedy 1b/s2b run and
+fills a census record.  :func:`_trace_faces` builds the public ``faces``.
+Strongness itself is one comparison on the word, :func:`_is_strong`.  The
 step array is the one place that writes the rotation rule down: a curve's
 ``rotations`` are read back off it, a derived view for readers of the map.
 
@@ -29,8 +32,8 @@ and b of a spherical realization differ by the parity of g + |N(a) & N(b)|,
 with g the number of code positions strictly between their first
 occurrences and N the interlacement neighbourhood.  Propagating that rule
 over each component of the interlacement graph fixes every flip up to
-mirroring whole components, in O(n^2) bit operations; one orbit count then
-confirms the candidate or shows the code is not spherical.
+mirroring whole components, in O(n^2) bit operations; one walk of the face
+permutation then confirms the candidate or shows the code is not spherical.
 
 Faces, monogons, strong 2-gons and the connected-sum structure all live
 here because they need the realized map (or feed it); a connected sum
@@ -121,7 +124,11 @@ class PlanarCurve:
     in2, out1, out2) at flip 0 and (in1, out2, out1, in2) at flip 1.
     ``faces`` is the full face list.  Both are read off :func:`_face_step` on
     first read and then cached, so a curve that is only counted or compared
-    never builds them.  Equality and hashing compare the word and the flips.
+    never builds them.  Nothing in the package reads ``rotations``: it is
+    kept as the public view of the rotation system, the map in the form the
+    literature and an independent face tracer read it, so a caller or a test
+    can check a realization without the package's dart conventions for
+    faces.  Equality and hashing compare the word and the flips.
     The curve's Euler circuit visits the darts in numeric order (tail 2t,
     head 2t+1 for edge t).
     """
@@ -193,20 +200,54 @@ def _face_step(word: tuple[int, ...], flips: int) -> list[int]:
     return step
 
 
-def _orbit_count(word: tuple[int, ...], flips: int) -> int:
-    """The number of faces of the curve with this word and flip mask.
+def _is_strong(word: tuple[int, ...], t1: int, t2: int) -> bool:
+    """Whether the 2-gon bounded by edges t1 and t2 is a strong 2-gon.
 
-    It counts the cycles of :func:`_face_step`, with no faces built.
+    Both edges join the face's two corners, and edge t starts at ``word[t]``.
+    Different start labels mean one edge runs a -> b and the other b -> a:
+    the word reads a b .. b a, the chords are nested and the orientation of
+    the curve runs coherently around the face.  Equal start labels mean
+    either both edges run a -> b (a b .. a b, interleaved chords, parallel
+    strands) or both are loops at a, as on the figure-eight's outer face;
+    neither is strong.
     """
+    return word[t1] != word[t2]
+
+
+def _face_walk(
+    word: tuple[int, ...], flips: int
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Face degrees and strong 2-gon sites of the curve with this word and flip mask.
+
+    One pass over the cycles of :func:`_face_step`, with no :class:`Face`
+    built.  The degrees come in the order of each cycle's smallest dart, as
+    :func:`_trace_faces` lists the faces, so there are n + 2 of them exactly
+    when the mask is spherical; U's two faces have degree 0.  A 2-cycle
+    d <-> e that :func:`_is_strong` accepts on edges d >> 1 and e >> 1
+    gives the site (a, b), its two corners ascending, one per face; the
+    corners are the two ends of edge d >> 1.
+    """
+    if not word:
+        return [0, 0], []
     step = _face_step(word, flips)
-    count = 0
-    for d in range(len(step)):
-        if step[d] < 0:
+    degrees = []
+    sites = []
+    for start in range(len(step)):
+        d = step[start]
+        if d < 0:  # a visited dart's step is set to -1
             continue
-        count += 1
-        while step[d] >= 0:  # a visited dart's step is set to -1
+        second = d
+        step[start] = -1
+        k = 1
+        while d != start:
             step[d], d = -1, step[d]
-    return count
+            k += 1
+        degrees.append(k)
+        t = start >> 1
+        if k == 2 and _is_strong(word, t, second >> 1):
+            a, b = word[t], word[(t + 1) % len(word)]  # edge t joins the corners
+            sites.append((a, b) if a < b else (b, a))
+    return degrees, sites
 
 
 def _trace_faces(word: tuple[int, ...], flips: int) -> list[Face]:
@@ -281,11 +322,11 @@ def _flip_coset(cd: ChordDiagram) -> tuple[int, list[int]]:
 def _curve_for_mask(cd: ChordDiagram, mask: int) -> PlanarCurve | None:
     """The curve with the given flip mask, or None unless it has n + 2 faces.
 
-    The faces are only counted (:func:`_orbit_count`); the curve builds them
+    The faces are only counted (:func:`_face_walk`); the curve builds them
     when they are first read.  Its ``code`` is ``cd`` itself, which keeps
     the interlacement core ``cd`` has already built.
     """
-    if _orbit_count(cd.word, mask) != cd.n + 2:
+    if len(_face_walk(cd.word, mask)[0]) != cd.n + 2:
         return None
     return PlanarCurve(cd, mask)
 
@@ -310,25 +351,28 @@ def _drop_labels(
     return tuple([rank[x] for x in word if rank[x]]), out
 
 
+def _not_spherical(word: tuple[int, ...], mask: int) -> NotRealizable:
+    """The error for a word and flip mask without n + 2 faces."""
+    return NotRealizable(
+        f"flip mask {mask:#x} on {' '.join(map(str, word))!r} "
+        "leaves no spherical map"
+    )
+
+
 def _embed(word: tuple[int, ...], mask: int) -> PlanarCurve:
     """The curve with this normalized word and flip mask, after one face trace.
 
-    Every caller reads the faces next (the greedy loop looks up a 2-gon,
-    ``moves.apply_move`` returns a move's result), so they are traced
-    here, once, and the same trace checks their number; no orbit count is
-    made first.  The word is normal by construction in every caller
-    (:func:`_drop_labels` and the reduction loop), so its diagram is not
-    validated again.  Raises :class:`NotRealizable` unless the trace gives
-    n + 2 faces.
+    ``moves.apply_move`` returns a move's result, whose faces its caller
+    reads next, so they are traced here, once, and the same trace checks
+    their number; no walk is made first.  The word is normal by construction
+    (:func:`_drop_labels`), so its diagram is not validated again.  Raises
+    :class:`NotRealizable` unless the trace gives n + 2 faces.
     """
     if not word:
         return U
     q = PlanarCurve(ChordDiagram._of_normal(word), mask)
     if len(q.faces) != q.n + 2:
-        raise NotRealizable(
-            f"flip mask {mask:#x} on {' '.join(map(str, word))!r} "
-            "leaves no spherical map"
-        )
+        raise _not_spherical(word, mask)
     return q
 
 
@@ -336,7 +380,7 @@ def _search_rotations(cd: ChordDiagram) -> PlanarCurve | None:
     """First rotation assignment whose face count is n + 2, in mask order.
 
     The flip mask comes from :func:`_flip_coset` in O(n^2) bit operations;
-    one orbit count then confirms it, so a code that passes parity but is not
+    one face walk then confirms it, so a code that passes parity but is not
     spherical still gets None.
     """
     mask, _ = _flip_coset(cd)
@@ -348,7 +392,7 @@ def all_realizations(cd: ChordDiagram) -> list[PlanarCurve]:
 
     Only the 2**k masks of the coset from :func:`_flip_coset` can be
     spherical (k interlacement components); each is confirmed by its own
-    orbit count.  Used to check that realization-dependent quantities do not
+    face walk.  Used to check that realization-dependent quantities do not
     actually depend on the realization found first.
     """
     if cd.n == 0:
@@ -387,25 +431,24 @@ def monogons(p: PlanarCurve) -> list[Face]:
 
 
 def strong_bigons(p: PlanarCurve) -> list[Face]:
-    """Degree-2 faces with distinct, non-interleaved corner chords.
+    """The strong 2-gons: degree-2 faces that an orientation of the curve orients.
 
-    A 2-gon face has corners (a, b).  When a == b (the outer face of the
-    figure-eight) it is no 2-gon for move purposes.  When the corner chords
-    interleave, the code reads a b .. a b .. and the strands run parallel
-    through the face: the weak case.  The strong case is the nested pattern
-    a b .. b a .. with antiparallel strands, and only those faces admit the
-    s2b move.
+    "Any nontrivial knot projection with no triple chords has a monogon or a
+    bigon" (arXiv:2108.10133) defines a strong 2-gon as a 2-gon oriented by
+    an orientation of the curve: its two edges run coherently around it, one
+    from corner a to b and the other from b back to a.  Edge t starts at
+    ``word[t]``, so that is one comparison, :func:`_is_strong`: the word
+    reads a b .. b a, the corner chords are nested, and only those faces
+    admit the s2b move.  Interleaved corner chords (a b .. a b) run both
+    edges the same way, and the figure-eight's outer face has both edges
+    looping at one corner; neither is strong.
     """
     out = []
-    bits = p.code._bits
     for f in p.faces:
-        if f.degree != 2:
-            continue
-        a, b = f.corners
-        if a == b:
-            continue
-        if not bits[a - 1] >> (b - 1) & 1:
-            out.append(f)
+        if f.degree == 2:
+            d, e = f.dart_cycle
+            if _is_strong(p.word, d >> 1, e >> 1):
+                out.append(f)
     return out
 
 

@@ -776,6 +776,44 @@ def stepwise_reduce(p):
     return steps, cur
 
 
+def strong_bigon_sites(faces, cd):
+    """The sorted corner pair of each strong 2-gon among ``faces``.
+
+    Strong by the interlacement definition: the two corners are distinct
+    chords that do not interleave in :func:`interleavement_graph`.
+    """
+    g = interleavement_graph(cd)
+    out = []
+    for f in faces:
+        if f.degree == 2:
+            a, b = f.corners
+            if a != b and b not in g[a]:
+                out.append((min(a, b), max(a, b)))
+    return out
+
+
+def face_record(p):
+    """A dataset record's face and class fields, from ``Face`` objects.
+
+    The faces are traced off the vertex rings (:func:`ring_traced_faces`),
+    the strong 2-gons read by the interlacement definition, ``prime`` by the
+    member-array split and ``in_S`` by the greedy run with a face trace after
+    every move (:func:`stepwise_reduce`).  U's two faces have degree 0.
+    """
+    if p.n:
+        faces = ring_traced_faces(p.word, mask_rings(p.word, p.flips))
+        degrees = [f.degree for f in faces]
+    else:
+        faces, degrees = [], [0, 0]
+    return {
+        "face_degrees": tuple(sorted(degrees)),
+        "monogons": degrees.count(1),
+        "strong_bigons": len(strong_bigon_sites(faces, p.code)),
+        "prime": p.n >= 1 and split_connected_sum_members(p.code) is None,
+        "in_S": stepwise_reduce(p)[1].n == 0,
+    }
+
+
 def dfs_in_S(p):
     """Membership in S by memoized backtracking over re-realizing moves.
 

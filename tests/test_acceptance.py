@@ -102,18 +102,14 @@ def test_criterion_6_invariant_oracles(capfd):
 def test_criterion_7_strongness_discriminator(capfd, monkeypatch):
     with criterion(capfd, 7, "interleaved-bigon mutant breaks the verified corollaries"):
 
-        def interleaved_variant(p):
-            return [
-                f
-                for f in p.faces
-                if f.degree == 2
-                and f.corners[0] != f.corners[1]
-                and kp.interleaved(p.code, *f.corners)
-            ]
+        def interleaved_variant(word, t1, t2):
+            # both edges of the 2-gon join its corners word[t1] and word[t1 + 1]
+            a, b = word[t1], word[(t1 + 1) % len(word)]
+            return a != b and kp.interleaved(kp.ChordDiagram(word), a, b)
 
         healthy = kp.check_inclusion_chain(3)
         assert healthy.passed
-        monkeypatch.setattr(planar, "strong_bigons", interleaved_variant)
+        monkeypatch.setattr(planar, "_is_strong", interleaved_variant)
         mutated = kp.check_inclusion_chain(3)
         bigons = kp.check_two_strong_bigons(4)
         assert not mutated.passed or not bigons.passed

@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from knotproj import cli, enumeration, read_dataset
 from knotproj.enumeration import BUDGET_ENV
+
+from conftest import FIXTURES
 
 
 def run(capsys, *argv):
@@ -262,6 +265,17 @@ def test_enumerate_over_budget_exits_4(tmp_path, capsys, monkeypatch):
         f"n=9 exceeds the enumeration budget 8 (set {BUDGET_ENV} to raise it)\n"
     )
     assert not out_path.exists()
+
+
+@pytest.mark.slow
+def test_enumerate_9_dataset_is_pinned(tmp_path, capsys, monkeypatch):
+    """The n <= 9 dataset (4,881 records), byte for byte, by its sha256."""
+    monkeypatch.setenv(BUDGET_ENV, "9")
+    out_path = tmp_path / "ds.jsonl"
+    code, out, _ = run(capsys, "enumerate", "9", "--out", str(out_path))
+    assert code == 0 and out.endswith("(4881 records)\n")
+    want = (FIXTURES / "enumerate_9.sha256").read_text().split()[0]
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want
 
 
 def test_enumerate_negative_n_exits_4(tmp_path, capsys):

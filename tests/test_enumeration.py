@@ -27,6 +27,7 @@ from knotproj.errors import BudgetExceeded, NotRealizable, SchemaError
 from conftest import (
     all_canonical_words,
     brute_force_realizable,
+    face_record,
     leaf_checked_words,
     pairing_words,
     second_condition_violations,
@@ -227,6 +228,19 @@ def test_build_record_trefoil():
     assert (rec.monogons, rec.strong_bigons) == (0, 0)
     assert rec.reduced and rec.prime and not rec.in_S
     assert rec.arnold == Fraction(2)
+
+
+def test_build_record_matches_face_record_oracle():
+    """The record's face fields, prime and in_S off one walk, against the
+    Face-based oracle on every curve with n <= 8."""
+    records = 0
+    for n in range(0, 9):
+        for p in enumerate_curves(n):
+            want = face_record(p)
+            rec = build_record(p, with_arnold=False)
+            assert {f: getattr(rec, f) for f in want} == want, p.word
+            records += 1
+    assert records == 991
 
 
 def test_build_record_builds_one_interlacement_core(monkeypatch):

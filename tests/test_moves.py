@@ -127,10 +127,12 @@ def test_reduce_deterministic():
 
 def test_theorem_violation_is_raisable(monkeypatch):
     """A stuck triple-free reduction is a reportable counterexample, not a
-    crash; force the situation by hiding every move."""
+    crash; force the situation by hiding every move: no loop edge is seen
+    and no 2-gon reads as strong."""
     from knotproj import moves as moves_mod
 
-    monkeypatch.setattr(moves_mod, "applicable_moves", lambda p: [])
+    monkeypatch.setattr(moves_mod, "_first_loop", lambda word: 0)
+    monkeypatch.setattr(planar, "_is_strong", lambda word, t1, t2: False)
     with pytest.raises(TheoremViolation):
         moves_mod.reduce_no_triple(curve("1 1"))
 
@@ -340,25 +342,42 @@ def has_loop_edge(word):
 
 
 def test_face_traces_only_where_no_monogon_is_left(monkeypatch):
+    """The run builds no Face and no interlacement core: a word with no loop
+    edge is walked once by ``_face_walk``, and nothing else reads its map."""
     spiral, torus = nested_spiral(), torus_with_curls()
     small = embeddings(6)
     for p in (spiral, torus, *small):
-        p.faces  # built on first read; read here, so only the run is counted
-    traced = []
-    original = planar._trace_faces
+        # built on first read; read here, so only the run is counted
+        p.faces, p.code._bits
+    traced, walked, cores = [], [], []
+    trace_faces, face_walk = planar._trace_faces, planar._face_walk
+    interlacement_bits = chords._interlacement_bits
 
-    def counted(word, flips):
+    def counted_trace(word, flips):
         traced.append(word)
-        return original(word, flips)
+        return trace_faces(word, flips)
 
-    monkeypatch.setattr(planar, "_trace_faces", counted)
+    def counted_walk(word, flips):
+        walked.append(word)
+        return face_walk(word, flips)
+
+    def counted_bits(word):
+        cores.append(word)
+        return interlacement_bits(word)
+
+    monkeypatch.setattr(planar, "_trace_faces", counted_trace)
+    monkeypatch.setattr(planar, "_face_walk", counted_walk)
+    monkeypatch.setattr(chords, "_interlacement_bits", counted_bits)
     assert in_S(spiral)[0]
     assert str(reduce_no_triple(spiral).terminal) == ""
-    assert traced == []
+    assert walked == []
     assert in_S(torus) == (False, None)
-    assert len(traced) == 1
-    traced.clear()
+    assert len(walked) == 1
+    walked.clear()
     for p in small:
         in_S(p)
-    assert traced
-    assert not any(has_loop_edge(word) for word in traced)
+        if not count_tr(p.code):
+            reduce_no_triple(p)
+    assert walked
+    assert not any(has_loop_edge(word) for word in walked)
+    assert traced == [] and cores == []

@@ -34,6 +34,7 @@ from conftest import (
     pairing_words,
     realized_connected_sum,
     ring_traced_faces,
+    strong_bigon_sites,
     sweep_realizations,
     trace_face_count,
 )
@@ -126,7 +127,7 @@ def orbit_count_mismatches(word, masks):
     bad, rejected = [], 0
     for mask in masks:
         traced = len(ring_traced_faces(word, mask_rings(word, mask)))
-        if planar._orbit_count(word, mask) != traced:
+        if len(planar._face_walk(word, mask)[0]) != traced:
             bad.append(mask)
         rejected += traced != len(word) // 2 + 2
     return bad, rejected
@@ -173,14 +174,23 @@ def test_all_realizations_match_eager_construction():
 
 
 def test_step_array_faces_match_ring_traced_faces():
-    embeddings = 0
+    """Both step-array walkers: the Face lists of ``_trace_faces``, and the
+    degrees and strong 2-gon sites of ``_face_walk``, whose orientation rule
+    on the word is held against the definition by chords (distinct corners
+    whose chords do not interleave)."""
+    embeddings = strong = 0
     for n in range(1, 8):
         for p in enumerate_curves(n):
             for r in all_realizations(p.code):
                 want = ring_traced_faces(r.word, mask_rings(r.word, r.flips))
                 assert planar._trace_faces(r.word, r.flips) == want, r.word
+                degrees, sites = planar._face_walk(r.word, r.flips)
+                assert degrees == [f.degree for f in want], r.word
+                assert sites == strong_bigon_sites(want, r.code), r.word
                 embeddings += 1
-    assert embeddings == 7_304
+                strong += len(sites)
+    assert (embeddings, strong) == (7_304, 6_448)
+    assert planar._face_walk((), 0) == ([0, 0], [])
 
 
 def test_realized_code_is_validated_once(monkeypatch):
@@ -222,9 +232,9 @@ def test_all_realizations_match_sweep():
 
 
 def test_unrealizable_code_costs_one_face_trace(monkeypatch):
-    """The one check is an orbit count over the 36 positions; no face is built."""
+    """The one check is a face walk over the 36 positions; no face is built."""
     calls = []
-    for name in ("_trace_faces", "_orbit_count"):
+    for name in ("_trace_faces", "_face_walk"):
         original = getattr(planar, name)
 
         def counting(word, arg, _name=name, _original=original):
@@ -236,7 +246,7 @@ def test_unrealizable_code_costs_one_face_trace(monkeypatch):
     assert cd.n == 18 and gauss_parity_violations(cd) == []
     with pytest.raises(NotRealizable):
         realize(cd)
-    assert calls == [("_orbit_count", 36)]
+    assert calls == [("_face_walk", 36)]
 
 
 def test_deleting_a_crossing_off_any_move_can_leave_no_spherical_map():
@@ -471,7 +481,7 @@ def test_connected_sum_splices_the_embeddings():
                                 for rb in b_maps:
                                     q = connected_sum(ra, rb, s1, s2)
                                     assert q.code == want, (ra, rb, s1, s2)
-                                    assert planar._orbit_count(q.word, q.flips) == q.n + 2
+                                    assert len(planar._face_walk(q.word, q.flips)[0]) == q.n + 2
                                     diff = q.flips ^ base
                                     assert all(diff & c in (0, c) for c in components)
                                     splices += 1
@@ -499,7 +509,7 @@ def test_prime_decompose_inverts_connected_sum():
                             assert len(factors) == 2, (p1, p2, s1, s2)
                             f1, f2 = factors if factors[0] == p1 else factors[::-1]
                             for f in factors:
-                                assert planar._orbit_count(f.word, f.flips) == f.n + 2
+                                assert len(planar._face_walk(f.word, f.flips)[0]) == f.n + 2
                             assert (f1.word, f1.flips) == (p1.word, p1.flips)
                             back = connected_sum(f1, f2, s1, 2 * n2 - 1)
                             assert (back.word, back.flips) == (q.word, q.flips)
@@ -516,7 +526,7 @@ def test_prime_decompose_realizes_no_part(monkeypatch):
     def refuse(*args):
         raise AssertionError("prime_decompose re-realized a part")
 
-    for name in ("realize", "_search_rotations", "_flip_coset", "_orbit_count"):
+    for name in ("realize", "_search_rotations", "_flip_coset", "_face_walk"):
         monkeypatch.setattr(planar, name, refuse)
     factors = prime_decompose(q)
     assert sorted(str(chords.canonicalize(f.code)) for f in factors) == [

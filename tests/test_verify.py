@@ -5,6 +5,7 @@ import pytest
 from knotproj import (
     CHECK_IDS,
     CheckReport,
+    ChordDiagram,
     check_connected_sum_lemma,
     check_inclusion_chain,
     check_main_theorem,
@@ -113,7 +114,7 @@ def test_connected_sum_lemma_builds_no_faces(monkeypatch):
 
     monkeypatch.setattr(planar, "_trace_faces", counted)
     monkeypatch.setattr(planar, "_flip_coset", refuse)
-    monkeypatch.setattr(planar, "_orbit_count", refuse)
+    monkeypatch.setattr(planar, "_face_walk", refuse)
     assert check_connected_sum_lemma(6).passed
     assert traced == []
 
@@ -164,17 +165,13 @@ def test_failed_report_carries_violations():
 # --- the strongness discriminator -------------------------------------------------
 
 
-def weak_variant(p):
-    """Deliberately wrong bigon predicate: keep interleaved corner pairs
-    (the pattern the real predicate excludes) instead of nested ones."""
-    out = []
-    for f in p.faces:
-        if f.degree != 2:
-            continue
-        a, b = f.corners
-        if a != b and interleaved(p.code, a, b):
-            out.append(f)
-    return out
+def weak_variant(word, t1, t2):
+    """Deliberately wrong strongness rule: a 2-gon on edges t1 and t2 counts
+    when its corner chords interleave (the pattern the real rule excludes)
+    instead of nesting.  Both edges join the same two corners, word[t1] and
+    word[t1 + 1]."""
+    a, b = word[t1], word[(t1 + 1) % len(word)]
+    return a != b and interleaved(ChordDiagram(word), a, b)
 
 
 def test_interleaved_mutant_breaks_the_chain(monkeypatch):
@@ -183,13 +180,13 @@ def test_interleaved_mutant_breaks_the_chain(monkeypatch):
     longer forces the arnold invariant to vanish."""
     baseline = check_inclusion_chain(3)
     assert baseline.passed
-    monkeypatch.setattr(planar, "strong_bigons", weak_variant)
+    monkeypatch.setattr(planar, "_is_strong", weak_variant)
     mutated = check_inclusion_chain(3)
     assert not mutated.passed
     assert any("arnold" in reason for _, reason in mutated.violations)
 
 
 def test_mutant_detected_by_bigon_census_too(monkeypatch):
-    monkeypatch.setattr(planar, "strong_bigons", weak_variant)
+    monkeypatch.setattr(planar, "_is_strong", weak_variant)
     rep = check_two_strong_bigons(4)
     assert not rep.passed
