@@ -20,14 +20,18 @@ Each chord-level concept has one implementation:
   adds the validation (each label exactly twice), once per diagram built
   from outside labels (``from_labels``, :func:`parse_code`, or the
   constructor given a word),
-* :func:`_candidate_starts` lists the transforms that can read least in a
-  word's symmetry orbit, and :func:`_reads_below` relabels one transform
-  and compares it with a given word; together they are the orbit minimum
-  :func:`_orbit_min`, behind :func:`canonicalize` (cached per diagram as
+* a reading of a word (a rotation or reflection, relabeled by first
+  occurrence) is compared with another through integer keys, not relabeled
+  tuples: :func:`_back_steps` gives each position the steps back to its
+  partner, once per word, and :func:`_precedes` compares two readings key
+  by key, in word order.  :func:`_least_starts` lists the readings that
+  can be least.  Together they are the orbit minimum :func:`_orbit_min`,
+  behind :func:`canonicalize` (cached per diagram as
   ``ChordDiagram._canon``, the canonical diagram, whose own ``_canon`` is
-  itself), and the early-exit canonicity test :func:`_is_orbit_min`;
-  the enumeration's close-time prune reads a partial word through
-  :func:`_reads_below` too,
+  itself), which relabels only the winning reading, and the early-exit
+  canonicity test :func:`_is_orbit_min`; the enumeration keeps the back
+  steps of its partial word as chords close and hands them to both its
+  close-time prune (:func:`_precedes`) and its leaf test,
 * :func:`_interlacement_bits` is the interlacement core, built once per
   diagram and cached as ``ChordDiagram._bits``: every interleave question
   reads it, here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
@@ -168,67 +172,122 @@ def parse_code(text: str) -> ChordDiagram:
     return ChordDiagram.from_labels(labels)
 
 
-def _candidate_starts(word: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """The transforms of a normalized word that can read least in its orbit.
+def _back_steps(word: tuple[int, ...]) -> list[int]:
+    """For each position of a normalized word, the cyclic steps back to its partner.
 
-    Each is a pair (sequence, start): the word or its reversal, read
-    cyclically from the start.  Only a transform that starts on an endpoint
-    whose partner lies g steps ahead, g the least such distance in the word,
-    can be least: it reads 1 2 .. g 1 (a chord nested inside would be closer
-    still), while any other transform reads at least g + 1 fresh labels
-    before its first repeat.  The word itself is the first pair whenever its
-    chord 1 closes at g.
+    This is the word's key source: a reading of the word forward from r,
+    relabeled by first occurrence, gives the symbol at offset k a repeated
+    label exactly when ``back[(r + k) % m] <= k``, the partner having been
+    read that many steps earlier; otherwise the label is fresh.  A reading
+    backward from r is the reading of ``word[::-1]`` forward from m - 1 - r,
+    so it uses ``_back_steps(word[::-1])``.
     """
     m = len(word)
-    first: dict[int, int] = {}
-    ahead = [0] * m  # steps from each position forward to its partner
+    first = [-1] * (m // 2 + 1)
+    back = [0] * m
     for i, x in enumerate(word):
-        j = first.setdefault(x, i)
-        ahead[i] = (j - i) % m
-        ahead[j] = i - j
-    g = min(ahead, default=0)
-    rev = word[::-1]
-    starts = [(word, i) for i in range(m) if ahead[i] == g]
-    starts += [(rev, m - 1 - i) for i in range(m) if ahead[i] == m - g]
-    return starts
+        j = first[x]
+        if j < 0:
+            first[x] = i
+        else:
+            back[i] = i - j
+            back[j] = m + j - i
+    return back
 
 
-def _reads_below(seq: tuple[int, ...], r: int, word: tuple[int, ...]) -> bool:
-    """Whether ``seq``, read cyclically from ``r`` and relabeled by first
-    occurrence, is less than ``word``.
+def _precedes(a: list[int], s: int, b: list[int], t: int, k: int, stop: int) -> bool:
+    """Whether the reading with back steps ``a`` from ``s`` is less, relabeled
+    by first occurrence, than the one with ``b`` from ``t``.
 
-    The reading stops at its first label that differs from ``word``'s.  A
-    ``seq`` and ``word`` of equal length may be prefixes of longer words.
+    Both readings must agree before offset k; offsets k .. stop - 1 are
+    compared, ``a[s + k]`` against ``b[t + k]``, so a reading that wraps
+    past the word's end reads a list that holds the steps twice over.  A
+    reading may also be of a prefix, with only its own steps written
+    (``enumeration._canonical_words``).  The key of an offset is its
+    back step when that is at most the offset, else 0.  Key order is word
+    order: while two readings agree, they hold the same labels, a fresh
+    label is larger than every label read, and a repeated label is the label
+    of the offset its partner was read at, smaller the earlier that offset.
+    So at the first key that differs the reading with the larger key is the
+    smaller word, and equal keys all the way mean equal words.
     """
-    ids: dict[int, int] = {}
-    for k, x in enumerate(seq[r:] + seq[:r]):
-        y = ids.setdefault(x, len(ids) + 1)
-        if y != word[k]:
-            return y < word[k]
+    while k < stop:
+        x = a[s + k]
+        y = b[t + k]
+        if x != y:
+            if x > k:
+                x = 0
+            if y > k:
+                y = 0
+            if x != y:
+                return x > y
+        k += 1
     return False
 
 
 def _orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
     """Least word over all rotations and both reflections of a normalized word.
 
-    Each transform is relabeled by first occurrence.  Only the
-    :func:`_candidate_starts` are read, each only until it differs from the
-    best so far.
+    Each transform is relabeled by first occurrence.  Only a transform that
+    starts on an endpoint whose partner lies g steps ahead, g the least
+    back step in the word, can be least: it reads 1 2 .. g 1 (a chord
+    nested inside would be shorter still), while any other transform reads
+    at least g + 1 fresh labels before its first repeat.  These candidates
+    are the readings whose key at offset g is g; they agree through offset
+    g, and each is compared with the best so far by :func:`_precedes` only
+    until their keys differ.  The winner alone is relabeled.
     """
-    best: tuple[int, ...] = ()
-    for seq, r in _candidate_starts(word):
-        if not best or _reads_below(seq, r, best):
-            best = _relabel(seq[r:] + seq[:r])
-    return best
+    if not word:
+        return ()
+    m = len(word)
+    rev = word[::-1]
+    fwd = _back_steps(word) * 2
+    bwd = _back_steps(rev) * 2
+    g = min(fwd)
+    best = None
+    for src in (fwd, bwd):
+        for s in _least_starts(src, g):
+            if best is None or _precedes(src, s, best, start, g + 1, m):
+                best, start = src, s
+    seq = word if best is fwd else rev
+    return _relabel(seq[start:] + seq[:start])
 
 
-def _is_orbit_min(word: tuple[int, ...]) -> bool:
-    """Whether a normalized word equals its :func:`_orbit_min`.
+def _least_starts(src: list[int], g: int) -> list[int]:
+    """The starts of the readings of one direction that can be least.
 
-    ``word`` seeds the comparison (it is its own start-0 reading), so the
-    test stops at the first candidate that reads below it.
+    ``src`` holds a word's :func:`_back_steps` twice over, g is the least
+    step, and a reading is a candidate when its key at offset g is g: it
+    reads 1 2 .. g 1.  Starts ascend.
     """
-    return not any(_reads_below(seq, r, word) for seq, r in _candidate_starts(word))
+    out = []
+    q = g
+    for _ in range(src.count(g) >> 1):  # src holds each step twice
+        q = src.index(g, q)
+        out.append(q - g)
+        q += 1
+    return out
+
+
+def _is_orbit_min(back: list[int], rback: list[int]) -> bool:
+    """Whether a normalized word equals its :func:`_orbit_min`, given the
+    :func:`_back_steps` of the word and of its reversal.
+
+    The word is its own start-0 reading, so it must be a candidate, and the
+    test stops at the first candidate that :func:`_precedes` it.
+    """
+    m = len(back)
+    if not m:
+        return True
+    g = min(back)
+    if back[g] != g:
+        return False
+    fwd = back * 2
+    for src in (fwd, rback * 2):
+        for s in _least_starts(src, g):
+            if _precedes(src, s, fwd, 0, g + 1, m):
+                return False
+    return True
 
 
 def canonicalize(cd: ChordDiagram) -> ChordDiagram:

@@ -137,8 +137,24 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
     If that prefix reads below word[0..i], the reflection reads below every
     completion of the word, so no completion is canonical and the placement
     is skipped; the prune is exact.  Chord 1's own closing reads 1 2 .. gap 1,
-    the word's own prefix, and never prunes.  The complete survivors get
-    :func:`chords._is_orbit_min`, which also reads the forward transforms.
+    the word's own prefix, and never prunes.
+
+    No relabeled tuple is built for that comparison.  As a chord of length d
+    closes, d is written at its later endpoint and 2n - d at its earlier one,
+    in ``back`` (the :func:`chords._back_steps` of the word) and in ``rback``
+    (those of the reversed word, where the endpoints swap roles).  In a
+    reading, the symbol at offset k repeats a label exactly when its back
+    step is at most k, and the label it repeats is the smaller the larger
+    that step; otherwise its label is fresh, larger than every label read.
+    So keys (that step, or 0 when fresh) order readings as their relabeled
+    words do: at the first key that differs, the larger key is the smaller
+    word (:func:`chords._precedes`).  Within word[0..i] every step a reading
+    must see is written, and every other entry is 0 or a step longer than
+    the prefix, which reads as fresh, so the prune compares ``rback`` read
+    from the closing position with ``back`` read from 0, from offset
+    gap + 1 on (both read 1 2 .. gap 1 before it).  The complete survivors
+    get :func:`chords._is_orbit_min` on the same two arrays, which also
+    reads the forward transforms.
     """
     if n == 0:
         return [()]
@@ -158,13 +174,18 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
         open_pos = {k + 1: k for k in range(1, gap)}
         # the interlacement neighbourhood (bit b for label b) of each closed chord
         closed = {1: pref[gap] ^ pref[1]}
+        # chords._back_steps of the word and of its reversal, written as each
+        # chord closes; rback[m - 1 - p] is position p's step ahead
+        back = [0] * m
+        rback = [0] * m
+        back[gap] = rback[m - 1] = gap
+        back[0] = rback[m - 1 - gap] = m - gap
 
         def place(i: int, fresh: int) -> None:
             # fresh is the next unused label
             if i == m:
-                w = tuple(word)
-                if not open_pos and chords._is_orbit_min(w):
-                    out.append(w)
+                if not open_pos and chords._is_orbit_min(back, rback):
+                    out.append(tuple(word))
                 return
             if len(open_pos) > m - i:
                 return
@@ -182,19 +203,24 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
                 if _odd_common_neighbours(nc, closed):
                     continue
                 word[i] = lab
-                if d == gap and chords._reads_below(
-                    tuple(word[i::-1]), 0, tuple(word[: i + 1])
+                back[i] = d
+                if d == gap and chords._precedes(
+                    rback, m - 1 - i, back, 0, gap + 1, i + 1
                 ):
                     continue
+                rback[m - 1 - fp] = d
+                back[fp] = rback[m - 1 - i] = m - d
                 del open_pos[lab]
                 closed[lab] = nc
                 pref[i + 1] = pref[i] ^ (1 << lab)
                 place(i + 1, fresh)
                 del closed[lab]
                 open_pos[lab] = fp
+                rback[m - 1 - fp] = 0  # fp opens again; it reads as fresh
             if fresh <= n:
                 open_pos[fresh] = i
                 word[i] = fresh
+                back[i] = 0  # a fresh label repeats nothing
                 pref[i + 1] = pref[i] ^ (1 << fresh)
                 place(i + 1, fresh + 1)
                 del open_pos[fresh]
@@ -272,12 +298,14 @@ class EnumerationRecord:
 def build_record(p: PlanarCurve, with_arnold: bool = True) -> EnumerationRecord:
     """Compute a record for one realized curve.
 
-    The face fields come from one :func:`planar._face_walk`, which counts
-    exactly what ``p.faces``, ``planar.monogons`` and ``planar.strong_bigons``
-    list, and ``prime`` asks only whether a closed interval exists.
+    The face fields come from the curve's :func:`planar._face_walk`, which
+    counts exactly what ``p.faces``, ``planar.monogons`` and
+    ``planar.strong_bigons`` list; an enumerated curve keeps the walk that
+    accepted its mask, so it is not walked again.  ``prime`` asks only
+    whether a closed interval exists.
     """
     cd = p.code
-    degrees, sites = planar._face_walk(p.word, p.flips)
+    degrees, bigons = p._walk
     return EnumerationRecord(
         code=str(chords.canonicalize(cd)),
         n=p.n,
@@ -285,7 +313,7 @@ def build_record(p: PlanarCurve, with_arnold: bool = True) -> EnumerationRecord:
         tr=chords.count_tr(cd),
         face_degrees=tuple(sorted(degrees)),
         monogons=degrees.count(1),
-        strong_bigons=len(sites),
+        strong_bigons=len(planar._strong_sites(p.word, bigons)),
         reduced=planar.is_reduced(p),
         prime=p.n >= 1 and chords._first_closed_interval(cd.word) is None,
         in_S=moves._reaches_U(p),

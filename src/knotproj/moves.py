@@ -64,10 +64,13 @@ it looks for a move.
   has a loop edge, the first applicable move is therefore 1b at the
   smallest such label, and no face is needed to find it.
 * Otherwise one walk of the face permutation
-  (:func:`planar._face_walk`) lists the strong 2-gons by their sites, read
-  off the word by the orientation rule :func:`planar._is_strong`, and the
-  smallest site is the first s2b move :func:`applicable_moves` would list.
-  The same walk checks that the carried mask still has n + 2 faces.
+  (:func:`planar._face_walk`) lists the 2-gons, whose strong ones
+  :func:`planar._strong_sites` gives by their sites, read off the word by
+  the orientation rule :func:`planar._is_strong`, and the smallest site is
+  the first s2b move :func:`applicable_moves` would list.  The same walk
+  checks that the carried mask still has n + 2 faces.  The start curve's
+  walk is the one it keeps (``PlanarCurve._walk``), which a realized curve
+  has made already.
 * Deleting crossings keeps every survivor's flip and relabels the survivors
   by rank (:func:`planar._drop_labels`), and a curve is fixed by its word
   and flip mask.  So the carried word and mask are the curve that a face
@@ -167,9 +170,11 @@ def _reduce(p: PlanarCurve) -> tuple[list[tuple[Move, tuple[int, ...]]], PlanarC
         if v:
             move = Move("1b", (v,))
         else:
-            degrees, sites = planar._face_walk(word, mask)
+            # the start curve may keep the walk that accepted its mask
+            degrees, bigons = planar._face_walk(word, mask) if steps else p._walk
             if len(degrees) != len(word) // 2 + 2:
                 raise planar._not_spherical(word, mask)
+            sites = planar._strong_sites(word, bigons)
             if not sites:
                 return steps, PlanarCurve(ChordDiagram._of_normal(word), mask)
             move = Move("s2b", min(sites))

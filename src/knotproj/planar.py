@@ -17,10 +17,13 @@ the flip mask alone: it sends each dart to the next dart of its face.  A flip
 mask is a spherical realization exactly when that permutation has n + 2
 cycles (Euler's formula with V = n, E = 2n).  Two walkers read the cycles.
 :func:`_face_walk` is the lean one: one pass gives each face's degree and
-the sites of the strong 2-gons, with no :class:`Face` built, and it is all
-that accepts or rejects a candidate mask, drives the greedy 1b/s2b run and
-fills a census record.  :func:`_trace_faces` builds the public ``faces``.
-Strongness itself is one comparison on the word, :func:`_is_strong`.  The
+the edges of each 2-gon, with no :class:`Face` built, and it is all that
+accepts or rejects a candidate mask, drives the greedy 1b/s2b run and fills
+a census record.  A curve whose mask a walk accepted keeps that walk, so a
+census curve's own map is walked once.  :func:`_trace_faces` builds the public
+``faces``.  Strongness itself is one comparison on the word,
+:func:`_is_strong`, made each time a walk's 2-gons are read
+(:func:`_strong_sites`).  The
 step array is the one place that writes the rotation rule down: a curve's
 ``rotations`` are read back off it, a derived view for readers of the map.
 
@@ -158,6 +161,12 @@ class PlanarCurve:
         return tuple(rings)
 
     @cached_property
+    def _walk(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """This curve's :func:`_face_walk`: the walk that accepted its mask
+        (:func:`_curve_for_mask`), or one made on first read."""
+        return _face_walk(self.word, self.flips)
+
+    @cached_property
     def faces(self) -> tuple[Face, ...]:
         if not self.word:
             return (Face((), ()), Face((), ()))
@@ -217,21 +226,20 @@ def _is_strong(word: tuple[int, ...], t1: int, t2: int) -> bool:
 def _face_walk(
     word: tuple[int, ...], flips: int
 ) -> tuple[list[int], list[tuple[int, int]]]:
-    """Face degrees and strong 2-gon sites of the curve with this word and flip mask.
+    """Face degrees and 2-gons of the curve with this word and flip mask.
 
     One pass over the cycles of :func:`_face_step`, with no :class:`Face`
     built.  The degrees come in the order of each cycle's smallest dart, as
     :func:`_trace_faces` lists the faces, so there are n + 2 of them exactly
-    when the mask is spherical; U's two faces have degree 0.  A 2-cycle
-    d <-> e that :func:`_is_strong` accepts on edges d >> 1 and e >> 1
-    gives the site (a, b), its two corners ascending, one per face; the
-    corners are the two ends of edge d >> 1.
+    when the mask is spherical; U's two faces have degree 0.  Each 2-cycle
+    d <-> e, d its smaller dart, gives its two edges (d >> 1, e >> 1);
+    :func:`_strong_sites` reads the strong 2-gons off them.
     """
     if not word:
         return [0, 0], []
     step = _face_step(word, flips)
     degrees = []
-    sites = []
+    bigons = []
     for start in range(len(step)):
         d = step[start]
         if d < 0:  # a visited dart's step is set to -1
@@ -243,11 +251,29 @@ def _face_walk(
             step[d], d = -1, step[d]
             k += 1
         degrees.append(k)
-        t = start >> 1
-        if k == 2 and _is_strong(word, t, second >> 1):
-            a, b = word[t], word[(t + 1) % len(word)]  # edge t joins the corners
+        if k == 2:
+            bigons.append((start >> 1, second >> 1))
+    return degrees, bigons
+
+
+def _strong_sites(
+    word: tuple[int, ...], bigons: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The strong 2-gons among the 2-gons of a :func:`_face_walk`, by site.
+
+    A 2-gon with edges t1 and t2 that :func:`_is_strong` accepts gives the
+    site (a, b), its two corners ascending, one per face; the corners are
+    the two ends of edge t1.  The filter runs on each read, not inside the
+    walk, so the walk a curve keeps holds the map's 2-gons and no
+    strongness verdict.
+    """
+    m = len(word)
+    sites = []
+    for t1, t2 in bigons:
+        if _is_strong(word, t1, t2):
+            a, b = word[t1], word[(t1 + 1) % m]  # edge t1 joins the corners
             sites.append((a, b) if a < b else (b, a))
-    return degrees, sites
+    return sites
 
 
 def _trace_faces(word: tuple[int, ...], flips: int) -> list[Face]:
@@ -322,13 +348,17 @@ def _flip_coset(cd: ChordDiagram) -> tuple[int, list[int]]:
 def _curve_for_mask(cd: ChordDiagram, mask: int) -> PlanarCurve | None:
     """The curve with the given flip mask, or None unless it has n + 2 faces.
 
-    The faces are only counted (:func:`_face_walk`); the curve builds them
-    when they are first read.  Its ``code`` is ``cd`` itself, which keeps
-    the interlacement core ``cd`` has already built.
+    The faces are only counted (:func:`_face_walk`); the curve keeps that
+    walk as its ``_walk`` and builds its faces when they are first read.
+    Its ``code`` is ``cd`` itself, which keeps the interlacement core ``cd``
+    has already built.
     """
-    if len(_face_walk(cd.word, mask)[0]) != cd.n + 2:
+    walk = _face_walk(cd.word, mask)
+    if len(walk[0]) != cd.n + 2:
         return None
-    return PlanarCurve(cd, mask)
+    p = PlanarCurve(cd, mask)
+    p.__dict__["_walk"] = walk
+    return p
 
 
 def _drop_labels(

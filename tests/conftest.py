@@ -18,7 +18,6 @@ from knotproj import (
     Teardrop,
     applicable_moves,
     canonicalize,
-    chords,
     invariants,
     planar,
     realize,
@@ -135,13 +134,69 @@ def all_canonical_words(n):
     return out
 
 
+def _candidate_starts(word: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The transforms of a normalized word that can read least in its orbit.
+
+    Each is a pair (sequence, start): the word or its reversal, read
+    cyclically from the start.  Only a transform that starts on an endpoint
+    whose partner lies g steps ahead, g the least such distance in the word,
+    can be least: it reads 1 2 .. g 1 (a chord nested inside would be closer
+    still), while any other transform reads at least g + 1 fresh labels
+    before its first repeat.  The word itself is the first pair whenever its
+    chord 1 closes at g.
+    """
+    m = len(word)
+    first: dict[int, int] = {}
+    ahead = [0] * m  # steps from each position forward to its partner
+    for i, x in enumerate(word):
+        j = first.setdefault(x, i)
+        ahead[i] = (j - i) % m
+        ahead[j] = i - j
+    g = min(ahead, default=0)
+    rev = word[::-1]
+    starts = [(word, i) for i in range(m) if ahead[i] == g]
+    starts += [(rev, m - 1 - i) for i in range(m) if ahead[i] == m - g]
+    return starts
+
+
+def _reads_below(seq: tuple[int, ...], r: int, word: tuple[int, ...]) -> bool:
+    """Whether ``seq``, read cyclically from ``r`` and relabeled by first
+    occurrence, is less than ``word``.
+
+    The reading stops at its first label that differs from ``word``'s.  A
+    ``seq`` and ``word`` of equal length may be prefixes of longer words.
+    """
+    ids: dict[int, int] = {}
+    for k, x in enumerate(seq[r:] + seq[:r]):
+        y = ids.setdefault(x, len(ids) + 1)
+        if y != word[k]:
+            return y < word[k]
+    return False
+
+
+def reading_orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The orbit minimum by relabeled tuples, the tuple reading the package
+    replaced with its partner-step keys (``chords._orbit_min``).
+
+    Only the :func:`_candidate_starts` are read, each only until it differs
+    from the best so far; the best is relabeled whole.
+    """
+    best: tuple[int, ...] = ()
+    for seq, r in _candidate_starts(word):
+        if not best or _reads_below(seq, r, best):
+            best = _relabel(seq[r:] + seq[:r])
+    return best
+
+
 def leaf_checked_words(n: int) -> list[tuple[int, ...]]:
     """The parity-pruned generator with canonicity checked only at the leaves.
 
     :func:`knotproj.enumeration._canonical_words` before its close-time
-    canonicity prune, kept verbatim: the gap and parity prunes, then
-    ``chords._orbit_min(w) == w`` on every complete word.  Wrapping
-    ``chords._orbit_min`` counts (or records) the leaves it checks.
+    canonicity prune and its second-condition prune: the gap and parity
+    prunes, then ``reading_orbit_min(w) == w`` on every complete word, the
+    tuple reading, so the generator's key comparison is checked against an
+    independent route.  Wrapping ``reading_orbit_min`` counts (or records)
+    the leaves it checks.
     """
     if n == 0:
         return [()]
@@ -164,7 +219,7 @@ def leaf_checked_words(n: int) -> list[tuple[int, ...]]:
         def place(i: int) -> None:
             if i == m:
                 w = tuple(word)
-                if not open_pos and chords._orbit_min(w) == w:
+                if not open_pos and reading_orbit_min(w) == w:
                     out.append(w)
                 return
             if len(open_pos) > m - i:

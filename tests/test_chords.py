@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from knotproj import (
     ChordDiagram,
+    chords,
     canonicalize,
     count_tr,
     count_x,
@@ -150,6 +152,31 @@ def test_canonical_word_is_minimal_in_orbit():
             rotated = direction[r:] + direction[:r]
             orbit.append(ChordDiagram.from_labels(rotated).word)
     assert canon == min(orbit)
+
+
+def curled_word(rng, n):
+    """A random word with n chords, at least two thirds of them curls."""
+    word = list(random_word(rng, rng.randint(0, n // 3)))
+    for v in range(len(word) // 2 + 1, n + 1):
+        at = rng.randint(0, len(word))
+        word[at:at] = [v, v]
+    return tuple(word)
+
+
+def test_orbit_min_matches_full_relabel_on_random_words():
+    """2,000 seeded words up to 12 chords against the relabeling of all 4n
+    transforms; half are curl-heavy, with many gap-1 candidates that tie
+    on their first keys."""
+    rng = random.Random(18)
+    for k in range(2_000):
+        n = rng.randint(1, 12)
+        cd = ChordDiagram.from_labels(curled_word(rng, n) if k % 2 else random_word(rng, n))
+        w = cd.word
+        least = chords._orbit_min(w)
+        assert " ".join(map(str, least)) == canonical_text_full_relabel(cd), w
+        for t in (w, least):
+            got = chords._is_orbit_min(chords._back_steps(t), chords._back_steps(t[::-1]))
+            assert got == (t == least), t
 
 
 # --- patterns ---------------------------------------------------------------

@@ -267,15 +267,26 @@ def test_enumerate_over_budget_exits_4(tmp_path, capsys, monkeypatch):
     assert not out_path.exists()
 
 
+def assert_dataset_pinned(capsys, tmp_path, n, records):
+    """``enumerate n`` writes the dataset pinned by its sha256 in the fixtures."""
+    out_path = tmp_path / "ds.jsonl"
+    code, out, _ = run(capsys, "enumerate", str(n), "--out", str(out_path))
+    assert code == 0 and out.endswith(f"({records} records)\n")
+    want = (FIXTURES / f"enumerate_{n}.sha256").read_text().split()[0]
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want
+
+
+def test_enumerate_8_dataset_is_pinned(tmp_path, capsys, monkeypatch):
+    """The n <= 8 dataset (990 records) at the default budget, byte for byte."""
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    assert_dataset_pinned(capsys, tmp_path, 8, 990)
+
+
 @pytest.mark.slow
 def test_enumerate_9_dataset_is_pinned(tmp_path, capsys, monkeypatch):
     """The n <= 9 dataset (4,881 records), byte for byte, by its sha256."""
     monkeypatch.setenv(BUDGET_ENV, "9")
-    out_path = tmp_path / "ds.jsonl"
-    code, out, _ = run(capsys, "enumerate", "9", "--out", str(out_path))
-    assert code == 0 and out.endswith("(4881 records)\n")
-    want = (FIXTURES / "enumerate_9.sha256").read_text().split()[0]
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want
+    assert_dataset_pinned(capsys, tmp_path, 9, 4881)
 
 
 def test_enumerate_negative_n_exits_4(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,12 +25,15 @@ from knotproj.enumeration import (
 )
 from knotproj.errors import BudgetExceeded, NotRealizable, SchemaError
 
+import conftest
 from conftest import (
     all_canonical_words,
     brute_force_realizable,
+    canonical_text_full_relabel,
     face_record,
     leaf_checked_words,
     pairing_words,
+    reading_orbit_min,
     second_condition_violations,
     trace_face_count,
 )
@@ -111,20 +115,25 @@ def test_orderly_words_equal_leaf_checked_oracle_at_10():
     ]
 
 
-def _counting(monkeypatch, name, record):
-    original = getattr(chords, name)
+def _counting(monkeypatch, module, name, record):
+    original = getattr(module, name)
 
-    def counted(w):
-        record.append(w)
-        return original(w)
+    def counted(*args):
+        record.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(chords, name, counted)
+    monkeypatch.setattr(module, name, counted)
+
+
+def is_orbit_min(w):
+    """``chords._is_orbit_min`` on a word's own back steps."""
+    return chords._is_orbit_min(chords._back_steps(w), chords._back_steps(w[::-1]))
 
 
 def test_close_time_prune_cuts_leaf_checks(monkeypatch):
     new, old = [], []
-    _counting(monkeypatch, "_is_orbit_min", new)
-    _counting(monkeypatch, "_orbit_min", old)
+    _counting(monkeypatch, chords, "_is_orbit_min", new)
+    _counting(monkeypatch, conftest, "reading_orbit_min", old)
     _canonical_words(8)
     leaf_checked_words(8)
     assert len(old) == 5_892
@@ -133,25 +142,55 @@ def test_close_time_prune_cuts_leaf_checks(monkeypatch):
 
 
 def test_is_orbit_min_agrees_on_leaf_checked_leaves(monkeypatch):
+    """The key comparison against the tuple reading on every leaf the
+    leaf-checked generator reads, canonical or not."""
     leaves = []
-    _counting(monkeypatch, "_orbit_min", leaves)
+    _counting(monkeypatch, conftest, "reading_orbit_min", leaves)
     for n in range(0, 9):
         leaf_checked_words(n)
     monkeypatch.undo()
     assert len(leaves) > 5_892
-    for w in leaves:
-        assert chords._is_orbit_min(w) == (chords._orbit_min(w) == w), w
+    for (w,) in leaves:
+        least = reading_orbit_min(w)
+        assert chords._orbit_min(w) == least, w
+        assert is_orbit_min(w) == (least == w), w
 
 
 def test_is_orbit_min_agrees_on_rotations_and_reflections():
+    """Every rotation and reflection of every canonical word up to 6 chords
+    (the parity-passing ones at 7) against the full relabeling of all 4n
+    transforms."""
     for n in range(0, 8):
-        # every canonical word up to 6 chords; the parity-passing ones at 7
         words = all_canonical_words(n) if n <= 6 else leaf_checked_words(n)
         for w in words:
+            assert canonical_text_full_relabel(ChordDiagram(w)) == str(ChordDiagram(w))
             for seq in (w, w[::-1]):
                 for r in range(len(w) or 1):
                     t = chords._normalize(seq[r:] + seq[:r])
-                    assert chords._is_orbit_min(t) == (chords._orbit_min(t) == t), t
+                    assert chords._orbit_min(t) == w, t
+                    assert is_orbit_min(t) == (t == w), t
+
+
+def test_close_time_prune_decides_as_the_tuple_reading(monkeypatch):
+    """At every minimal-gap close of the n = 8 generator, the key comparison
+    prunes exactly when the reflection read back from the closing position,
+    relabeled as a tuple, reads below the prefix."""
+    pruned = []
+    precedes = chords._precedes
+
+    def checked(a, s, b, t, k, stop):
+        got = precedes(a, s, b, t, k, stop)
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "place":  # the close-time prune
+            i, word = caller.f_locals["i"], caller.f_locals["word"]
+            prefix = tuple(word[: i + 1])
+            assert got == conftest._reads_below(prefix[::-1], 0, prefix), prefix
+            pruned.append(got)
+        return got
+
+    monkeypatch.setattr(chords, "_precedes", checked)
+    _canonical_words(8)
+    assert (len(pruned), sum(pruned)) == (1_955, 672)
 
 
 def test_generator_equals_pairing_oracle():
@@ -264,7 +303,7 @@ def test_build_record_builds_one_interlacement_core(monkeypatch):
 def test_census_records_validate_no_word(monkeypatch):
     # generated words and connected-sum parts are normal by construction
     calls = []
-    _counting(monkeypatch, "_normalize", calls)
+    _counting(monkeypatch, chords, "_normalize", calls)
     enumeration._curves.cache_clear()
     for n in range(1, 8):
         for p in enumerate_curves(n):

@@ -175,16 +175,18 @@ def test_all_realizations_match_eager_construction():
 
 def test_step_array_faces_match_ring_traced_faces():
     """Both step-array walkers: the Face lists of ``_trace_faces``, and the
-    degrees and strong 2-gon sites of ``_face_walk``, whose orientation rule
-    on the word is held against the definition by chords (distinct corners
-    whose chords do not interleave)."""
+    degrees and 2-gons of ``_face_walk``, whose strong 2-gon sites
+    (``_strong_sites``, an orientation rule on the word) are held against
+    the definition by chords (distinct corners whose chords do not
+    interleave)."""
     embeddings = strong = 0
     for n in range(1, 8):
         for p in enumerate_curves(n):
             for r in all_realizations(p.code):
                 want = ring_traced_faces(r.word, mask_rings(r.word, r.flips))
                 assert planar._trace_faces(r.word, r.flips) == want, r.word
-                degrees, sites = planar._face_walk(r.word, r.flips)
+                degrees, bigons = planar._face_walk(r.word, r.flips)
+                sites = planar._strong_sites(r.word, bigons)
                 assert degrees == [f.degree for f in want], r.word
                 assert sites == strong_bigon_sites(want, r.code), r.word
                 embeddings += 1
