@@ -3,8 +3,9 @@
 1b deletes the crossing at a monogon; s2b deletes the two crossings of a
 strong 2-gon.  Both act on the embedded curve they are given, by map
 surgery: the deleted crossings leave, every other crossing keeps its local
-rotation, and one face trace rebuilds the faces.  So the result of a move
-depends only on the curve and the set of crossings it deletes.
+rotation, and one face walk checks that the result still has n + 2 faces.
+So the result of a move depends only on the curve and the set of crossings
+it deletes.
 
 S is the class of curves reducible to the simple closed curve U using only
 these two moves.  One greedy run decides it: take the first applicable
@@ -49,10 +50,10 @@ So every curve has one normal form, the curve reached when no move
 applies, and it is U exactly when some sequence of moves reaches U.  The
 tests check every overlapping pair of moves on every embedding with n <= 7.
 
-A :class:`~knotproj.planar.PlanarCurve` is its normalized word and its flip
-mask (``p.flips``), so the greedy run carries just those two, from the
-first step on, and builds no face, no curve and no interlacement core while
-it looks for a move.
+A curve's moves are read one way, by :func:`applicable_moves` and the
+greedy run alike, with no :class:`~knotproj.planar.Face` built.  A curve is
+its normalized word and its flip mask, so the run carries just those two and
+builds no curve and no interlacement core while it looks for a move.
 
 * A monogon is exactly a loop edge, a label at two cyclically adjacent
   positions, whatever the flips.  A degree-1 face is one dart whose edge
@@ -60,26 +61,23 @@ it looks for a move.
   of v on out1 and enters the other on in2 (or leaves on out2 and enters on
   in1, when it wraps around the word's end), and both admissible rotations,
   (in1, in2, out1, out2) and (in1, out2, out1, in2), put those two darts
-  next to each other, so the loop bounds a face of degree 1.  When the word
-  has a loop edge, the first applicable move is therefore 1b at the
-  smallest such label, and no face is needed to find it.
-* Otherwise one walk of the face permutation
-  (:func:`planar._face_walk`) lists the 2-gons, whose strong ones
-  :func:`planar._strong_sites` gives by their sites, read off the word by
-  the orientation rule :func:`planar._is_strong`, and the smallest site is
-  the first s2b move :func:`applicable_moves` would list.  The same walk
-  checks that the carried mask still has n + 2 faces.  The start curve's
-  walk is the one it keeps (``PlanarCurve._walk``), which a realized curve
-  has made already.
+  next to each other, so the loop bounds a face of degree 1.  So the 1b
+  sites are the word's loop edges (:func:`_loops`), and the run takes the
+  smallest with no face walked.
+* The s2b sites come from one walk of the face permutation
+  (:func:`planar._face_walk`), whose strong 2-gons :func:`planar._strong_sites`
+  reads off the word by :func:`planar._is_strong`.  The run walks only a
+  word with no loop edge, takes the smallest site, and checks on the same
+  walk that the carried mask still has n + 2 faces.  A curve keeps its walk
+  (``PlanarCurve._walk``), which a realized curve, or a move's result, has
+  made already.
 * Deleting crossings keeps every survivor's flip and relabels the survivors
   by rank (:func:`planar._drop_labels`), and a curve is fixed by its word
   and flip mask.  So the carried word and mask are the curve that a face
-  trace after every move would have reached, with the same monogons and
-  strong 2-gons.
+  trace after every move would have reached, with the same moves.
 
-A curve is built only where the run stops short of U, and its faces are
-left for the caller to read.  The tests compare the run with a face trace
-after every move on every embedding with n <= 7.
+A curve is built only where the run stops short of U.  The tests compare the
+run with a face trace after every move on every embedding with n <= 7.
 """
 
 from __future__ import annotations
@@ -133,9 +131,10 @@ class ReductionTrace:
 
 
 def applicable_moves(p: PlanarCurve) -> list[Move]:
-    """Every applicable move, 1b sites first, each site listed once, ascending."""
-    ones = sorted({f.corners[0] for f in planar.monogons(p)})
-    twos = sorted({tuple(sorted(f.corners)) for f in planar.strong_bigons(p)})
+    """Every applicable move, 1b sites first, each site listed once, ascending,
+    read as the greedy run reads them (see the module docstring)."""
+    ones = sorted(_loops(p.word))
+    twos = sorted(set(planar._strong_sites(p.word, p._walk[1])))
     return [Move("1b", (v,)) for v in ones] + [Move("s2b", ab) for ab in twos]
 
 
@@ -143,32 +142,31 @@ def apply_move(p: PlanarCurve, move: Move) -> PlanarCurve:
     """Apply one currently-applicable move to the embedded curve ``p``.
 
     The map is edited, not re-realized: :func:`planar._drop_labels` keeps
-    every surviving crossing's flip, and one face trace rebuilds the faces.
+    every surviving crossing's flip, and the result keeps the walk that checks it.
     """
     if move not in applicable_moves(p):
         raise InapplicableMove(f"{move} is not applicable to {p!r}")
     return planar._embed(*planar._drop_labels(p.word, p.flips, move.site))
 
 
-def _first_loop(word: tuple[int, ...]) -> int:
-    """The smallest label at two cyclically adjacent positions, or 0."""
-    return min((x for x, y in zip(word, word[1:] + word[:1]) if x == y), default=0)
+def _loops(word: tuple[int, ...]) -> set[int]:
+    """The labels at two cyclically adjacent positions: the monogons' corners."""
+    return {x for x, y in zip(word, word[1:] + word[:1]) if x == y}
 
 
 def _reduce(p: PlanarCurve) -> tuple[list[tuple[Move, tuple[int, ...]]], PlanarCurve]:
     """Take the first applicable move until none applies.
 
     Returns the (move, word) steps and the curve where the run stopped: U,
-    or a curve that admits no move.  Only the word and the flip mask are
-    carried, and a word with no loop edge is walked once; see the module
-    docstring.
+    or a curve that admits no move.  The module docstring says what the run
+    carries and when it walks.
     """
     steps = []
     word, mask = p.word, p.flips
     while word:
-        v = _first_loop(word)
-        if v:
-            move = Move("1b", (v,))
+        loops = _loops(word)
+        if loops:
+            move = Move("1b", (min(loops),))
         else:
             # the start curve may keep the walk that accepted its mask
             degrees, bigons = planar._face_walk(word, mask) if steps else p._walk
@@ -215,11 +213,16 @@ def reduce_no_triple(p: PlanarCurve) -> ReductionTrace:
         )
     steps, cur = _reduce(p)
     if cur.n:
-        raise TheoremViolation(
-            f"no 1b/s2b move applies to triple-chord-free curve "
-            f"{str(canonicalize(cur.code))!r}"
-        )
+        raise _stuck(cur)
     return _trace(p, steps)
+
+
+def _stuck(cur: PlanarCurve) -> TheoremViolation:
+    """The counterexample a triple-chord-free run makes if it stops at ``cur``."""
+    return TheoremViolation(
+        f"no 1b/s2b move applies to triple-chord-free curve "
+        f"{str(canonicalize(cur.code))!r}"
+    )
 
 
 def in_S(p: PlanarCurve) -> tuple[bool, ReductionTrace | None]:

@@ -18,13 +18,14 @@ mask is a spherical realization exactly when that permutation has n + 2
 cycles (Euler's formula with V = n, E = 2n).  Two walkers read the cycles.
 :func:`_face_walk` is the lean one: one pass gives each face's degree and
 the edges of each 2-gon, with no :class:`Face` built, and it is all that
-accepts or rejects a candidate mask, drives the greedy 1b/s2b run and fills
-a census record.  A curve whose mask a walk accepted keeps that walk, so a
-census curve's own map is walked once.  :func:`_trace_faces` builds the public
-``faces``.  Strongness itself is one comparison on the word,
-:func:`_is_strong`, made each time a walk's 2-gons are read
-(:func:`_strong_sites`).  The
-step array is the one place that writes the rotation rule down: a curve's
+accepts or rejects a candidate mask, lists a curve's moves, drives the
+greedy 1b/s2b run, fills a census record and answers the verify checks.  A
+curve whose mask a walk accepted keeps that walk, so a census curve's map,
+or a move's result, is walked once.  :func:`_trace_faces` serves only the
+public ``faces``, which :func:`monogons` and :func:`strong_bigons` filter.
+Strongness itself is one comparison on the word, :func:`_is_strong`, made
+each time a walk's 2-gons are read (:func:`_strong_sites`).  The step array
+is the one place that writes the rotation rule down: a curve's
 ``rotations`` are read back off it, a derived view for readers of the map.
 
 No search over the 2**n flip masks is needed.  By the interlacement-graph
@@ -126,14 +127,13 @@ class PlanarCurve:
     the cyclic dart order at vertex v, starting at its first in-dart: (in1,
     in2, out1, out2) at flip 0 and (in1, out2, out1, in2) at flip 1.
     ``faces`` is the full face list.  Both are read off :func:`_face_step` on
-    first read and then cached, so a curve that is only counted or compared
-    never builds them.  Nothing in the package reads ``rotations``: it is
-    kept as the public view of the rotation system, the map in the form the
-    literature and an independent face tracer read it, so a caller or a test
+    first read and then cached, and nothing in the package reads either:
+    they are the public views of the map, the rotations in the form the
+    literature and an independent face tracer read, so a caller or a test
     can check a realization without the package's dart conventions for
-    faces.  Equality and hashing compare the word and the flips.
-    The curve's Euler circuit visits the darts in numeric order (tail 2t,
-    head 2t+1 for edge t).
+    faces.  Equality and hashing compare the word and the flips.  The
+    curve's Euler circuit visits the darts in numeric order (tail 2t, head
+    2t+1 for edge t).
     """
 
     code: ChordDiagram
@@ -390,18 +390,17 @@ def _not_spherical(word: tuple[int, ...], mask: int) -> NotRealizable:
 
 
 def _embed(word: tuple[int, ...], mask: int) -> PlanarCurve:
-    """The curve with this normalized word and flip mask, after one face trace.
+    """The curve with this normalized word and flip mask, after one face walk.
 
-    ``moves.apply_move`` returns a move's result, whose faces its caller
-    reads next, so they are traced here, once, and the same trace checks
-    their number; no walk is made first.  The word is normal by construction
-    (:func:`_drop_labels`), so its diagram is not validated again.  Raises
-    :class:`NotRealizable` unless the trace gives n + 2 faces.
+    The curve keeps the walk (:func:`_curve_for_mask`), so the moves of a
+    move's result are read without another.  The word is normal by
+    construction (:func:`_drop_labels`), so it is not validated again.
+    Raises :class:`NotRealizable` unless the walk gives n + 2 faces.
     """
     if not word:
         return U
-    q = PlanarCurve(ChordDiagram._of_normal(word), mask)
-    if len(q.faces) != q.n + 2:
+    q = _curve_for_mask(ChordDiagram._of_normal(word), mask)
+    if q is None:
         raise _not_spherical(word, mask)
     return q
 
@@ -466,12 +465,8 @@ def strong_bigons(p: PlanarCurve) -> list[Face]:
     "Any nontrivial knot projection with no triple chords has a monogon or a
     bigon" (arXiv:2108.10133) defines a strong 2-gon as a 2-gon oriented by
     an orientation of the curve: its two edges run coherently around it, one
-    from corner a to b and the other from b back to a.  Edge t starts at
-    ``word[t]``, so that is one comparison, :func:`_is_strong`: the word
-    reads a b .. b a, the corner chords are nested, and only those faces
-    admit the s2b move.  Interleaved corner chords (a b .. a b) run both
-    edges the same way, and the figure-eight's outer face has both edges
-    looping at one corner; neither is strong.
+    from corner a to b and the other from b back to a.  :func:`_is_strong`
+    reads that off the word, and only those faces admit the s2b move.
     """
     out = []
     for f in p.faces:

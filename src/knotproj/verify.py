@@ -1,11 +1,12 @@
 """Machine checks of the package's mathematical claims over full enumerations.
 
-Each check sweeps every enumerated curve up to a crossing bound and returns a
-:class:`CheckReport`.  A report passes exactly when its violation list is
-empty; ``witnesses`` carries informative non-violations (strictness examples,
-expected exclusions).  Reports serialize deterministically — elapsed time is
-kept on the dataclass for humans but left out of the JSON so that repeated
-runs are byte-identical.
+Each check sweeps every enumerated curve up to a crossing bound
+(connected-sum-lemma: the pairs of curves below it with at most the bound in
+all, counted as ``curves_tested``) and returns a :class:`CheckReport`.  A
+report passes exactly when its violation list is empty; ``witnesses`` carries
+informative non-violations (strictness examples, expected exclusions).
+Reports serialize deterministically — elapsed time is kept on the dataclass
+for humans but left out of the JSON so that repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import chords, moves, planar
-from .enumeration import _check_nonnegative, enumerate_curves
-from .errors import TheoremViolation
+from .enumeration import _check_nonnegative, check_budget, enumerate_curves
 from .invariants import arnold_invariant, format_rational
 from .planar import PlanarCurve
 
@@ -62,7 +62,11 @@ def _code(p: PlanarCurve) -> str:
 
 
 def check_main_theorem(max_n: int) -> CheckReport:
-    """Triple-chord-free curves have a monogon or strong 2-gon and reduce to U."""
+    """Triple-chord-free curves have a monogon or strong 2-gon and reduce to U.
+
+    One greedy run per curve (``moves._reduce``) tests both: a run stuck
+    before its first move breaks the first, one stuck later the second.
+    """
     t0 = time.perf_counter()
     tested = 0
     violations = []
@@ -71,13 +75,10 @@ def check_main_theorem(max_n: int) -> CheckReport:
             if chords.count_tr(p.code):
                 continue
             tested += 1
-            if not planar.monogons(p) and not planar.strong_bigons(p):
-                violations.append((_code(p), "no monogon and no strong 2-gon"))
-                continue
-            try:
-                moves.reduce_no_triple(p)
-            except TheoremViolation as exc:
-                violations.append((_code(p), str(exc)))
+            steps, cur = moves._reduce(p)
+            if cur.n:
+                why = moves._stuck(cur) if steps else "no monogon and no strong 2-gon"
+                violations.append((_code(p), str(why)))
     return CheckReport(
         "main-theorem", max_n, tested, tuple(violations), time.perf_counter() - t0
     )
@@ -133,7 +134,7 @@ def check_two_strong_bigons(max_n: int) -> CheckReport:
             if chords.count_tr(p.code) or not planar.is_reduced(p):
                 continue
             tested += 1
-            k = len(planar.strong_bigons(p))
+            k = len(planar._strong_sites(p.word, p._walk[1]))
             if k < 2:
                 violations.append((_code(p), f"only {k} strong 2-gon(s)"))
     return CheckReport(
@@ -227,11 +228,12 @@ CHECK_IDS = tuple(_CHECKS)
 def run_check(check_id: str, max_n: int) -> CheckReport:
     """Run one check by identifier.
 
-    Raises KeyError for an identifier not in :data:`CHECK_IDS`, and
-    :class:`BudgetExceeded` for a negative bound, as :func:`enumerate_curves`
-    does for a negative crossing number.
+    Raises KeyError for an identifier not in :data:`CHECK_IDS`, and, before
+    anything is enumerated, :class:`BudgetExceeded` for a negative bound or
+    where :func:`check_budget` refuses the largest n the check enumerates:
+    ``max_n``, or ``max_n - 1`` for connected-sum-lemma.
     """
     check = _CHECKS[check_id]
-    # not check_budget: connected-sum-lemma enumerates only below max_n
     _check_nonnegative(max_n)
+    check_budget(max_n - 1 if check_id == "connected-sum-lemma" and max_n else max_n)
     return check(max_n)

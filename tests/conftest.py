@@ -2,7 +2,14 @@
 
 Everything here is deliberately implemented from scratch rather than imported
 from the package, so that agreement between a fast route and an oracle route
-is evidence and not tautology.
+is evidence and not tautology.  What the oracles do take from the package is
+limited to its value types (``ChordDiagram``, ``PlanarCurve``, ``Face``,
+``Move``, ``Teardrop``, ``ReductionTrace``), ``canonicalize`` and ``realize``
+where an oracle checks a later stage, and the few internals an oracle is
+built around (``planar._flip_coset``'s span, ``invariants.resolve``,
+``a2_gauss_formula`` and the ``_PV_*`` arrow pattern).  In particular the
+move oracles read moves off faces traced from the vertex rings
+(:func:`face_moves`), never through ``applicable_moves`` or ``apply_move``.
 """
 
 import json
@@ -15,8 +22,9 @@ import pytest
 
 from knotproj import (
     ChordDiagram,
+    Move,
+    PlanarCurve,
     Teardrop,
-    applicable_moves,
     canonicalize,
     invariants,
     planar,
@@ -740,9 +748,10 @@ def rerealizing_move(p, move):
     """A move on the code: drop the site's chords, realize the rest from scratch.
 
     The embedding of the result is the first one of the pruned code, not
-    necessarily the curve the move leaves.
+    necessarily the curve the move leaves.  Applicability is read off the
+    faces (:func:`face_moves`).
     """
-    if move not in applicable_moves(p):
+    if move not in face_moves(p):
         raise InapplicableMove(f"{move} is not applicable to {p!r}")
     drop = set(move.site)
     return realize(ChordDiagram.from_labels(x for x in p.word if x not in drop))
@@ -813,20 +822,53 @@ def filtered_innermost_teardrop(p):
     return min(inner, key=lambda t: (len(t.interval), t.origin, t.loop_start))
 
 
+def face_moves(p):
+    """Every applicable move, read off ``Face`` objects.
+
+    The faces are traced off the vertex rings (:func:`ring_traced_faces`),
+    and there must be n + 2 of them.  Each degree-1 face gives 1b at its one
+    corner, and each strong 2-gon by the interlacement definition
+    (:func:`strong_bigon_sites`) gives s2b at its two corners.  1b sites
+    first, each site listed once, ascending.
+    """
+    if not p.n:
+        return []
+    faces = ring_traced_faces(p.word, mask_rings(p.word, p.flips))
+    assert len(faces) == p.n + 2, p
+    ones = sorted({f.corners[0] for f in faces if f.degree == 1})
+    twos = sorted(set(strong_bigon_sites(faces, p.code)))
+    return [Move("1b", (v,)) for v in ones] + [Move("s2b", ab) for ab in twos]
+
+
+def dropped_curve(p, site):
+    """``p`` with the crossings in ``site`` deleted, each survivor keeping its flip.
+
+    The survivors are relabeled by first occurrence (``from_labels``), each
+    carrying its flip bit to its new label.
+    """
+    kept = [x for x in p.word if x not in site]
+    cd = ChordDiagram.from_labels(kept)
+    mask = 0
+    for old, new in dict(zip(kept, cd.word)).items():
+        mask |= (p.flips >> (old - 1) & 1) << (new - 1)
+    return PlanarCurve(cd, mask)
+
+
 def stepwise_reduce(p):
     """The greedy reduction with a face trace after every move.
 
-    Each step lists the moves with ``applicable_moves`` and deletes the
-    first one's crossings with ``planar._drop_labels`` and ``planar._embed``.
-    Returns the (move, word) steps and the curve where the run stopped.
+    Each step lists the moves with :func:`face_moves`, which also checks
+    that the curve reached has n + 2 faces, and deletes the first one's
+    crossings with :func:`dropped_curve`.  Returns the (move, word) steps and
+    the curve where the run stopped.
     """
     steps = []
     cur = p
     while cur.n:
-        ms = applicable_moves(cur)
+        ms = face_moves(cur)
         if not ms:
             break
-        cur = planar._embed(*planar._drop_labels(cur.word, cur.flips, ms[0].site))
+        cur = dropped_curve(cur, ms[0].site)
         steps.append((ms[0], cur.word))
     return steps, cur
 
@@ -872,8 +914,8 @@ def face_record(p):
 def dfs_in_S(p):
     """Membership in S by memoized backtracking over re-realizing moves.
 
-    Tries the applicable moves in order, keyed per canonical code, and
-    rebuilds the first successful path as the witness.
+    Tries the moves :func:`face_moves` lists in order, keyed per canonical
+    code, and rebuilds the first successful path as the witness.
     """
     memo = {}
     succ = {}
@@ -886,7 +928,7 @@ def dfs_in_S(p):
             memo[key] = True
             return True
         memo[key] = False
-        for mv in applicable_moves(cur):
+        for mv in face_moves(cur):
             child = rerealizing_move(cur, mv)
             if dfs(child):
                 memo[key] = True

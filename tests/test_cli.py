@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from knotproj import cli, enumeration, read_dataset
+from knotproj import cli, enumeration, read_dataset, verify
 from knotproj.enumeration import BUDGET_ENV
 
 from conftest import FIXTURES
@@ -346,6 +346,37 @@ def test_verify_negative_max_n_exits_4(capsys):
         code, out, err = run(capsys, "verify", *argv, "--max-n", "-2")
         assert code == 4 and out == ""
         assert err == "crossing number must be nonnegative, got -2\n"
+
+
+def test_verify_refuses_over_budget_before_enumerating(capsys, monkeypatch):
+    """The largest n a check enumerates is checked up front, with
+    ``enumerate_curves``' message: ``max_n``, or ``max_n - 1`` for
+    connected-sum-lemma, which so runs one above the budget."""
+    monkeypatch.setenv(BUDGET_ENV, "4")
+    calls = []
+    original = verify.enumerate_curves
+
+    def recorded(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(verify, "enumerate_curves", recorded)
+    refusal = f"n=5 exceeds the enumeration budget 4 (set {BUDGET_ENV} to raise it)\n"
+    for argv in (
+        ["--all", "--max-n", "5"],
+        ["--check", "main-theorem", "--max-n", "5"],
+        ["--check", "connected-sum-lemma", "--max-n", "6"],
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out, err) == (4, "", refusal), argv
+        assert calls == [], argv
+    code, out, _ = run(capsys, "verify", "--check", "connected-sum-lemma", "--max-n", "5")
+    assert code == 0 and out.startswith("PASS connected-sum-lemma")
+    assert calls == [1, 2, 3, 4]
+    calls.clear()
+    code, out, _ = run(capsys, "verify", "--all", "--max-n", "0")
+    assert code == 0 and out.count("PASS") == len(verify.CHECK_IDS)
+    assert calls == [0]
 
 
 def test_verify_unknown_check_exits_6(capsys):

@@ -4,7 +4,10 @@ from itertools import combinations
 import pytest
 
 from knotproj import (
+    CHECK_IDS,
+    ChordDiagram,
     Move,
+    PlanarCurve,
     U,
     all_realizations,
     applicable_moves,
@@ -16,11 +19,19 @@ from knotproj import (
     parse_code,
     realize,
     reduce_no_triple,
+    run_check,
 )
 from knotproj import chords, moves, planar
+from knotproj.enumeration import build_record
 from knotproj.errors import InapplicableMove, PreconditionTripleChord, TheoremViolation
 
-from conftest import dfs_in_S, embedding_key, stepwise_reduce, vertex_rings
+from conftest import (
+    dfs_in_S,
+    embedding_key,
+    face_moves,
+    stepwise_reduce,
+    vertex_rings,
+)
 
 
 def curve(text):
@@ -131,7 +142,7 @@ def test_theorem_violation_is_raisable(monkeypatch):
     and no 2-gon reads as strong."""
     from knotproj import moves as moves_mod
 
-    monkeypatch.setattr(moves_mod, "_first_loop", lambda word: 0)
+    monkeypatch.setattr(moves_mod, "_loops", lambda word: set())
     monkeypatch.setattr(planar, "_is_strong", lambda word, t1, t2: False)
     with pytest.raises(TheoremViolation):
         moves_mod.reduce_no_triple(curve("1 1"))
@@ -381,3 +392,53 @@ def test_face_traces_only_where_no_monogon_is_left(monkeypatch):
     assert walked
     assert not any(has_loop_edge(word) for word in walked)
     assert traced == [] and cores == []
+
+
+# --- one route to a curve's moves ---------------------------------------------------
+
+
+def test_applicable_moves_match_face_moves_through_n7():
+    """The word's loop edges and the walk's strong sites list exactly the
+    moves the ring-traced faces give."""
+    listed = 0
+    for p in embeddings(7):
+        got = applicable_moves(p)
+        assert got == face_moves(p), p
+        listed += len(got)
+    assert listed == 32942
+
+
+def test_apply_move_matches_a_face_read_after_dropping_labels():
+    for p in embeddings(6):
+        for mv in applicable_moves(p):
+            word, mask = planar._drop_labels(p.word, p.flips, mv.site)
+            want = PlanarCurve(ChordDiagram.from_labels(word), mask)
+            q = apply_move(p, mv)
+            assert (q.word, q.flips, q.faces) == (word, mask, want.faces), (p, mv)
+
+
+def test_nothing_in_the_package_traces_faces(monkeypatch):
+    """Every check, every record and every move reads the word and the kept
+    face walk; ``_trace_faces`` serves only a caller reading ``faces``."""
+    small = embeddings(6)
+    curves = [p for n in range(8) for p in enumerate_curves(n)]
+    for p in (*small, *curves):
+        p.__dict__.pop("faces", None)  # so a read of faces would trace
+    traced = []
+    original = planar._trace_faces
+
+    def counted(word, flips):
+        traced.append(word)
+        return original(word, flips)
+
+    monkeypatch.setattr(planar, "_trace_faces", counted)
+    for cid in CHECK_IDS:
+        assert run_check(cid, 7).passed, cid
+    for p in curves:
+        build_record(p)
+    for p in small:
+        for mv in applicable_moves(p):
+            applicable_moves(apply_move(p, mv))
+    assert traced == []
+    assert len(curves[5].faces) == curves[5].n + 2
+    assert traced == [curves[5].word]

@@ -190,3 +190,32 @@ def test_mutant_detected_by_bigon_census_too(monkeypatch):
     monkeypatch.setattr(planar, "_is_strong", weak_variant)
     rep = check_two_strong_bigons(4)
     assert not rep.passed
+
+
+STUCK_AT_4_1 = "no 1b/s2b move applies to triple-chord-free curve '1 2 3 1 4 3 2 4'"
+
+
+def test_main_theorem_reports_a_curve_with_no_strong_2_gon(monkeypatch):
+    """With no 2-gon read as strong, the check flags the monogon-free curves
+    before any move and the curves with monogons where their run sticks:
+    the report of the route that traced faces and then reran the greedy
+    reduction, pinned."""
+    monkeypatch.setattr(planar, "_is_strong", lambda word, t1, t2: False)
+    rep = check_main_theorem(6)
+    assert rep.curves_tested == 39
+    assert list(rep.violations) == [
+        ("1 2 3 1 4 3 2 4", "no monogon and no strong 2-gon"),
+        ("1 1 2 3 4 2 5 4 3 5", STUCK_AT_4_1),
+        ("1 1 2 3 4 5 3 2 5 4", STUCK_AT_4_1),
+        ("1 1 2 2 3 4 5 3 6 5 4 6", STUCK_AT_4_1),
+        ("1 1 2 2 3 4 5 6 4 3 6 5", STUCK_AT_4_1),
+        ("1 1 2 3 3 4 5 2 6 5 4 6", STUCK_AT_4_1),
+        ("1 1 2 3 4 2 5 4 6 6 3 5", STUCK_AT_4_1),
+        ("1 1 2 3 4 2 5 5 6 4 3 6", STUCK_AT_4_1),
+        ("1 1 2 3 4 2 5 6 6 4 3 5", STUCK_AT_4_1),
+        ("1 1 2 3 4 4 5 6 3 2 6 5", STUCK_AT_4_1),
+        ("1 1 2 3 4 5 3 6 5 4 6 2", STUCK_AT_4_1),
+        ("1 1 2 3 4 5 6 4 3 6 5 2", STUCK_AT_4_1),
+        ("1 1 2 3 4 5 6 6 3 2 5 4", STUCK_AT_4_1),
+        ("1 2 3 1 4 5 6 3 2 6 5 4", "no monogon and no strong 2-gon"),
+    ]
