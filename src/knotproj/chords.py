@@ -35,7 +35,8 @@ Each chord-level concept has one implementation:
 * :func:`_interlacement_bits` is the interlacement core, built once per
   diagram and cached as ``ChordDiagram._bits``: every interleave question
   reads it, here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
-  realization); :func:`_first_closed_interval`, behind
+  realization); :func:`_triangles` counts its triangles, the triple chords;
+  :func:`_first_closed_interval`, behind
   :func:`split_connected_sum` and ``planar.prime_decompose``, uses the prefix
   XOR it is built from.
 """
@@ -315,11 +316,14 @@ def interleaved(cd: ChordDiagram, a: int, b: int) -> bool:
 def _interlacement_bits(word: tuple[int, ...]) -> tuple[int, ...]:
     """Interleavement graph as bitsets: entry a-1 has bit b-1 set iff a, b interleave.
 
-    Built in one pass over a normalized word.  XORing ``1 << (w[i] - 1)`` over
-    the positions strictly inside chord a's interval cancels every chord with
-    both endpoints inside and keeps exactly the chords with one endpoint
-    inside, which are the chords that interleave a.  Callers read it through
-    ``ChordDiagram._bits``, so each diagram builds it once.
+    Built in one pass over a word labeled 1..n, each label twice, in any
+    order: first-occurrence order is not needed.  XORing ``1 << (w[i] - 1)``
+    over the positions strictly inside chord a's interval cancels every
+    chord with both endpoints inside and keeps exactly the chords with one
+    endpoint inside, which are the chords that interleave a.  A diagram
+    reads it through ``ChordDiagram._bits``, so each diagram builds it once;
+    ``verify.check_connected_sum_lemma`` builds it for each spliced word
+    that is not relabeled (``planar._splice_word``).
     """
     bits = [0] * (len(word) // 2)
     prefix = 0  # XOR over the positions read so far
@@ -339,13 +343,21 @@ def count_x(cd: ChordDiagram) -> int:
 def count_tr(cd: ChordDiagram) -> int:
     """Number of triple chords: triples realizing the cyclic pattern a b c a b c.
 
-    Counted as triangles a < b < c of the interleavement graph: for each
-    interleaved pair, the common neighbours above b.  Only the set bits of
-    each row are visited, so the cost follows the edges, not the n^2 pairs.
-    This is equivalent to the direct count of six-point patterns (the test
-    suite keeps that count as an independent oracle).
+    The triangles of the diagram's interlacement graph, counted by
+    :func:`_triangles`.  This is equivalent to the direct count of six-point
+    patterns (the test suite keeps that count as an independent oracle).
     """
-    adj = cd._bits
+    return _triangles(cd._bits)
+
+
+def _triangles(adj: tuple[int, ...]) -> int:
+    """Number of triangles a < b < c of a graph given as :func:`_interlacement_bits` rows.
+
+    For each edge a < b, the common neighbours above b.  Only the set bits
+    of each row are visited, so the cost follows the edges, not the n^2
+    pairs.  A triangle is a triple of pairwise interleaved chords, so the
+    count does not depend on how the chords are named.
+    """
     total = 0
     for a, row in enumerate(adj):
         above = row >> (a + 1)  # bit j is the neighbour b = a + 1 + j

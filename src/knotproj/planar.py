@@ -161,7 +161,7 @@ class PlanarCurve:
         return tuple(rings)
 
     @cached_property
-    def _walk(self) -> tuple[list[int], list[tuple[int, int]]]:
+    def _walk(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
         """This curve's :func:`_face_walk`: the walk that accepted its mask
         (:func:`_curve_for_mask`), or one made on first read."""
         return _face_walk(self.word, self.flips)
@@ -225,7 +225,7 @@ def _is_strong(word: tuple[int, ...], t1: int, t2: int) -> bool:
 
 def _face_walk(
     word: tuple[int, ...], flips: int
-) -> tuple[list[int], list[tuple[int, int]]]:
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Face degrees and 2-gons of the curve with this word and flip mask.
 
     One pass over the cycles of :func:`_face_step`, with no :class:`Face`
@@ -233,10 +233,12 @@ def _face_walk(
     :func:`_trace_faces` lists the faces, so there are n + 2 of them exactly
     when the mask is spherical; U's two faces have degree 0.  Each 2-cycle
     d <-> e, d its smaller dart, gives its two edges (d >> 1, e >> 1);
-    :func:`_strong_sites` reads the strong 2-gons off them.
+    :func:`_strong_sites` reads the strong 2-gons off them.  Both come back
+    as tuples, so the walk a curve keeps (``PlanarCurve._walk``) holds no
+    list's spare capacity; every reader only reads it.
     """
     if not word:
-        return [0, 0], []
+        return (0, 0), ()
     step = _face_step(word, flips)
     degrees = []
     bigons = []
@@ -253,11 +255,11 @@ def _face_walk(
         degrees.append(k)
         if k == 2:
             bigons.append((start >> 1, second >> 1))
-    return degrees, bigons
+    return tuple(degrees), tuple(bigons)
 
 
 def _strong_sites(
-    word: tuple[int, ...], bigons: list[tuple[int, int]]
+    word: tuple[int, ...], bigons: tuple[tuple[int, int], ...]
 ) -> list[tuple[int, int]]:
     """The strong 2-gons among the 2-gons of a :func:`_face_walk`, by site.
 
@@ -563,6 +565,22 @@ def _check_site(p: PlanarCurve, site, name: str) -> None:
         raise InvalidSite(f"{name}={site} out of range 0..{2 * p.n - 1}")
 
 
+def _splice_word(
+    w1: tuple[int, ...], w2: tuple[int, ...], site1: int, site2: int
+) -> tuple[int, ...]:
+    """The word of the splice at edges ``site1`` of ``w1`` and ``site2`` of ``w2``.
+
+    ``w2``, read from position ``site2 + 1`` and with its labels shifted by
+    ``len(w1) // 2``, is inserted after position ``site1`` of ``w1``.  The
+    result is not relabeled: its labels are 1..n1 + n2, each twice, but not
+    in first-occurrence order.
+    """
+    n1 = len(w1) // 2
+    cut = site2 + 1
+    shifted = tuple([x + n1 for x in w2[cut:] + w2[:cut]])
+    return w1[: site1 + 1] + shifted + w1[site1 + 1:]
+
+
 def connected_sum(
     p1: PlanarCurve,
     p2: PlanarCurve,
@@ -575,12 +593,12 @@ def connected_sum(
     on either side (its site must be None, having no edges).  The result is
     the splice of the two embeddings given, not a realization of the spliced
     code: p2's word, read from position ``site2 + 1``, is inserted after
-    position ``site1`` of p1's, and the maps are joined along the two cut
-    edges.  Two spherical maps spliced along an edge give a spherical map,
-    with (n1 + 2) + (n2 + 2) - 2 = n + 2 faces: a curve's map has no
-    bridge, so two distinct faces border each cut edge, and each of p1's
-    merges with one of p2's.  So no flip is searched and no face
-    counted; the flips carry over:
+    position ``site1`` of p1's (:func:`_splice_word`), and the maps are
+    joined along the two cut edges.  Two spherical maps spliced along an
+    edge give a spherical map, with (n1 + 2) + (n2 + 2) - 2 = n + 2 faces: a
+    curve's map has no bridge, so two distinct faces border each cut edge,
+    and each of p1's merges with one of p2's.  So no flip is searched and no
+    face counted; the flips carry over:
 
     * p1's chords keep their passage order, so they keep their rotations and
       their flip bits;
@@ -592,23 +610,25 @@ def connected_sum(
 
     The spliced word is relabeled by first occurrence, each bit moving with
     its label, which makes it normal by construction, so it is not validated
-    again.
+    again.  Code-level readers that do not depend on label names, such as
+    the triple-chord count of ``verify.check_connected_sum_lemma``, read
+    :func:`_splice_word` directly and build no curve.
     """
     _check_site(p1, site1, "site1")
     _check_site(p2, site2, "site2")
-    if p1.n == 0:
+    n1 = p1.n
+    if n1 == 0:
         return p2
     if p2.n == 0:
         return p1
-    w1, w2 = p1.word, p2.word
+    w2 = p2.word
     straddling = 0
     for x in w2[: site2 + 1]:
         straddling ^= 1 << (x - 1)
-    flips = p1.flips | (p2.flips ^ straddling) << p1.n
-    shifted = tuple(x + p1.n for x in w2[site2 + 1:] + w2[: site2 + 1])
-    merged = w1[: site1 + 1] + shifted + w1[site1 + 1:]
+    flips = p1.flips | (p2.flips ^ straddling) << n1
+    spliced = _splice_word(p1.word, w2, site1, site2)
     ids: dict[int, int] = {}
-    word = tuple([ids.setdefault(x, len(ids) + 1) for x in merged])
+    word = tuple([ids.setdefault(x, len(ids) + 1) for x in spliced])
     mask = 0
     for x, y in ids.items():
         mask |= (flips >> (x - 1) & 1) << (y - 1)

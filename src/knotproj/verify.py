@@ -143,7 +143,20 @@ def check_two_strong_bigons(max_n: int) -> CheckReport:
 
 
 def check_connected_sum_lemma(max_n: int) -> CheckReport:
-    """Splicing two triple-chord-free curves is triple-chord-free, at every site."""
+    """Splicing two triple-chord-free curves is triple-chord-free, at every site.
+
+    Each splice is read as its word, ``planar._splice_word``: the spliced
+    code of ``planar.connected_sum`` before its relabeling by first
+    occurrence, with no curve, diagram or relabel built.  Relabeling only
+    renames chords, and the triple-chord count does not depend on names, so
+    the count is that of ``connected_sum``'s code.  The interlacement graph
+    is built from the whole spliced word, not assembled from the summands'
+    graphs: that would assume no chord of one summand interleaves a chord
+    of the other, which is the lemma's proof, not a test of it.  The check
+    stays at the code level: the spliced code is the same for every
+    embedding of the summands and for p2's mirror, so it reads no flips,
+    and checking the lemma for curves needs a statement about the map.
+    """
     t0 = time.perf_counter()
     tested = 0
     violations = []
@@ -154,12 +167,14 @@ def check_connected_sum_lemma(max_n: int) -> CheckReport:
     for n1 in range(1, max_n):
         for n2 in range(1, max_n - n1 + 1):
             for p1 in pools[n1]:
+                w1 = p1.word
                 for p2 in pools[n2]:
+                    w2 = p2.word
                     tested += 1
                     for s1 in range(2 * n1):
                         for s2 in range(2 * n2):
-                            q = planar.connected_sum(p1, p2, s1, s2)
-                            tr = chords.count_tr(q.code)
+                            w = planar._splice_word(w1, w2, s1, s2)
+                            tr = chords._triangles(chords._interlacement_bits(w))
                             if tr:
                                 violations.append(
                                     (

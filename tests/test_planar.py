@@ -187,12 +187,12 @@ def test_step_array_faces_match_ring_traced_faces():
                 assert planar._trace_faces(r.word, r.flips) == want, r.word
                 degrees, bigons = planar._face_walk(r.word, r.flips)
                 sites = planar._strong_sites(r.word, bigons)
-                assert degrees == [f.degree for f in want], r.word
+                assert degrees == tuple(f.degree for f in want), r.word
                 assert sites == strong_bigon_sites(want, r.code), r.word
                 embeddings += 1
                 strong += len(sites)
     assert (embeddings, strong) == (7_304, 6_448)
-    assert planar._face_walk((), 0) == ([0, 0], [])
+    assert planar._face_walk((), 0) == ((0, 0), ())
 
 
 def test_realized_code_is_validated_once(monkeypatch):
@@ -488,6 +488,29 @@ def test_connected_sum_splices_the_embeddings():
                                     assert all(diff & c in (0, c) for c in components)
                                     splices += 1
     assert (sites, splices) == (1_656, 53_184)
+
+
+def test_splice_word_is_the_connected_sum_code_before_relabeling():
+    """Every pair of enumerated curves with n1 + n2 <= 6, triple chords or
+    not, at every site pair: ``_splice_word`` relabeled by first occurrence
+    is ``connected_sum``'s word, and the triangles of its own interlacement
+    graph are the triple chords of ``connected_sum``'s code."""
+    curves = {n: enumerate_curves(n) for n in range(1, 6)}
+    sites = nonzero = 0
+    for n1 in range(1, 6):
+        for n2 in range(1, 7 - n1):
+            for p1 in curves[n1]:
+                for p2 in curves[n2]:
+                    for s1 in range(2 * n1):
+                        for s2 in range(2 * n2):
+                            w = planar._splice_word(p1.word, p2.word, s1, s2)
+                            q = connected_sum(p1, p2, s1, s2)
+                            assert chords._relabel(w) == q.word, (p1, p2, s1, s2)
+                            tr = chords._triangles(chords._interlacement_bits(w))
+                            assert tr == count_tr(q.code), (p1, p2, s1, s2)
+                            sites += 1
+                            nonzero += tr > 0
+    assert (sites, nonzero) == (1_656, 628)
 
 
 def test_prime_decompose_inverts_connected_sum():

@@ -15,7 +15,7 @@ from knotproj import (
     interleaved,
     run_check,
 )
-from knotproj import planar, verify
+from knotproj import chords, planar, verify
 from knotproj.enumeration import BUDGET_ENV
 
 
@@ -117,6 +117,60 @@ def test_connected_sum_lemma_builds_no_faces(monkeypatch):
     monkeypatch.setattr(planar, "_face_walk", refuse)
     assert check_connected_sum_lemma(6).passed
     assert traced == []
+
+
+def test_connected_sum_lemma_counts_on_the_spliced_word(monkeypatch):
+    """The check builds no curve per splice: ``connected_sum`` is never
+    called, and ``count_tr`` only filters the pools, once per enumerated
+    curve below the bound.  A splice that breaks p2's block around one p1
+    symbol is caught, so the count is read off the whole spliced word."""
+    for n in range(1, 6):
+        enumerate_curves(n)
+    calls = {"connected_sum": 0, "count_tr": 0}
+    for module, name in ((planar, "connected_sum"), (chords, "count_tr")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert check_connected_sum_lemma(6).passed
+    pooled = sum(len(enumerate_curves(n)) for n in range(1, 6))
+    assert calls == {"connected_sum": 0, "count_tr": pooled} and pooled == 25
+
+    splice = planar._splice_word
+
+    def broken(w1, w2, site1, site2):
+        # move p1's symbol after the cut into the middle of p2's block
+        w = splice(w1, w2, site1, site2)
+        k = site1 + 1 + len(w2)
+        if k == len(w):
+            return w
+        mid = site1 + 1 + len(w2) // 2
+        return w[:mid] + (w[k],) + w[mid:k] + w[k + 1:]
+
+    monkeypatch.setattr(planar, "_splice_word", broken)
+    rep = check_connected_sum_lemma(6)
+    assert not rep.passed
+    assert rep.curves_tested == run_check("connected-sum-lemma", 6).curves_tested
+
+
+def test_connected_sum_lemma_tests_every_pair_of_triple_free_curves(census):
+    """``curves_tested`` is the number of pairs of triple-chord-free curves
+    with n1 + n2 <= max_n, from the census fixture's counts."""
+    tf = {int(n): k for n, k in census["triple_free"].items()}
+    for max_n in range(0, 9):
+        want = sum(
+            tf[n1] * tf[n2]
+            for n1 in range(1, max_n)
+            for n2 in range(1, max_n - n1 + 1)
+        )
+        assert check_connected_sum_lemma(max_n).curves_tested == want, max_n
+        if max_n == 7:
+            assert want == 126
+    rep = run_check("connected-sum-lemma", 9)
+    assert rep.passed and rep.curves_tested == 1_118
 
 
 def test_teardrop_reversal_flags_triple_chords_as_excluded():
