@@ -40,10 +40,13 @@ def _parse(text: str) -> chords.ChordDiagram:
         raise MalformedCode(f"malformed code {text!r}: {exc}") from None
 
 
-def _analysis_obj(cd: chords.ChordDiagram, with_arnold: bool) -> dict:
-    """The dataset record of ``cd`` plus ``realizable`` and ``prime_factors``."""
+def _analysis_obj(cd: chords.ChordDiagram, with_arnold: bool, table: dict) -> dict:
+    """The dataset record of ``cd`` plus ``realizable`` and ``prime_factors``.
+
+    ``table`` is the command's greedy-run verdict table (``build_record``).
+    """
     p = planar.realize(cd)
-    rec = enumeration.build_record(p, with_arnold)
+    rec = enumeration.build_record(p, with_arnold, table=table)
     if rec.prime:
         factors = [rec.code]
     else:
@@ -82,7 +85,9 @@ def _cmd_analyze(args) -> int:
             return _fail(EXIT_IO, f"cannot read {args.infile}: {exc}")
     else:
         code_texts = [args.code if args.code is not None else ""]
-    results = [_analysis_obj(_parse(text), args.arnold) for text in code_texts]
+    # one greedy-run verdict table per command, shared by the codes of --in
+    table = {}
+    results = [_analysis_obj(_parse(text), args.arnold, table) for text in code_texts]
     if args.json:
         payload = results[0] if args.infile is None else results
         print(json.dumps(payload, indent=2))
@@ -110,13 +115,17 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     records = []
+    # one greedy-run verdict table for the whole sweep (build_record)
+    table = {}
     # the largest n is checked up front, so a refusal prints no count line
     enumeration.check_budget(args.n)
     for n in range(1, args.n + 1) if args.n else [0]:
         curves = enumeration.enumerate_curves(n)
         for p in curves:
             records.append(
-                enumeration.build_record(p, with_arnold=n <= args.arnold_max)
+                enumeration.build_record(
+                    p, with_arnold=n <= args.arnold_max, table=table
+                )
             )
         print(f"n={n}: {len(curves)}")
     try:

@@ -295,7 +295,9 @@ class EnumerationRecord:
     arnold: Fraction | None = None
 
 
-def build_record(p: PlanarCurve, with_arnold: bool = True) -> EnumerationRecord:
+def build_record(
+    p: PlanarCurve, with_arnold: bool = True, *, table: dict | None = None
+) -> EnumerationRecord:
     """Compute a record for one realized curve.
 
     The face fields come from the curve's :func:`planar._face_walk`, which
@@ -303,6 +305,13 @@ def build_record(p: PlanarCurve, with_arnold: bool = True) -> EnumerationRecord:
     ``planar.strong_bigons`` list; an enumerated curve keeps the walk that
     accepted its mask, so it is not walked again.  ``prime`` asks only
     whether a closed interval exists.
+
+    ``in_S`` is one greedy run (``moves._reaches_U``).  ``table``, a dict
+    that starts empty, holds the verdicts of the states earlier runs
+    passed, so a sweep that passes one table to every record stops each
+    run at the first state already decided; the module docstring of
+    :mod:`knotproj.moves` says why the verdicts are exact and why a table
+    serves one sweep only.  With no table every run goes to its end.
     """
     cd = p.code
     degrees, bigons = p._walk
@@ -316,7 +325,7 @@ def build_record(p: PlanarCurve, with_arnold: bool = True) -> EnumerationRecord:
         strong_bigons=len(planar._strong_sites(p.word, bigons)),
         reduced=planar.is_reduced(p),
         prime=p.n >= 1 and chords._first_closed_interval(cd.word) is None,
-        in_S=moves._reaches_U(p),
+        in_S=moves._reaches_U(p, table),
         arnold=invariants.arnold_invariant(p) if with_arnold else None,
     )
 
@@ -348,10 +357,12 @@ def _record_to_obj(rec: EnumerationRecord) -> dict:
 def write_dataset(records, path) -> None:
     """Write records as JSONL, schema line first, ordered by (n, code)."""
     ordered = sorted(records, key=lambda r: (r.n, tuple(map(int, r.code.split()))))
+    # one encoder for every line: json.dumps with options builds one per call
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema": 1}, separators=(",", ":")) + "\n")
+        fh.write(encode({"schema": 1}) + "\n")
         for rec in ordered:
-            fh.write(json.dumps(_record_to_obj(rec), separators=(",", ":")) + "\n")
+            fh.write(encode(_record_to_obj(rec)) + "\n")
 
 
 def _parse_record(obj: dict, line: int) -> EnumerationRecord:

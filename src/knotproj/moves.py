@@ -78,6 +78,27 @@ builds no curve and no interlacement core while it looks for a move.
 
 A curve is built only where the run stops short of U.  The tests compare the
 run with a face trace after every move on every embedding with n <= 7.
+
+A sweep that runs the greedy reduction on many curves (``enumerate``, the
+codes of one ``analyze --in`` file, the inclusion-chain and main-theorem
+checks) passes its runs one table from (word, flip mask) states to whether
+the run from that state reaches U.  :func:`_reduce` stops at the first
+state the table holds and writes the verdict for every state it passed.
+
+* The table is exact because the run is deterministic, not because of
+  Newman's lemma.  The next state is a function of the current one alone:
+  the smallest loop label, else the smallest strong site of the state's face
+  walk (the start curve's kept walk is that walk), then
+  :func:`planar._drop_labels`.  Both the word and the mask are normalized,
+  so two runs that reach one state go on identically from it, and a
+  state's verdict does not depend on the path that led there.  Confluence
+  is what makes that verdict the answer to membership in S; the table only
+  reuses runs.
+* A table lives for one sweep.  Its verdicts hold for the move rules that
+  computed them, and it is never kept at module level or on a curve:
+  enumerated curves are cached across sweeps, and a table that outlived its
+  sweep would answer a later sweep under a patched strongness rule, a
+  mutation test for instance, with the old rule's verdicts.
 """
 
 from __future__ import annotations
@@ -154,16 +175,31 @@ def _loops(word: tuple[int, ...]) -> set[int]:
     return {x for x, y in zip(word, word[1:] + word[:1]) if x == y}
 
 
-def _reduce(p: PlanarCurve) -> tuple[list[tuple[Move, tuple[int, ...]]], PlanarCurve]:
+def _reduce(
+    p: PlanarCurve, table: dict | None = None
+) -> tuple[list[tuple[Move, tuple[int, ...]]], PlanarCurve | None]:
     """Take the first applicable move until none applies.
 
     Returns the (move, word) steps and the curve where the run stopped: U,
     or a curve that admits no move.  The module docstring says what the run
     carries and when it walks.
+
+    ``table`` maps (word, flip mask) states to whether the run from them
+    reaches U.  With one, the run stops at the first state the table holds,
+    returning None for the curve, and writes its verdict for every state it
+    passed, the start included.  With no table, or an empty one, the run
+    takes every step.
     """
     steps = []
+    passed = []
     word, mask = p.word, p.flips
+    end = U
     while word:
+        if table is not None:
+            if (word, mask) in table:
+                end = None
+                break
+            passed.append((word, mask))
         loops = _loops(word)
         if loops:
             move = Move("1b", (min(loops),))
@@ -174,11 +210,15 @@ def _reduce(p: PlanarCurve) -> tuple[list[tuple[Move, tuple[int, ...]]], PlanarC
                 raise planar._not_spherical(word, mask)
             sites = planar._strong_sites(word, bigons)
             if not sites:
-                return steps, PlanarCurve(ChordDiagram._of_normal(word), mask)
+                end = PlanarCurve(ChordDiagram._of_normal(word), mask)
+                break
             move = Move("s2b", min(sites))
         word, mask = planar._drop_labels(word, mask, move.site)
         steps.append((move, word))
-    return steps, U
+    if passed:
+        verdict = table[word, mask] if end is None else end.n == 0
+        table.update(dict.fromkeys(passed, verdict))
+    return steps, end
 
 
 def _trace(
@@ -194,9 +234,13 @@ def _trace(
     )
 
 
-def _reaches_U(p: PlanarCurve) -> bool:
-    """The verdict of :func:`in_S` alone, with no witness built."""
-    return _reduce(p)[1].n == 0
+def _reaches_U(p: PlanarCurve, table: dict | None = None) -> bool:
+    """The verdict of :func:`in_S` alone, with no witness built.
+
+    ``table`` is :func:`_reduce`'s verdict table, read and written.
+    """
+    end = _reduce(p, table)[1]
+    return table[p.word, p.flips] if end is None else end.n == 0
 
 
 def reduce_no_triple(p: PlanarCurve) -> ReductionTrace:

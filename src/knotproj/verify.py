@@ -66,19 +66,24 @@ def check_main_theorem(max_n: int) -> CheckReport:
 
     One greedy run per curve (``moves._reduce``) tests both: a run stuck
     before its first move breaks the first, one stuck later the second.
+    The runs share one verdict table for this call, so each stops at the
+    first state an earlier run decided; a curve that fails is run again
+    with no table, to the curve where it sticks, to word the violation.
     """
     t0 = time.perf_counter()
     tested = 0
     violations = []
+    table = {}
     for n in range(1, max_n + 1):
         for p in enumerate_curves(n):
             if chords.count_tr(p.code):
                 continue
             tested += 1
+            if moves._reaches_U(p, table):
+                continue
             steps, cur = moves._reduce(p)
-            if cur.n:
-                why = moves._stuck(cur) if steps else "no monogon and no strong 2-gon"
-                violations.append((_code(p), str(why)))
+            why = moves._stuck(cur) if steps else "no monogon and no strong 2-gon"
+            violations.append((_code(p), str(why)))
     return CheckReport(
         "main-theorem", max_n, tested, tuple(violations), time.perf_counter() - t0
     )
@@ -88,12 +93,14 @@ def check_inclusion_chain(max_n: int) -> CheckReport:
     """x=0 => tr=0; tr=0 => in S; in S => arnold invariant 0.
 
     Strictness witnesses (curves separating consecutive classes) are reported
-    but are not violations.
+    but are not violations.  The greedy runs share one verdict table for
+    this call (``moves._reaches_U``).
     """
     t0 = time.perf_counter()
     tested = 0
     violations = []
     witnesses = []
+    table = {}
     for n in range(0, max_n + 1):
         for p in enumerate_curves(n):
             tested += 1
@@ -102,7 +109,7 @@ def check_inclusion_chain(max_n: int) -> CheckReport:
             tr = chords.count_tr(cd)
             if x == 0 and tr != 0:
                 violations.append((_code(p), f"x=0 but tr={tr}"))
-            member = moves._reaches_U(p)
+            member = moves._reaches_U(p, table)
             if tr == 0 and not member:
                 violations.append((_code(p), "tr=0 but not in S"))
             if tr == 0 and x > 0:

@@ -10,6 +10,8 @@ built around (``planar._flip_coset``'s span, ``invariants.resolve``,
 ``a2_gauss_formula`` and the ``_PV_*`` arrow pattern).  In particular the
 move oracles read moves off faces traced from the vertex rings
 (:func:`face_moves`), never through ``applicable_moves`` or ``apply_move``.
+The one deliberately wrong rule here, :func:`weak_variant`, is a mutant for
+the tests that patch ``planar._is_strong``, not an oracle.
 """
 
 import json
@@ -26,6 +28,7 @@ from knotproj import (
     PlanarCurve,
     Teardrop,
     canonicalize,
+    interleaved,
     invariants,
     planar,
     realize,
@@ -887,6 +890,16 @@ def strong_bigon_sites(faces, cd):
             if a != b and b not in g[a]:
                 out.append((min(a, b), max(a, b)))
     return out
+
+
+def weak_variant(word, t1, t2):
+    """Deliberately wrong strongness rule, for mutation tests that patch
+    ``planar._is_strong``: a 2-gon on edges t1 and t2 counts when its
+    corner chords interleave (the pattern the real rule excludes) instead of
+    nesting.  Both edges join the same two corners, word[t1] and
+    word[t1 + 1]."""
+    a, b = word[t1], word[(t1 + 1) % len(word)]
+    return a != b and interleaved(ChordDiagram(word), a, b)
 
 
 def face_record(p):

@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from knotproj import cli, enumeration, read_dataset, verify
+from knotproj import cli, enumerate_curves, enumeration, planar, read_dataset, verify
 from knotproj.enumeration import BUDGET_ENV
 
-from conftest import FIXTURES
+from conftest import FIXTURES, weak_variant
 
 
 def run(capsys, *argv):
@@ -120,6 +120,29 @@ def test_analyze_batch(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", "--in", str(src), "--json")
     arr = json.loads(out)
     assert [o["code"] for o in arr] == ["1 1", "1 2 3 1 2 3"]
+
+
+def test_analyze_batch_prints_what_each_code_prints(tmp_path, capsys):
+    """The codes of one ``--in`` file share a greedy-run verdict table; the
+    batch prints exactly what the codes print one command at a time.  Each
+    curve with n <= 6 is sent rotated by n, so the words are not canonical,
+    and many runs pass states that earlier ones decided."""
+    texts = [COMPOSITE_WITH_CURL]
+    for n in range(1, 7):
+        for p in enumerate_curves(n):
+            texts.append(" ".join(map(str, p.word[n:] + p.word[:n])))
+    src = tmp_path / "codes.txt"
+    src.write_text("\n".join(texts) + "\n")
+    for flags in (["--arnold"], ["--json"]):
+        code, batch, _ = run(capsys, "analyze", "--in", str(src), *flags)
+        assert code == 0
+        single = [run(capsys, "analyze", text, *flags) for text in texts]
+        assert all(c == 0 for c, _, _ in single)
+        if "--json" in flags:
+            assert json.loads(batch) == [json.loads(out) for _, out, _ in single]
+        else:
+            assert batch == "\n".join(out for _, out, _ in single)
+    assert '"in_S": true' in batch and '"in_S": false' in batch
 
 
 def test_analyze_batch_malformed_line_exits_2_stdout_clean(tmp_path, capsys):
@@ -289,6 +312,24 @@ def test_enumerate_9_dataset_is_pinned(tmp_path, capsys, monkeypatch):
     assert_dataset_pinned(capsys, tmp_path, 9, 4881)
 
 
+def test_enumerate_verdict_table_lives_for_one_command(tmp_path, capsys, monkeypatch):
+    """A healthy ``enumerate 3``, then one with strongness flipped to the
+    interleaved reading: the trefoil's 2-gons become deletable and its
+    record enters S.  A verdict table that outlived the first command would
+    keep the healthy verdict and hide the mutant."""
+    out_path = tmp_path / "ds.jsonl"
+
+    def trefoil_in_S():
+        code, _, _ = run(capsys, "enumerate", "3", "--out", str(out_path))
+        assert code == 0
+        (rec,) = [r for r in read_dataset(out_path) if r.code == "1 2 3 1 2 3"]
+        return rec.in_S
+
+    assert trefoil_in_S() is False
+    monkeypatch.setattr(planar, "_is_strong", weak_variant)
+    assert trefoil_in_S() is True
+
+
 def test_enumerate_negative_n_exits_4(tmp_path, capsys):
     out_path = tmp_path / "ds.jsonl"
     code, out, err = run(capsys, "enumerate", "-1", "--out", str(out_path))
@@ -339,6 +380,15 @@ def test_verify_all_json_byte_stable(capsys):
         __import__("knotproj").CHECK_IDS
     )
     assert all(o["passed"] for o in arr)
+
+
+def test_verify_8_report_is_pinned(capsys, monkeypatch):
+    """``verify --all --max-n 8 --json`` stdout, byte for byte, by its sha256."""
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    code, out, _ = run(capsys, "verify", "--all", "--max-n", "8", "--json")
+    assert code == 0
+    want = (FIXTURES / "verify_8.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_verify_negative_max_n_exits_4(capsys):

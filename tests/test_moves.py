@@ -22,7 +22,7 @@ from knotproj import (
     run_check,
 )
 from knotproj import chords, moves, planar
-from knotproj.enumeration import build_record
+from knotproj.enumeration import BUDGET_ENV, build_record
 from knotproj.errors import InapplicableMove, PreconditionTripleChord, TheoremViolation
 
 from conftest import (
@@ -442,3 +442,58 @@ def test_nothing_in_the_package_traces_faces(monkeypatch):
     assert traced == []
     assert len(curves[5].faces) == curves[5].n + 2
     assert traced == [curves[5].word]
+
+
+# --- runs that share a verdict table ----------------------------------------------
+
+
+def reaches_U_fresh(p):
+    """The verdict of a run with no table."""
+    return moves._reduce(p)[1].n == 0
+
+
+def assert_shared_table_is_exact(max_n):
+    """One table shared by the runs of every curve with 1 <= n <= max_n, in
+    ``enumerate`` order: each verdict is a fresh run's, and every entry is
+    the verdict of a fresh run from its state.  Returns the number of runs
+    and of states left in the table."""
+    curves = [p for n in range(1, max_n + 1) for p in enumerate_curves(n)]
+    table = {}
+    for p in curves:
+        assert moves._reaches_U(p, table) is reaches_U_fresh(p), p
+    for (word, mask), verdict in table.items():
+        assert verdict is reaches_U_fresh(planar._embed(word, mask)), (word, mask)
+    return len(curves), len(table)
+
+
+def test_shared_table_matches_fresh_runs_through_n8():
+    assert assert_shared_table_is_exact(8) == (990, 1948)
+
+
+@pytest.mark.slow
+def test_shared_table_matches_fresh_runs_through_n9(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "9")
+    assert assert_shared_table_is_exact(9) == (4881, 10086)
+
+
+def test_shared_table_verdicts_match_face_traced_runs_through_n8():
+    """The table's verdicts against the greedy run with a face trace after
+    every move, and a run from a state the table holds takes no step."""
+    table = {}
+    for n in range(1, 9):
+        for p in enumerate_curves(n):
+            assert moves._reaches_U(p, table) is (stepwise_reduce(p)[1].n == 0), p
+            assert moves._reduce(p, table) == ([], None), p
+
+
+def test_empty_table_takes_every_step():
+    """With an empty table the run takes the steps and stops at the curve of
+    a run with none, and leaves a verdict for each state it passed."""
+    for n in range(1, 8):
+        for p in enumerate_curves(n):
+            table = {}
+            steps, end = moves._reduce(p, table)
+            want_steps, want_end = moves._reduce(p)
+            assert steps == want_steps and end == want_end, p
+            assert len(table) == len(steps) + (end.n > 0), p
+            assert set(table.values()) == {end.n == 0}, p

@@ -5,18 +5,18 @@ import pytest
 from knotproj import (
     CHECK_IDS,
     CheckReport,
-    ChordDiagram,
     check_connected_sum_lemma,
     check_inclusion_chain,
     check_main_theorem,
     check_teardrop_reversal,
     check_two_strong_bigons,
     enumerate_curves,
-    interleaved,
     run_check,
 )
 from knotproj import chords, planar, verify
 from knotproj.enumeration import BUDGET_ENV
+
+from conftest import weak_variant
 
 
 # --- the checks at small scale -------------------------------------------------
@@ -219,15 +219,6 @@ def test_failed_report_carries_violations():
 # --- the strongness discriminator -------------------------------------------------
 
 
-def weak_variant(word, t1, t2):
-    """Deliberately wrong strongness rule: a 2-gon on edges t1 and t2 counts
-    when its corner chords interleave (the pattern the real rule excludes)
-    instead of nesting.  Both edges join the same two corners, word[t1] and
-    word[t1 + 1]."""
-    a, b = word[t1], word[(t1 + 1) % len(word)]
-    return a != b and interleaved(ChordDiagram(word), a, b)
-
-
 def test_interleaved_mutant_breaks_the_chain(monkeypatch):
     """With strongness flipped to the interleaved reading, the trefoil's
     bigons all become deletable, the trefoil enters S, and membership no
@@ -253,7 +244,10 @@ def test_main_theorem_reports_a_curve_with_no_strong_2_gon(monkeypatch):
     """With no 2-gon read as strong, the check flags the monogon-free curves
     before any move and the curves with monogons where their run sticks:
     the report of the route that traced faces and then reran the greedy
-    reduction, pinned."""
+    reduction, pinned.  A healthy run of the check comes first, so a
+    verdict table that outlived its call would hide the mutant."""
+    baseline = check_main_theorem(6)
+    assert baseline.passed and baseline.curves_tested == 39
     monkeypatch.setattr(planar, "_is_strong", lambda word, t1, t2: False)
     rep = check_main_theorem(6)
     assert rep.curves_tested == 39
