@@ -32,7 +32,8 @@ Each chord-level concept has one implementation:
   canonicity test :func:`_is_orbit_min`; the enumeration keeps the back
   steps of its partial word as chords close and hands them to both its
   close-time prune (:func:`_precedes`) and its leaf test,
-* :func:`_interlacement_bits` is the interlacement core, built once per
+* :func:`_interlacement_bits` is the interlacement core, a word read by
+  the prefix-XOR reader :func:`_read` from the empty state, built once per
   diagram and cached as ``ChordDiagram._bits``: every interleave question
   reads it, here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
   realization); :func:`_triangles` counts its triangles, the triple chords;
@@ -313,26 +314,40 @@ def interleaved(cd: ChordDiagram, a: int, b: int) -> bool:
     return bool(cd._bits[a - 1] >> (b - 1) & 1)
 
 
+def _read(rows: list[int], prefix: int, symbols) -> int:
+    """Read ``symbols`` into interlacement ``rows``; return the prefix XOR after them.
+
+    ``rows`` and ``prefix`` are the state after some leading part of a word
+    (the empty state: each chord's row holds its own bit, and the prefix is
+    0).  Each symbol x XORs the prefix, the XOR of ``1 << (w[i] - 1)`` over
+    the positions before it, into row x - 1, then toggles bit x - 1 of the
+    prefix.  Once a word labeled 1..n, each label twice, is read whole, row
+    a - 1 holds its own bit XOR the positions from chord a's first endpoint
+    up to its second.  The first endpoint cancels the own bit, and of the
+    positions strictly inside, every chord with both endpoints there cancels
+    and exactly the chords with one endpoint there, the chords that
+    interleave a, stay.  The state after a part depends only on that part,
+    so words that share a leading part can share its state.
+    """
+    for x in symbols:
+        rows[x - 1] ^= prefix
+        prefix ^= 1 << (x - 1)
+    return prefix
+
+
 def _interlacement_bits(word: tuple[int, ...]) -> tuple[int, ...]:
     """Interleavement graph as bitsets: entry a-1 has bit b-1 set iff a, b interleave.
 
-    Built in one pass over a word labeled 1..n, each label twice, in any
-    order: first-occurrence order is not needed.  XORing ``1 << (w[i] - 1)``
-    over the positions strictly inside chord a's interval cancels every
-    chord with both endpoints inside and keeps exactly the chords with one
-    endpoint inside, which are the chords that interleave a.  A diagram
-    reads it through ``ChordDiagram._bits``, so each diagram builds it once;
-    ``verify.check_connected_sum_lemma`` builds it for each spliced word
-    that is not relabeled (``planar._splice_word``).
+    The word read by :func:`_read` from the empty state, in one pass over
+    a word labeled 1..n, each label twice, in any order: first-occurrence
+    order is not needed.  A diagram reads it through ``ChordDiagram._bits``,
+    so each diagram builds it once.  ``verify.check_connected_sum_lemma``
+    reads its spliced words (``planar._splice_word``, not relabeled) with
+    :func:`_read` too, from the state after their shared head.
     """
-    bits = [0] * (len(word) // 2)
-    prefix = 0  # XOR over the positions read so far
-    for x in word:
-        bits[x - 1] ^= prefix
-        prefix ^= 1 << (x - 1)
-    # each entry now XORs its chord's first endpoint through the last position
-    # before its second endpoint, so it still holds the chord's own bit once
-    return tuple([b ^ (1 << i) for i, b in enumerate(bits)])
+    rows = [1 << i for i in range(len(word) // 2)]
+    _read(rows, 0, word)
+    return tuple(rows)
 
 
 def count_x(cd: ChordDiagram) -> int:

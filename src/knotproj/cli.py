@@ -40,10 +40,13 @@ def _parse(text: str) -> chords.ChordDiagram:
         raise MalformedCode(f"malformed code {text!r}: {exc}") from None
 
 
-def _analysis_obj(cd: chords.ChordDiagram, with_arnold: bool, table: dict) -> dict:
+def _analysis_obj(
+    cd: chords.ChordDiagram, with_arnold: bool, table: dict | None
+) -> dict:
     """The dataset record of ``cd`` plus ``realizable`` and ``prime_factors``.
 
-    ``table`` is the command's greedy-run verdict table (``build_record``).
+    ``table`` is the command's greedy-run verdict table (``build_record``),
+    None for a single code.
     """
     p = planar.realize(cd)
     rec = enumeration.build_record(p, with_arnold, table=table)
@@ -85,8 +88,9 @@ def _cmd_analyze(args) -> int:
             return _fail(EXIT_IO, f"cannot read {args.infile}: {exc}")
     else:
         code_texts = [args.code if args.code is not None else ""]
-    # one greedy-run verdict table per command, shared by the codes of --in
-    table = {}
+    # one greedy-run verdict table per --in command, shared by its codes; a
+    # single code's run has no later run to reuse one
+    table = {} if args.infile is not None else None
     results = [_analysis_obj(_parse(text), args.arnold, table) for text in code_texts]
     if args.json:
         payload = results[0] if args.infile is None else results
@@ -143,7 +147,10 @@ def _cmd_verify(args) -> int:
             EXIT_UNKNOWN_CHECK,
             f"unknown check {args.check!r}; known: {', '.join(verify.CHECK_IDS)}",
         )
-    reports = [verify.run_check(cid, args.max_n) for cid in ids]
+    # one greedy-run verdict table per command, shared by the checks that
+    # make greedy runs (main-theorem and inclusion-chain)
+    table = {}
+    reports = [verify.run_check(cid, args.max_n, table=table) for cid in ids]
     if args.json:
         payload = (
             reports[0].to_json_obj()

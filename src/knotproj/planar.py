@@ -565,20 +565,29 @@ def _check_site(p: PlanarCurve, site, name: str) -> None:
         raise InvalidSite(f"{name}={site} out of range 0..{2 * p.n - 1}")
 
 
+def _splice_block(w2: tuple[int, ...], site2: int, shift: int) -> tuple[int, ...]:
+    """``w2`` read from position ``site2 + 1``, its labels shifted by ``shift``.
+
+    The part of a splice at edge ``site2`` of ``w2`` that comes from
+    ``w2`` (:func:`_splice_word`, with ``shift`` the crossing number of
+    the other summand).
+    """
+    cut = site2 + 1
+    return tuple([x + shift for x in w2[cut:] + w2[:cut]])
+
+
 def _splice_word(
     w1: tuple[int, ...], w2: tuple[int, ...], site1: int, site2: int
 ) -> tuple[int, ...]:
     """The word of the splice at edges ``site1`` of ``w1`` and ``site2`` of ``w2``.
 
-    ``w2``, read from position ``site2 + 1`` and with its labels shifted by
-    ``len(w1) // 2``, is inserted after position ``site1`` of ``w1``.  The
-    result is not relabeled: its labels are 1..n1 + n2, each twice, but not
-    in first-occurrence order.
+    The block of ``w2`` (:func:`_splice_block`: read from position
+    ``site2 + 1``, its labels shifted by ``len(w1) // 2``) is inserted after
+    position ``site1`` of ``w1``.  The result is not relabeled: its labels
+    are 1..n1 + n2, each twice, but not in first-occurrence order.
     """
-    n1 = len(w1) // 2
-    cut = site2 + 1
-    shifted = tuple([x + n1 for x in w2[cut:] + w2[:cut]])
-    return w1[: site1 + 1] + shifted + w1[site1 + 1:]
+    block = _splice_block(w2, site2, len(w1) // 2)
+    return w1[: site1 + 1] + block + w1[site1 + 1:]
 
 
 def connected_sum(
@@ -612,7 +621,8 @@ def connected_sum(
     its label, which makes it normal by construction, so it is not validated
     again.  Code-level readers that do not depend on label names, such as
     the triple-chord count of ``verify.check_connected_sum_lemma``, read
-    :func:`_splice_word` directly and build no curve.
+    the same unrelabeled word (p1's head, :func:`_splice_block`, p1's tail)
+    directly and build no curve.
     """
     _check_site(p1, site1, "site1")
     _check_site(p2, site2, "site2")

@@ -61,19 +61,22 @@ def _code(p: PlanarCurve) -> str:
     return str(chords.canonicalize(p.code))
 
 
-def check_main_theorem(max_n: int) -> CheckReport:
+def check_main_theorem(max_n: int, *, table: dict | None = None) -> CheckReport:
     """Triple-chord-free curves have a monogon or strong 2-gon and reduce to U.
 
     One greedy run per curve (``moves._reduce``) tests both: a run stuck
     before its first move breaks the first, one stuck later the second.
-    The runs share one verdict table for this call, so each stops at the
-    first state an earlier run decided; a curve that fails is run again
-    with no table, to the curve where it sticks, to word the violation.
+    The runs share one verdict table, so each stops at the first state an
+    earlier run decided: ``table`` if given (``moves._reduce``'s table,
+    read and written, so a caller can share it with other sweeps of the
+    same move rules), else a fresh one for this call.  A curve that fails
+    is run again with no table, to the curve where it sticks, to word the
+    violation.
     """
     t0 = time.perf_counter()
     tested = 0
     violations = []
-    table = {}
+    table = {} if table is None else table
     for n in range(1, max_n + 1):
         for p in enumerate_curves(n):
             if chords.count_tr(p.code):
@@ -89,18 +92,19 @@ def check_main_theorem(max_n: int) -> CheckReport:
     )
 
 
-def check_inclusion_chain(max_n: int) -> CheckReport:
+def check_inclusion_chain(max_n: int, *, table: dict | None = None) -> CheckReport:
     """x=0 => tr=0; tr=0 => in S; in S => arnold invariant 0.
 
     Strictness witnesses (curves separating consecutive classes) are reported
-    but are not violations.  The greedy runs share one verdict table for
-    this call (``moves._reaches_U``).
+    but are not violations.  The greedy runs share one verdict table
+    (``moves._reaches_U``): ``table`` if given, as in
+    :func:`check_main_theorem`, else a fresh one for this call.
     """
     t0 = time.perf_counter()
     tested = 0
     violations = []
     witnesses = []
-    table = {}
+    table = {} if table is None else table
     for n in range(0, max_n + 1):
         for p in enumerate_curves(n):
             tested += 1
@@ -149,6 +153,44 @@ def check_two_strong_bigons(max_n: int) -> CheckReport:
     )
 
 
+def _heads(
+    w1: tuple[int, ...],
+) -> list[tuple[tuple[list[int], int], tuple[int, ...]]]:
+    """For each edge ``site1`` of ``w1``: the reader's state after the head, and the tail.
+
+    The head ``w1[:site1 + 1]`` is read by ``chords._read`` from the empty
+    state of w1's n1 chords (the head holds no other label); the tail is
+    ``w1[site1 + 1:]``.
+    """
+    n1 = len(w1) // 2
+    heads = []
+    for site1 in range(2 * n1):
+        rows = [1 << i for i in range(n1)]
+        prefix = chords._read(rows, 0, w1[: site1 + 1])
+        heads.append(((rows, prefix), w1[site1 + 1:]))
+    return heads
+
+
+def _splice_rows(
+    head: tuple[list[int], int], blocks: list[tuple[int, ...]], tail: tuple[int, ...]
+) -> list[list[int]]:
+    """The interlacement rows of the word head + block + tail, for each block.
+
+    ``head`` is the reader's state after the head (:func:`_heads`); the
+    rows of the blocks' n2 chords, labeled n1 + 1..n1 + n2, join it with
+    their own bits, and each block and then the tail are read on a copy.
+    """
+    rows, prefix = head
+    n1 = len(rows)
+    seeded = rows + [1 << (n1 + j) for j in range(len(blocks[0]) // 2)]
+    out = []
+    for block in blocks:
+        spliced = seeded.copy()
+        chords._read(spliced, prefix, block + tail)
+        out.append(spliced)
+    return out
+
+
 def check_connected_sum_lemma(max_n: int) -> CheckReport:
     """Splicing two triple-chord-free curves is triple-chord-free, at every site.
 
@@ -163,6 +205,17 @@ def check_connected_sum_lemma(max_n: int) -> CheckReport:
     stays at the code level: the spliced code is the same for every
     embedding of the summands and for p2's mirror, so it reads no flips,
     and checking the lemma for curves needs a statement about the map.
+
+    The splice at sites (s1, s2) is the head ``w1[:s1 + 1]``, p2's block
+    (``planar._splice_block``) and the tail ``w1[s1 + 1:]``.  The
+    prefix-XOR reader ``chords._read`` reads the word left to right, and
+    its state after the head depends only on the head, which is the same
+    symbols for every splice with that p1 and s1.  So that state is read
+    once per p1 and s1 (:func:`_heads`), each p2's 2 * n2 blocks are built
+    once per n1, and each splice reads its own block and tail on a copy of
+    the head's state (:func:`_splice_rows`).  Its rows are then exactly
+    ``chords._interlacement_bits`` of its spliced word: every symbol of the
+    word is read, in order, and nothing comes from a summand's graph.
     """
     t0 = time.perf_counter()
     tested = 0
@@ -172,16 +225,18 @@ def check_connected_sum_lemma(max_n: int) -> CheckReport:
         for n in range(1, max_n)
     }
     for n1 in range(1, max_n):
+        heads = [_heads(p1.word) for p1 in pools[n1]]
         for n2 in range(1, max_n - n1 + 1):
-            for p1 in pools[n1]:
-                w1 = p1.word
-                for p2 in pools[n2]:
-                    w2 = p2.word
+            blocks = [
+                [planar._splice_block(p2.word, s2, n1) for s2 in range(2 * n2)]
+                for p2 in pools[n2]
+            ]
+            for p1, p1_heads in zip(pools[n1], heads):
+                for p2, p2_blocks in zip(pools[n2], blocks):
                     tested += 1
-                    for s1 in range(2 * n1):
-                        for s2 in range(2 * n2):
-                            w = planar._splice_word(w1, w2, s1, s2)
-                            tr = chords._triangles(chords._interlacement_bits(w))
+                    for s1, (head, tail) in enumerate(p1_heads):
+                        for s2, rows in enumerate(_splice_rows(head, p2_blocks, tail)):
+                            tr = chords._triangles(rows)
                             if tr:
                                 violations.append(
                                     (
@@ -236,26 +291,30 @@ def check_teardrop_reversal(max_n: int) -> CheckReport:
 
 # Entries call the module-level functions by name at run time, so wrappers
 # installed on those names (tracers, monkeypatches) also apply through here.
+# Only the checks that make greedy runs take the verdict table.
 _CHECKS = {
-    "main-theorem": lambda max_n: check_main_theorem(max_n),
-    "inclusion-chain": lambda max_n: check_inclusion_chain(max_n),
-    "two-strong-bigons": lambda max_n: check_two_strong_bigons(max_n),
-    "connected-sum-lemma": lambda max_n: check_connected_sum_lemma(max_n),
-    "teardrop-reversal": lambda max_n: check_teardrop_reversal(max_n),
+    "main-theorem": lambda max_n, table: check_main_theorem(max_n, table=table),
+    "inclusion-chain": lambda max_n, table: check_inclusion_chain(max_n, table=table),
+    "two-strong-bigons": lambda max_n, table: check_two_strong_bigons(max_n),
+    "connected-sum-lemma": lambda max_n, table: check_connected_sum_lemma(max_n),
+    "teardrop-reversal": lambda max_n, table: check_teardrop_reversal(max_n),
 }
 
 CHECK_IDS = tuple(_CHECKS)
 
 
-def run_check(check_id: str, max_n: int) -> CheckReport:
+def run_check(check_id: str, max_n: int, *, table: dict | None = None) -> CheckReport:
     """Run one check by identifier.
 
-    Raises KeyError for an identifier not in :data:`CHECK_IDS`, and, before
-    anything is enumerated, :class:`BudgetExceeded` for a negative bound or
-    where :func:`check_budget` refuses the largest n the check enumerates:
+    ``table`` is the greedy-run verdict table handed to main-theorem and
+    inclusion-chain (the other checks make no greedy run); with None each
+    of those calls makes a fresh one.  Raises KeyError for an identifier
+    not in :data:`CHECK_IDS`, and, before anything is enumerated,
+    :class:`BudgetExceeded` for a negative bound or where
+    :func:`check_budget` refuses the largest n the check enumerates:
     ``max_n``, or ``max_n - 1`` for connected-sum-lemma.
     """
     check = _CHECKS[check_id]
     _check_nonnegative(max_n)
     check_budget(max_n - 1 if check_id == "connected-sum-lemma" and max_n else max_n)
-    return check(max_n)
+    return check(max_n, table)

@@ -3,7 +3,15 @@ import json
 
 import pytest
 
-from knotproj import cli, enumerate_curves, enumeration, planar, read_dataset, verify
+from knotproj import (
+    cli,
+    enumerate_curves,
+    enumeration,
+    moves,
+    planar,
+    read_dataset,
+    verify,
+)
 from knotproj.enumeration import BUDGET_ENV
 
 from conftest import FIXTURES, weak_variant
@@ -143,6 +151,28 @@ def test_analyze_batch_prints_what_each_code_prints(tmp_path, capsys):
         else:
             assert batch == "\n".join(out for _, out, _ in single)
     assert '"in_S": true' in batch and '"in_S": false' in batch
+
+
+def test_analyze_builds_a_verdict_table_only_for_in(tmp_path, capsys, monkeypatch):
+    """A single code's greedy run gets no verdict table; the codes of one
+    ``--in`` file share one dict, and stdout is what it was."""
+    tables = []
+    original = moves._reduce
+
+    def recorded(p, table=None):
+        tables.append(table)
+        return original(p, table)
+
+    monkeypatch.setattr(moves, "_reduce", recorded)
+    code, out, _ = run(capsys, "analyze", "1 2 3 1 2 3")
+    assert code == 0 and "in_S:          false" in out
+    assert tables == [None]
+    tables.clear()
+    src = tmp_path / "codes.txt"
+    src.write_text(f"1 1\n1 2 3 1 2 3\n{COMPOSITE_WITH_CURL}\n")
+    code, _, _ = run(capsys, "analyze", "--in", str(src), "--json")
+    assert code == 0 and len(tables) == 3
+    assert type(tables[0]) is dict and all(t is tables[0] for t in tables)
 
 
 def test_analyze_batch_malformed_line_exits_2_stdout_clean(tmp_path, capsys):
@@ -382,6 +412,19 @@ def test_verify_all_json_byte_stable(capsys):
     assert all(o["passed"] for o in arr)
 
 
+@pytest.mark.slow
+def test_connected_sum_lemma_10_report_is_pinned(capsys, monkeypatch):
+    """``verify --check connected-sum-lemma --max-n 10 --json`` with
+    ``KNOTPROJ_MAX_N=9`` (3,896 pairs), byte for byte, by its sha256."""
+    monkeypatch.setenv(BUDGET_ENV, "9")
+    argv = ["verify", "--check", "connected-sum-lemma", "--max-n", "10", "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["curves_tested"] == 3_896
+    want = (FIXTURES / "csl_10.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_verify_8_report_is_pinned(capsys, monkeypatch):
     """``verify --all --max-n 8 --json`` stdout, byte for byte, by its sha256."""
     monkeypatch.delenv(BUDGET_ENV, raising=False)
@@ -389,6 +432,42 @@ def test_verify_8_report_is_pinned(capsys, monkeypatch):
     assert code == 0
     want = (FIXTURES / "verify_8.sha256").read_text().split()[0]
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_verify_shares_one_verdict_table_per_command(capsys, monkeypatch):
+    """The greedy runs of main-theorem and inclusion-chain in one ``verify``
+    command all get one dict, and only that command's runs get it."""
+    tables = []
+    original = moves._reduce
+
+    def recorded(p, table=None):
+        tables.append(table)
+        return original(p, table)
+
+    monkeypatch.setattr(moves, "_reduce", recorded)
+    assert run(capsys, "verify", "--all", "--max-n", "5", "--json")[0] == 0
+    first = tables[0]
+    assert type(first) is dict and first
+    assert all(t is first for t in tables)
+    tables.clear()
+    assert run(capsys, "verify", "--check", "main-theorem", "--max-n", "5")[0] == 0
+    assert tables and all(t is tables[0] for t in tables)
+    assert tables[0] is not first
+
+
+def test_verify_verdict_table_lives_for_one_command(capsys, monkeypatch):
+    """A healthy ``verify --all``, then one with strongness flipped to the
+    interleaved reading: the second reports what the checks report under
+    the mutant, each with a fresh table.  A verdict table that outlived the
+    first command would keep the healthy verdicts and hide the mutant."""
+    argv = ["verify", "--all", "--max-n", "6", "--json"]
+    code, healthy, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(planar, "_is_strong", weak_variant)
+    code, mutated, _ = run(capsys, *argv)
+    fresh = [verify.run_check(cid, 6).to_json_obj() for cid in verify.CHECK_IDS]
+    assert code == 1 and mutated != healthy
+    assert mutated == json.dumps(fresh, indent=2) + "\n"
 
 
 def test_verify_negative_max_n_exits_4(capsys):

@@ -18,7 +18,7 @@ from knotproj import (
     split_connected_sum,
     strong_bigons,
 )
-from knotproj import chords, planar
+from knotproj import chords, planar, verify
 from knotproj.errors import InvalidSite, NoCrossings, NotRealizable
 
 from conftest import (
@@ -511,6 +511,34 @@ def test_splice_word_is_the_connected_sum_code_before_relabeling():
                             sites += 1
                             nonzero += tr > 0
     assert (sites, nonzero) == (1_656, 628)
+
+
+def test_splice_rows_are_the_spliced_words_interlacement():
+    """Every ordered pair of enumerated curves with n1 + n2 <= 7, triple
+    chords or not, at every site pair: the rows the connected-sum check
+    reads from the head's saved state (``verify._heads``), p2's block and
+    the tail (``verify._splice_rows``) are the interlacement rows of the
+    whole spliced word, and no splice changes the saved state."""
+    curves = {n: enumerate_curves(n) for n in range(1, 7)}
+    splices = nonzero = 0
+    for n1 in range(1, 7):
+        for n2 in range(1, 8 - n1):
+            for p1 in curves[n1]:
+                heads = verify._heads(p1.word)
+                saved = [(list(rows), prefix) for (rows, prefix), _ in heads]
+                for p2 in curves[n2]:
+                    blocks = [
+                        planar._splice_block(p2.word, s2, n1) for s2 in range(2 * n2)
+                    ]
+                    for s1, (head, tail) in enumerate(heads):
+                        for s2, rows in enumerate(verify._splice_rows(head, blocks, tail)):
+                            w = planar._splice_word(p1.word, p2.word, s1, s2)
+                            want = chords._interlacement_bits(w)
+                            assert tuple(rows) == want, (p1, p2, s1, s2)
+                            splices += 1
+                            nonzero += chords._triangles(want) > 0
+                assert [(rows, prefix) for (rows, prefix), _ in heads] == saved
+    assert (splices, nonzero) == (6_360, 2_820)
 
 
 def test_prime_decompose_inverts_connected_sum():

@@ -123,7 +123,9 @@ def test_connected_sum_lemma_counts_on_the_spliced_word(monkeypatch):
     """The check builds no curve per splice: ``connected_sum`` is never
     called, and ``count_tr`` only filters the pools, once per enumerated
     curve below the bound.  A splice that breaks p2's block around one p1
-    symbol is caught, so the count is read off the whole spliced word."""
+    symbol is caught, so the count is read off the whole spliced word.  The
+    check assembles each splice's word after its head in ``_splice_rows``
+    (block, then tail), so the mutation goes in there."""
     for n in range(1, 6):
         enumerate_curves(n)
     calls = {"connected_sum": 0, "count_tr": 0}
@@ -139,18 +141,17 @@ def test_connected_sum_lemma_counts_on_the_spliced_word(monkeypatch):
     pooled = sum(len(enumerate_curves(n)) for n in range(1, 6))
     assert calls == {"connected_sum": 0, "count_tr": pooled} and pooled == 25
 
-    splice = planar._splice_word
+    splice_rows = verify._splice_rows
 
-    def broken(w1, w2, site1, site2):
+    def broken(head, blocks, tail):
         # move p1's symbol after the cut into the middle of p2's block
-        w = splice(w1, w2, site1, site2)
-        k = site1 + 1 + len(w2)
-        if k == len(w):
-            return w
-        mid = site1 + 1 + len(w2) // 2
-        return w[:mid] + (w[k],) + w[mid:k] + w[k + 1:]
+        if not tail:
+            return splice_rows(head, blocks, tail)
+        mid = len(blocks[0]) // 2
+        moved = [block[:mid] + tail[:1] + block[mid:] for block in blocks]
+        return splice_rows(head, moved, tail[1:])
 
-    monkeypatch.setattr(planar, "_splice_word", broken)
+    monkeypatch.setattr(verify, "_splice_rows", broken)
     rep = check_connected_sum_lemma(6)
     assert not rep.passed
     assert rep.curves_tested == run_check("connected-sum-lemma", 6).curves_tested
