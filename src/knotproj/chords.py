@@ -37,9 +37,10 @@ Each chord-level concept has one implementation:
   diagram and cached as ``ChordDiagram._bits``: every interleave question
   reads it, here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
   realization); :func:`_triangles` counts its triangles, the triple chords;
-  :func:`_first_closed_interval`, behind
-  :func:`split_connected_sum` and ``planar.prime_decompose``, uses the prefix
-  XOR it is built from.
+  :func:`_components` lists its components, the prime factors behind
+  ``planar.prime_decompose`` and the dataset's ``prime`` field;
+  :func:`_first_closed_interval`, behind :func:`split_connected_sum`, uses
+  the prefix XOR it is built from.
 """
 
 from __future__ import annotations
@@ -397,6 +398,32 @@ def gauss_parity_violations(cd: ChordDiagram) -> list[int]:
     converse fails in general, so this is only a fast rejection filter.
     """
     return [a for a, b in enumerate(cd._bits, start=1) if b.bit_count() & 1]
+
+
+def _components(cd: ChordDiagram) -> list[int]:
+    """The components of the interlacement graph, by last position in the word.
+
+    Each component is a bit mask (bit a-1 for chord a) grown from
+    ``cd._bits``.  The word is read from its end, so each component is met
+    at its last position; the list is then reversed.  U has none.
+    """
+    adj = cd._bits
+    seen = 0
+    found = []
+    for x in reversed(cd.word):
+        if seen >> (x - 1) & 1:
+            continue
+        comp = frontier = 1 << (x - 1)
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            frontier |= new
+        seen |= comp
+        found.append(comp)
+    found.reverse()
+    return found
 
 
 def _first_closed_interval(word: tuple[int, ...]) -> tuple[int, int] | None:

@@ -189,7 +189,11 @@ def _cmd_dot(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand table (name -> subparser).
+
+    Each subparser carries its handler as the ``handler`` default.
+    """
     parser = argparse.ArgumentParser(
         prog="knotproj",
         description="Combinatorics of spherical knot projections.",
@@ -204,9 +208,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_an.add_argument("--json", action="store_true")
     source.add_argument("--in", dest="infile", default=None, help="batch file, one code per line")
+    p_an.set_defaults(handler=_cmd_analyze)
 
     p_re = sub.add_parser("reduce", help="greedy 1b/s2b reduction or S-membership")
     p_re.add_argument("code")
+    p_re.set_defaults(handler=_cmd_reduce)
 
     p_en = sub.add_parser("enumerate", help="write the curve dataset up to n")
     p_en.add_argument("n", type=int)
@@ -217,6 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=enumeration.DEFAULT_ARNOLD_MAX_N,
         help="compute arnold only for n at most this (default %(default)s)",
     )
+    p_en.set_defaults(handler=_cmd_enumerate)
 
     p_ve = sub.add_parser("verify", help="run machine checks over the enumeration")
     group = p_ve.add_mutually_exclusive_group(required=True)
@@ -224,24 +231,32 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true")
     p_ve.add_argument("--max-n", type=int, default=6)
     p_ve.add_argument("--json", action="store_true")
+    p_ve.set_defaults(handler=_cmd_verify)
 
     p_dot = sub.add_parser("dot", help="chord diagram as Graphviz source")
     p_dot.add_argument("code")
+    p_dot.set_defaults(handler=_cmd_dot)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler = {
-        "analyze": _cmd_analyze,
-        "reduce": _cmd_reduce,
-        "enumerate": _cmd_enumerate,
-        "verify": _cmd_verify,
-        "dot": _cmd_dot,
-    }[args.command]
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None).
+
+    A known subcommand's arguments are parsed by its own parser, which is
+    all the top-level parser would do after its generic pass; the top-level
+    parser runs only for an empty argv, ``-h`` and an unknown subcommand,
+    where it prints help or exits 2.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args = commands[argv[0]].parse_args(argv[1:])
+    else:
+        args = parser.parse_args(argv)
     try:
-        return handler(args)
+        return args.handler(args)
     except MalformedCode as exc:
         return _fail(EXIT_MALFORMED, str(exc))
     except NotRealizable as exc:

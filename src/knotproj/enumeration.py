@@ -304,7 +304,8 @@ def build_record(
     counts exactly what ``p.faces``, ``planar.monogons`` and
     ``planar.strong_bigons`` list; an enumerated curve keeps the walk that
     accepted its mask, so it is not walked again.  ``prime`` asks only
-    whether a closed interval exists.
+    whether the interlacement graph has exactly one component
+    (``planar.prime_decompose`` says why that is primality).
 
     ``in_S`` is one greedy run (``moves._reaches_U``).  ``table``, a dict
     that starts empty, holds the verdicts of the states earlier runs
@@ -324,7 +325,7 @@ def build_record(
         monogons=degrees.count(1),
         strong_bigons=len(planar._strong_sites(p.word, bigons)),
         reduced=planar.is_reduced(p),
-        prime=p.n >= 1 and chords._first_closed_interval(cd.word) is None,
+        prime=len(chords._components(cd)) == 1,
         in_S=moves._reaches_U(p, table),
         arnold=invariants.arnold_invariant(p) if with_arnold else None,
     )

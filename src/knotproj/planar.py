@@ -316,6 +316,11 @@ def _flip_coset(cd: ChordDiagram) -> tuple[int, list[int]]:
     exactly the returned mask XOR the span of the component indicators.  Each
     component is then mirrored when its largest label carries flip 1, which
     makes the mask the smallest valid one in numeric (sweep) order.
+
+    The components are grown here by a walk of their own, not read from
+    :func:`chords._components`: propagating flips needs a spanning order
+    (each label reached from an interleaved label already set), which a
+    component mask does not give, so reusing it would add a second walk.
     """
     adj = cd._bits
     first = [cd.word.index(a) for a in range(1, len(adj) + 1)]
@@ -523,35 +528,45 @@ def is_reduced(p: PlanarCurve) -> bool:
 
 
 def prime_decompose(p: PlanarCurve) -> list[PlanarCurve]:
-    """Connected-sum factors, each prime, in recursive split order.
+    """Connected-sum factors, each prime: one per interlacement component.
 
-    The curve is split at :func:`chords._first_closed_interval`, inside
-    first, and each part is split again.  A part is ``p`` with the other
-    part's crossings deleted, each survivor keeping its flip bit
-    (:func:`_drop_labels`), so no part is realized again.  That mask is
-    spherical: a closed interval is an arc of the curve that meets the rest
-    only at its two ends, and a circle on the sphere round that arc cuts the
-    curve twice.  Replacing the other side's arc by a simple arc along that
-    circle draws the part as a closed curve on the same sphere, and each of
-    its crossings keeps its local picture, hence its flip.  A part's word is
-    the subsequence of ``p.word`` it keeps, so it may be a rotation of the
-    word read from the interval's ends; its canonical code is the same.
+    A factor is ``p`` with every crossing outside one component of the
+    interlacement graph (:func:`chords._components`) deleted, each survivor
+    keeping its flip bit (:func:`_drop_labels`), so no factor is realized
+    again.  That mask is spherical: a closed interval (a proper cyclic
+    interval closed under the chord pairing) is an arc of the curve that
+    meets the rest only at its two ends, and a circle on the sphere round
+    that arc cuts the curve twice.  Replacing the other side's arc by a
+    simple arc along that circle draws the part as a closed curve on the
+    same sphere, and each of its crossings keeps its local picture, hence
+    its flip.  A factor is what repeated splitting at closed intervals
+    leaves (the order argument below), so its mask is spherical too.
 
-    U decomposes into no factors.  The factor multiset (by canonical code)
-    does not depend on which valid split is taken first; tests assert this.
+    Prime is connected.  A closed interval's chords cross nothing outside
+    it, so a diagram with one component has no closed interval.
+    Conversely, every chord outside a component C has both ends in one gap
+    between consecutive endpoints of C: a chord with ends in two gaps that
+    crossed no chord of C would part C's chords into two non-empty sides
+    with no crossing between them.  So a non-empty gap is a closed
+    interval, and a diagram with two components has one.
+
+    Order.  Factors are listed by each component's last position in
+    ``p.word``, which is the order of splitting at the first closed interval
+    [s, e) (:func:`chords._first_closed_interval`), inside first, and
+    splitting each part again.  That interval never wraps, because its
+    complement would start earlier.  An outside component that lay wholly
+    before s would span a closed interval starting before s, so every
+    outside component has a position >= e, later than every inside
+    position.  The order then follows by induction on the parts.  A
+    factor's word is the subsequence of ``p.word`` it keeps, so it may be a
+    rotation of the word read from its interval's ends; its canonical code
+    is the same.  U decomposes into no factors.
     """
-    if p.n == 0:
-        return []
-    found = chords._first_closed_interval(p.word)
-    if found is None:
-        return [p]
-    start, end = found
-    inside = set((p.word + p.word)[start:end])
-    outside = set(range(1, p.n + 1)) - inside
     factors = []
-    for drop in (outside, inside):
+    for comp in chords._components(p.code):
+        drop = {v for v in range(1, p.n + 1) if not comp >> (v - 1) & 1}
         word, mask = _drop_labels(p.word, p.flips, drop)
-        factors += prime_decompose(PlanarCurve(ChordDiagram._of_normal(word), mask))
+        factors.append(PlanarCurve(ChordDiagram._of_normal(word), mask))
     return factors
 
 

@@ -7,7 +7,9 @@ limited to its value types (``ChordDiagram``, ``PlanarCurve``, ``Face``,
 ``Move``, ``Teardrop``, ``ReductionTrace``), ``canonicalize`` and ``realize``
 where an oracle checks a later stage, and the few internals an oracle is
 built around (``planar._flip_coset``'s span, ``invariants.resolve``,
-``a2_gauss_formula`` and the ``_PV_*`` arrow pattern).  In particular the
+``a2_gauss_formula``, the ``_PV_*`` arrow pattern, and
+``chords._first_closed_interval`` with ``planar._drop_labels`` for the
+recursive splitter :func:`recursive_prime_decompose`).  In particular the
 move oracles read moves off faces traced from the vertex rings
 (:func:`face_moves`), never through ``applicable_moves`` or ``apply_move``.
 The one deliberately wrong rule here, :func:`weak_variant`, is a mutant for
@@ -28,6 +30,7 @@ from knotproj import (
     PlanarCurve,
     Teardrop,
     canonicalize,
+    chords,
     interleaved,
     invariants,
     planar,
@@ -356,6 +359,31 @@ def split_connected_sum_members(cd):
                     ChordDiagram.from_labels(w[i] for i in outside),
                 )
     return None
+
+
+def recursive_prime_decompose(p):
+    """Prime factors by recursive splitting: the reference ``prime_decompose``.
+
+    ``p`` is split at ``chords._first_closed_interval``, inside first, and
+    each part is split again.  A part is ``p`` with the other part's
+    crossings deleted, each survivor keeping its flip bit
+    (``planar._drop_labels``).  U has no factors; a prime curve is its own.
+    """
+    if p.n == 0:
+        return []
+    found = chords._first_closed_interval(p.word)
+    if found is None:
+        return [p]
+    start, end = found
+    inside = set((p.word + p.word)[start:end])
+    outside = set(range(1, p.n + 1)) - inside
+    factors = []
+    for drop in (outside, inside):
+        word, mask = planar._drop_labels(p.word, p.flips, drop)
+        factors += recursive_prime_decompose(
+            PlanarCurve(ChordDiagram._of_normal(word), mask)
+        )
+    return factors
 
 
 def vertex_rings(word, flips):

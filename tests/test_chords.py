@@ -21,6 +21,7 @@ from knotproj import (
 from knotproj.errors import MalformedCode, UnknownLabel
 
 from conftest import (
+    all_canonical_words,
     canonical_text_full_relabel,
     count_tr_sextuples,
     interleavement_graph,
@@ -248,6 +249,30 @@ def test_split_connected_sum_prime_and_small():
     assert split_connected_sum(parse_code("1 2 3 1 2 3")) is None
     assert split_connected_sum(parse_code("1 1")) is None
     assert split_connected_sum(parse_code("")) is None
+
+
+@pytest.mark.parametrize(
+    "ns, words, primes",
+    [
+        (range(8), 5_942, 1_742),
+        pytest.param(range(8, 9), 65_346, 19_343, marks=pytest.mark.slow),
+    ],
+    ids=["n<=7", "n=8"],
+)
+def test_one_component_exactly_when_no_closed_interval(ns, words, primes):
+    """The dataset's ``prime`` test, one interlacement component, agrees with
+    the closed-interval test on every canonical word with n <= 8, parity
+    or not (n = 8 under ``slow``); the components partition the chords."""
+    seen = found = 0
+    for n in ns:
+        for w in all_canonical_words(n):
+            comps = chords._components(ChordDiagram(w))
+            assert sum(comps) == (1 << n) - 1
+            prime = len(comps) == 1
+            assert prime == (n >= 1 and chords._first_closed_interval(w) is None), w
+            seen += 1
+            found += prime
+    assert (seen, found) == (words, primes)
 
 
 def test_split_parts_rejoin_label_counts():

@@ -1,5 +1,10 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -537,3 +542,103 @@ def test_dot_malformed_exits_2(capsys):
     code, out, err = run(capsys, "dot", "1")
     assert code == 2 and out == ""
     assert err == "malformed code '1': label 1 appears 1 time(s), expected exactly 2\n"
+
+
+# --- dispatch ---------------------------------------------------------------------
+
+NO_OUTPUT = "e3b0c44298fc"  # sha256 of ""
+
+# argv, exit code (or SystemExit code) and the first 12 hex digits of the
+# sha256 of stdout, recorded when every argv went through the top-level
+# parser's full parse.  A None digest marks help, which must be the help text
+# of the parser named by argv[0] (the top-level one when argv[0] is no
+# subcommand).  ``codes.txt`` holds two codes; the working directory is empty.
+DISPATCH_TABLE = [
+    ([], 2, NO_OUTPUT),
+    (["-h"], 0, None),
+    (["--help"], 0, None),
+    (["bogus"], 2, NO_OUTPUT),
+    (["--json", "analyze", "1 1"], 2, NO_OUTPUT),
+    (["analyze", "1 2 3 1 2 3"], 0, "5f8b67101313"),
+    (["analyze", "--json", "--arnold", "1 1 2 2"], 0, "2af82ebc1a63"),
+    (["analyze", "--in", "codes.txt", "--json"], 0, "6bbfcab55e77"),
+    (["analyze", "-h"], 0, None),
+    (["analyze", "1 1", "--force"], 2, NO_OUTPUT),
+    (["analyze", "1 1", "--in", "codes.txt"], 2, NO_OUTPUT),
+    (["analyze", "1 2 1"], 2, NO_OUTPUT),
+    (["reduce", "1 1 2 2"], 0, "11648103a55c"),
+    (["reduce", "--help"], 0, None),
+    (["reduce"], 2, NO_OUTPUT),
+    (["reduce", "1 1", "--json"], 2, NO_OUTPUT),
+    (["enumerate", "2", "--out", "ds.jsonl"], 0, "b557a9962f69"),
+    (["enumerate", "-h"], 0, None),
+    (["enumerate", "two", "--out", "ds.jsonl"], 2, NO_OUTPUT),
+    (["enumerate", "2"], 2, NO_OUTPUT),
+    (["enumerate", "2", "--out", "ds.jsonl", "--arnold-max", "x"], 2, NO_OUTPUT),
+    (["enumerate", "2", "--out", "ds.jsonl", "--bogus"], 2, NO_OUTPUT),
+    (["verify", "--check", "main-theorem", "--max-n", "3"], 0, "f7514db8ed1b"),
+    (["verify", "--all", "--max-n", "3", "--json"], 0, "64b44a3ab0bd"),
+    (["verify", "-h"], 0, None),
+    (["verify", "--all", "--max-n", "three"], 2, NO_OUTPUT),
+    (["verify"], 2, NO_OUTPUT),
+    (["verify", "--all", "--check", "main-theorem"], 2, NO_OUTPUT),
+    (["verify", "--all", "--bogus"], 2, NO_OUTPUT),
+    (["dot", "1 2 1 2"], 0, "2024aec8bda9"),
+    (["dot", "-h"], 0, None),
+    (["dot"], 2, NO_OUTPUT),
+    (["dot", "1 1", "--bogus"], 2, NO_OUTPUT),
+]
+
+
+def test_dispatch_keeps_exit_codes_and_stdout(tmp_path, capsys, monkeypatch):
+    """Every argv of the table exits and prints as it did through the full
+    top-level parse, and the top-level parser parses only the argvs whose
+    first word is no subcommand (empty, help, unknown); a known subcommand's
+    arguments go straight to its own parser."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "codes.txt").write_text("1 1\n1 2 3 1 2 3\n")
+    parser, commands = cli._build_parser()
+    parsed = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def recorded(self, args=None, namespace=None):
+        parsed.append(self.prog)
+        return original(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recorded)
+    for argv, want_code, want_sha in DISPATCH_TABLE:
+        parsed.clear()
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code == want_code, argv
+        top = not argv or argv[0] not in commands
+        if want_sha is None:
+            assert out == (parser if top else commands[argv[0]]).format_help(), argv
+        else:
+            assert hashlib.sha256(out.encode()).hexdigest()[:12] == want_sha, argv
+        assert ("knotproj" in parsed) == top, argv
+
+
+def test_entry_point_reads_sys_argv(capsys):
+    """``main()`` with no argv parses ``sys.argv[1:]``, as the ``knotproj``
+    script calls it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    script = "import sys; from knotproj.cli import main; sys.exit(main())"
+    argv = ["analyze", "--json", "1 1 2 2"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == run(capsys, *argv)[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "required: command" in proc.stderr

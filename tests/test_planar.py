@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from knotproj import (
@@ -33,6 +35,7 @@ from conftest import (
     mask_rings,
     pairing_words,
     realized_connected_sum,
+    recursive_prime_decompose,
     ring_traced_faces,
     strong_bigon_sites,
     sweep_realizations,
@@ -541,6 +544,24 @@ def test_splice_rows_are_the_spliced_words_interlacement():
     assert (splices, nonzero) == (6_360, 2_820)
 
 
+def splices(curves, max_total):
+    """(p1, p2, s1, s2) for every ordered pair of curves from ``curves`` (a
+    dict from n to curves) with n1 + n2 <= max_total, at every site pair."""
+    for n1 in curves:
+        for n2 in curves:
+            if n1 + n2 > max_total:
+                continue
+            for p1 in curves[n1]:
+                for p2 in curves[n2]:
+                    for s1 in range(2 * n1):
+                        for s2 in range(2 * n2):
+                            yield p1, p2, s1, s2
+
+
+def maps(curves):
+    return [(p.word, p.flips) for p in curves]
+
+
 def test_prime_decompose_inverts_connected_sum():
     """Splitting the splice of two prime embeddings gives both back: the first
     exactly, the second as read from the cut, which splices back to the same
@@ -551,23 +572,57 @@ def test_prime_decompose_inverts_connected_sum():
         for n in range(1, 6)
     }
     checked = 0
-    for n1 in range(1, 6):
-        for n2 in range(1, 7 - n1):
-            for p1 in primes[n1]:
-                for p2 in primes[n2]:
-                    for s1 in range(2 * n1):
-                        for s2 in range(2 * n2):
-                            q = connected_sum(p1, p2, s1, s2)
-                            factors = prime_decompose(q)
-                            assert len(factors) == 2, (p1, p2, s1, s2)
-                            f1, f2 = factors if factors[0] == p1 else factors[::-1]
-                            for f in factors:
-                                assert len(planar._face_walk(f.word, f.flips)[0]) == f.n + 2
-                            assert (f1.word, f1.flips) == (p1.word, p1.flips)
-                            back = connected_sum(f1, f2, s1, 2 * n2 - 1)
-                            assert (back.word, back.flips) == (q.word, q.flips)
-                            checked += 1
+    for p1, p2, s1, s2 in splices(primes, 6):
+        q = connected_sum(p1, p2, s1, s2)
+        factors = prime_decompose(q)
+        assert len(factors) == 2, (p1, p2, s1, s2)
+        f1, f2 = factors if factors[0] == p1 else factors[::-1]
+        for f in factors:
+            assert len(planar._face_walk(f.word, f.flips)[0]) == f.n + 2
+        assert (f1.word, f1.flips) == (p1.word, p1.flips)
+        back = connected_sum(f1, f2, s1, 2 * p2.n - 1)
+        assert (back.word, back.flips) == (q.word, q.flips)
+        checked += 1
     assert checked == 704
+
+
+def test_prime_decompose_matches_recursive_splitter_on_splices():
+    """Every splice of every ordered pair of enumerated curves with
+    n1 + n2 <= 7, prime or not: factor by factor, in order, the same words
+    and flips as the recursive splitter."""
+    curves = {n: enumerate_curves(n) for n in range(1, 7)}
+    checked = three = 0
+    for p1, p2, s1, s2 in splices(curves, 7):
+        q = connected_sum(p1, p2, s1, s2)
+        got = maps(prime_decompose(q))
+        assert got == maps(recursive_prime_decompose(q)), (p1, p2, s1, s2)
+        checked += 1
+        three += len(got) >= 3
+    assert (checked, three) == (6_360, 5_944)
+
+
+def test_prime_decompose_matches_recursive_splitter_on_iterated_sums():
+    """Seeded sums of 3 to 8 prime curves with n <= 6 at random sites, each
+    rotated and reversed before it is realized: factor by factor, in order,
+    the same words and flips as the recursive splitter, and the summands'
+    canonical codes."""
+    primes = [
+        p for n in range(1, 7) for p in enumerate_curves(n)
+        if split_connected_sum(p.code) is None
+    ]
+    rng = random.Random(2108)
+    for _ in range(300):
+        q, codes = U, []
+        for _ in range(rng.randint(3, 8)):
+            p = rng.choice(primes)
+            codes.append(str(p.code))
+            q = connected_sum(q, p, rng.randrange(2 * q.n) if q.n else None,
+                              rng.randrange(2 * p.n))
+        r = rng.randrange(2 * q.n)
+        q = realize(ChordDiagram.from_labels((q.word[r:] + q.word[:r])[::-1]))
+        factors = prime_decompose(q)
+        assert maps(factors) == maps(recursive_prime_decompose(q)), q
+        assert sorted(str(chords.canonicalize(f.code)) for f in factors) == sorted(codes)
 
 
 def test_prime_decompose_realizes_no_part(monkeypatch):
