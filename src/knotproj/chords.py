@@ -46,8 +46,8 @@ Each chord-level concept has one implementation:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import MalformedCode, UnknownLabel
 
@@ -91,20 +91,42 @@ def _normalize(labels) -> tuple[int, ...]:
     return word
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
+class _Frozen:
+    """Refuses attribute assignment and deletion.
+
+    A mixin for the NamedTuple subclasses that cache values in an instance
+    ``__dict__`` (:class:`ChordDiagram`, ``planar.PlanarCurve``): their
+    fields are read-only already, and this keeps new names out as well.
+    ``cached_property`` and the package's own ``__dict__[...]`` writes go
+    past ``__setattr__``, so the caches still fill.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class _ChordDiagramFields(NamedTuple):
+    word: tuple[int, ...]
+
+
+class ChordDiagram(_Frozen, _ChordDiagramFields):
     """A chord diagram as a normalized cyclic double-occurrence word.
 
     The constructor insists on the normalized form (labels 1..n by first
     occurrence, each exactly twice); use :meth:`from_labels` or
-    :func:`parse_code` to build one from arbitrary labels.
+    :func:`parse_code` to build one from arbitrary labels.  A diagram is
+    the 1-tuple ``(word,)``, so it equals and hashes as that tuple.
     """
 
-    word: tuple[int, ...]
-
-    def __post_init__(self):
-        if _normalize(self.word) != self.word:
-            raise MalformedCode(f"word {self.word!r} is not labeled by first occurrence")
+    def __new__(cls, word: tuple[int, ...]):
+        if _normalize(word) != word:
+            raise MalformedCode(f"word {word!r} is not labeled by first occurrence")
+        return cls._of_normal(word)
 
     @property
     def n(self) -> int:
@@ -128,9 +150,7 @@ class ChordDiagram:
     @classmethod
     def _of_normal(cls, word: tuple[int, ...]) -> "ChordDiagram":
         """A diagram for a word already normalized, with no second validation."""
-        cd = object.__new__(cls)
-        object.__setattr__(cd, "word", word)
-        return cd
+        return tuple.__new__(cls, (word,))
 
     @classmethod
     def _of_canonical(cls, word: tuple[int, ...]) -> "ChordDiagram":

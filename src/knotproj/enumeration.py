@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple, get_type_hints
 
 from . import chords, invariants, moves, planar
 from .chords import ChordDiagram
@@ -187,8 +187,6 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
                 if not open_pos and chords._is_orbit_min(back, rback):
                     out.append(tuple(word))
                 return
-            if len(open_pos) > m - i:
-                return
             for lab, fp in open_pos.items():
                 if i > fp + (m - gap):
                     return
@@ -271,8 +269,7 @@ def enumerate_curves(n: int) -> list[PlanarCurve]:
     return list(_curves(n))
 
 
-@dataclass(frozen=True)
-class EnumerationRecord:
+class EnumerationRecord(NamedTuple):
     """One dataset row: the canonical code and its computed facts.
 
     This class is the record schema: its fields, in order, are the keys of a
@@ -331,22 +328,24 @@ def build_record(
     )
 
 
-_FIELDS = fields(EnumerationRecord)
-_RECORD_FIELDS = tuple(f.name for f in _FIELDS)
-_REQUIRED_FIELDS = tuple(f.name for f in _FIELDS if f.default is MISSING)
-# annotations are strings here (postponed evaluation)
-_INT_FIELDS = tuple(f.name for f in _FIELDS if f.type == "int")
-_BOOL_FIELDS = tuple(f.name for f in _FIELDS if f.type == "bool")
+_RECORD_FIELDS = EnumerationRecord._fields
+_REQUIRED_FIELDS = tuple(
+    f for f in _RECORD_FIELDS if f not in EnumerationRecord._field_defaults
+)
+# the annotations are strings (postponed evaluation), which NamedTuple keeps
+# as ForwardRefs; get_type_hints evaluates them to the types
+_TYPES = get_type_hints(EnumerationRecord)
+_INT_FIELDS = tuple(f for f in _RECORD_FIELDS if _TYPES[f] is int)
+_BOOL_FIELDS = tuple(f for f in _RECORD_FIELDS if _TYPES[f] is bool)
 
 
 def _record_to_obj(rec: EnumerationRecord) -> dict:
     """The JSON object of a record, its keys in field order.
 
     ``face_degrees`` becomes a list and ``arnold`` rational text, or is left
-    out when it is None.  Fields are read one by one, not with
-    ``dataclasses.asdict``, which would deep-copy every record.
+    out when it is None.
     """
-    obj = {f: getattr(rec, f) for f in _RECORD_FIELDS}
+    obj = rec._asdict()
     obj["face_degrees"] = list(rec.face_degrees)
     if rec.arnold is None:
         del obj["arnold"]

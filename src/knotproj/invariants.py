@@ -27,8 +27,8 @@ all resolutions, and the benchmark's tracer counts calls to
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .planar import PlanarCurve
 
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """One over/under choice per crossing of a realized curve.
 
     ``over_under[v-1]`` is True when the strand of the *first* code

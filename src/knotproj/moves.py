@@ -105,7 +105,7 @@ verdict for every state it passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import planar
 from .chords import ChordDiagram, canonicalize, count_tr
@@ -122,8 +122,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """A single reduction move: kind "1b" with site (v,), or "s2b" with (a, b)."""
 
     kind: str
@@ -133,8 +132,7 @@ class Move:
         return f"{self.kind}@{','.join(map(str, self.site))}"
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """A witness reduction: the codes visited and the moves taken.
 
     ``steps`` pairs each move with the canonical diagram it produced; the

@@ -57,8 +57,8 @@ to quantify over embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import chords
 from .chords import ChordDiagram
@@ -80,8 +80,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """One face of the realized map.
 
     ``dart_cycle`` lists the darts of the face-tracing orbit starting from
@@ -98,8 +97,7 @@ class Face:
         return len(self.dart_cycle)
 
 
-@dataclass(frozen=True)
-class Teardrop:
+class Teardrop(NamedTuple):
     """A simple sub-loop from a crossing back to itself.
 
     ``origin`` is the crossing C at the loop's corner, ``loop_start`` the code
@@ -118,8 +116,12 @@ class Teardrop:
     sigma: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PlanarCurve:
+class _PlanarCurveFields(NamedTuple):
+    code: ChordDiagram
+    flips: int
+
+
+class PlanarCurve(chords._Frozen, _PlanarCurveFields):
     """A Gauss code together with a spherical rotation system.
 
     ``code`` is the diagram the curve was built from, and ``word`` is its
@@ -131,13 +133,10 @@ class PlanarCurve:
     they are the public views of the map, the rotations in the form the
     literature and an independent face tracer read, so a caller or a test
     can check a realization without the package's dart conventions for
-    faces.  Equality and hashing compare the word and the flips.  The
-    curve's Euler circuit visits the darts in numeric order (tail 2t, head
-    2t+1 for edge t).
+    faces.  A curve is the pair ``(code, flips)``, so equality and hashing
+    compare the word and the flips.  The curve's Euler circuit visits the
+    darts in numeric order (tail 2t, head 2t+1 for edge t).
     """
-
-    code: ChordDiagram
-    flips: int
 
     @property
     def word(self) -> tuple[int, ...]:

@@ -5,14 +5,14 @@ Each check sweeps every enumerated curve up to a crossing bound
 all, counted as ``curves_tested``) and returns a :class:`CheckReport`.  A
 report passes exactly when its violation list is empty; ``witnesses`` carries
 informative non-violations (strictness examples, expected exclusions).
-Reports serialize deterministically — elapsed time is kept on the dataclass
+Reports serialize deterministically — elapsed time is kept on the report
 for humans but left out of the JSON so that repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import chords, moves, planar
 from .enumeration import _check_nonnegative, check_budget, enumerate_curves
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one check: identifier, scan bound, and findings."""
 
     check_id: str

@@ -445,4 +445,4 @@ def test_schema_errors_carry_line_numbers(tmp_path, mutate, line, fragment):
 
 def test_records_are_values():
     rec = build_record(U)
-    assert rec == EnumerationRecord(**{f: getattr(rec, f) for f in rec.__dataclass_fields__})
+    assert rec == EnumerationRecord(**{f: getattr(rec, f) for f in rec._fields})

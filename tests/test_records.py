@@ -1,0 +1,164 @@
+"""The nine record types keep their value semantics — repr, equality, hash,
+immutability and the dataset schema read off ``EnumerationRecord`` — and
+importing the CLI stays free of the modules a class generator would pull in."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import knotproj as kp
+from knotproj import enumeration, invariants, planar
+from knotproj.chords import ChordDiagram
+from knotproj.enumeration import EnumerationRecord
+from knotproj.moves import Move
+from knotproj.planar import PlanarCurve
+from knotproj.verify import CheckReport
+
+
+def examples():
+    """One instance of each record type, built twice over, with its field
+    names in order and its repr."""
+    p = kp.realize(kp.parse_code("1 1"))
+    t = kp.realize(kp.parse_code("1 2 3 1 2 3"))
+    cd = ChordDiagram((1, 1, 2, 2))
+    return [
+        (
+            lambda: ChordDiagram((1, 1, 2, 2)),
+            ("word",),
+            "ChordDiagram(word=(1, 1, 2, 2))",
+        ),
+        (
+            lambda: PlanarCurve(cd, 1),
+            ("code", "flips"),
+            "PlanarCurve('1 1 2 2')",
+        ),
+        (
+            lambda: kp.realize(kp.parse_code("1 1")).faces[1],
+            ("dart_cycle", "corners"),
+            "Face(dart_cycle=(1, 2), corners=(1, 1))",
+        ),
+        (
+            lambda: planar.innermost_teardrop(t),
+            ("origin", "loop_start", "interval", "boundary_labels", "sigma"),
+            "Teardrop(origin=1, loop_start=0, interval=(1, 2), "
+            "boundary_labels=(1, 2, 3), sigma=(1, 2))",
+        ),
+        (
+            lambda: invariants.resolve(p, (True,)),
+            ("base", "over_under", "signs"),
+            "Resolution(base=PlanarCurve('1 1'), over_under=(True,), signs=(-1,))",
+        ),
+        (
+            lambda: Move("1b", (1,)),
+            ("kind", "site"),
+            "Move(kind='1b', site=(1,))",
+        ),
+        (
+            lambda: kp.reduce_no_triple(p),
+            ("start", "steps", "terminal"),
+            "ReductionTrace(start=ChordDiagram(word=(1, 1)), "
+            "steps=((Move(kind='1b', site=(1,)), ChordDiagram(word=())),), "
+            "terminal=ChordDiagram(word=()))",
+        ),
+        (
+            lambda: kp.build_record(p),
+            enumeration._RECORD_FIELDS,
+            "EnumerationRecord(code='1 1', n=1, x=0, tr=0, face_degrees=(1, 1, 2), "
+            "monogons=2, strong_bigons=0, reduced=False, prime=True, in_S=True, "
+            "arnold=Fraction(0, 1))",
+        ),
+        (
+            lambda: CheckReport("main-theorem", 3, 5, (), 0.25),
+            ("check_id", "max_n", "curves_tested", "violations", "elapsed", "witnesses"),
+            "CheckReport(check_id='main-theorem', max_n=3, curves_tested=5, "
+            "violations=(), elapsed=0.25, witnesses=())",
+        ),
+    ]
+
+
+NAMES = [
+    "ChordDiagram", "PlanarCurve", "Face", "Teardrop", "Resolution",
+    "Move", "ReductionTrace", "EnumerationRecord", "CheckReport",
+]
+
+
+@pytest.mark.parametrize("index", range(9), ids=NAMES)
+def test_repr_and_value_semantics(index):
+    make, names, want = examples()[index]
+    a, b = make(), make()
+    assert type(a).__name__ == NAMES[index]
+    assert a is not b
+    assert repr(a) == want
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    # the hash of the field tuple, so set and dict orders of records are
+    # those of their fields
+    values = tuple(getattr(a, f) for f in names)
+    assert hash(a) == hash(values)
+    assert type(a)(*values) == a
+    assert type(a)(**dict(zip(names, values))) == a
+
+
+@pytest.mark.parametrize("index", range(9), ids=NAMES)
+def test_records_refuse_assignment_and_deletion(index):
+    make, names, _ = examples()[index]
+    a = make()
+    for name in (names[0], names[-1], "anything"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert not hasattr(a, "anything")
+    assert a == make()
+
+
+def test_cached_values_still_fill():
+    """The refusal leaves the caches of the two types that keep them."""
+    cd = kp.parse_code("1 2 1 2")
+    assert cd._bits == cd.__dict__["_bits"]
+    assert kp.canonicalize(cd) is cd.__dict__["_canon"]
+    p = kp.realize(kp.parse_code("1 1 2 2"))
+    assert p.faces is p.__dict__["faces"]
+    assert p.rotations is p.__dict__["rotations"]
+    assert p._walk is p.__dict__["_walk"]
+
+
+def test_dataset_schema_is_read_off_the_record():
+    assert enumeration._RECORD_FIELDS == (
+        "code", "n", "x", "tr", "face_degrees", "monogons", "strong_bigons",
+        "reduced", "prime", "in_S", "arnold",
+    )
+    assert enumeration._REQUIRED_FIELDS == enumeration._RECORD_FIELDS[:-1]
+    assert enumeration._INT_FIELDS == ("n", "x", "tr", "monogons", "strong_bigons")
+    assert enumeration._BOOL_FIELDS == ("reduced", "prime", "in_S")
+    values = ("1 1", 1, 0, 0, (1, 1, 2), 2, 0, False, True, True)
+    rec = EnumerationRecord(*values)
+    assert rec.arnold is None
+    assert rec == EnumerationRecord(*values, None)
+    assert rec != EnumerationRecord(*values, Fraction(0))
+
+
+def _modules_after(statement: str) -> set:
+    """The modules a fresh interpreter holds after running ``statement``."""
+    src = Path(kp.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    script = f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_class_generator():
+    """``import knotproj.cli`` is every launch's set-up; ``dataclasses`` and
+    the ``inspect`` it imports are about 7 ms of it.  Compared with a bare
+    launch, so modules a ``site`` hook preloads do not count."""
+    added = _modules_after("import knotproj.cli") - _modules_after("pass")
+    assert "knotproj.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect"})
