@@ -59,6 +59,7 @@ from .verify import (
     check_teardrop_reversal,
     check_two_strong_bigons,
     run_check,
+    run_checks,
 )
 
 __version__ = "0.1.0"
@@ -113,5 +114,6 @@ __all__ = [
     "check_teardrop_reversal",
     "check_two_strong_bigons",
     "run_check",
+    "run_checks",
     "__version__",
 ]

@@ -128,6 +128,12 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
             raise MalformedCode(f"word {word!r} is not labeled by first occurrence")
         return cls._of_normal(word)
 
+    @classmethod
+    def _make(cls, iterable) -> "ChordDiagram":
+        """The diagram of the fields in ``iterable``, validated as by the
+        constructor; the inherited ``_replace`` builds through here."""
+        return cls(*iterable)
+
     @property
     def n(self) -> int:
         return len(self.word) // 2

@@ -37,6 +37,11 @@ candidate rotation system.
 A record reads its face degrees, monogons and strong 2-gons off one such
 walk (:func:`knotproj.planar._face_walk`), with no face list built.
 
+:func:`enumerate_curves` keeps nothing between calls: each call generates
+and realizes its n afresh, and the curves live as long as the caller holds
+the list.  Each command reads each n once (``enumerate`` record by record,
+``verify`` in its one pass), so only the n in hand is alive.
+
 Datasets are JSONL: a {"schema":1} header line, then one record per curve,
 ordered by (n, code).  Rationals are serialized exactly ("p/q", or "k" for
 integers).
@@ -47,7 +52,6 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, get_type_hints
 
 from . import chords, invariants, moves, planar
@@ -240,10 +244,16 @@ def _odd_common_neighbours(nc: int, closed: dict[int, int]) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
-def _curves(n: int) -> tuple[PlanarCurve, ...]:
+def enumerate_curves(n: int) -> list[PlanarCurve]:
+    """All realizable curves with exactly n crossings, one per class.
+
+    Codes come out canonical and in ascending word order, generated afresh
+    on each call.  Raises :class:`BudgetExceeded` where :func:`check_budget`
+    refuses n.
+    """
+    check_budget(n)
     if n == 0:
-        return (planar.U,)
+        return [planar.U]
     found = []
     for w in _canonical_words(n):
         # generated words are normal, each its own orbit minimum
@@ -256,17 +266,7 @@ def _curves(n: int) -> tuple[PlanarCurve, ...]:
         p = planar._search_rotations(cd)
         if p is not None:
             found.append(p)
-    return tuple(found)
-
-
-def enumerate_curves(n: int) -> list[PlanarCurve]:
-    """All realizable curves with exactly n crossings, one per class.
-
-    Codes come out canonical and in ascending word order.  Raises
-    :class:`BudgetExceeded` where :func:`check_budget` refuses n.
-    """
-    check_budget(n)
-    return list(_curves(n))
+    return found
 
 
 class EnumerationRecord(NamedTuple):

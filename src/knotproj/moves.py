@@ -80,11 +80,11 @@ A curve is built only where the run stops short of U.  The tests compare the
 run with a face trace after every move on every embedding with n <= 7.
 
 A sweep that runs the greedy reduction on many curves (``enumerate``, the
-codes of one ``analyze --in`` file, the inclusion-chain and main-theorem
-checks of one ``verify`` command) passes its runs one table from (word,
-flip mask) states to whether the run from that state reaches U.
-:func:`_reduce` stops at the first state the table holds and writes the
-verdict for every state it passed.
+codes of one ``analyze --in`` file, the one census pass of a ``verify``
+command, whose inclusion-chain and main-theorem checks share it) passes its
+runs one table from (word, flip mask) states to whether the run from that
+state reaches U.  :func:`_reduce` stops at the first state the table holds
+and writes the verdict for every state it passed.
 
 * The table is exact because the run is deterministic, not because of
   Newman's lemma.  The next state is a function of the current one alone:
@@ -95,10 +95,9 @@ verdict for every state it passed.
   state's verdict does not depend on the path that led there.  Confluence
   is what makes that verdict the answer to membership in S; the table only
   reuses runs.
-* A table lives for one sweep, or one command's sweeps.  Its verdicts
-  hold for the move rules that computed them, and it is never kept at
-  module level or on a curve: enumerated curves are cached across sweeps,
-  and a table that outlived its command would answer a later one under a
+* A table lives for one sweep.  Its verdicts hold for the move rules that
+  computed them, and it is never kept at module level or on a curve: a
+  table that outlived its command would answer a later one under a
   patched strongness rule, a mutation test for instance, with the old
   rule's verdicts.
 """

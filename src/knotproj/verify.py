@@ -1,12 +1,24 @@
 """Machine checks of the package's mathematical claims over full enumerations.
 
-Each check sweeps every enumerated curve up to a crossing bound
+Each check reads every enumerated curve up to a crossing bound
 (connected-sum-lemma: the pairs of curves below it with at most the bound in
 all, counted as ``curves_tested``) and returns a :class:`CheckReport`.  A
 report passes exactly when its violation list is empty; ``witnesses`` carries
 informative non-violations (strictness examples, expected exclusions).
 Reports serialize deterministically — elapsed time is kept on the report
 for humans but left out of the JSON so that repeated runs are byte-identical.
+
+:func:`run_checks` runs any set of checks in one pass over the census.  For
+each n it enumerates the curves once, counts each curve's triple chords
+once, and hands that batch to each check in turn; every check sees the
+curves in census order.  A check is a visit of one n's batch, which adds to
+the check's :class:`_Tally`, and connected-sum-lemma also has a last step,
+the splices of its pools.  The checks that make greedy runs (main-theorem
+and inclusion-chain) share the pass's one verdict table.  Between two n the
+pass keeps only the tallies, so it holds one n's curves at a time, besides
+connected-sum-lemma's triple-chord-free pools below the bound.  A report's
+``elapsed`` is its own check's time; the enumeration and the triple-chord
+counts belong to the pass.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ __all__ = [
     "check_teardrop_reversal",
     "CHECK_IDS",
     "run_check",
+    "run_checks",
 ]
 
 
@@ -56,100 +69,91 @@ class CheckReport(NamedTuple):
         }
 
 
+class _Tally:
+    """One check's findings so far in a pass, and the time it has taken.
+
+    ``pools`` maps n to the triple-chord-free curves with n crossings;
+    only connected-sum-lemma fills it.
+    """
+
+    def __init__(self, check_id: str, max_n: int):
+        self.check_id = check_id
+        self.max_n = max_n
+        self.tested = 0
+        self.violations: list[tuple[str, str]] = []
+        self.witnesses: list[tuple[str, str]] = []
+        self.pools: dict[int, list[PlanarCurve]] = {}
+        self.elapsed = 0.0
+
+    def report(self) -> CheckReport:
+        return CheckReport(
+            self.check_id,
+            self.max_n,
+            self.tested,
+            tuple(self.violations),
+            self.elapsed,
+            tuple(self.witnesses),
+        )
+
+
 def _code(p: PlanarCurve) -> str:
     return str(chords.canonicalize(p.code))
 
 
-def check_main_theorem(max_n: int, *, table: dict | None = None) -> CheckReport:
+def _main_theorem(t: _Tally, n: int, batch: list, table: dict) -> None:
     """Triple-chord-free curves have a monogon or strong 2-gon and reduce to U.
 
-    One greedy run per curve (``moves._reduce``) tests both: a run stuck
+    One greedy run per curve (``moves._reaches_U``) tests both: a run stuck
     before its first move breaks the first, one stuck later the second.
-    The runs share one verdict table, so each stops at the first state an
-    earlier run decided: ``table`` if given (``moves._reduce``'s table,
-    read and written, so a caller can share it with other sweeps of the
-    same move rules), else a fresh one for this call.  A curve that fails
-    is run again with no table, to the curve where it sticks, to word the
-    violation.
+    The runs share the pass's verdict table, so each stops at the first
+    state an earlier run decided.  A curve that fails is run again with no
+    table, to the curve where it sticks, to word the violation.
     """
-    t0 = time.perf_counter()
-    tested = 0
-    violations = []
-    table = {} if table is None else table
-    for n in range(1, max_n + 1):
-        for p in enumerate_curves(n):
-            if chords.count_tr(p.code):
-                continue
-            tested += 1
-            if moves._reaches_U(p, table):
-                continue
-            steps, cur = moves._reduce(p)
-            why = moves._stuck(cur) if steps else "no monogon and no strong 2-gon"
-            violations.append((_code(p), str(why)))
-    return CheckReport(
-        "main-theorem", max_n, tested, tuple(violations), time.perf_counter() - t0
-    )
+    for p, tr in batch:
+        if tr:
+            continue
+        t.tested += 1
+        if moves._reaches_U(p, table):
+            continue
+        steps, cur = moves._reduce(p)
+        why = moves._stuck(cur) if steps else "no monogon and no strong 2-gon"
+        t.violations.append((_code(p), str(why)))
 
 
-def check_inclusion_chain(max_n: int, *, table: dict | None = None) -> CheckReport:
+def _inclusion_chain(t: _Tally, n: int, batch: list, table: dict) -> None:
     """x=0 => tr=0; tr=0 => in S; in S => arnold invariant 0.
 
     Strictness witnesses (curves separating consecutive classes) are reported
-    but are not violations.  The greedy runs share one verdict table
-    (``moves._reaches_U``): ``table`` if given, as in
-    :func:`check_main_theorem`, else a fresh one for this call.
+    but are not violations.  The greedy runs share the pass's verdict table.
     """
-    t0 = time.perf_counter()
-    tested = 0
-    violations = []
-    witnesses = []
-    table = {} if table is None else table
-    for n in range(0, max_n + 1):
-        for p in enumerate_curves(n):
-            tested += 1
-            cd = p.code
-            x = chords.count_x(cd)
-            tr = chords.count_tr(cd)
-            if x == 0 and tr != 0:
-                violations.append((_code(p), f"x=0 but tr={tr}"))
-            member = moves._reaches_U(p, table)
-            if tr == 0 and not member:
-                violations.append((_code(p), "tr=0 but not in S"))
-            if tr == 0 and x > 0:
-                witnesses.append((_code(p), f"strict: tr=0, x={x}"))
-            if member and tr > 0:
-                witnesses.append((_code(p), f"strict: in S, tr={tr}"))
-            a = arnold_invariant(p)
-            if member and a != 0:
-                violations.append((_code(p), f"in S but arnold={format_rational(a)}"))
-            if a == 0 and not member:
-                witnesses.append((_code(p), "strict: arnold=0, not in S"))
-    return CheckReport(
-        "inclusion-chain",
-        max_n,
-        tested,
-        tuple(violations),
-        time.perf_counter() - t0,
-        tuple(witnesses),
-    )
+    for p, tr in batch:
+        t.tested += 1
+        x = chords.count_x(p.code)
+        if x == 0 and tr != 0:
+            t.violations.append((_code(p), f"x=0 but tr={tr}"))
+        member = moves._reaches_U(p, table)
+        if tr == 0 and not member:
+            t.violations.append((_code(p), "tr=0 but not in S"))
+        if tr == 0 and x > 0:
+            t.witnesses.append((_code(p), f"strict: tr=0, x={x}"))
+        if member and tr > 0:
+            t.witnesses.append((_code(p), f"strict: in S, tr={tr}"))
+        a = arnold_invariant(p)
+        if member and a != 0:
+            t.violations.append((_code(p), f"in S but arnold={format_rational(a)}"))
+        if a == 0 and not member:
+            t.witnesses.append((_code(p), "strict: arnold=0, not in S"))
 
 
-def check_two_strong_bigons(max_n: int) -> CheckReport:
+def _two_strong_bigons(t: _Tally, n: int, batch: list, table: dict) -> None:
     """Reduced triple-chord-free curves with n >= 1 have at least 2 strong 2-gons."""
-    t0 = time.perf_counter()
-    tested = 0
-    violations = []
-    for n in range(1, max_n + 1):
-        for p in enumerate_curves(n):
-            if chords.count_tr(p.code) or not planar.is_reduced(p):
-                continue
-            tested += 1
-            k = len(planar._strong_sites(p.word, p._walk[1]))
-            if k < 2:
-                violations.append((_code(p), f"only {k} strong 2-gon(s)"))
-    return CheckReport(
-        "two-strong-bigons", max_n, tested, tuple(violations), time.perf_counter() - t0
-    )
+    for p, tr in batch:
+        if tr or not planar.is_reduced(p):
+            continue
+        t.tested += 1
+        k = len(planar._strong_sites(p.word, p._walk[1]))
+        if k < 2:
+            t.violations.append((_code(p), f"only {k} strong 2-gon(s)"))
 
 
 def _heads(
@@ -190,10 +194,17 @@ def _splice_rows(
     return out
 
 
-def check_connected_sum_lemma(max_n: int) -> CheckReport:
+def _pool_triple_free(t: _Tally, n: int, batch: list, table: dict) -> None:
+    """Keep the triple-chord-free curves with n crossings for the splices."""
+    t.pools[n] = [p for p, tr in batch if not tr]
+
+
+def _splice_pools(t: _Tally) -> None:
     """Splicing two triple-chord-free curves is triple-chord-free, at every site.
 
-    Each splice is read as its word, ``planar._splice_word``: the spliced
+    Each pair of pooled curves with n1 + n2 <= max_n is spliced at every
+    pair of sites once every pool is in.  Each splice is read as its word,
+    ``planar._splice_word``: the spliced
     code of ``planar.connected_sum`` before its relabeling by first
     occurrence, with no curve, diagram or relabel built.  Relabeling only
     renames chords, and the triple-chord count does not depend on names, so
@@ -216,104 +227,125 @@ def check_connected_sum_lemma(max_n: int) -> CheckReport:
     ``chords._interlacement_bits`` of its spliced word: every symbol of the
     word is read, in order, and nothing comes from a summand's graph.
     """
-    t0 = time.perf_counter()
-    tested = 0
-    violations = []
-    pools = {
-        n: [p for p in enumerate_curves(n) if not chords.count_tr(p.code)]
-        for n in range(1, max_n)
-    }
-    for n1 in range(1, max_n):
+    pools = t.pools
+    for n1 in range(1, t.max_n):
         heads = [_heads(p1.word) for p1 in pools[n1]]
-        for n2 in range(1, max_n - n1 + 1):
+        for n2 in range(1, t.max_n - n1 + 1):
             blocks = [
                 [planar._splice_block(p2.word, s2, n1) for s2 in range(2 * n2)]
                 for p2 in pools[n2]
             ]
             for p1, p1_heads in zip(pools[n1], heads):
                 for p2, p2_blocks in zip(pools[n2], blocks):
-                    tested += 1
+                    t.tested += 1
                     for s1, (head, tail) in enumerate(p1_heads):
                         for s2, rows in enumerate(_splice_rows(head, p2_blocks, tail)):
                             tr = chords._triangles(rows)
                             if tr:
-                                violations.append(
+                                t.violations.append(
                                     (
                                         f"{_code(p1)} # {_code(p2)}",
                                         f"sites ({s1},{s2}): tr={tr}",
                                     )
                                 )
-    return CheckReport(
-        "connected-sum-lemma",
-        max_n,
-        tested,
-        tuple(violations),
-        time.perf_counter() - t0,
-    )
 
 
-def check_teardrop_reversal(max_n: int) -> CheckReport:
+def _teardrop_reversal(t: _Tally, n: int, batch: list, table: dict) -> None:
     """Innermost teardrop of a triple-chord-free curve has order-reversing sigma.
 
     Curves with triple chords are outside the claim; those among them whose
     sigma fails to reverse are listed as expected-excluded witnesses.
     """
-    t0 = time.perf_counter()
-    tested = 0
-    violations = []
-    witnesses = []
-    for n in range(1, max_n + 1):
-        for p in enumerate_curves(n):
-            td = planar.innermost_teardrop(p)
-            sig = td.sigma
-            reversing = all(sig[i] > sig[i + 1] for i in range(len(sig) - 1))
-            if chords.count_tr(p.code):
-                if not reversing:
-                    witnesses.append(
-                        (_code(p), f"expected-excluded (tr>0): sigma={list(sig)}")
-                    )
-                continue
-            tested += 1
+    for p, tr in batch:
+        td = planar.innermost_teardrop(p)
+        sig = td.sigma
+        reversing = all(sig[i] > sig[i + 1] for i in range(len(sig) - 1))
+        if tr:
             if not reversing:
-                violations.append(
-                    (_code(p), f"sigma={list(sig)} at vertex {td.origin} not reversing")
+                t.witnesses.append(
+                    (_code(p), f"expected-excluded (tr>0): sigma={list(sig)}")
                 )
-    return CheckReport(
-        "teardrop-reversal",
-        max_n,
-        tested,
-        tuple(violations),
-        time.perf_counter() - t0,
-        tuple(witnesses),
-    )
+            continue
+        t.tested += 1
+        if not reversing:
+            t.violations.append(
+                (_code(p), f"sigma={list(sig)} at vertex {td.origin} not reversing")
+            )
 
 
-# Entries call the module-level functions by name at run time, so wrappers
-# installed on those names (tracers, monkeypatches) also apply through here.
-# Only the checks that make greedy runs take the verdict table.
-_CHECKS = {
-    "main-theorem": lambda max_n, table: check_main_theorem(max_n, table=table),
-    "inclusion-chain": lambda max_n, table: check_inclusion_chain(max_n, table=table),
-    "two-strong-bigons": lambda max_n, table: check_two_strong_bigons(max_n),
-    "connected-sum-lemma": lambda max_n, table: check_connected_sum_lemma(max_n),
-    "teardrop-reversal": lambda max_n, table: check_teardrop_reversal(max_n),
+# check id -> (first n it reads, how far below max_n it stops, its visit of
+# one n's batch, its last step or None).  The pass and the visits look up
+# enumerate_curves, count_tr and their other helpers by name at run time, so
+# wrappers installed on those names (tracers, monkeypatches) apply.
+_VISITS = {
+    "main-theorem": (1, 0, _main_theorem, None),
+    "inclusion-chain": (0, 0, _inclusion_chain, None),
+    "two-strong-bigons": (1, 0, _two_strong_bigons, None),
+    "connected-sum-lemma": (1, 1, _pool_triple_free, _splice_pools),
+    "teardrop-reversal": (1, 0, _teardrop_reversal, None),
 }
 
-CHECK_IDS = tuple(_CHECKS)
+CHECK_IDS = tuple(_VISITS)
 
 
-def run_check(check_id: str, max_n: int, *, table: dict | None = None) -> CheckReport:
-    """Run one check by identifier.
+def run_checks(check_ids, max_n: int) -> list[CheckReport]:
+    """Run the checks named in ``check_ids`` in one pass; their reports, in that order.
 
-    ``table`` is the greedy-run verdict table handed to main-theorem and
-    inclusion-chain (the other checks make no greedy run); with None each
-    of those calls makes a fresh one.  Raises KeyError for an identifier
-    not in :data:`CHECK_IDS`, and, before anything is enumerated,
-    :class:`BudgetExceeded` for a negative bound or where
-    :func:`check_budget` refuses the largest n the check enumerates:
-    ``max_n``, or ``max_n - 1`` for connected-sum-lemma.
+    The pass enumerates each n that some check reads: from 0 when
+    inclusion-chain runs, else from 1, up to ``max_n``, or ``max_n - 1``
+    when connected-sum-lemma runs alone (its summands are each below the
+    bound).  Raises KeyError for an identifier not in :data:`CHECK_IDS`,
+    and, before anything is enumerated, :class:`BudgetExceeded` for a
+    negative bound or where :func:`check_budget` refuses the largest n the
+    pass enumerates.
     """
-    check = _CHECKS[check_id]
+    specs = [_VISITS[cid] for cid in check_ids]
     _check_nonnegative(max_n)
-    check_budget(max_n - 1 if check_id == "connected-sum-lemma" and max_n else max_n)
-    return check(max_n, table)
+    top = max((max_n - below for _, below, _, _ in specs), default=0)
+    check_budget(max(top, 0))
+    tallies = [_Tally(cid, max_n) for cid in check_ids]
+    table: dict = {}
+    for n in range(min((first for first, _, _, _ in specs), default=1), top + 1):
+        batch = [(p, chords.count_tr(p.code)) for p in enumerate_curves(n)]
+        for t, (first, below, visit, _) in zip(tallies, specs):
+            if first <= n <= max_n - below:
+                t0 = time.perf_counter()
+                visit(t, n, batch, table)
+                t.elapsed += time.perf_counter() - t0
+        del batch  # so this n's curves are freed before the next n is built
+    for t, (_, _, _, last) in zip(tallies, specs):
+        if last is not None:
+            t0 = time.perf_counter()
+            last(t)
+            t.elapsed += time.perf_counter() - t0
+    return [t.report() for t in tallies]
+
+
+def run_check(check_id: str, max_n: int) -> CheckReport:
+    """Run one check by identifier: ``run_checks([check_id], max_n)[0]``."""
+    return run_checks([check_id], max_n)[0]
+
+
+def check_main_theorem(max_n: int) -> CheckReport:
+    """Triple-chord-free curves have a monogon or strong 2-gon and reduce to U."""
+    return run_checks(["main-theorem"], max_n)[0]
+
+
+def check_inclusion_chain(max_n: int) -> CheckReport:
+    """x=0 => tr=0; tr=0 => in S; in S => arnold invariant 0."""
+    return run_checks(["inclusion-chain"], max_n)[0]
+
+
+def check_two_strong_bigons(max_n: int) -> CheckReport:
+    """Reduced triple-chord-free curves with n >= 1 have at least 2 strong 2-gons."""
+    return run_checks(["two-strong-bigons"], max_n)[0]
+
+
+def check_connected_sum_lemma(max_n: int) -> CheckReport:
+    """Splicing two triple-chord-free curves is triple-chord-free, at every site."""
+    return run_checks(["connected-sum-lemma"], max_n)[0]
+
+
+def check_teardrop_reversal(max_n: int) -> CheckReport:
+    """Innermost teardrop of a triple-chord-free curve has order-reversing sigma."""
+    return run_checks(["teardrop-reversal"], max_n)[0]

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from knotproj import (
+    PlanarCurve,
+    chords,
     cli,
     enumerate_curves,
     enumeration,
@@ -511,6 +514,62 @@ def test_verify_refuses_over_budget_before_enumerating(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--all", "--max-n", "0")
     assert code == 0 and out.count("PASS") == len(verify.CHECK_IDS)
     assert calls == [0]
+
+
+def test_verify_all_reads_the_census_once(capsys, monkeypatch, census):
+    """``verify --all`` makes one pass: each n is enumerated once and each
+    curve's triple chords are counted once, for all five checks.  stderr
+    ends with the pass's total time."""
+    calls = []
+    counted = []
+    enumerate_original = verify.enumerate_curves
+    count_tr_original = chords.count_tr
+
+    def recorded(n):
+        calls.append(n)
+        return enumerate_original(n)
+
+    def counting(cd):
+        counted.append(cd)
+        return count_tr_original(cd)
+
+    monkeypatch.setattr(verify, "enumerate_curves", recorded)
+    monkeypatch.setattr(chords, "count_tr", counting)
+    code, _, err = run(capsys, "verify", "--all", "--max-n", "7", "--json")
+    assert code == 0
+    assert calls == list(range(8))
+    assert len(counted) == sum(census["classes"][str(n)] for n in range(8)) == 241
+    assert err.splitlines()[-1].startswith("verify: elapsed ")
+
+
+def live_curves():
+    """The curves with n >= 1 that are still alive, after a collection."""
+    gc.collect()
+    return [o for o in gc.get_objects() if isinstance(o, PlanarCurve) and o.n >= 1]
+
+
+def test_verify_all_keeps_no_curve(capsys, monkeypatch):
+    """Once ``verify --all`` returns, no curve it enumerated is alive: the
+    number of live curves has not grown, and none of them is one the pass
+    was handed.  Each of those curves was alive together with every curve
+    alive before the command, so its id is told apart from theirs; a
+    later n may reuse the id of a curve freed before it."""
+    served = []
+    original = verify.enumerate_curves
+
+    def recorded(n):
+        curves = original(n)
+        served.extend(map(id, curves))
+        return curves
+
+    monkeypatch.setattr(verify, "enumerate_curves", recorded)
+    before = len(live_curves())
+    assert run(capsys, "verify", "--all", "--max-n", "7", "--json")[0] == 0
+    after = live_curves()
+    assert len(served) == 241
+    assert len(after) <= before
+    served = set(served)
+    assert not [p for p in after if id(p) in served]
 
 
 def test_verify_unknown_check_exits_6(capsys):

@@ -16,7 +16,7 @@ from knotproj import (
     write_dataset,
     U,
 )
-from knotproj import chords, enumeration, planar
+from knotproj import chords, planar
 from knotproj.enumeration import (
     BUDGET_ENV,
     DEFAULT_MAX_N,
@@ -304,7 +304,6 @@ def test_census_records_validate_no_word(monkeypatch):
     # generated words and connected-sum parts are normal by construction
     calls = []
     _counting(monkeypatch, chords, "_normalize", calls)
-    enumeration._curves.cache_clear()
     for n in range(1, 8):
         for p in enumerate_curves(n):
             build_record(p)

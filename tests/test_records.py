@@ -14,6 +14,7 @@ import knotproj as kp
 from knotproj import enumeration, invariants, planar
 from knotproj.chords import ChordDiagram
 from knotproj.enumeration import EnumerationRecord
+from knotproj.errors import MalformedCode
 from knotproj.moves import Move
 from knotproj.planar import PlanarCurve
 from knotproj.verify import CheckReport
@@ -114,6 +115,20 @@ def test_records_refuse_assignment_and_deletion(index):
             delattr(a, name)
     assert not hasattr(a, "anything")
     assert a == make()
+
+
+def test_diagram_make_and_replace_validate():
+    """``_make`` and the inherited ``_replace`` build through the
+    constructor, so they refuse a word the constructor refuses."""
+    with pytest.raises(MalformedCode):
+        ChordDiagram._make([(2, 2)])
+    with pytest.raises(MalformedCode):
+        ChordDiagram((1, 1))._replace(word=(2, 2))
+    made = ChordDiagram._make([(1, 2, 1, 2)])
+    replaced = ChordDiagram((1, 1))._replace(word=(1, 2, 1, 2))
+    for cd in (made, replaced):
+        assert type(cd) is ChordDiagram and cd == ChordDiagram((1, 2, 1, 2))
+        assert ChordDiagram._make(cd) == cd and cd._replace() == cd
 
 
 def test_cached_values_still_fill():

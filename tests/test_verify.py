@@ -99,9 +99,11 @@ def test_connected_sum_lemma_small():
 
 def test_connected_sum_lemma_builds_no_faces(monkeypatch):
     """The check reads only each splice's code, so no face is ever traced,
-    and the splice searches no flip and counts no face orbit."""
-    for n in range(1, 6):
-        enumerate_curves(n)  # the pools; enumeration itself realizes
+    and the splice searches no flip and counts no face orbit.  Enumeration
+    itself realizes, so the census is built first and served to the check
+    from those lists, and the map searches are refused only while it runs."""
+    census = {n: enumerate_curves(n) for n in range(1, 6)}
+    monkeypatch.setattr(verify, "enumerate_curves", census.__getitem__)
     traced = []
     original = planar._trace_faces
 
@@ -113,9 +115,10 @@ def test_connected_sum_lemma_builds_no_faces(monkeypatch):
         raise AssertionError("a splice searched or counted its map")
 
     monkeypatch.setattr(planar, "_trace_faces", counted)
-    monkeypatch.setattr(planar, "_flip_coset", refuse)
-    monkeypatch.setattr(planar, "_face_walk", refuse)
-    assert check_connected_sum_lemma(6).passed
+    with monkeypatch.context() as m:
+        m.setattr(planar, "_flip_coset", refuse)
+        m.setattr(planar, "_face_walk", refuse)
+        assert check_connected_sum_lemma(6).passed
     assert traced == []
 
 
