@@ -58,7 +58,6 @@ from .verify import (
     check_main_theorem,
     check_teardrop_reversal,
     check_two_strong_bigons,
-    run_check,
     run_checks,
 )
 
@@ -113,7 +112,6 @@ __all__ = [
     "check_main_theorem",
     "check_teardrop_reversal",
     "check_two_strong_bigons",
-    "run_check",
     "run_checks",
     "__version__",
 ]

@@ -368,9 +368,10 @@ def _interlacement_bits(word: tuple[int, ...]) -> tuple[int, ...]:
     The word read by :func:`_read` from the empty state, in one pass over
     a word labeled 1..n, each label twice, in any order: first-occurrence
     order is not needed.  A diagram reads it through ``ChordDiagram._bits``,
-    so each diagram builds it once.  ``verify.check_connected_sum_lemma``
-    reads its spliced words (``planar._splice_word``, not relabeled) with
-    :func:`_read` too, from the state after their shared head.
+    so each diagram builds it once.  ``verify._splice_pools`` reads its
+    spliced words (head, ``planar._splice_block`` and tail, not relabeled)
+    with :func:`_read` too, through ``verify._splice_rows``, from the state
+    after their shared head.
     """
     rows = [1 << i for i in range(len(word) // 2)]
     _read(rows, 0, word)

@@ -46,8 +46,8 @@ def _analysis_obj(
 ) -> dict:
     """The dataset record of ``cd`` plus ``realizable`` and ``prime_factors``.
 
-    ``table`` is the command's greedy-run verdict table (``build_record``),
-    None for a single code.
+    ``table`` is the command's greedy-run table of end states
+    (``build_record``), None for a single code.
     """
     p = planar.realize(cd)
     rec = enumeration.build_record(p, with_arnold, table=table)
@@ -89,7 +89,7 @@ def _cmd_analyze(args) -> int:
             return _fail(EXIT_IO, f"cannot read {args.infile}: {exc}")
     else:
         code_texts = [args.code if args.code is not None else ""]
-    # one greedy-run verdict table per --in command, shared by its codes; a
+    # one greedy-run table per --in command, shared by its codes; a
     # single code's run has no later run to reuse one
     table = {} if args.infile is not None else None
     results = [_analysis_obj(_parse(text), args.arnold, table) for text in code_texts]
@@ -120,7 +120,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     records = []
-    # one greedy-run verdict table for the whole sweep (build_record)
+    # one greedy-run table for the whole sweep (build_record)
     table = {}
     # the largest n is checked up front, so a refusal prints no count line
     enumeration.check_budget(args.n)

@@ -305,11 +305,11 @@ def build_record(
     (``planar.prime_decompose`` says why that is primality).
 
     ``in_S`` is one greedy run (``moves._reaches_U``).  ``table``, a dict
-    that starts empty, holds the verdicts of the states earlier runs
-    passed, so a sweep that passes one table to every record stops each
-    run at the first state already decided; the module docstring of
-    :mod:`knotproj.moves` says why the verdicts are exact and why a table
-    serves one sweep only.  With no table every run goes to its end.
+    that starts empty, maps the states earlier runs passed to their runs'
+    end states, so a sweep that passes one table to every record stops each
+    run at the first state already run from; the module docstring of
+    :mod:`knotproj.moves` says why the table is exact and why it serves one
+    sweep only.  With no table every run goes to its end.
     """
     cd = p.code
     degrees, bigons = p._walk

@@ -76,15 +76,20 @@ builds no curve and no interlacement core while it looks for a move.
   and flip mask.  So the carried word and mask are the curve that a face
   trace after every move would have reached, with the same moves.
 
-A curve is built only where the run stops short of U.  The tests compare the
-run with a face trace after every move on every embedding with n <= 7.
+The run builds no curve: it returns its end state, the (word, flip mask)
+where it stopped, and a caller that wants that curve embeds it
+(:func:`planar._embed`).  By the argument above the end state is the
+curve's normal form, and it is U, ``((), 0)``, exactly when the curve is in
+S.  The tests compare the run with a face trace after every move on every
+embedding with n <= 7.
 
-A sweep that runs the greedy reduction on many curves (``enumerate``, the
-codes of one ``analyze --in`` file, the one census pass of a ``verify``
+Every run keeps a table from (word, flip mask) states to the end state of
+the run from that state.  :func:`_reduce` stops at the first state the
+table holds, with that state's end, and maps every state it passed to its
+end.  A sweep that runs the greedy reduction on many curves (``enumerate``,
+the codes of one ``analyze --in`` file, the one census pass of a ``verify``
 command, whose inclusion-chain and main-theorem checks share it) passes its
-runs one table from (word, flip mask) states to whether the run from that
-state reaches U.  :func:`_reduce` stops at the first state the table holds
-and writes the verdict for every state it passed.
+runs one table; a single run gets a fresh one.
 
 * The table is exact because the run is deterministic, not because of
   Newman's lemma.  The next state is a function of the current one alone:
@@ -92,14 +97,14 @@ and writes the verdict for every state it passed.
   walk (the start curve's kept walk is that walk), then
   :func:`planar._drop_labels`.  Both the word and the mask are normalized,
   so two runs that reach one state go on identically from it, and a
-  state's verdict does not depend on the path that led there.  Confluence
-  is what makes that verdict the answer to membership in S; the table only
-  reuses runs.
-* A table lives for one sweep.  Its verdicts hold for the move rules that
+  state's end does not depend on the path that led there.  Confluence is
+  what makes that end the normal form, and whether it is U the answer to
+  membership in S; the table only reuses runs.
+* A table lives for one sweep.  Its end states hold for the move rules that
   computed them, and it is never kept at module level or on a curve: a
   table that outlived its command would answer a later one under a
   patched strongness rule, a mutation test for instance, with the old
-  rule's verdicts.
+  rule's end states.
 """
 
 from __future__ import annotations
@@ -109,7 +114,7 @@ from typing import NamedTuple
 from . import planar
 from .chords import ChordDiagram, canonicalize, count_tr
 from .errors import InapplicableMove, PreconditionTripleChord, TheoremViolation
-from .planar import PlanarCurve, U
+from .planar import PlanarCurve
 
 __all__ = [
     "Move",
@@ -176,29 +181,31 @@ def _loops(word: tuple[int, ...]) -> set[int]:
 
 def _reduce(
     p: PlanarCurve, table: dict | None = None
-) -> tuple[list[tuple[Move, tuple[int, ...]]], PlanarCurve | None]:
+) -> tuple[list[tuple[Move, tuple[int, ...]]], tuple[tuple[int, ...], int]]:
     """Take the first applicable move until none applies.
 
-    Returns the (move, word) steps and the curve where the run stopped: U,
-    or a curve that admits no move.  The module docstring says what the run
-    carries and when it walks.
+    Returns the (move, word) steps and the run's end state, the (word, flip
+    mask) where it stopped: ``((), 0)`` for U, or the first state that admits
+    no move.  The module docstring says what the run carries and when it
+    walks.
 
-    ``table`` maps (word, flip mask) states to whether the run from them
-    reaches U.  With one, the run stops at the first state the table holds,
-    returning None for the curve, and writes its verdict for every state it
-    passed, the start included.  With no table, or an empty one, the run
-    takes every step.
+    ``table`` maps each (word, flip mask) state an earlier run passed to
+    that run's end state.  The run stops at the first state the table holds,
+    with that state's end, and maps every state it passed, the start
+    included, to its end; U is never a key.  With no table the run gets a
+    fresh one, so it takes every step.
     """
+    if table is None:
+        table = {}
     steps = []
     passed = []
     word, mask = p.word, p.flips
-    end = U
+    end = (), 0
     while word:
-        if table is not None:
-            if (word, mask) in table:
-                end = None
-                break
-            passed.append((word, mask))
+        if (word, mask) in table:
+            end = table[word, mask]
+            break
+        passed.append((word, mask))
         loops = _loops(word)
         if loops:
             move = Move("1b", (min(loops),))
@@ -209,14 +216,12 @@ def _reduce(
                 raise planar._not_spherical(word, mask)
             sites = planar._strong_sites(word, bigons)
             if not sites:
-                end = PlanarCurve(ChordDiagram._of_normal(word), mask)
+                end = word, mask
                 break
             move = Move("s2b", min(sites))
         word, mask = planar._drop_labels(word, mask, move.site)
         steps.append((move, word))
-    if passed:
-        verdict = table[word, mask] if end is None else end.n == 0
-        table.update(dict.fromkeys(passed, verdict))
+    table.update(dict.fromkeys(passed, end))
     return steps, end
 
 
@@ -236,10 +241,9 @@ def _trace(
 def _reaches_U(p: PlanarCurve, table: dict | None = None) -> bool:
     """The verdict of :func:`in_S` alone, with no witness built.
 
-    ``table`` is :func:`_reduce`'s verdict table, read and written.
+    ``table`` is :func:`_reduce`'s table of end states, read and written.
     """
-    end = _reduce(p, table)[1]
-    return table[p.word, p.flips] if end is None else end.n == 0
+    return not _reduce(p, table)[1][0]
 
 
 def reduce_no_triple(p: PlanarCurve) -> ReductionTrace:
@@ -254,17 +258,17 @@ def reduce_no_triple(p: PlanarCurve) -> ReductionTrace:
         raise PreconditionTripleChord(
             f"curve {str(canonicalize(p.code))!r} contains a triple chord"
         )
-    steps, cur = _reduce(p)
-    if cur.n:
-        raise _stuck(cur)
+    steps, (word, _) = _reduce(p)
+    if word:
+        raise _stuck(word)
     return _trace(p, steps)
 
 
-def _stuck(cur: PlanarCurve) -> TheoremViolation:
-    """The counterexample a triple-chord-free run makes if it stops at ``cur``."""
+def _stuck(word: tuple[int, ...]) -> TheoremViolation:
+    """The counterexample a triple-chord-free run makes if it stops at ``word``."""
     return TheoremViolation(
         f"no 1b/s2b move applies to triple-chord-free curve "
-        f"{str(canonicalize(cur.code))!r}"
+        f"{str(canonicalize(ChordDiagram._of_normal(word)))!r}"
     )
 
 
@@ -275,7 +279,7 @@ def in_S(p: PlanarCurve) -> tuple[bool, ReductionTrace | None]:
     the curve is in S exactly when the run reaches U, and the run is the
     witness.
     """
-    steps, cur = _reduce(p)
-    if cur.n:
+    steps, (word, _) = _reduce(p)
+    if word:
         return False, None
     return True, _trace(p, steps)

@@ -634,9 +634,9 @@ def connected_sum(
     The spliced word is relabeled by first occurrence, each bit moving with
     its label, which makes it normal by construction, so it is not validated
     again.  Code-level readers that do not depend on label names, such as
-    the triple-chord count of ``verify.check_connected_sum_lemma``, read
-    the same unrelabeled word (p1's head, :func:`_splice_block`, p1's tail)
-    directly and build no curve.
+    the triple-chord count of ``verify._splice_pools`` (through
+    ``verify._splice_rows``), read the same unrelabeled word (p1's head,
+    :func:`_splice_block`, p1's tail) directly and build no curve.
     """
     _check_site(p1, site1, "site1")
     _check_site(p2, site2, "site2")

@@ -14,8 +14,9 @@ once, and hands that batch to each check in turn; every check sees the
 curves in census order.  A check is a visit of one n's batch, which adds to
 the check's :class:`_Tally`, and connected-sum-lemma also has a last step,
 the splices of its pools.  The checks that make greedy runs (main-theorem
-and inclusion-chain) share the pass's one verdict table.  Between two n the
-pass keeps only the tallies, so it holds one n's curves at a time, besides
+and inclusion-chain) share the pass's one table of end states, so a
+curve's second run stops at its start.  Between two n the pass keeps only
+the tallies, so it holds one n's curves at a time, besides
 connected-sum-lemma's triple-chord-free pools below the bound.  A report's
 ``elapsed`` is its own check's time; the enumeration and the triple-chord
 counts belong to the pass.
@@ -39,7 +40,6 @@ __all__ = [
     "check_connected_sum_lemma",
     "check_teardrop_reversal",
     "CHECK_IDS",
-    "run_check",
     "run_checks",
 ]
 
@@ -103,20 +103,21 @@ def _code(p: PlanarCurve) -> str:
 def _main_theorem(t: _Tally, n: int, batch: list, table: dict) -> None:
     """Triple-chord-free curves have a monogon or strong 2-gon and reduce to U.
 
-    One greedy run per curve (``moves._reaches_U``) tests both: a run stuck
-    before its first move breaks the first, one stuck later the second.
-    The runs share the pass's verdict table, so each stops at the first
-    state an earlier run decided.  A curve that fails is run again with no
-    table, to the curve where it sticks, to word the violation.
+    One greedy run per curve (``moves._reduce``) tests both, by where it
+    ends: a run that ends on a word as long as the curve's took no move and
+    breaks the first, one that ends short of U after a move breaks the
+    second.  The runs share the pass's table of end states, so each stops at
+    the first state an earlier run passed, with that run's end.
     """
     for p, tr in batch:
         if tr:
             continue
         t.tested += 1
-        if moves._reaches_U(p, table):
+        word = moves._reduce(p, table)[1][0]
+        if not word:
             continue
-        steps, cur = moves._reduce(p)
-        why = moves._stuck(cur) if steps else "no monogon and no strong 2-gon"
+        short = len(word) < len(p.word)
+        why = moves._stuck(word) if short else "no monogon and no strong 2-gon"
         t.violations.append((_code(p), str(why)))
 
 
@@ -124,7 +125,8 @@ def _inclusion_chain(t: _Tally, n: int, batch: list, table: dict) -> None:
     """x=0 => tr=0; tr=0 => in S; in S => arnold invariant 0.
 
     Strictness witnesses (curves separating consecutive classes) are reported
-    but are not violations.  The greedy runs share the pass's verdict table.
+    but are not violations.  The greedy runs share the pass's table of end
+    states.
     """
     for p, tr in batch:
         t.tested += 1
@@ -319,11 +321,6 @@ def run_checks(check_ids, max_n: int) -> list[CheckReport]:
             last(t)
             t.elapsed += time.perf_counter() - t0
     return [t.report() for t in tallies]
-
-
-def run_check(check_id: str, max_n: int) -> CheckReport:
-    """Run one check by identifier: ``run_checks([check_id], max_n)[0]``."""
-    return run_checks([check_id], max_n)[0]
 
 
 def check_main_theorem(max_n: int) -> CheckReport:

@@ -43,7 +43,7 @@ def criterion(capfd, k, summary):
 def test_criterion_1_main_theorem(capfd, census):
     with criterion(capfd, 1, "triple-free curves reduce to U via 1b/s2b, n <= 7"):
         t0 = time.perf_counter()
-        rep = kp.run_check("main-theorem", max_n=7)
+        rep = kp.run_checks(["main-theorem"], max_n=7)[0]
         assert rep.passed, rep.violations
         expect = sum(census["triple_free"][str(n)] for n in range(1, 8))
         assert rep.curves_tested == expect
@@ -53,7 +53,7 @@ def test_criterion_1_main_theorem(capfd, census):
 def test_criterion_2_inclusion_chain(capfd, census):
     with criterion(capfd, 2, "x=0 => tr=0 => in S => arnold=0 (n <= 6, arnold n <= 5)"):
         t0 = time.perf_counter()
-        rep = kp.run_check("inclusion-chain", max_n=6)
+        rep = kp.run_checks(["inclusion-chain"], max_n=6)[0]
         assert rep.passed, rep.violations
         expect = sum(census["classes"][str(n)] for n in range(0, 7))
         assert rep.curves_tested == expect
@@ -62,7 +62,7 @@ def test_criterion_2_inclusion_chain(capfd, census):
 
 def test_criterion_3_two_strong_bigons(capfd, census):
     with criterion(capfd, 3, "reduced triple-free curves have >= 2 strong 2-gons, n <= 7"):
-        rep = kp.run_check("two-strong-bigons", max_n=7)
+        rep = kp.run_checks(["two-strong-bigons"], max_n=7)[0]
         assert rep.passed, rep.violations
         expect = sum(census["reduced_triple_free"][str(n)] for n in range(1, 8))
         assert rep.curves_tested == expect
@@ -70,14 +70,14 @@ def test_criterion_3_two_strong_bigons(capfd, census):
 
 def test_criterion_4_connected_sum_lemma(capfd):
     with criterion(capfd, 4, "splices of triple-free summands stay triple-free, n1+n2 <= 6"):
-        rep = kp.run_check("connected-sum-lemma", max_n=6)
+        rep = kp.run_checks(["connected-sum-lemma"], max_n=6)[0]
         assert rep.passed, rep.violations
         assert rep.curves_tested > 0
 
 
 def test_criterion_5_teardrop_reversal(capfd):
     with criterion(capfd, 5, "innermost teardrop permutation order-reversing when tr=0, n <= 7"):
-        rep = kp.run_check("teardrop-reversal", max_n=7)
+        rep = kp.run_checks(["teardrop-reversal"], max_n=7)[0]
         assert rep.passed, rep.violations
         assert any("expected-excluded" in w[1] for w in rep.witnesses)
 
@@ -164,6 +164,8 @@ def test_criterion_9_round_trips(capfd, tmp_path):
         assert kp.read_dataset(a) == records
 
         for cid in kp.CHECK_IDS:
-            one = json.dumps(kp.run_check(cid, max_n=4).to_json_obj(), sort_keys=True)
-            two = json.dumps(kp.run_check(cid, max_n=4).to_json_obj(), sort_keys=True)
+            one, two = (
+                json.dumps(kp.run_checks([cid], max_n=4)[0].to_json_obj(), sort_keys=True)
+                for _ in range(2)
+            )
             assert one == two

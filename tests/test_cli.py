@@ -473,7 +473,9 @@ def test_verify_verdict_table_lives_for_one_command(capsys, monkeypatch):
     assert code == 0
     monkeypatch.setattr(planar, "_is_strong", weak_variant)
     code, mutated, _ = run(capsys, *argv)
-    fresh = [verify.run_check(cid, 6).to_json_obj() for cid in verify.CHECK_IDS]
+    fresh = [
+        verify.run_checks([cid], 6)[0].to_json_obj() for cid in verify.CHECK_IDS
+    ]
     assert code == 1 and mutated != healthy
     assert mutated == json.dumps(fresh, indent=2) + "\n"
 

@@ -12,6 +12,7 @@ from knotproj import (
     all_realizations,
     applicable_moves,
     apply_move,
+    arnold_invariant,
     canonicalize,
     count_tr,
     enumerate_curves,
@@ -19,7 +20,7 @@ from knotproj import (
     parse_code,
     realize,
     reduce_no_triple,
-    run_check,
+    run_checks,
 )
 from knotproj import chords, moves, planar
 from knotproj.enumeration import BUDGET_ENV, build_record
@@ -328,17 +329,21 @@ def test_normal_form_does_not_depend_on_the_first_move():
 
 
 def test_reduce_matches_stepwise_oracle_through_n7():
+    """The run's steps and end state are the face-traced run's, and the end
+    state embeds as the curve where that run stopped."""
     stuck = 0
     for p in embeddings(7):
         steps, end = moves._reduce(p)
         want_steps, want_end = stepwise_reduce(p)
         assert steps == want_steps, p
-        assert (end.word, end.rotations, end.faces) == (
+        assert end == (want_end.word, want_end.flips), p
+        got = planar._embed(*end)
+        assert (got.word, got.rotations, got.faces) == (
             want_end.word,
             want_end.rotations,
             want_end.faces,
         ), p
-        stuck += end.n > 0
+        stuck += bool(end[0])
     assert stuck == 2162
 
 
@@ -433,7 +438,7 @@ def test_nothing_in_the_package_traces_faces(monkeypatch):
 
     monkeypatch.setattr(planar, "_trace_faces", counted)
     for cid in CHECK_IDS:
-        assert run_check(cid, 7).passed, cid
+        assert run_checks([cid], 7)[0].passed, cid
     for p in curves:
         build_record(p)
     for p in small:
@@ -444,25 +449,26 @@ def test_nothing_in_the_package_traces_faces(monkeypatch):
     assert traced == [curves[5].word]
 
 
-# --- runs that share a verdict table ----------------------------------------------
-
-
-def reaches_U_fresh(p):
-    """The verdict of a run with no table."""
-    return moves._reduce(p)[1].n == 0
+# --- runs that share a table of end states -----------------------------------------
 
 
 def assert_shared_table_is_exact(max_n):
     """One table shared by the runs of every curve with 1 <= n <= max_n, in
-    ``enumerate`` order: each verdict is a fresh run's, and every entry is
-    the verdict of a fresh run from its state.  Returns the number of runs
-    and of states left in the table."""
+    ``enumerate`` order: each run ends where a fresh run ends, every entry is
+    the end of a fresh run from its state, U is no key, and a run from a held
+    state takes no step.  Returns the number of runs and of states left in
+    the table."""
     curves = [p for n in range(1, max_n + 1) for p in enumerate_curves(n)]
     table = {}
     for p in curves:
-        assert moves._reaches_U(p, table) is reaches_U_fresh(p), p
-    for (word, mask), verdict in table.items():
-        assert verdict is reaches_U_fresh(planar._embed(word, mask)), (word, mask)
+        end = moves._reduce(p, table)[1]
+        assert end == moves._reduce(p)[1], p
+        assert moves._reaches_U(p, table) is (not end[0]), p
+    assert ((), 0) not in table
+    for state, end in table.items():
+        q = planar._embed(*state)
+        assert end == moves._reduce(q)[1], state
+        assert moves._reduce(q, table) == ([], end), state
     return len(curves), len(table)
 
 
@@ -477,23 +483,64 @@ def test_shared_table_matches_fresh_runs_through_n9(monkeypatch):
 
 
 def test_shared_table_verdicts_match_face_traced_runs_through_n8():
-    """The table's verdicts against the greedy run with a face trace after
-    every move, and a run from a state the table holds takes no step."""
+    """The shared table's end states against the greedy run with a face
+    trace after every move, and a run from a state the table holds takes no
+    step and ends there."""
     table = {}
     for n in range(1, 9):
         for p in enumerate_curves(n):
-            assert moves._reaches_U(p, table) is (stepwise_reduce(p)[1].n == 0), p
-            assert moves._reduce(p, table) == ([], None), p
+            end = moves._reduce(p, table)[1]
+            want = stepwise_reduce(p)[1]
+            assert end == (want.word, want.flips), p
+            assert moves._reaches_U(p, table) is (want.n == 0), p
+            assert moves._reduce(p, table) == ([], end), p
 
 
 def test_empty_table_takes_every_step():
-    """With an empty table the run takes the steps and stops at the curve of
-    a run with none, and leaves a verdict for each state it passed."""
+    """With an empty table the run takes the steps of a run with none and
+    ends at the same state, and maps each state it passed, in order, to
+    that end."""
     for n in range(1, 8):
         for p in enumerate_curves(n):
             table = {}
             steps, end = moves._reduce(p, table)
-            want_steps, want_end = moves._reduce(p)
-            assert steps == want_steps and end == want_end, p
-            assert len(table) == len(steps) + (end.n > 0), p
-            assert set(table.values()) == {end.n == 0}, p
+            assert (steps, end) == moves._reduce(p), p
+            words = [p.word] + [word for _, word in steps]
+            assert [word for word, _ in table] == [w for w in words if w], p
+            assert next(iter(table)) == (p.word, p.flips), p
+            assert set(table.values()) == {end}, p
+
+
+# --- normal forms ---------------------------------------------------------------------
+
+
+def irreducible_counts(max_n):
+    """Run every curve with 1 <= n <= max_n through one shared table, in
+    ``enumerate`` order, and count per n the irreducible codes: those whose
+    run ends at their own start state, short of U.  Each irreducible curve
+    admits no move under the face-traced oracle and has a triple chord, and
+    every curve has the Arnold invariant of its end state."""
+    table = {}
+    counts = []
+    for n in range(1, max_n + 1):
+        irreducible = 0
+        for p in enumerate_curves(n):
+            end = moves._reduce(p, table)[1]
+            if end == (p.word, p.flips):
+                irreducible += 1
+                assert face_moves(p) == [] and count_tr(p.code) > 0, p
+            assert arnold_invariant(p) == arnold_invariant(planar._embed(*end)), p
+        counts.append(irreducible)
+    return counts
+
+
+def test_irreducible_codes_through_n8():
+    """Witnesses, not claims: the paper says only that an irreducible curve
+    other than U has a triple chord, not how many there are."""
+    assert irreducible_counts(8) == [0, 0, 1, 0, 1, 2, 3, 8]
+
+
+@pytest.mark.slow
+def test_irreducible_codes_through_n10(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "10")
+    assert irreducible_counts(10) == [0, 0, 1, 0, 1, 2, 3, 8, 34, 64]

@@ -5,15 +5,16 @@ import pytest
 from knotproj import (
     CHECK_IDS,
     CheckReport,
+    canonicalize,
     check_connected_sum_lemma,
     check_inclusion_chain,
     check_main_theorem,
     check_teardrop_reversal,
     check_two_strong_bigons,
     enumerate_curves,
-    run_check,
+    run_checks,
 )
-from knotproj import chords, planar, verify
+from knotproj import chords, moves, planar, verify
 from knotproj.enumeration import BUDGET_ENV
 
 from conftest import weak_variant
@@ -24,7 +25,7 @@ from conftest import weak_variant
 
 def test_all_checks_pass_small():
     for cid in CHECK_IDS:
-        rep = run_check(cid, max_n=4)
+        rep = run_checks([cid], max_n=4)[0]
         assert rep.passed, (cid, rep.violations)
         assert rep.curves_tested > 0
         assert rep.check_id == cid and rep.max_n == 4
@@ -39,7 +40,7 @@ def test_check_ids_order_and_unknown_id():
         "teardrop-reversal",
     )
     with pytest.raises(KeyError):
-        run_check("bogus", max_n=2)
+        run_checks(["bogus"], max_n=2)
 
 
 def test_main_theorem_counts_triple_free_only(census):
@@ -64,7 +65,7 @@ def test_inclusion_chain_reads_arnold_at_every_n(monkeypatch):
         return original(p)
 
     monkeypatch.setattr(verify, "arnold_invariant", counted)
-    rep = run_check("inclusion-chain", 8)
+    rep = run_checks(["inclusion-chain"], 8)[0]
     assert rep.passed
     assert len(seen) == rep.curves_tested
     # no curve with n <= 10 has arnold 0 outside S; the first ones are at n = 11
@@ -75,7 +76,7 @@ def test_inclusion_chain_reads_arnold_at_every_n(monkeypatch):
 def test_inclusion_chain_at_11_has_the_first_arnold_witnesses(monkeypatch):
     """The first curves with Arnold invariant 0 outside S appear at n = 11."""
     monkeypatch.setenv(BUDGET_ENV, "11")
-    rep = run_check("inclusion-chain", 11)
+    rep = run_checks(["inclusion-chain"], 11)[0]
     assert rep.passed
     assert rep.curves_tested == 156_378
     assert [c for c, kind in rep.witnesses if kind == "strict: arnold=0, not in S"] == [
@@ -157,7 +158,8 @@ def test_connected_sum_lemma_counts_on_the_spliced_word(monkeypatch):
     monkeypatch.setattr(verify, "_splice_rows", broken)
     rep = check_connected_sum_lemma(6)
     assert not rep.passed
-    assert rep.curves_tested == run_check("connected-sum-lemma", 6).curves_tested
+    healthy = run_checks(["connected-sum-lemma"], 6)[0]
+    assert rep.curves_tested == healthy.curves_tested
 
 
 def test_connected_sum_lemma_tests_every_pair_of_triple_free_curves(census):
@@ -173,7 +175,7 @@ def test_connected_sum_lemma_tests_every_pair_of_triple_free_curves(census):
         assert check_connected_sum_lemma(max_n).curves_tested == want, max_n
         if max_n == 7:
             assert want == 126
-    rep = run_check("connected-sum-lemma", 9)
+    rep = run_checks(["connected-sum-lemma"], 9)[0]
     assert rep.passed and rep.curves_tested == 1_118
 
 
@@ -183,16 +185,17 @@ def test_teardrop_reversal_flags_triple_chords_as_excluded():
     assert any("expected-excluded" in w[1] for w in rep.witnesses)
 
 
-def test_run_check_unknown_id():
+def test_run_checks_unknown_id():
+    """An unknown identifier is refused even beside known ones."""
     with pytest.raises(KeyError):
-        run_check("no-such-check", max_n=3)
+        run_checks(["main-theorem", "no-such-check"], max_n=3)
 
 
 # --- report values ---------------------------------------------------------------
 
 
 def test_report_json_shape_and_passed():
-    rep = run_check("main-theorem", max_n=3)
+    rep = run_checks(["main-theorem"], max_n=3)[0]
     obj = rep.to_json_obj()
     assert set(obj) == {
         "check_id",
@@ -209,8 +212,10 @@ def test_report_json_shape_and_passed():
 
 def test_reports_byte_identical_across_runs():
     for cid in CHECK_IDS:
-        a = json.dumps(run_check(cid, max_n=3).to_json_obj(), sort_keys=True)
-        b = json.dumps(run_check(cid, max_n=3).to_json_obj(), sort_keys=True)
+        a, b = (
+            json.dumps(run_checks([cid], max_n=3)[0].to_json_obj(), sort_keys=True)
+            for _ in range(2)
+        )
         assert a == b
 
 
@@ -271,3 +276,39 @@ def test_main_theorem_reports_a_curve_with_no_strong_2_gon(monkeypatch):
         ("1 1 2 3 4 5 6 6 3 2 5 4", STUCK_AT_4_1),
         ("1 2 3 1 4 5 6 3 2 6 5 4", "no monogon and no strong 2-gon"),
     ]
+
+
+def hide_every_move(monkeypatch):
+    """No loop edge is seen and no 2-gon reads as strong."""
+    monkeypatch.setattr(moves, "_loops", lambda word: set())
+    monkeypatch.setattr(planar, "_is_strong", lambda word, t1, t2: False)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda mp: mp.setattr(planar, "_is_strong", weak_variant),
+        hide_every_move,
+    ],
+    ids=["weak-variant", "hide-every-move"],
+)
+def test_main_theorem_words_violations_as_a_fresh_run(monkeypatch, mutate):
+    """The pass's one tabled run per curve words each violation as a second
+    run with no table, to where it sticks, would: "no monogon and no strong
+    2-gon" when that run takes no move, else the curve it sticks at.  With
+    inclusion-chain first, every main-theorem run starts at a state the
+    table holds and takes no step itself."""
+    mutate(monkeypatch)
+    alone = run_checks(["main-theorem"], 6)[0]
+    after = run_checks(["inclusion-chain", "main-theorem"], 6)[1]
+    assert alone.violations and after == alone._replace(elapsed=after.elapsed)
+    census = {
+        str(canonicalize(p.code)): p for n in range(1, 7) for p in enumerate_curves(n)
+    }
+    for code, why in alone.violations:
+        steps, (word, _) = moves._reduce(census[code])
+        assert word, code
+        if steps:
+            assert why == str(moves._stuck(word)), code
+        else:
+            assert why == "no monogon and no strong 2-gon", code
