@@ -42,12 +42,12 @@ def _parse(text: str) -> chords.ChordDiagram:
 
 
 def _analysis_obj(
-    cd: chords.ChordDiagram, with_arnold: bool, table: dict | None
+    cd: chords.ChordDiagram, with_arnold: bool, table: dict
 ) -> dict:
     """The dataset record of ``cd`` plus ``realizable`` and ``prime_factors``.
 
     ``table`` is the command's greedy-run table of end states
-    (``build_record``), None for a single code.
+    (``build_record``).
     """
     p = planar.realize(cd)
     rec = enumeration.build_record(p, with_arnold, table=table)
@@ -89,9 +89,8 @@ def _cmd_analyze(args) -> int:
             return _fail(EXIT_IO, f"cannot read {args.infile}: {exc}")
     else:
         code_texts = [args.code if args.code is not None else ""]
-    # one greedy-run table per --in command, shared by its codes; a
-    # single code's run has no later run to reuse one
-    table = {} if args.infile is not None else None
+    # one greedy-run table per command, shared by its codes (build_record)
+    table = {}
     results = [_analysis_obj(_parse(text), args.arnold, table) for text in code_texts]
     if args.json:
         payload = results[0] if args.infile is None else results

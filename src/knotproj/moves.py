@@ -86,10 +86,11 @@ embedding with n <= 7.
 Every run keeps a table from (word, flip mask) states to the end state of
 the run from that state.  :func:`_reduce` stops at the first state the
 table holds, with that state's end, and maps every state it passed to its
-end.  A sweep that runs the greedy reduction on many curves (``enumerate``,
-the codes of one ``analyze --in`` file, the one census pass of a ``verify``
-command, whose inclusion-chain and main-theorem checks share it) passes its
-runs one table; a single run gets a fresh one.
+end.  The ``enumerate``, ``analyze`` and ``verify`` commands each pass all
+their runs one table: the ``enumerate`` sweep, the one code or the codes of
+one ``--in`` file of ``analyze``, and the one census pass of ``verify``,
+whose inclusion-chain and main-theorem checks share it.  A call with no
+table, as :func:`in_S` and :func:`reduce_no_triple` make, gets a fresh one.
 
 * The table is exact because the run is deterministic, not because of
   Newman's lemma.  The next state is a function of the current one alone:

@@ -135,8 +135,21 @@ class PlanarCurve(chords._Frozen, _PlanarCurveFields):
     can check a realization without the package's dart conventions for
     faces.  A curve is the pair ``(code, flips)``, so equality and hashing
     compare the word and the flips.  The curve's Euler circuit visits the
-    darts in numeric order (tail 2t, head 2t+1 for edge t).
+    darts in numeric order (tail 2t, head 2t+1 for edge t).  The constructor
+    insists that ``flips`` is an int mask of n bits, so one curve has one
+    mask; it does not check that the mask is a realization.
     """
+
+    def __new__(cls, code: ChordDiagram, flips: int):
+        if type(flips) is not int or not 0 <= flips < 1 << code.n:  # bools too
+            raise InvalidSite(f"flip mask {flips!r} not in 0..2**{code.n} - 1")
+        return tuple.__new__(cls, (code, flips))
+
+    @classmethod
+    def _make(cls, iterable) -> "PlanarCurve":
+        """The curve of the fields in ``iterable``, validated as by the
+        constructor; the inherited ``_replace`` builds through here."""
+        return cls(*iterable)
 
     @property
     def word(self) -> tuple[int, ...]:

@@ -161,9 +161,10 @@ def test_analyze_batch_prints_what_each_code_prints(tmp_path, capsys):
     assert '"in_S": true' in batch and '"in_S": false' in batch
 
 
-def test_analyze_builds_a_verdict_table_only_for_in(tmp_path, capsys, monkeypatch):
-    """A single code's greedy run gets no verdict table; the codes of one
-    ``--in`` file share one dict, and stdout is what it was."""
+def test_analyze_builds_one_table_per_command(tmp_path, capsys, monkeypatch):
+    """Every ``analyze`` command passes its greedy runs one dict: a single
+    code's run gets one, the codes of one ``--in`` file share one, and each
+    command starts a fresh one; stdout is what it was."""
     tables = []
     original = moves._reduce
 
@@ -174,13 +175,17 @@ def test_analyze_builds_a_verdict_table_only_for_in(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(moves, "_reduce", recorded)
     code, out, _ = run(capsys, "analyze", "1 2 3 1 2 3")
     assert code == 0 and "in_S:          false" in out
-    assert tables == [None]
-    tables.clear()
+    code, out, _ = run(capsys, "analyze", "1 1")
+    assert code == 0 and "in_S:          true" in out
+    assert len(tables) == 2 and all(type(t) is dict for t in tables)
+    assert tables[0] is not tables[1]
     src = tmp_path / "codes.txt"
     src.write_text(f"1 1\n1 2 3 1 2 3\n{COMPOSITE_WITH_CURL}\n")
     code, _, _ = run(capsys, "analyze", "--in", str(src), "--json")
-    assert code == 0 and len(tables) == 3
-    assert type(tables[0]) is dict and all(t is tables[0] for t in tables)
+    assert code == 0 and len(tables) == 5
+    batch = tables[2:]
+    assert type(batch[0]) is dict and all(t is batch[0] for t in batch)
+    assert all(batch[0] is not t for t in tables[:2])
 
 
 def test_analyze_batch_malformed_line_exits_2_stdout_clean(tmp_path, capsys):

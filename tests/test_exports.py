@@ -1,5 +1,6 @@
 """Every exported name resolves, so a removed function leaves no stale export;
-every private helper has a caller in the package."""
+the package re-exports each module's ``__all__`` once; every private helper
+has a caller in the package."""
 
 import ast
 import collections
@@ -28,6 +29,22 @@ def test_star_import():
     namespace = {}
     exec("from knotproj import *", namespace)
     assert set(knotproj.__all__) <= set(namespace)
+
+
+def test_package_exports_each_module_all_once():
+    """The package's ``__all__`` is ``errors``, ``__version__`` and the
+    ``__all__`` of each public module, with no name twice, and each name is
+    the module's own object."""
+    from knotproj import chords, enumeration, invariants, moves, planar, verify
+
+    modules = (chords, enumeration, invariants, moves, planar, verify)
+    names = knotproj.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == {"errors", "__version__"}.union(*(m.__all__ for m in modules))
+    assert knotproj.errors is importlib.import_module("knotproj.errors")
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(knotproj, name) is getattr(mod, name), (mod.__name__, name)
 
 
 def test_every_private_definition_is_named_in_the_package():

@@ -14,7 +14,7 @@ import knotproj as kp
 from knotproj import enumeration, invariants, planar
 from knotproj.chords import ChordDiagram
 from knotproj.enumeration import EnumerationRecord
-from knotproj.errors import MalformedCode
+from knotproj.errors import InvalidSite, MalformedCode
 from knotproj.moves import Move
 from knotproj.planar import PlanarCurve
 from knotproj.verify import CheckReport
@@ -129,6 +129,32 @@ def test_diagram_make_and_replace_validate():
     for cd in (made, replaced):
         assert type(cd) is ChordDiagram and cd == ChordDiagram((1, 2, 1, 2))
         assert ChordDiagram._make(cd) == cd and cd._replace() == cd
+
+
+@pytest.mark.parametrize("flips", [2, -1, True, 1.5], ids=["bit-n", "negative", "bool", "float"])
+def test_curve_refuses_a_flip_mask_outside_n_bits(flips):
+    """A mask with a bit at or above n, or not an int, would make a second,
+    unequal curve with the same rotations, whose splice carries the stray
+    bit; the constructor, ``_make`` and ``_replace`` refuse it."""
+    cd = kp.parse_code("1 1")
+    with pytest.raises(InvalidSite):
+        PlanarCurve(cd, flips)
+    with pytest.raises(InvalidSite):
+        PlanarCurve._make([cd, flips])
+    with pytest.raises(InvalidSite):
+        PlanarCurve(cd, 0)._replace(flips=flips)
+
+
+def test_curve_make_and_replace_accept_an_n_bit_mask():
+    cd = kp.parse_code("1 1")
+    assert PlanarCurve(cd, 0)._replace(flips=1) == PlanarCurve._make([cd, 1]) == (cd, 1)
+    assert PlanarCurve(cd, 1)._replace() == PlanarCurve(cd, 1)
+    assert kp.U == PlanarCurve(ChordDiagram(()), 0)
+    # the splice of the clean curve keeps n + 2 faces and its flips
+    t = kp.realize(kp.parse_code("1 2 3 1 2 3"))
+    spliced = kp.connected_sum(PlanarCurve(cd, 0), t, 0, 3)
+    assert spliced.flips == 0b100
+    assert len(spliced.faces) == spliced.n + 2
 
 
 def test_cached_values_still_fill():
