@@ -31,7 +31,8 @@ Each chord-level concept has one implementation:
   itself), which relabels only the winning reading, and the early-exit
   canonicity test :func:`_is_orbit_min`; the enumeration keeps the back
   steps of its partial word as chords close and hands them to both its
-  close-time prune (:func:`_precedes`) and its leaf test,
+  close-time prune (:func:`_precedes`) and its leaf test, with the
+  candidate starts it records as chords close,
 * :func:`_interlacement_bits` is the interlacement core, a word read by
   the prefix-XOR reader :func:`_read` from the empty state, built once per
   diagram and cached as ``ChordDiagram._bits``: every interleave question
@@ -40,7 +41,8 @@ Each chord-level concept has one implementation:
   :func:`_components` lists its components, the prime factors behind
   ``planar.prime_decompose`` and the dataset's ``prime`` field;
   :func:`_first_closed_interval`, behind :func:`split_connected_sum`, uses
-  the prefix XOR it is built from.
+  the prefix XOR it is built from.  The enumeration seeds ``_bits``, and
+  ``ChordDiagram._firsts``, from its search.
 """
 
 from __future__ import annotations
@@ -142,6 +144,16 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
     def _bits(self) -> tuple[int, ...]:
         """This diagram's :func:`_interlacement_bits`, built on first use."""
         return _interlacement_bits(self.word)
+
+    @cached_property
+    def _firsts(self) -> tuple[int, ...]:
+        """The first position of each label a, at index a - 1, found on
+        first use: label a first occurs where a is the next label."""
+        firsts: list[int] = []
+        for i, x in enumerate(self.word):
+            if x > len(firsts):
+                firsts.append(i)
+        return tuple(firsts)
 
     @cached_property
     def _canon(self) -> "ChordDiagram":
@@ -298,24 +310,23 @@ def _least_starts(src: list[int], g: int) -> list[int]:
     return out
 
 
-def _is_orbit_min(back: list[int], rback: list[int]) -> bool:
+def _is_orbit_min(
+    back: list[int], rback: list[int], starts: list[tuple[int, int]], g: int
+) -> bool:
     """Whether a normalized word equals its :func:`_orbit_min`, given the
-    :func:`_back_steps` of the word and of its reversal.
+    :func:`_back_steps` of the word and of its reversal, the least step g
+    and the starts of the candidate readings (:func:`_least_starts`), a
+    forward and a backward one per pair, in any order.
 
-    The word is its own start-0 reading, so it must be a candidate, and the
-    test stops at the first candidate that :func:`_precedes` it.
+    The word must be a candidate itself (``back[g] == g``); the test stops
+    at the first candidate that :func:`_precedes` it.
     """
     m = len(back)
-    if not m:
-        return True
-    g = min(back)
-    if back[g] != g:
-        return False
     fwd = back * 2
-    for src in (fwd, rback * 2):
-        for s in _least_starts(src, g):
-            if _precedes(src, s, fwd, 0, g + 1, m):
-                return False
+    bwd = rback * 2
+    for s, r in starts:
+        if _precedes(fwd, s, back, 0, g + 1, m) or _precedes(bwd, r, back, 0, g + 1, m):
+            return False
     return True
 
 

@@ -32,7 +32,8 @@ candidate reading below the word.
 Realizability is decided by :func:`knotproj.planar._search_rotations`:
 crossing flips are propagated over the interlacement graph in O(n^2) bit
 operations and one walk of the face permutation confirms or refutes the
-candidate rotation system.
+candidate rotation system.  It reads the interlacement rows and first
+positions that each generated diagram brings from the search.
 
 A record reads its face degrees, monogons and strong 2-gons off one such
 walk (:func:`knotproj.planar._face_walk`), with no face list built.
@@ -110,9 +111,9 @@ def check_budget(n: int) -> None:
         )
 
 
-def _canonical_words(n: int) -> list[tuple[int, ...]]:
-    """Canonical double-occurrence words with n chords that pass Rosenstiehl's
-    first two conditions, ascending.
+def _canonical_words(n: int) -> list[ChordDiagram]:
+    """The diagrams of the canonical double-occurrence words with n chords
+    that pass Rosenstiehl's first two conditions, ascending.
 
     Chord 1 is fixed to close at ``gap``, the smallest cyclic gap of any
     chord, and placements that would undercut it are pruned.  A chord's
@@ -156,15 +157,27 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
     must see is written, and every other entry is 0 or a step longer than
     the prefix, which reads as fresh, so the prune compares ``rback`` read
     from the closing position with ``back`` read from 0, from offset
-    gap + 1 on (both read 1 2 .. gap 1 before it).  The complete survivors
-    get :func:`chords._is_orbit_min` on the same two arrays, which also
-    reads the forward transforms.
+    gap + 1 on (both read 1 2 .. gap 1 before it).
+
+    The survivors get :func:`chords._is_orbit_min` on the same two arrays
+    and on the starts of the only readings that can be least, those that
+    read 1 2 .. gap 1 (:func:`chords._least_starts`): a chord that closes
+    at exactly ``gap``, on either side, gives one start per direction,
+    recorded as it closes.
+
+    The open chords are a list of first positions, ascending, so one
+    comparison with the earliest tells when a chord can no longer close
+    within ``m - gap``, and the loop stops at the first that would close
+    shorter than ``gap``.  Each diagram carries what the search kept, its
+    rows N(a) >> 1 as ``ChordDiagram._bits`` and its first positions as
+    ``ChordDiagram._firsts``, for :func:`planar._flip_coset`.
     """
     if n == 0:
-        return [()]
+        return [ChordDiagram._of_canonical(())]
     m = 2 * n
-    out: list[tuple[int, ...]] = []
+    out: list[ChordDiagram] = []
     for gap in range(1, n + 1, 2):
+        slack = m - gap  # the longest a chord may be on the side it closes
         # chord 1 closes at `gap`; the prefix before it is forced to be new chords
         word = [0] * m
         word[0] = 1
@@ -175,92 +188,101 @@ def _canonical_words(n: int) -> list[tuple[int, ...]]:
         pref = [0] * (m + 1)
         for k in range(gap + 1):
             pref[k + 1] = pref[k] ^ (1 << word[k])
-        open_pos = {k + 1: k for k in range(1, gap)}
-        # the interlacement neighbourhood (bit b for label b) of each closed chord
-        closed = {1: pref[gap] ^ pref[1]}
+        # first[a] is label a's first position (a - 1 in the prefix); the
+        # open chords' first positions ascend, and so do their labels
+        first = list(range(-1, n))
+        opens = list(range(1, gap))
+        # (a, N(a)) of each closed chord, bit b of N(a) for label b
+        closed = [(1, pref[gap] ^ pref[1])]
         # chords._back_steps of the word and of its reversal, written as each
         # chord closes; rback[m - 1 - p] is position p's step ahead
         back = [0] * m
         rback = [0] * m
         back[gap] = rback[m - 1] = gap
-        back[0] = rback[m - 1 - gap] = m - gap
+        back[0] = rback[m - 1 - gap] = slack
+        # the starts of the candidate least readings, forward and backward
+        # (chords._least_starts), that each chord side of length gap gives
+        starts = [(0, m - 1 - gap)]
+        if gap == slack:
+            starts.append((gap, m - 1))
 
         def place(i: int, fresh: int) -> None:
             # fresh is the next unused label
             if i == m:
-                if not open_pos and chords._is_orbit_min(back, rback):
-                    out.append(tuple(word))
+                if not opens and chords._is_orbit_min(back, rback, starts, gap):
+                    cd = ChordDiagram._of_canonical(tuple(word))
+                    rows = [0] * n
+                    for a, na in closed:
+                        rows[a - 1] = na >> 1
+                    cd.__dict__["_bits"] = tuple(rows)
+                    cd.__dict__["_firsts"] = tuple(first[1:])
+                    out.append(cd)
                 return
-            for lab, fp in open_pos.items():
-                if i > fp + (m - gap):
-                    return
-            for lab in sorted(open_pos):
-                fp = open_pos[lab]
+            if opens and i > opens[0] + slack:
+                return  # the earliest open chord can no longer close
+            for j, fp in enumerate(opens):
                 d = i - fp
-                if d < gap or d > m - gap:
-                    continue
+                if d < gap:
+                    break  # so are the later ones
                 nc = pref[i] ^ pref[fp + 1]
                 if nc.bit_count() & 1:
                     continue
-                if _odd_common_neighbours(nc, closed):
-                    continue
-                word[i] = lab
-                back[i] = d
-                if d == gap and chords._precedes(
-                    rback, m - 1 - i, back, 0, gap + 1, i + 1
-                ):
-                    continue
-                rback[m - 1 - fp] = d
-                back[fp] = rback[m - 1 - i] = m - d
-                del open_pos[lab]
-                closed[lab] = nc
-                pref[i + 1] = pref[i] ^ (1 << lab)
-                place(i + 1, fresh)
-                del closed[lab]
-                open_pos[lab] = fp
-                rback[m - 1 - fp] = 0  # fp opens again; it reads as fresh
+                for a, na in closed:
+                    if (na & nc).bit_count() & 1 and not nc >> a & 1:
+                        break  # the second condition fails
+                else:
+                    lab = word[fp]
+                    word[i] = lab
+                    back[i] = d
+                    if d == gap:
+                        if chords._precedes(rback, m - 1 - i, back, 0, gap + 1, i + 1):
+                            continue
+                        starts.append((fp, m - 1 - i))
+                    if d == slack:
+                        starts.append((i, m - 1 - fp))
+                    rback[m - 1 - fp] = d
+                    back[fp] = rback[m - 1 - i] = m - d
+                    del opens[j]
+                    closed.append((lab, nc))
+                    pref[i + 1] = pref[i] ^ (1 << lab)
+                    place(i + 1, fresh)
+                    closed.pop()
+                    opens.insert(j, fp)
+                    rback[m - 1 - fp] = 0  # fp opens again; it reads as fresh
+                    if d == gap:
+                        starts.pop()
+                    if d == slack:
+                        starts.pop()
             if fresh <= n:
-                open_pos[fresh] = i
+                opens.append(i)
+                first[fresh] = i
                 word[i] = fresh
                 back[i] = 0  # a fresh label repeats nothing
                 pref[i + 1] = pref[i] ^ (1 << fresh)
                 place(i + 1, fresh + 1)
-                del open_pos[fresh]
+                opens.pop()
 
         place(gap + 1, gap + 1)
     return out
-
-
-def _odd_common_neighbours(nc: int, closed: dict[int, int]) -> bool:
-    """Whether some closed chord that a chord with neighbourhood ``nc`` does
-    not interleave shares an odd number of neighbours with it.
-
-    ``closed`` maps each closed chord's label a to its neighbourhood N(a);
-    bit b of a neighbourhood stands for label b.
-    """
-    for a, na in closed.items():
-        if (na & nc).bit_count() & 1 and not nc >> a & 1:
-            return True
-    return False
 
 
 def enumerate_curves(n: int) -> list[PlanarCurve]:
     """All realizable curves with exactly n crossings, one per class.
 
     Codes come out canonical and in ascending word order, generated afresh
-    on each call.  Raises :class:`BudgetExceeded` where :func:`check_budget`
-    refuses n.
+    on each call.  Each curve's code is the diagram the generator built,
+    with the interlacement rows and first positions it handed on.  Raises
+    :class:`BudgetExceeded` where :func:`check_budget` refuses n.
     """
     check_budget(n)
     if n == 0:
         return [planar.U]
     found = []
-    for w in _canonical_words(n):
-        # generated words are normal, each its own orbit minimum
-        cd = ChordDiagram._of_canonical(w)
-        # the generator already pruned parity failures; this one bitset pass
-        # per word guards that prune, and the benchmark's tracer counts the
-        # generated words through it
+    for cd in _canonical_words(n):
+        # the generator already pruned parity failures; this pass over the
+        # handed rows guards that prune, and the benchmark's tracer counts
+        # the generated words through it, as it counts realizations through
+        # the per-word _search_rotations call
         if chords.gauss_parity_violations(cd):
             continue
         p = planar._search_rotations(cd)

@@ -194,11 +194,11 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # \d takes any script's digits
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the "p/q" / "k" syntax; raises ValueError on anything else."""
+    """Parse the "p/q" / "k" syntax, ASCII digits only; else ValueError."""
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     num, sep, den = text.partition("/")

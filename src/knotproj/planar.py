@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 from . import chords
 from .chords import ChordDiagram
-from .errors import InvalidSite, NoCrossings, NotRealizable
+from .errors import InvalidSite, MalformedCode, NoCrossings, NotRealizable
 
 __all__ = [
     "Face",
@@ -136,11 +136,16 @@ class PlanarCurve(chords._Frozen, _PlanarCurveFields):
     faces.  A curve is the pair ``(code, flips)``, so equality and hashing
     compare the word and the flips.  The curve's Euler circuit visits the
     darts in numeric order (tail 2t, head 2t+1 for edge t).  The constructor
-    insists that ``flips`` is an int mask of n bits, so one curve has one
-    mask; it does not check that the mask is a realization.
+    insists that ``code`` is a :class:`ChordDiagram` (else
+    :class:`MalformedCode`) and ``flips`` an int mask of n bits (else
+    :class:`InvalidSite`), so one curve has one mask; it does not check that
+    the mask is a realization.
     """
 
     def __new__(cls, code: ChordDiagram, flips: int):
+        if not isinstance(code, ChordDiagram):
+            name = type(code).__name__
+            raise MalformedCode(f"code must be a ChordDiagram, got {name}")
         if type(flips) is not int or not 0 <= flips < 1 << code.n:  # bools too
             raise InvalidSite(f"flip mask {flips!r} not in 0..2**{code.n} - 1")
         return tuple.__new__(cls, (code, flips))
@@ -329,13 +334,16 @@ def _flip_coset(cd: ChordDiagram) -> tuple[int, list[int]]:
     component is then mirrored when its largest label carries flip 1, which
     makes the mask the smallest valid one in numeric (sweep) order.
 
+    ``cd._bits`` and ``cd._firsts`` come with an enumerated diagram; any
+    other diagram builds each in one pass over its word.
+
     The components are grown here by a walk of their own, not read from
     :func:`chords._components`: propagating flips needs a spanning order
     (each label reached from an interleaved label already set), which a
     component mask does not give, so reusing it would add a second walk.
     """
     adj = cd._bits
-    first = [cd.word.index(a) for a in range(1, len(adj) + 1)]
+    first = cd._firsts
     mask = 0
     seen = 0
     components = []

@@ -9,7 +9,10 @@ where an oracle checks a later stage, and the few internals an oracle is
 built around (``planar._flip_coset``'s span, ``invariants.resolve``,
 ``a2_gauss_formula``, the ``_PV_*`` arrow pattern, and
 ``chords._first_closed_interval`` with ``planar._drop_labels`` for the
-recursive splitter :func:`recursive_prime_decompose`).  In particular the
+recursive splitter :func:`recursive_prime_decompose`).
+:func:`is_orbit_min` is a driver, not an oracle: it hands
+``chords._is_orbit_min`` the candidate starts that ``chords._least_starts``
+scans for, so any word can be tested.  In particular the
 move oracles read moves off faces traced from the vertex rings
 (:func:`face_moves`), never through ``applicable_moves`` or ``apply_move``.
 The one deliberately wrong rule here, :func:`weak_variant`, is a mutant for
@@ -200,6 +203,19 @@ def reading_orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
         if not best or _reads_below(seq, r, best):
             best = _relabel(seq[r:] + seq[:r])
     return best
+
+
+def is_orbit_min(word: tuple[int, ...]) -> bool:
+    """``chords._is_orbit_min`` on any normalized word: the back steps of the
+    word and of its reversal, and the candidate starts ``chords._least_starts``
+    scans for, which the generator records as its chords close instead."""
+    if not word:
+        return True
+    back = chords._back_steps(word)
+    rback = chords._back_steps(word[::-1])
+    g = min(back)
+    starts = zip(chords._least_starts(back * 2, g), chords._least_starts(rback * 2, g))
+    return back[g] == g and chords._is_orbit_min(back, rback, list(starts), g)
 
 
 def leaf_checked_words(n: int) -> list[tuple[int, ...]]:

@@ -31,6 +31,7 @@ from conftest import (
     brute_force_realizable,
     canonical_text_full_relabel,
     face_record,
+    is_orbit_min,
     leaf_checked_words,
     pairing_words,
     reading_orbit_min,
@@ -62,6 +63,11 @@ def realizable(words):
     ]
 
 
+def generated_words(n):
+    """The words of ``_canonical_words(n)``'s diagrams."""
+    return [cd.word for cd in _canonical_words(n)]
+
+
 @pytest.mark.slow
 def test_counts_match_census_at_10(census, monkeypatch):
     """The pruned generator's curves against the unpruned generator's."""
@@ -80,7 +86,7 @@ def test_counts_match_census_at_11(census, monkeypatch):
 def test_unembedded_survivors_are_pinned(census):
     """Words that pass every close-time prune and still do not embed."""
     for n_text, expect in census["unembedded_survivors"].items():
-        words = _canonical_words(int(n_text))
+        words = generated_words(int(n_text))
         assert len(words) - len(realizable(words)) == expect, n_text
 
 
@@ -92,23 +98,23 @@ def test_parity_pruned_words_equal_filtered_oracle():
             if not gauss_parity_violations(ChordDiagram(w))
             and not second_condition_violations(w)
         ]
-        assert _canonical_words(n) == expect
+        assert generated_words(n) == expect
 
 
 def test_orderly_words_equal_leaf_checked_oracle():
     for n in (8, 9):
         expect = [w for w in leaf_checked_words(n) if not second_condition_violations(w)]
-        assert _canonical_words(n) == expect
+        assert generated_words(n) == expect
 
 
 def test_pruned_words_keep_every_realizable_word():
     for n in range(1, 10):
-        assert realizable(_canonical_words(n)) == realizable(leaf_checked_words(n)), n
+        assert realizable(generated_words(n)) == realizable(leaf_checked_words(n)), n
 
 
 @pytest.mark.slow
 def test_orderly_words_equal_leaf_checked_oracle_at_10():
-    words = _canonical_words(10)
+    words = generated_words(10)
     assert len(words) == 23_584
     assert words == [
         w for w in leaf_checked_words(10) if not second_condition_violations(w)
@@ -125,9 +131,44 @@ def _counting(monkeypatch, module, name, record):
     monkeypatch.setattr(module, name, counted)
 
 
-def is_orbit_min(w):
-    """``chords._is_orbit_min`` on a word's own back steps."""
-    return chords._is_orbit_min(chords._back_steps(w), chords._back_steps(w[::-1]))
+def handed_facts_match(n):
+    """Each generated diagram carries its interlacement rows and first
+    positions, equal to what the diagram would compute itself."""
+    for cd in _canonical_words(n):
+        w = cd.word
+        assert cd.__dict__["_bits"] == chords._interlacement_bits(w), w
+        assert cd.__dict__["_firsts"] == tuple(w.index(a) for a in range(1, n + 1)), w
+        assert cd._canon is cd
+
+
+def test_generator_hands_on_rows_and_first_positions():
+    for n in range(1, 10):
+        handed_facts_match(n)
+
+
+@pytest.mark.slow
+def test_generator_hands_on_rows_and_first_positions_at_10():
+    handed_facts_match(10)
+
+
+def test_recorded_starts_equal_least_starts(monkeypatch):
+    """At every leaf the generator tests, the starts it recorded as chords
+    closed at the least gap are the candidates ``chords._least_starts``
+    scans for, and the least gap is the least back step."""
+    leaves = []
+    is_min = chords._is_orbit_min
+
+    def checked(back, rback, starts, g):
+        assert min(back) == back[g] == g
+        assert sorted(s for s, _ in starts) == chords._least_starts(back * 2, g), back
+        assert sorted(r for _, r in starts) == chords._least_starts(rback * 2, g), back
+        leaves.append(g)
+        return is_min(back, rback, starts, g)
+
+    monkeypatch.setattr(chords, "_is_orbit_min", checked)
+    for n in range(1, 9):
+        _canonical_words(n)
+    assert len(leaves) > 1_967
 
 
 def test_close_time_prune_cuts_leaf_checks(monkeypatch):

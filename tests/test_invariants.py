@@ -237,7 +237,7 @@ def test_rational_round_trip(q, text):
     assert parse_rational(text) == q
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/", "/2", "1/0", "1.5", "1 / 2"])
+@pytest.mark.parametrize("bad", ["", "x", "1/", "/2", "1/0", "1.5", "1 / 2", "\u0663", "1/\u0663"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -145,6 +145,19 @@ def test_curve_refuses_a_flip_mask_outside_n_bits(flips):
         PlanarCurve(cd, 0)._replace(flips=flips)
 
 
+@pytest.mark.parametrize("code", [(1, 1), None, "1 1"], ids=["word", "none", "text"])
+def test_curve_refuses_a_code_that_is_not_a_diagram(code):
+    """The constructor, ``_make`` and ``_replace`` name the code's type
+    rather than failing on its first attribute read."""
+    name = type(code).__name__
+    with pytest.raises(MalformedCode, match=f"got {name}$"):
+        PlanarCurve(code, 0)
+    with pytest.raises(MalformedCode, match=f"got {name}$"):
+        PlanarCurve._make([code, 0])
+    with pytest.raises(MalformedCode, match=f"got {name}$"):
+        kp.U._replace(code=code)
+
+
 def test_curve_make_and_replace_accept_an_n_bit_mask():
     cd = kp.parse_code("1 1")
     assert PlanarCurve(cd, 0)._replace(flips=1) == PlanarCurve._make([cd, 1]) == (cd, 1)
