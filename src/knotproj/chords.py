@@ -148,7 +148,12 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
     @cached_property
     def _firsts(self) -> tuple[int, ...]:
         """The first position of each label a, at index a - 1, found on
-        first use: label a first occurs where a is the next label."""
+        first use: label a first occurs where a is the next label.
+
+        The enumeration seeds it from its search.  Its readers are
+        :meth:`positions`, ``planar._flip_coset``, ``PlanarCurve.rotations``,
+        ``planar.innermost_teardrop`` and ``invariants.a2_gauss_formula``.
+        """
         firsts: list[int] = []
         for i, x in enumerate(self.word):
             if x > len(firsts):
@@ -182,7 +187,7 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
         """The two positions of ``label`` in the linearized word, ascending."""
         if type(label) is not int or not 1 <= label <= self.n:  # bools too
             raise UnknownLabel(f"label {label!r} not in 1..{self.n}")
-        i = self.word.index(label)
+        i = self._firsts[label - 1]
         return i, self.word.index(label, i + 1)
 
     def __str__(self) -> str:

@@ -170,7 +170,8 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
     within ``m - gap``, and the loop stops at the first that would close
     shorter than ``gap``.  Each diagram carries what the search kept, its
     rows N(a) >> 1 as ``ChordDiagram._bits`` and its first positions as
-    ``ChordDiagram._firsts``, for :func:`planar._flip_coset`.
+    ``ChordDiagram._firsts``, for :func:`planar._flip_coset` and the other
+    readers that ``_firsts`` lists.
     """
     if n == 0:
         return [ChordDiagram._of_canonical(())]

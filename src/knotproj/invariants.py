@@ -7,14 +7,16 @@ multiplying by 8 gives the projection invariant computed by
 :func:`arnold_invariant`; it vanishes on every curve reducible by 1b/s2b
 moves.
 
-:func:`average_a2` visits no resolution and reads no embedding.  It is a
-sum of signs over interleaved chord pairs, read off the Gauss word and its
-interlacement core (``ChordDiagram._bits``) in O(n**2) work.  Its docstring
-derives the sum from the based Gauss-diagram formula for a2 (Polyak and
-Viro, IMRN 1994; Polyak, Topology 37, 1998) and from the flip relation of
-spherical realizations that :mod:`knotproj.planar` propagates (de Fraysseix
-and Ossona de Mendez, Discrete Comput. Geom. 22, 1999).  The derivation also
-shows why every embedding of one code has the same invariant.
+:func:`average_a2` visits no resolution and walks no face.  It is a sum
+of signs over interleaved chord pairs, one sign per pair read off the two
+flip bits of the curve's mask, with the pairs taken from the interlacement
+core (``ChordDiagram._bits``) one row at a time.  Its docstring derives the
+sum from the based Gauss-diagram formula for a2 (Polyak and Viro, IMRN
+1994; Polyak, Topology 37, 1998) and the sign rule of :class:`Resolution`,
+which hold for any mask.  That every embedding of one code has the same
+invariant follows from the component structure of the spherical masks,
+which ``planar._flip_coset`` propagates by the flip relation (de Fraysseix
+and Ossona de Mendez, Discrete Comput. Geom. 22, 1999).
 
 :class:`Resolution`, :func:`resolve` and :func:`a2_gauss_formula` evaluate
 a2 on a single resolution of an embedded curve, from its crossing signs.
@@ -102,15 +104,10 @@ def a2_gauss_formula(r: Resolution, base: int = 0) -> int:
     n = r.base.n
     under_walk = [0] * (n + 1)
     over_walk = [0] * (n + 1)
-    first: dict[int, int] = {}
+    firsts = r.base.code._firsts
     for t, v in enumerate(word):
         w = (t - base) % m
-        if v not in first:
-            first[v] = t
-            over = r.over_under[v - 1]
-        else:
-            over = not r.over_under[v - 1]
-        if over:
+        if r.over_under[v - 1] == (t == firsts[v - 1]):
             over_walk[v] = w
         else:
             under_walk[v] = w
@@ -135,50 +132,46 @@ def a2_gauss_formula(r: Resolution, base: int = 0) -> int:
 
 
 def average_a2(p: PlanarCurve) -> Fraction:
-    """Exact average of a2 over all 2**n resolutions, read from the word alone.
+    """Exact average of a2 over all 2**n resolutions, read from the flip mask.
 
-    Only ``p.word`` and its interlacement core ``p.code._bits`` are read.
+    Only ``p.flips`` and the interlacement core ``p.code._bits`` are read.
     Over the interleaved pairs a, b with first[a] < first[b] < second[a] <
     second[b] (code positions; with labels by first occurrence these are the
     interleaved pairs with a < b) the result is the sum of
 
-        (-1) ** (first[b] - first[a] + |N(a) & N(b)|),
+        (-1) ** (1 + flip[a] + flip[b]),
 
-    divided by 4, where N is the interlacement neighbourhood.
+    +1 when the two flips differ and -1 when they match, divided by 4.
 
     Why.  In :func:`a2_gauss_formula` with base point 0 such a pair counts
     in exactly one of its 4 over/under bit combinations, the arrow pattern
     ``_PV_*`` (a's first passage over, b's first passage under), and there
     it adds sign(a) * sign(b).  Every other bit is free, so the pair adds a
     quarter of that product to the average.  The product is read off the
-    word in two steps.
+    mask in two steps.
 
     1. sign(a) * sign(b) = (-1) ** (1 + flip[a] + flip[b]) in that pattern.
        A sign is -1 exactly when the first passage's over bit differs from
        the flip (:class:`Resolution` derives this rule), so with a's first
        passage over sign(a) = (-1) ** (1 + flip[a]), and with b's first
-       passage under sign(b) = (-1) ** flip[b].
-    2. Every spherical realization satisfies flip[a] ^ flip[b] = (g +
-       |N(a) & N(b)|) mod 2 for interleaved a and b, with g = first[b] -
-       first[a] - 1 the number of positions strictly between their first
-       occurrences (``planar._flip_coset``).  As 1 + g = first[b] -
-       first[a], the exponent of step 1 has the parity of first[b] -
-       first[a] + |N(a) & N(b)|.
+       passage under sign(b) = (-1) ** flip[b].  This holds for any mask.
+    2. The value is the same for every embedding of a code.  Interleaved
+       chords lie in one component of the interlacement graph, and
+       mirroring a component toggles the flips of all its chords, both of
+       the pair's among them, so it keeps their XOR.  The spherical masks
+       of a code are one mask XOR any set of components
+       (``planar._flip_coset``), so every one gives the same sum.
 
-    The term depends on the word alone, so every embedding of a code has the
-    same average.
+    Each chord a counts its interleaved chords b > a at once: the row of a
+    above bit a, against the flips XOR a's own flip spread over every bit.
     """
     bits = p.code._bits
-    first = []  # first[v - 1]: position of v's first occurrence
-    for t, v in enumerate(p.word):
-        if v > len(first):
-            first.append(t)
+    flips = p.flips
     total = 0
     for a, row in enumerate(bits):
-        for b in range(a + 1, len(bits)):
-            if row >> b & 1:
-                parity = first[b] - first[a] + (row & bits[b]).bit_count()
-                total += -1 if parity & 1 else 1
+        above = row >> (a + 1) << (a + 1)
+        differ = above & (flips ^ -(flips >> a & 1))
+        total += 2 * differ.bit_count() - above.bit_count()
     return Fraction(total, 4)
 
 

@@ -169,10 +169,15 @@ def apply_move(p: PlanarCurve, move: Move) -> PlanarCurve:
 
     The map is edited, not re-realized: :func:`planar._drop_labels` keeps
     every surviving crossing's flip, and the result keeps the walk that checks it.
+    Any value equal to an applicable move, a plain (kind, site) tuple too, is
+    applied as that move; any other raises :class:`InapplicableMove`.
     """
-    if move not in applicable_moves(p):
-        raise InapplicableMove(f"{move} is not applicable to {p!r}")
-    return planar._embed(*planar._drop_labels(p.word, p.flips, move.site))
+    moves = applicable_moves(p)
+    if move not in moves:
+        shown = move if type(move) is Move and type(move.site) is tuple else repr(move)
+        raise InapplicableMove(f"{shown} is not applicable to {p!r}")
+    _, site = move  # a Move, or a plain tuple equal to one
+    return planar._embed(*planar._drop_labels(p.word, p.flips, site))
 
 
 def _loops(word: tuple[int, ...]) -> set[int]:

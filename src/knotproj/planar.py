@@ -168,13 +168,12 @@ class PlanarCurve(chords._Frozen, _PlanarCurveFields):
     def rotations(self) -> tuple[tuple[int, int, int, int], ...]:
         # the rotation successor of dart a is step[a ^ 1]
         step = _face_step(self.word, self.flips)
-        rings = [()] * self.n
-        for t, v in enumerate(self.word):
-            if not rings[v - 1]:  # v's first occurrence: in1 = 2t - 1 (mod 4n)
-                ring = [(2 * t - 1) % len(step)]
-                for _ in range(3):
-                    ring.append(step[ring[-1] ^ 1])
-                rings[v - 1] = tuple(ring)
+        rings = []
+        for t in self.code._firsts:  # v's first occurrence: in1 = 2t - 1 (mod 4n)
+            ring = [(2 * t - 1) % len(step)]
+            for _ in range(3):
+                ring.append(step[ring[-1] ^ 1])
+            rings.append(tuple(ring))
         return tuple(rings)
 
     @cached_property
@@ -508,23 +507,25 @@ def innermost_teardrop(p: PlanarCurve) -> Teardrop:
     """A teardrop whose interval contains no other teardrop's interval.
 
     Containment is proper inclusion of the position sets.  It is read off
-    the word in one pass: chord v with positions t1 < t2 has two sides, the
-    t2 - t1 - 1 positions strictly between them and the (t1 - t2 - 1) mod 2n
-    that wrap past the end of the word, and the shortest side of any chord
-    (ties broken by smallest origin label, then loop start, so the result is
-    deterministic) is the teardrop returned.  It is a teardrop, since a label
-    twice inside it would give that chord a strictly shorter side; and it is
-    innermost, since a teardrop properly inside it would be shorter still.
-    Teardrops are sides too, so this is also the shortest teardrop.
+    the word in one pass, each label's first position from
+    ``ChordDiagram._firsts``: chord v with positions t1 < t2 has two sides,
+    the t2 - t1 - 1 positions strictly between them and the (t1 - t2 - 1)
+    mod 2n that wrap past the end of the word, and the shortest side of any
+    chord (ties broken by smallest origin label, then loop start, so the
+    result is deterministic) is the teardrop returned.  It is a teardrop,
+    since a label twice inside it would give that chord a strictly shorter
+    side; and it is innermost, since a teardrop properly inside it would be
+    shorter still.  Teardrops are sides too, so this is also the shortest
+    teardrop.
     """
     if p.n == 0:
         raise NoCrossings("U has no crossings, hence no teardrops")
     w = p.word
     m = len(w)
-    first: dict[int, int] = {}
+    firsts = p.code._firsts
     sides = []
     for t, v in enumerate(w):
-        t1 = first.setdefault(v, t)
+        t1 = firsts[v - 1]
         if t1 < t:
             sides += [(t - t1 - 1, v, t1), ((t1 - t - 1) % m, v, t)]
     size, origin, start = min(sides)
@@ -652,12 +653,13 @@ def connected_sum(
       in2), toggling its flip.  The straddling chords are those with exactly
       one occurrence in ``w2[:site2 + 1]``, the XOR of their bits.
 
-    The spliced word is relabeled by first occurrence, each bit moving with
-    its label, which makes it normal by construction, so it is not validated
-    again.  Code-level readers that do not depend on label names, such as
-    the triple-chord count of ``verify._splice_pools`` (through
-    ``verify._splice_rows``), read the same unrelabeled word (p1's head,
-    :func:`_splice_block`, p1's tail) directly and build no curve.
+    The spliced word is relabeled by first occurrence
+    (:func:`chords._relabel`), each bit moving with its label, which makes
+    it normal by construction, so it is not validated again.  Code-level
+    readers that do not depend on label names, such as the triple-chord
+    count of ``verify._splice_pools`` (through ``verify._splice_rows``),
+    read the same unrelabeled word (p1's head, :func:`_splice_block`, p1's
+    tail) directly and build no curve.
     """
     _check_site(p1, site1, "site1")
     _check_site(p2, site2, "site2")
@@ -672,9 +674,8 @@ def connected_sum(
         straddling ^= 1 << (x - 1)
     flips = p1.flips | (p2.flips ^ straddling) << n1
     spliced = _splice_word(p1.word, w2, site1, site2)
-    ids: dict[int, int] = {}
-    word = tuple([ids.setdefault(x, len(ids) + 1) for x in spliced])
+    word = chords._relabel(spliced)
     mask = 0
-    for x, y in ids.items():
+    for x, y in zip(spliced, word):
         mask |= (flips >> (x - 1) & 1) << (y - 1)
     return PlanarCurve(ChordDiagram._of_normal(word), mask)

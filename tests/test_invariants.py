@@ -4,6 +4,7 @@ import pytest
 
 from knotproj import (
     ChordDiagram,
+    PlanarCurve,
     U,
     a2_gauss_formula,
     all_realizations,
@@ -24,6 +25,7 @@ from conftest import (
     crossing_sign,
     dart_average_a2,
     mask_rings,
+    pairing_words,
     resolutions,
     skein_average_a2,
     sweep_average_a2,
@@ -165,6 +167,20 @@ def test_pair_sum_matches_sweep_on_every_embedding():
         for p in enumerate_curves(n):
             for q in all_realizations(p.code):
                 assert average_a2(q) == sweep_average_a2(q)
+
+
+def test_pair_sum_matches_sweep_on_every_mask_through_n4():
+    # every word and every mask, spherical or not: the pair sum is the
+    # average over the resolutions of the mask it is given
+    checked = 0
+    for n in range(1, 5):
+        for word in pairing_words(n):
+            cd = ChordDiagram(word)
+            for m in range(2 ** n):
+                p = PlanarCurve(cd, m)
+                assert average_a2(p) == sweep_average_a2(p), (word, m)
+                checked += 1
+    assert checked == 1814
 
 
 def test_pair_sum_matches_sweep_through_n7():

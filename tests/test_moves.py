@@ -87,6 +87,21 @@ def test_apply_rejects_inapplicable():
         apply_move(U, Move("1b", (1,)))
 
 
+def test_apply_malformed_move_raises_inapplicable():
+    p = curve("1 1 2 2")
+    with pytest.raises(InapplicableMove, match=r"^1b@3 is not applicable"):
+        apply_move(p, Move("1b", (3,)))
+    for bad in [Move("1b", 1), Move("s2b", [1, 2]), ("1b",), 3, None]:
+        with pytest.raises(InapplicableMove, match="is not applicable"):
+            apply_move(p, bad)
+
+
+def test_apply_plain_tuple_as_the_move_it_equals():
+    p = curve("1 1 2 3 3 2")
+    for mv in applicable_moves(p):
+        assert apply_move(p, tuple(mv)) == apply_move(p, mv)
+
+
 def test_moves_only_delete():
     p = curve("1 1 2 3 3 2")
     for mv in applicable_moves(p):
