@@ -150,9 +150,11 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
         """The first position of each label a, at index a - 1, found on
         first use: label a first occurs where a is the next label.
 
-        The enumeration seeds it from its search.  Its readers are
-        :meth:`positions`, ``planar._flip_coset``, ``PlanarCurve.rotations``,
-        ``planar.innermost_teardrop`` and ``invariants.a2_gauss_formula``.
+        The enumeration seeds it from its search, as the positions whose
+        back step (:func:`_back_steps`) wraps past the word's start.  Its
+        readers are :meth:`positions`, ``planar._flip_coset``,
+        ``PlanarCurve.rotations``, ``planar.innermost_teardrop`` and
+        ``invariants.a2_gauss_formula``.
         """
         firsts: list[int] = []
         for i, x in enumerate(self.word):
@@ -197,14 +199,14 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
 def parse_code(text: str) -> ChordDiagram:
     """Parse a Gauss-code string into a :class:`ChordDiagram`.
 
-    Tokens are separated by whitespace and/or commas and must be positive
-    integers written in ASCII decimal digits (no sign, underscore or other
-    script), each appearing exactly twice.  Labels are renamed to 1..n by
-    first occurrence; the empty string gives U.
+    Tokens are separated by whitespace and/or commas, leading and trailing
+    ones included, and must be positive integers written in ASCII decimal
+    digits (no sign, underscore or other script), each appearing exactly
+    twice.  Labels are renamed to 1..n by first occurrence; a string with no
+    token gives U.
     """
-    stripped = text.strip()
     labels = []
-    for tok in _SEP.split(stripped) if stripped else []:
+    for tok in filter(None, _SEP.split(text)):
         try:
             # int() alone also takes "+1", "1_0" and non-ASCII digits
             if not (tok.isascii() and tok.removeprefix("-").isdigit()):

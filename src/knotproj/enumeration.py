@@ -171,7 +171,11 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
     shorter than ``gap``.  Each diagram carries what the search kept, its
     rows N(a) >> 1 as ``ChordDiagram._bits`` and its first positions as
     ``ChordDiagram._firsts``, for :func:`planar._flip_coset` and the other
-    readers that ``_firsts`` lists.
+    readers that ``_firsts`` lists.  The first positions are read off
+    ``back``: a chord of length d with endpoints p < q has ``back[p] = m - d``
+    and ``back[q] = d``, and m - d > p while d <= q, so the positions p with
+    ``back[p] > p`` are the first endpoints, ascending, which in a normalized
+    word is label order.
     """
     if n == 0:
         return [ChordDiagram._of_canonical(())]
@@ -189,9 +193,7 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
         pref = [0] * (m + 1)
         for k in range(gap + 1):
             pref[k + 1] = pref[k] ^ (1 << word[k])
-        # first[a] is label a's first position (a - 1 in the prefix); the
-        # open chords' first positions ascend, and so do their labels
-        first = list(range(-1, n))
+        # the open chords' first positions, ascending, as are their labels
         opens = list(range(1, gap))
         # (a, N(a)) of each closed chord, bit b of N(a) for label b
         closed = [(1, pref[gap] ^ pref[1])]
@@ -216,7 +218,8 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
                     for a, na in closed:
                         rows[a - 1] = na >> 1
                     cd.__dict__["_bits"] = tuple(rows)
-                    cd.__dict__["_firsts"] = tuple(first[1:])
+                    # a first endpoint's back step wraps past the word's start
+                    cd.__dict__["_firsts"] = tuple([p for p in range(m) if back[p] > p])
                     out.append(cd)
                 return
             if opens and i > opens[0] + slack:
@@ -256,7 +259,6 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
                         starts.pop()
             if fresh <= n:
                 opens.append(i)
-                first[fresh] = i
                 word[i] = fresh
                 back[i] = 0  # a fresh label repeats nothing
                 pref[i + 1] = pref[i] ^ (1 << fresh)
@@ -272,12 +274,11 @@ def enumerate_curves(n: int) -> list[PlanarCurve]:
 
     Codes come out canonical and in ascending word order, generated afresh
     on each call.  Each curve's code is the diagram the generator built,
-    with the interlacement rows and first positions it handed on.  Raises
-    :class:`BudgetExceeded` where :func:`check_budget` refuses n.
+    with the interlacement rows and first positions it handed on; n = 0
+    takes the same path to ``[U]``.  Raises :class:`BudgetExceeded` where
+    :func:`check_budget` refuses n.
     """
     check_budget(n)
-    if n == 0:
-        return [planar.U]
     found = []
     for cd in _canonical_words(n):
         # the generator already pruned parity failures; this pass over the

@@ -72,8 +72,9 @@ builds no curve and no interlacement core while it looks for a move.
   (``PlanarCurve._walk``), which a realized curve, or a move's result, has
   made already.
 * Deleting crossings keeps every survivor's flip and relabels the survivors
-  by rank (:func:`planar._drop_labels`), and a curve is fixed by its word
-  and flip mask.  So the carried word and mask are the curve that a face
+  by first occurrence, each flip bit moving with its label
+  (:func:`planar._drop_labels`), and a curve is fixed by its word and flip
+  mask.  So the carried word and mask are the curve that a face
   trace after every move would have reached, with the same moves.
 
 The run builds no curve: it returns its end state, the (word, flip mask)
@@ -128,13 +129,19 @@ __all__ = [
 
 
 class Move(NamedTuple):
-    """A single reduction move: kind "1b" with site (v,), or "s2b" with (a, b)."""
+    """A single reduction move: kind "1b" with site (v,), or "s2b" with (a, b).
+
+    Its text is ``kind@site``, the site's labels joined by commas; a site
+    that is not a tuple or list prints as a one-label site, so
+    ``Move("1b", 1)`` reads ``1b@1``.
+    """
 
     kind: str
     site: tuple[int, ...]
 
     def __str__(self) -> str:
-        return f"{self.kind}@{','.join(map(str, self.site))}"
+        site = self.site if isinstance(self.site, (tuple, list)) else (self.site,)
+        return f"{self.kind}@{','.join(map(str, site))}"
 
 
 class ReductionTrace(NamedTuple):
@@ -174,7 +181,7 @@ def apply_move(p: PlanarCurve, move: Move) -> PlanarCurve:
     """
     moves = applicable_moves(p)
     if move not in moves:
-        shown = move if type(move) is Move and type(move.site) is tuple else repr(move)
+        shown = move if type(move) is Move else repr(move)
         raise InapplicableMove(f"{shown} is not applicable to {p!r}")
     _, site = move  # a Move, or a plain tuple equal to one
     return planar._embed(*planar._drop_labels(p.word, p.flips, site))

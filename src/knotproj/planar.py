@@ -42,8 +42,9 @@ permutation then confirms the candidate or shows the code is not spherical.
 Faces, monogons, strong 2-gons and the connected-sum structure all live
 here because they need the realized map (or feed it); a connected sum
 splices two maps and a prime decomposition splits one, each carrying the
-flip bits, with no flip search.  Teardrop loops live
-here too, but read only the word, not the map.
+flip bits, with no flip search; both, like a move, relabel the surviving
+crossings through :func:`_drop_labels`.  Teardrop loops live here too, but
+read only the word, not the map.
 
 A code can admit several inequivalent spherical embeddings (``1 1 2 2``
 already has two, with face profiles (1,1,2,4) and (1,1,3,3)), so
@@ -377,11 +378,15 @@ def _curve_for_mask(cd: ChordDiagram, mask: int) -> PlanarCurve | None:
     The faces are only counted (:func:`_face_walk`); the curve keeps that
     walk as its ``_walk`` and builds its faces when they are first read.
     Its ``code`` is ``cd`` itself, which keeps the interlacement core ``cd``
-    has already built.
+    has already built.  The empty word's two degree-0 faces pass, and its
+    curve is :data:`U` itself: this is the one place an entry point gets U
+    for n = 0.
     """
     walk = _face_walk(cd.word, mask)
     if len(walk[0]) != cd.n + 2:
         return None
+    if not cd.word:
+        return U
     p = PlanarCurve(cd, mask)
     p.__dict__["_walk"] = walk
     return p
@@ -390,21 +395,27 @@ def _curve_for_mask(cd: ChordDiagram, mask: int) -> PlanarCurve | None:
 def _drop_labels(
     word: tuple[int, ...], mask: int, drop
 ) -> tuple[tuple[int, ...], int]:
-    """Delete the labels in ``drop`` from a normalized word and its flip mask.
+    """Delete the labels in ``drop`` from a word and its flip mask, and relabel.
 
-    Survivors are relabeled by rank, which is first-occurrence order again,
-    so the word stays normalized, and each survivor keeps its flip bit.
+    ``word`` holds labels 1..n, each twice, in any order.  One pass numbers
+    each survivor at its first occurrence, so the word comes out normalized,
+    and moves its flip bit with it.  Moves, prime factors and connected sums
+    (with nothing dropped) all relabel through here.
     """
     rank = [0] * (len(word) // 2 + 1)
-    kept = 0
-    out = 0
-    for v in range(1, len(rank)):
-        if v in drop:
-            continue
-        out |= (mask >> (v - 1) & 1) << kept
-        kept += 1
-        rank[v] = kept
-    return tuple([rank[x] for x in word if rank[x]]), out
+    for v in drop:
+        rank[v] = -1
+    out = []
+    kept = flips = 0
+    for x in word:
+        r = rank[x]
+        if not r:
+            flips |= (mask >> (x - 1) & 1) << kept
+            kept += 1
+            r = rank[x] = kept
+        if r > 0:
+            out.append(r)
+    return tuple(out), flips
 
 
 def _not_spherical(word: tuple[int, ...], mask: int) -> NotRealizable:
@@ -419,12 +430,11 @@ def _embed(word: tuple[int, ...], mask: int) -> PlanarCurve:
     """The curve with this normalized word and flip mask, after one face walk.
 
     The curve keeps the walk (:func:`_curve_for_mask`), so the moves of a
-    move's result are read without another.  The word is normal by
-    construction (:func:`_drop_labels`), so it is not validated again.
-    Raises :class:`NotRealizable` unless the walk gives n + 2 faces.
+    move's result are read without another; the empty word gives U.  The
+    word is normal by construction (:func:`_drop_labels`), so it is not
+    validated again.  Raises :class:`NotRealizable` unless the walk gives
+    n + 2 faces.
     """
-    if not word:
-        return U
     q = _curve_for_mask(ChordDiagram._of_normal(word), mask)
     if q is None:
         raise _not_spherical(word, mask)
@@ -447,11 +457,10 @@ def all_realizations(cd: ChordDiagram) -> list[PlanarCurve]:
 
     Only the 2**k masks of the coset from :func:`_flip_coset` can be
     spherical (k interlacement components); each is confirmed by its own
-    face walk.  Used to check that realization-dependent quantities do not
-    actually depend on the realization found first.
+    face walk, and the empty diagram's one mask gives ``[U]``.  Used to
+    check that realization-dependent quantities do not actually depend on
+    the realization found first.
     """
-    if cd.n == 0:
-        return [U]
     base, components = _flip_coset(cd)
     masks = [base]
     for comp in components:
@@ -465,10 +474,9 @@ def realize(cd: ChordDiagram) -> PlanarCurve:
 
     Raises :class:`NotRealizable` when no transversal rotation system has
     n + 2 faces; the message names the failing parity chord when the cheap
-    necessary condition already rules the code out.
+    necessary condition already rules the code out.  The empty code passes
+    both steps and gives U itself (:func:`_curve_for_mask`).
     """
-    if cd.n == 0:
-        return U
     odd = chords.gauss_parity_violations(cd)
     if odd:
         raise NotRealizable(
@@ -552,12 +560,13 @@ def prime_decompose(p: PlanarCurve) -> list[PlanarCurve]:
     """Connected-sum factors, each prime: one per interlacement component.
 
     A factor is ``p`` with every crossing outside one component of the
-    interlacement graph (:func:`chords._components`) deleted, each survivor
-    keeping its flip bit (:func:`_drop_labels`), so no factor is realized
-    again.  That mask is spherical: a closed interval (a proper cyclic
-    interval closed under the chord pairing) is an arc of the curve that
-    meets the rest only at its two ends, and a circle on the sphere round
-    that arc cuts the curve twice.  Replacing the other side's arc by a
+    interlacement graph (:func:`chords._components`) deleted by
+    :func:`_drop_labels`, which relabels the survivors by first occurrence
+    and moves each one's flip bit with it, so no factor is realized again.
+    That mask is spherical: a closed interval (a proper cyclic interval
+    closed under the chord pairing) is an arc of the curve that meets the
+    rest only at its two ends, and a circle on the sphere round that arc
+    cuts the curve twice.  Replacing the other side's arc by a
     simple arc along that circle draws the part as a closed curve on the
     same sphere, and each of its crossings keeps its local picture, hence
     its flip.  A factor is what repeated splitting at closed intervals
@@ -653,9 +662,9 @@ def connected_sum(
       in2), toggling its flip.  The straddling chords are those with exactly
       one occurrence in ``w2[:site2 + 1]``, the XOR of their bits.
 
-    The spliced word is relabeled by first occurrence
-    (:func:`chords._relabel`), each bit moving with its label, which makes
-    it normal by construction, so it is not validated again.  Code-level
+    The spliced word is relabeled by first occurrence, each bit moving with
+    its label, by :func:`_drop_labels` with nothing dropped, which makes it
+    normal by construction, so it is not validated again.  Code-level
     readers that do not depend on label names, such as the triple-chord
     count of ``verify._splice_pools`` (through ``verify._splice_rows``),
     read the same unrelabeled word (p1's head, :func:`_splice_block`, p1's
@@ -673,9 +682,5 @@ def connected_sum(
     for x in w2[: site2 + 1]:
         straddling ^= 1 << (x - 1)
     flips = p1.flips | (p2.flips ^ straddling) << n1
-    spliced = _splice_word(p1.word, w2, site1, site2)
-    word = chords._relabel(spliced)
-    mask = 0
-    for x, y in zip(spliced, word):
-        mask |= (flips >> (x - 1) & 1) << (y - 1)
+    word, mask = _drop_labels(_splice_word(p1.word, w2, site1, site2), flips, ())
     return PlanarCurve(ChordDiagram._of_normal(word), mask)

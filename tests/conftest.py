@@ -340,6 +340,36 @@ def _relabel(labels):
     return tuple(seen.setdefault(x, len(seen) + 1) for x in labels)
 
 
+def rank_drop_labels(word, mask, drop):
+    """The labels in ``drop`` deleted from a normalized word and its flip mask.
+
+    Survivors are relabeled by rank, which is their first-occurrence order in
+    a normalized word, and bit v-1 of ``mask`` moves to the survivor's rank:
+    the reference for ``planar._drop_labels`` on moves and prime factors.
+    """
+    rank = [0] * (len(word) // 2 + 1)
+    kept = out = 0
+    for v in range(1, len(rank)):
+        if v in drop:
+            continue
+        out |= (mask >> (v - 1) & 1) << kept
+        kept += 1
+        rank[v] = kept
+    return tuple(rank[x] for x in word if rank[x]), out
+
+
+def zip_relabeled(word, mask):
+    """``word`` relabeled by first occurrence, each bit of ``mask`` moved
+    along ``zip(word, relabeled)`` to its new label: the reference for
+    ``planar._drop_labels`` with nothing dropped, as ``connected_sum`` calls
+    it on a spliced word."""
+    relabeled = _relabel(word)
+    out = 0
+    for x, y in zip(word, relabeled):
+        out |= (mask >> (x - 1) & 1) << (y - 1)
+    return relabeled, out
+
+
 def canonical_text_full_relabel(cd):
     """Canonical code text: relabel all 4n rotations and reflections, take the min."""
     w = cd.word

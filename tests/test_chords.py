@@ -47,6 +47,9 @@ words = st.integers(min_value=0, max_value=6).flatmap(
 
 def test_parse_accepts_commas_and_whitespace():
     assert parse_code("1, 2 ,3\t1\n2 3").word == (1, 2, 3, 1, 2, 3)
+    # a separator at either end is ignored, a comma as well as whitespace
+    for text in ("1 1,", ",1 1", " ,1,,1, "):
+        assert parse_code(text).word == (1, 1), text
 
 
 def test_parse_relabels_by_first_occurrence():
@@ -57,6 +60,7 @@ def test_parse_relabels_by_first_occurrence():
 def test_parse_empty_is_u():
     cd = parse_code("")
     assert cd.word == () and cd.n == 0
+    assert parse_code(" , ") == cd
 
 
 @pytest.mark.parametrize(

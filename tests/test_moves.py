@@ -96,6 +96,11 @@ def test_apply_malformed_move_raises_inapplicable():
             apply_move(p, bad)
 
 
+def test_move_text_reads_a_bare_site_as_one_label():
+    assert str(Move("1b", 1)) == "1b@1"
+    assert str(Move("s2b", [1, 2])) == "s2b@1,2"
+
+
 def test_apply_plain_tuple_as_the_move_it_equals():
     p = curve("1 1 2 3 3 2")
     for mv in applicable_moves(p):

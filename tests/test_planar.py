@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -34,12 +35,14 @@ from conftest import (
     leaf_checked_words,
     mask_rings,
     pairing_words,
+    rank_drop_labels,
     realized_connected_sum,
     recursive_prime_decompose,
     ring_traced_faces,
     strong_bigon_sites,
     sweep_realizations,
     trace_face_count,
+    zip_relabeled,
 )
 
 
@@ -491,6 +494,45 @@ def test_connected_sum_splices_the_embeddings():
                                     assert all(diff & c in (0, c) for c in components)
                                     splices += 1
     assert (sites, splices) == (1_656, 53_184)
+
+
+def test_drop_labels_matches_the_rank_and_zip_relabels():
+    """``_drop_labels`` is the one relabel that carries flips.  It equals the
+    rank relabel on every one- and two-label drop of every embedding with
+    n <= 7, and first-occurrence relabeling with each bit moved along the
+    zip on the spliced word and carried mask of every site pair of every
+    pair of embeddings with n1 + n2 <= 6, which is ``connected_sum``'s
+    result there too."""
+    embeddings = {
+        n: [r for p in enumerate_curves(n) for r in all_realizations(p.code)]
+        for n in range(1, 8)
+    }
+    drops = 0
+    for n, curves in embeddings.items():
+        sites = [(v,) for v in range(1, n + 1)] + list(combinations(range(1, n + 1), 2))
+        for r in curves:
+            for site in sites:
+                want = rank_drop_labels(r.word, r.flips, site)
+                assert planar._drop_labels(r.word, r.flips, site) == want, (r, site)
+                drops += 1
+    splices = 0
+    for n1 in range(1, 6):
+        for n2 in range(1, 7 - n1):
+            for a in embeddings[n1]:
+                for b in embeddings[n2]:
+                    for s1 in range(2 * n1):
+                        for s2 in range(2 * n2):
+                            straddling = 0
+                            for x in b.word[: s2 + 1]:
+                                straddling ^= 1 << (x - 1)
+                            flips = a.flips | (b.flips ^ straddling) << n1
+                            w = planar._splice_word(a.word, b.word, s1, s2)
+                            want = zip_relabeled(w, flips)
+                            assert planar._drop_labels(w, flips, ()) == want
+                            q = connected_sum(a, b, s1, s2)
+                            assert (q.word, q.flips) == want, (a, b, s1, s2)
+                            splices += 1
+    assert (drops, splices) == (192_244, 53_184)
 
 
 def test_splice_word_is_the_connected_sum_code_before_relabeling():
