@@ -20,6 +20,27 @@ the tallies, so it holds one n's curves at a time, besides
 connected-sum-lemma's triple-chord-free pools below the bound.  A report's
 ``elapsed`` is its own check's time; the enumeration and the triple-chord
 counts belong to the pass.
+
+The triple-chord count does not change when a word is rotated or
+relabeled, so connected-sum-lemma reads one splice for each class of
+splices that two identities make equal up to rotation and relabeling.
+R(w, s) is the rotation of w that starts after site s:
+
+* swap: the splice of p2 into p1 at sites (s1, s2) is a rotation of
+  R(w1, s1) followed by R(w2, s2), and the splice of p1 into p2 at
+  (s2, s1) is a rotation of the same two parts in the other order, so a
+  pair is read only with p1 no later than p2 in census order, and a curve
+  spliced into itself only at unordered pairs of site classes;
+* site classes: two sites of one summand whose rotations have the same
+  back steps give the same rotation up to relabeling, and so the same
+  splices, so only the first site of each class is read.
+
+Each splice read is read whole, head, block and tail, from its own word:
+rows assembled from the summands' interlacement graphs would assume that
+no chord of one summand interleaves a chord of the other, which is the
+lemma's proof, not a test of it.  ``curves_tested`` counts the ordered
+pairs; a failing report lists one violation per splice read, not one per
+ordered site pair.
 """
 
 from __future__ import annotations
@@ -158,10 +179,28 @@ def _two_strong_bigons(t: _Tally, n: int, batch: list, table: dict) -> None:
             t.violations.append((_code(p), f"only {k} strong 2-gon(s)"))
 
 
+def _site_classes(w: tuple[int, ...]) -> list[int]:
+    """The first site of each class of ``w``'s sites, ascending.
+
+    A site s cuts ``w`` into the rotation ``w[s + 1:] + w[:s + 1]``.  Two
+    sites are in one class when their rotations are the same word up to
+    relabeling, which is exactly when the rotations' back steps agree:
+    ``chords._back_steps(w) * 2`` sliced at ``[s + 1 : s + 1 + m]``.  Back
+    steps name no label, and they fix the word up to its labels, since each
+    position's partner lies that many steps back.
+    """
+    m = len(w)
+    back = chords._back_steps(w) * 2
+    firsts: dict[tuple[int, ...], int] = {}
+    for s in range(m):
+        firsts.setdefault(tuple(back[s + 1 : s + 1 + m]), s)
+    return list(firsts.values())
+
+
 def _heads(
-    w1: tuple[int, ...],
+    w1: tuple[int, ...], sites: list[int]
 ) -> list[tuple[tuple[list[int], int], tuple[int, ...]]]:
-    """For each edge ``site1`` of ``w1``: the reader's state after the head, and the tail.
+    """For each site1 in ``sites``: the reader's state after the head, and the tail.
 
     The head ``w1[:site1 + 1]`` is read by ``chords._read`` from the empty
     state of w1's n1 chords (the head holds no other label); the tail is
@@ -169,7 +208,7 @@ def _heads(
     """
     n1 = len(w1) // 2
     heads = []
-    for site1 in range(2 * n1):
+    for site1 in sites:
         rows = [1 << i for i in range(n1)]
         prefix = chords._read(rows, 0, w1[: site1 + 1])
         heads.append(((rows, prefix), w1[site1 + 1:]))
@@ -204,44 +243,71 @@ def _pool_triple_free(t: _Tally, n: int, batch: list, table: dict) -> None:
 def _splice_pools(t: _Tally) -> None:
     """Splicing two triple-chord-free curves is triple-chord-free, at every site.
 
-    Each pair of pooled curves with n1 + n2 <= max_n is spliced at every
-    pair of sites once every pool is in.  Each splice is read as its word,
-    ``planar._splice_word``: the spliced
-    code of ``planar.connected_sum`` before its relabeling by first
-    occurrence, with no curve, diagram or relabel built.  Relabeling only
-    renames chords, and the triple-chord count does not depend on names, so
-    the count is that of ``connected_sum``'s code.  The interlacement graph
-    is built from the whole spliced word, not assembled from the summands'
-    graphs: that would assume no chord of one summand interleaves a chord
-    of the other, which is the lemma's proof, not a test of it.  The check
+    Each ordered pair of pooled curves with n1 + n2 <= max_n, at each pair
+    of sites, is covered once every pool is in; ``curves_tested`` counts
+    the ordered pairs.  A splice is read as its word,
+    ``planar._splice_word``: the spliced code of ``planar.connected_sum``
+    before its relabeling by first occurrence, with no curve, diagram or
+    relabel built.  The triple-chord count does not change when a word is
+    rotated or relabeled, so one splice is read for each class of splices
+    that two identities make equal up to rotation and relabeling.  Write
+    R(w, s) for the rotation ``w[s + 1:] + w[:s + 1]``:
+
+    * swap: the splice at (p1, s1, p2, s2), ``w1[:s1 + 1] + block +
+      w1[s1 + 1:]``, is a rotation of R(w1, s1) followed by R(w2, s2)
+      shifted by n1 (move the head to the end).  The splice at (p2, s2,
+      p1, s1) is a rotation of the same two parts in the other order, and
+      so of the first splice up to relabeling.  So the pairs with n1 <= n2
+      are read, with i1 <= i2 in the pool when n1 == n2, and only unordered
+      pairs of site classes when p1 is p2;
+    * site classes: sites s and s' of one summand with the same back steps
+      (:func:`_site_classes`) give the same R(w, .) up to relabeling, and
+      the two parts of a splice carry disjoint labels, so their splices are
+      equal up to relabeling.  So only the first site of each class is
+      read, on both summands.
+
+    At max-n 7 that is 572 splices in place of the 3,540 ordered ones;
+    9,804 in place of 46,780 at max-n 9.  A failing report lists one
+    violation per splice read, at its sites, not one per ordered site pair.
+
+    Each splice read is the head ``w1[:s1 + 1]``, p2's block
+    (``planar._splice_block``) and the tail ``w1[s1 + 1:]``.  The
+    prefix-XOR reader ``chords._read`` reads the word left to right, and
+    its state after the head depends only on the head, so that state is
+    read once per p1 and site class (:func:`_heads`), each p2's blocks are
+    built once per n1, and each splice reads its own block and tail on a
+    copy of the head's state (:func:`_splice_rows`).  Its rows are then
+    exactly ``chords._interlacement_bits`` of its whole spliced word.  No
+    rows come from a summand's graph: assembling them from the summands'
+    graphs would assume that no chord of one summand interleaves a chord of
+    the other, which is the lemma's proof, not a test of it.  The check
     stays at the code level: the spliced code is the same for every
     embedding of the summands and for p2's mirror, so it reads no flips,
     and checking the lemma for curves needs a statement about the map.
-
-    The splice at sites (s1, s2) is the head ``w1[:s1 + 1]``, p2's block
-    (``planar._splice_block``) and the tail ``w1[s1 + 1:]``.  The
-    prefix-XOR reader ``chords._read`` reads the word left to right, and
-    its state after the head depends only on the head, which is the same
-    symbols for every splice with that p1 and s1.  So that state is read
-    once per p1 and s1 (:func:`_heads`), each p2's 2 * n2 blocks are built
-    once per n1, and each splice reads its own block and tail on a copy of
-    the head's state (:func:`_splice_rows`).  Its rows are then exactly
-    ``chords._interlacement_bits`` of its spliced word: every symbol of the
-    word is read, in order, and nothing comes from a summand's graph.
     """
     pools = t.pools
-    for n1 in range(1, t.max_n):
-        heads = [_heads(p1.word) for p1 in pools[n1]]
-        for n2 in range(1, t.max_n - n1 + 1):
+    top = t.max_n
+    t.tested += sum(
+        len(pools[n1]) * len(pools[n2])
+        for n1 in range(1, top)
+        for n2 in range(1, top - n1 + 1)
+    )
+    classes = {
+        n: [(p, _site_classes(p.word)) for p in pool] for n, pool in pools.items()
+    }
+    for n1 in range(1, top // 2 + 1):
+        heads = [(p1, s, _heads(p1.word, s)) for p1, s in classes[n1]]
+        for n2 in range(n1, top - n1 + 1):
             blocks = [
-                [planar._splice_block(p2.word, s2, n1) for s2 in range(2 * n2)]
-                for p2 in pools[n2]
+                (p2, s, [planar._splice_block(p2.word, s2, n1) for s2 in s])
+                for p2, s in classes[n2]
             ]
-            for p1, p1_heads in zip(pools[n1], heads):
-                for p2, p2_blocks in zip(pools[n2], blocks):
-                    t.tested += 1
-                    for s1, (head, tail) in enumerate(p1_heads):
-                        for s2, rows in enumerate(_splice_rows(head, p2_blocks, tail)):
+            for i1, (p1, sites1, p1_heads) in enumerate(heads):
+                for p2, sites2, p2_blocks in blocks[i1 if n1 == n2 else 0:]:
+                    for k1, (s1, (head, tail)) in enumerate(zip(sites1, p1_heads)):
+                        k0 = k1 if p1 is p2 else 0
+                        read = _splice_rows(head, p2_blocks[k0:], tail)
+                        for s2, rows in zip(sites2[k0:], read):
                             tr = chords._triangles(rows)
                             if tr:
                                 t.violations.append(

@@ -7,9 +7,11 @@ limited to its value types (``ChordDiagram``, ``PlanarCurve``, ``Face``,
 ``Move``, ``Teardrop``, ``ReductionTrace``), ``canonicalize`` and ``realize``
 where an oracle checks a later stage, and the few internals an oracle is
 built around (``planar._flip_coset``'s span, ``invariants.resolve``,
-``a2_gauss_formula``, the ``_PV_*`` arrow pattern, and
+``a2_gauss_formula``, the ``_PV_*`` arrow pattern,
 ``chords._first_closed_interval`` with ``planar._drop_labels`` for the
-recursive splitter :func:`recursive_prime_decompose`).
+recursive splitter :func:`recursive_prime_decompose`, and
+``chords._interlacement_bits`` with ``chords._triangles`` for the
+triple-chord count of each splice in :func:`ordered_splices`).
 :func:`is_orbit_min` is a driver, not an oracle: it hands
 ``chords._is_orbit_min`` the candidate starts that ``chords._least_starts``
 scans for, so any word can be tested.  In particular the
@@ -841,6 +843,44 @@ def realized_connected_sum(p1, p2, site1, site2):
     shifted = tuple(x + p1.n for x in w2[site2 + 1:] + w2[: site2 + 1])
     merged = p1.word[: site1 + 1] + shifted + p1.word[site1 + 1:]
     return realize(ChordDiagram.from_labels(merged))
+
+
+def ordered_splices(pools, max_n):
+    """Every ordered splice of two words from ``pools`` with n1 + n2 <= max_n.
+
+    ``pools`` maps n to words with n chords.  The result maps (w1, s1, w2,
+    s2), for each ordered pair of words and each pair of sites, to the
+    spliced word and its triple-chord count.  The spliced word is w2 read
+    from position s2 + 1, its labels shifted by n1, inserted after position
+    s1 of w1, not relabeled; the count is the triangles
+    (``chords._triangles``) of the word's own interlacement graph
+    (``chords._interlacement_bits``).  This is the sweep of every ordered
+    site pair that the connected-sum check's one splice per class stands
+    for.
+    """
+    out = {}
+    for n1, words1 in pools.items():
+        for n2, words2 in pools.items():
+            if n1 + n2 > max_n:
+                continue
+            for w1 in words1:
+                for w2 in words2:
+                    for s2 in range(2 * n2):
+                        block = tuple(x + n1 for x in w2[s2 + 1:] + w2[: s2 + 1])
+                        for s1 in range(2 * n1):
+                            word = w1[: s1 + 1] + block + w1[s1 + 1:]
+                            tr = chords._triangles(chords._interlacement_bits(word))
+                            out[w1, s1, w2, s2] = word, tr
+    return out
+
+
+def cyclic_class(word):
+    """The least rotation of ``word``, relabeled by first occurrence.
+
+    Two words have the same class exactly when one is a rotation of the
+    other up to relabeling.
+    """
+    return min(_relabel(word[r:] + word[:r]) for r in range(len(word)))
 
 
 def _cyclic_interior(m: int, s: int, e: int) -> list[int]:

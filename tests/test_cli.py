@@ -438,6 +438,20 @@ def test_connected_sum_lemma_10_report_is_pinned(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+@pytest.mark.slow
+def test_connected_sum_lemma_11_report_is_pinned(capsys, monkeypatch):
+    """``verify --check connected-sum-lemma --max-n 11 --json`` with
+    ``KNOTPROJ_MAX_N=10`` (15,136 pairs), byte for byte, by its sha256: the
+    report of the sweep over every ordered site pair."""
+    monkeypatch.setenv(BUDGET_ENV, "10")
+    argv = ["verify", "--check", "connected-sum-lemma", "--max-n", "11", "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["curves_tested"] == 15_136
+    want = (FIXTURES / "csl_11.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_verify_8_report_is_pinned(capsys, monkeypatch):
     """``verify --all --max-n 8 --json`` stdout, byte for byte, by its sha256."""
     monkeypatch.delenv(BUDGET_ENV, raising=False)

@@ -569,7 +569,7 @@ def test_splice_rows_are_the_spliced_words_interlacement():
     for n1 in range(1, 7):
         for n2 in range(1, 8 - n1):
             for p1 in curves[n1]:
-                heads = verify._heads(p1.word)
+                heads = verify._heads(p1.word, list(range(2 * n1)))
                 saved = [(list(rows), prefix) for (rows, prefix), _ in heads]
                 for p2 in curves[n2]:
                     blocks = [

@@ -17,7 +17,7 @@ from knotproj import (
 from knotproj import chords, moves, planar, verify
 from knotproj.enumeration import BUDGET_ENV
 
-from conftest import weak_variant
+from conftest import cyclic_class, ordered_splices, weak_variant
 
 
 # --- the checks at small scale -------------------------------------------------
@@ -164,19 +164,117 @@ def test_connected_sum_lemma_counts_on_the_spliced_word(monkeypatch):
 
 def test_connected_sum_lemma_tests_every_pair_of_triple_free_curves(census):
     """``curves_tested`` is the number of pairs of triple-chord-free curves
-    with n1 + n2 <= max_n, from the census fixture's counts."""
+    with n1 + n2 <= max_n, from the census fixture's counts and from the
+    sweep of every ordered site pair (``ordered_splices``), and the check
+    passes exactly when that sweep finds no triple chord, for max-n 0..9."""
     tf = {int(n): k for n, k in census["triple_free"].items()}
-    for max_n in range(0, 9):
-        want = sum(
-            tf[n1] * tf[n2]
-            for n1 in range(1, max_n)
-            for n2 in range(1, max_n - n1 + 1)
-        )
-        assert check_connected_sum_lemma(max_n).curves_tested == want, max_n
+    pools = {
+        n: [p.word for p in enumerate_curves(n) if not chords.count_tr(p.code)]
+        for n in range(1, 9)
+    }
+    oracle = ordered_splices(pools, 9)
+    for max_n in range(0, 10):
+        splices = [
+            (key, tr) for key, (word, tr) in oracle.items() if len(word) <= 2 * max_n
+        ]
+        rep = run_checks(["connected-sum-lemma"], max_n)[0]
+        assert rep.passed == all(tr == 0 for _, tr in splices), max_n
+        pairs = len({(key[0], key[2]) for key, _ in splices})
+        assert rep.curves_tested == pairs, max_n
+        if max_n <= 8:
+            want = sum(
+                tf[n1] * tf[n2]
+                for n1 in range(1, max_n)
+                for n2 in range(1, max_n - n1 + 1)
+            )
+            assert pairs == want, max_n
         if max_n == 7:
-            assert want == 126
-    rep = run_checks(["connected-sum-lemma"], 9)[0]
-    assert rep.passed and rep.curves_tested == 1_118
+            assert (pairs, len(splices)) == (126, 3_540)
+    assert rep.passed and (pairs, len(splices)) == (1_118, 46_780)
+
+
+def record_splices(monkeypatch):
+    """Wrap the connected-sum check's readers; the list they fill.
+
+    Each splice the check reads adds its whole word (the head's symbols,
+    the block and the tail) and the triple-chord count of the rows it read.
+    """
+    reads = []
+    owners = {}
+    heads, splice_rows = verify._heads, verify._splice_rows
+
+    def recorded_heads(w1, sites):
+        out = heads(w1, sites)
+        for s1, (state, _) in zip(sites, out):
+            owners[id(state)] = w1[: s1 + 1]
+        return out
+
+    def recorded_rows(head, blocks, tail):
+        out = splice_rows(head, blocks, tail)
+        for block, rows in zip(blocks, out):
+            reads.append((owners[id(head)] + block + tail, chords._triangles(rows)))
+        return out
+
+    monkeypatch.setattr(verify, "_heads", recorded_heads)
+    monkeypatch.setattr(verify, "_splice_rows", recorded_rows)
+    return reads
+
+
+def pool_every_curve(t, n, batch, table):
+    t.pools[n] = [p for p, _ in batch]
+
+
+@pytest.mark.parametrize(
+    "every, read, nonzero",
+    [(False, 572, 0), (True, 1_048, 476)],
+    ids=["triple-free", "every-curve"],
+)
+def test_connected_sum_lemma_reads_a_splice_equal_to_each_ordered_one(
+    monkeypatch, every, read, nonzero
+):
+    """At max-n 7, every ordered splice (p1, s1, p2, s2) is a rotation, up
+    to relabeling, of a splice the check reads, and its triple-chord count
+    (the ordered-sweep oracle's) is the one the check reads there.  With
+    every curve pooled, not just the triple-chord-free ones, the counts are
+    not all 0, and the report lists one violation per splice read with
+    triple chords."""
+    if every:
+        spec = (1, 1, pool_every_curve, verify._splice_pools)
+        monkeypatch.setitem(verify._VISITS, "connected-sum-lemma", spec)
+    reads = record_splices(monkeypatch)
+    rep = run_checks(["connected-sum-lemma"], 7)[0]
+    pools = {
+        n: [p.word for p in enumerate_curves(n) if every or not chords.count_tr(p.code)]
+        for n in range(1, 7)
+    }
+    oracle = ordered_splices(pools, 7)
+    read_tr = {}
+    for word, tr in reads:
+        read_tr.setdefault(cyclic_class(word), set()).add(tr)
+    assert set(read_tr) == {cyclic_class(word) for word, _ in oracle.values()}
+    for key, (word, tr) in oracle.items():
+        assert read_tr[cyclic_class(word)] == {tr}, key
+    assert len(reads) == read
+    assert len(rep.violations) == sum(tr > 0 for _, tr in reads) == nonzero
+    assert rep.curves_tested == len({(w1, w2) for w1, _, w2, _ in oracle})
+
+
+@pytest.mark.parametrize("max_n, read", [(7, 572), (9, 9_804)])
+def test_connected_sum_lemma_reads_one_splice_per_class(monkeypatch, max_n, read):
+    """The check reads one splice per pair of site classes, not one per
+    ordered site pair (3,540 at max-n 7, 46,780 at max-n 9)."""
+    rows = 0
+    splice_rows = verify._splice_rows
+
+    def counted(head, blocks, tail):
+        nonlocal rows
+        out = splice_rows(head, blocks, tail)
+        rows += len(out)
+        return out
+
+    monkeypatch.setattr(verify, "_splice_rows", counted)
+    assert run_checks(["connected-sum-lemma"], max_n)[0].passed
+    assert rows == read
 
 
 def test_teardrop_reversal_flags_triple_chords_as_excluded():
