@@ -39,9 +39,8 @@ Each chord-level concept has one implementation:
   reads it, here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
   realization); :func:`_triangles` counts its triangles, the triple chords;
   :func:`_components` lists its components, the prime factors behind
-  ``planar.prime_decompose`` and the dataset's ``prime`` field;
-  :func:`_first_closed_interval`, behind :func:`split_connected_sum`, uses
-  the prefix XOR it is built from.  The enumeration seeds ``_bits``, and
+  ``planar.prime_decompose``, :func:`split_connected_sum` and the dataset's
+  ``prime`` field.  The enumeration seeds ``_bits``, and
   ``ChordDiagram._firsts``, from its search.
 """
 
@@ -386,7 +385,7 @@ def _interlacement_bits(word: tuple[int, ...]) -> tuple[int, ...]:
     The word read by :func:`_read` from the empty state, in one pass over
     a word labeled 1..n, each label twice, in any order: first-occurrence
     order is not needed.  A diagram reads it through ``ChordDiagram._bits``,
-    so each diagram builds it once.  ``verify._splice_pools`` reads its
+    so each diagram builds it once.  ``verify._connected_sum_lemma`` reads its
     spliced words (head, ``planar._splice_block`` and tail, not relabeled)
     with :func:`_read` too, through ``verify._splice_rows``, from the state
     after their shared head.
@@ -471,49 +470,28 @@ def _components(cd: ChordDiagram) -> list[int]:
     return found
 
 
-def _first_closed_interval(word: tuple[int, ...]) -> tuple[int, int] | None:
-    """The first proper cyclic interval closed under the chord pairing.
-
-    Returns (start, end) with ``word`` doubled, ``(word + word)[start:end]``
-    the interval: the smallest start, then the smallest even length.  None
-    when there is none (a prime word, or fewer than two chords).  An interval
-    is closed exactly when every label occurs in it an even number of times,
-    i.e. when its prefix XORs agree.
-    """
-    m = len(word)
-    if m < 4:
-        return None
-    ww = word + word
-    pref = [0]
-    for x in ww:
-        pref.append(pref[-1] ^ (1 << x))
-    for start in range(m):
-        for end in range(start + 2, start + m - 1, 2):
-            if pref[end] == pref[start]:
-                return start, end
-    return None
-
-
 def split_connected_sum(
     cd: ChordDiagram,
 ) -> tuple[ChordDiagram, ChordDiagram] | None:
     """Split off a proper cyclic interval closed under the chord pairing.
 
-    Returns the (inside, outside) sub-diagrams of
-    :func:`_first_closed_interval`, or None when the diagram is prime or has
-    fewer than two chords.  Both parts keep their traversal order, the inside
-    read from the interval's start and the outside from its end, and are
-    relabeled by first occurrence.  They are not validated again: a window
-    shorter than the word whose prefix XORs agree holds each of its labels an
-    even number of times and at most twice, so exactly twice, and so does
-    its complement.
+    The interval holds the component of the interlacement graph with the
+    earliest last position (:func:`_components`), and nothing else: every
+    other component lies in one gap between consecutive positions of it
+    (``planar.prime_decompose``), and one inside its span would end
+    earlier.  So the interval is ``[s, s + 2k)`` for its k chords and first
+    position s.  Returns the (inside, outside) sub-diagrams, the outside
+    read from the interval's end, both relabeled by first occurrence; None
+    when there are fewer than two components.  They are not validated
+    again: each holds whole chords.
     """
-    found = _first_closed_interval(cd.word)
-    if found is None:
+    comps = _components(cd)
+    if len(comps) < 2:
         return None
-    start, end = found
-    ww = cd.word + cd.word
+    w = cd.word
+    s = next(i for i, x in enumerate(w) if comps[0] >> (x - 1) & 1)
+    e = s + 2 * comps[0].bit_count()
     return (
-        ChordDiagram._of_normal(_relabel(ww[start:end])),
-        ChordDiagram._of_normal(_relabel(ww[end : start + len(cd.word)])),
+        ChordDiagram._of_normal(_relabel(w[s:e])),
+        ChordDiagram._of_normal(_relabel(w[e:] + w[:s])),
     )

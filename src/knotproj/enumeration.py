@@ -79,12 +79,19 @@ DEFAULT_ARNOLD_MAX_N = 6
 
 
 def enumeration_budget() -> int:
-    """Largest crossing number enumerate_curves accepts; env-overridable."""
+    """Largest crossing number enumerate_curves accepts; env-overridable.
+
+    The override is written in ASCII decimal digits only, as ``parse_code``
+    reads a label: no sign, space, underscore or other script.
+    """
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
+        # int() alone also takes "+9", " 9", "1_0", "-1" and non-ASCII digits
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError
+        return int(raw)  # ValueError too past the interpreter's digit limit
     except ValueError:
         raise BudgetExceeded(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
 

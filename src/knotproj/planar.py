@@ -581,16 +581,14 @@ def prime_decompose(p: PlanarCurve) -> list[PlanarCurve]:
     interval, and a diagram with two components has one.
 
     Order.  Factors are listed by each component's last position in
-    ``p.word``, which is the order of splitting at the first closed interval
-    [s, e) (:func:`chords._first_closed_interval`), inside first, and
-    splitting each part again.  That interval never wraps, because its
-    complement would start earlier.  An outside component that lay wholly
-    before s would span a closed interval starting before s, so every
-    outside component has a position >= e, later than every inside
-    position.  The order then follows by induction on the parts.  A
-    factor's word is the subsequence of ``p.word`` it keeps, so it may be a
-    rotation of the word read from its interval's ends; its canonical code
-    is the same.  U decomposes into no factors.
+    ``p.word``.  That is the order of splitting off the component with the
+    earliest last position, the inside of :func:`chords.split_connected_sum`,
+    and splitting what is left again, each part kept as the subsequence of
+    ``p.word`` it is: deleting a component's crossings changes no other
+    component and keeps the order of their last positions.  A factor's word
+    is the subsequence of ``p.word`` it keeps, so it may be a rotation of the
+    word read from its interval's ends; its canonical code is the same.  U
+    decomposes into no factors.
     """
     factors = []
     for comp in chords._components(p.code):
@@ -666,7 +664,7 @@ def connected_sum(
     its label, by :func:`_drop_labels` with nothing dropped, which makes it
     normal by construction, so it is not validated again.  Code-level
     readers that do not depend on label names, such as the triple-chord
-    count of ``verify._splice_pools`` (through ``verify._splice_rows``),
+    count of ``verify._connected_sum_lemma`` (through ``verify._splice_rows``),
     read the same unrelabeled word (p1's head, :func:`_splice_block`, p1's
     tail) directly and build no curve.
     """

@@ -12,14 +12,13 @@ for humans but left out of the JSON so that repeated runs are byte-identical.
 each n it enumerates the curves once, counts each curve's triple chords
 once, and hands that batch to each check in turn; every check sees the
 curves in census order.  A check is a visit of one n's batch, which adds to
-the check's :class:`_Tally`, and connected-sum-lemma also has a last step,
-the splices of its pools.  The checks that make greedy runs (main-theorem
+the check's :class:`_Tally`.  The checks that make greedy runs (main-theorem
 and inclusion-chain) share the pass's one table of end states, so a
 curve's second run stops at its start.  Between two n the pass keeps only
 the tallies, so it holds one n's curves at a time, besides
-connected-sum-lemma's triple-chord-free pools below the bound.  A report's
-``elapsed`` is its own check's time; the enumeration and the triple-chord
-counts belong to the pass.
+connected-sum-lemma's pools of triple-chord-free first summands, which
+hold only n <= max_n / 2.  A report's ``elapsed`` is its own check's time;
+the enumeration and the triple-chord counts belong to the pass.
 
 The triple-chord count does not change when a word is rotated or
 relabeled, so connected-sum-lemma reads one splice for each class of
@@ -39,8 +38,8 @@ Each splice read is read whole, head, block and tail, from its own word:
 rows assembled from the summands' interlacement graphs would assume that
 no chord of one summand interleaves a chord of the other, which is the
 lemma's proof, not a test of it.  ``curves_tested`` counts the ordered
-pairs; a failing report lists one violation per splice read, not one per
-ordered site pair.
+pairs, each at the batch of its larger summand; a failing report lists one
+violation per splice read, not one per ordered site pair.
 """
 
 from __future__ import annotations
@@ -93,8 +92,9 @@ class CheckReport(NamedTuple):
 class _Tally:
     """One check's findings so far in a pass, and the time it has taken.
 
-    ``pools`` maps n to the triple-chord-free curves with n crossings;
-    only connected-sum-lemma fills it.
+    ``pools`` maps each n <= max_n / 2 to the triple-chord-free curves with
+    n crossings, each with its site classes and heads; only
+    connected-sum-lemma fills it.
     """
 
     def __init__(self, check_id: str, max_n: int):
@@ -103,7 +103,7 @@ class _Tally:
         self.tested = 0
         self.violations: list[tuple[str, str]] = []
         self.witnesses: list[tuple[str, str]] = []
-        self.pools: dict[int, list[PlanarCurve]] = {}
+        self.pools: dict[int, list[tuple]] = {}
         self.elapsed = 0.0
 
     def report(self) -> CheckReport:
@@ -235,23 +235,22 @@ def _splice_rows(
     return out
 
 
-def _pool_triple_free(t: _Tally, n: int, batch: list, table: dict) -> None:
-    """Keep the triple-chord-free curves with n crossings for the splices."""
-    t.pools[n] = [p for p, tr in batch if not tr]
-
-
-def _splice_pools(t: _Tally) -> None:
+def _connected_sum_lemma(t: _Tally, n: int, batch: list, table: dict) -> None:
     """Splicing two triple-chord-free curves is triple-chord-free, at every site.
 
-    Each ordered pair of pooled curves with n1 + n2 <= max_n, at each pair
-    of sites, is covered once every pool is in; ``curves_tested`` counts
-    the ordered pairs.  A splice is read as its word,
-    ``planar._splice_word``: the spliced code of ``planar.connected_sum``
-    before its relabeling by first occurrence, with no curve, diagram or
-    relabel built.  The triple-chord count does not change when a word is
-    rotated or relabeled, so one splice is read for each class of splices
-    that two identities make equal up to rotation and relabeling.  Write
-    R(w, s) for the rotation ``w[s + 1:] + w[:s + 1]``:
+    This n's triple-chord-free curves are the second summands, spliced into
+    each pooled first summand with n1 + n <= max_n and n1 <= n, and are
+    pooled themselves (with their site classes and :func:`_heads`) only when
+    2n <= max_n: a summand with more crossings is never the first.  So each
+    ordered pair of triple-chord-free curves with n1 + n2 <= max_n, at each
+    pair of sites, is covered at the batch of its larger summand;
+    ``curves_tested`` counts the ordered pairs.  A splice is read as its
+    word, ``planar._splice_word``: the spliced code of
+    ``planar.connected_sum`` before its relabeling by first occurrence,
+    with no curve, diagram or relabel built.  The triple-chord count does
+    not change when a word is rotated or relabeled, so one splice is read
+    for each class of splices that two identities make equal up to rotation
+    and relabeling.  Write R(w, s) for the rotation ``w[s + 1:] + w[:s + 1]``:
 
     * swap: the splice at (p1, s1, p2, s2), ``w1[:s1 + 1] + block +
       w1[s1 + 1:]``, is a rotation of R(w1, s1) followed by R(w2, s2)
@@ -268,7 +267,8 @@ def _splice_pools(t: _Tally) -> None:
 
     At max-n 7 that is 572 splices in place of the 3,540 ordered ones;
     9,804 in place of 46,780 at max-n 9.  A failing report lists one
-    violation per splice read, at its sites, not one per ordered site pair.
+    violation per splice read, at its sites, not one per ordered site pair,
+    by the larger summand's n, then the smaller's.
 
     Each splice read is the head ``w1[:s1 + 1]``, p2's block
     (``planar._splice_block``) and the tail ``w1[s1 + 1:]``.  The
@@ -287,35 +287,30 @@ def _splice_pools(t: _Tally) -> None:
     """
     pools = t.pools
     top = t.max_n
-    t.tested += sum(
-        len(pools[n1]) * len(pools[n2])
-        for n1 in range(1, top)
-        for n2 in range(1, top - n1 + 1)
-    )
-    classes = {
-        n: [(p, _site_classes(p.word)) for p in pool] for n, pool in pools.items()
-    }
-    for n1 in range(1, top // 2 + 1):
-        heads = [(p1, s, _heads(p1.word, s)) for p1, s in classes[n1]]
-        for n2 in range(n1, top - n1 + 1):
-            blocks = [
-                (p2, s, [planar._splice_block(p2.word, s2, n1) for s2 in s])
-                for p2, s in classes[n2]
-            ]
-            for i1, (p1, sites1, p1_heads) in enumerate(heads):
-                for p2, sites2, p2_blocks in blocks[i1 if n1 == n2 else 0:]:
-                    for k1, (s1, (head, tail)) in enumerate(zip(sites1, p1_heads)):
-                        k0 = k1 if p1 is p2 else 0
-                        read = _splice_rows(head, p2_blocks[k0:], tail)
-                        for s2, rows in zip(sites2[k0:], read):
-                            tr = chords._triangles(rows)
-                            if tr:
-                                t.violations.append(
-                                    (
-                                        f"{_code(p1)} # {_code(p2)}",
-                                        f"sites ({s1},{s2}): tr={tr}",
-                                    )
+    free = [(p, _site_classes(p.word)) for p, tr in batch if not tr]
+    if 2 * n <= top:
+        pools[n] = [(p, s, _heads(p.word, s)) for p, s in free]
+    smaller = sum(len(pools[k]) for k in range(1, min(n, top - n + 1)))
+    t.tested += len(free) * (2 * smaller + len(pools.get(n, ())))
+    for n1 in range(1, min(n, top - n) + 1):
+        blocks = [
+            (p2, s, [planar._splice_block(p2.word, s2, n1) for s2 in s])
+            for p2, s in free
+        ]
+        for i1, (p1, sites1, p1_heads) in enumerate(pools[n1]):
+            for p2, sites2, p2_blocks in blocks[i1 if n1 == n else 0:]:
+                for k1, (s1, (head, tail)) in enumerate(zip(sites1, p1_heads)):
+                    k0 = k1 if p1 is p2 else 0
+                    read = _splice_rows(head, p2_blocks[k0:], tail)
+                    for s2, rows in zip(sites2[k0:], read):
+                        tr = chords._triangles(rows)
+                        if tr:
+                            t.violations.append(
+                                (
+                                    f"{_code(p1)} # {_code(p2)}",
+                                    f"sites ({s1},{s2}): tr={tr}",
                                 )
+                            )
 
 
 def _teardrop_reversal(t: _Tally, n: int, batch: list, table: dict) -> None:
@@ -342,15 +337,15 @@ def _teardrop_reversal(t: _Tally, n: int, batch: list, table: dict) -> None:
 
 
 # check id -> (first n it reads, how far below max_n it stops, its visit of
-# one n's batch, its last step or None).  The pass and the visits look up
-# enumerate_curves, count_tr and their other helpers by name at run time, so
-# wrappers installed on those names (tracers, monkeypatches) apply.
+# one n's batch).  The pass and the visits look up enumerate_curves, count_tr
+# and their other helpers by name at run time, so wrappers installed on those
+# names (tracers, monkeypatches) apply.
 _VISITS = {
-    "main-theorem": (1, 0, _main_theorem, None),
-    "inclusion-chain": (0, 0, _inclusion_chain, None),
-    "two-strong-bigons": (1, 0, _two_strong_bigons, None),
-    "connected-sum-lemma": (1, 1, _pool_triple_free, _splice_pools),
-    "teardrop-reversal": (1, 0, _teardrop_reversal, None),
+    "main-theorem": (1, 0, _main_theorem),
+    "inclusion-chain": (0, 0, _inclusion_chain),
+    "two-strong-bigons": (1, 0, _two_strong_bigons),
+    "connected-sum-lemma": (1, 1, _connected_sum_lemma),
+    "teardrop-reversal": (1, 0, _teardrop_reversal),
 }
 
 CHECK_IDS = tuple(_VISITS)
@@ -362,30 +357,26 @@ def run_checks(check_ids, max_n: int) -> list[CheckReport]:
     The pass enumerates each n that some check reads: from 0 when
     inclusion-chain runs, else from 1, up to ``max_n``, or ``max_n - 1``
     when connected-sum-lemma runs alone (its summands are each below the
-    bound).  Raises KeyError for an identifier not in :data:`CHECK_IDS`,
+    bound).  Each check visits each n it reads once, in one loop over the
+    census.  Raises KeyError for an identifier not in :data:`CHECK_IDS`,
     and, before anything is enumerated, :class:`BudgetExceeded` for a
     negative bound or where :func:`check_budget` refuses the largest n the
     pass enumerates.
     """
     specs = [_VISITS[cid] for cid in check_ids]
     _check_nonnegative(max_n)
-    top = max((max_n - below for _, below, _, _ in specs), default=0)
+    top = max((max_n - below for _, below, _ in specs), default=0)
     check_budget(max(top, 0))
     tallies = [_Tally(cid, max_n) for cid in check_ids]
     table: dict = {}
-    for n in range(min((first for first, _, _, _ in specs), default=1), top + 1):
+    for n in range(min((first for first, _, _ in specs), default=1), top + 1):
         batch = [(p, chords.count_tr(p.code)) for p in enumerate_curves(n)]
-        for t, (first, below, visit, _) in zip(tallies, specs):
+        for t, (first, below, visit) in zip(tallies, specs):
             if first <= n <= max_n - below:
                 t0 = time.perf_counter()
                 visit(t, n, batch, table)
                 t.elapsed += time.perf_counter() - t0
         del batch  # so this n's curves are freed before the next n is built
-    for t, (_, _, _, last) in zip(tallies, specs):
-        if last is not None:
-            t0 = time.perf_counter()
-            last(t)
-            t.elapsed += time.perf_counter() - t0
     return [t.report() for t in tallies]
 
 

@@ -8,8 +8,8 @@ limited to its value types (``ChordDiagram``, ``PlanarCurve``, ``Face``,
 where an oracle checks a later stage, and the few internals an oracle is
 built around (``planar._flip_coset``'s span, ``invariants.resolve``,
 ``a2_gauss_formula``, the ``_PV_*`` arrow pattern,
-``chords._first_closed_interval`` with ``planar._drop_labels`` for the
-recursive splitter :func:`recursive_prime_decompose`, and
+``planar._drop_labels`` for the recursive splitter
+:func:`recursive_prime_decompose`, and
 ``chords._interlacement_bits`` with ``chords._triangles`` for the
 triple-chord count of each splice in :func:`ordered_splices`).
 :func:`is_orbit_min` is a driver, not an oracle: it hands
@@ -383,28 +383,49 @@ def canonical_text_full_relabel(cd):
     return " ".join(map(str, min(orbit)))
 
 
-def split_connected_sum_members(cd):
-    """First proper cyclic interval closed under the pairing, by member arrays.
+def first_closed_interval(word):
+    """The first proper cyclic interval closed under the chord pairing.
 
-    Same order as the package (smallest start, then smallest even length);
-    returns the (inside, outside) words relabeled by first occurrence, or None.
+    Returns (start, end) with ``word`` doubled, ``(word + word)[start:end]``
+    the interval: the smallest start, then the smallest even length.  None
+    when there is none (a prime word, or fewer than two chords).  An interval
+    is closed exactly when every label occurs in it an even number of times,
+    i.e. when its prefix XORs agree.
+    """
+    m = len(word)
+    if m < 4:
+        return None
+    ww = word + word
+    pref = [0]
+    for x in ww:
+        pref.append(pref[-1] ^ (1 << x))
+    for start in range(m):
+        for end in range(start + 2, start + m - 1, 2):
+            if pref[end] == pref[start]:
+                return start, end
+    return None
+
+
+def split_connected_sum_members(cd):
+    """A proper interval closed under the pairing, by member arrays.
+
+    Among the closed intervals that do not wrap, the one with the smallest
+    end, then the largest start; returns the (inside, outside) words, the
+    outside read from the inside's end, relabeled by first occurrence, or
+    None.
     """
     w = cd.word
     m = len(w)
     if cd.n < 2:
         return None
     spans = [cd.positions(a) for a in range(1, cd.n + 1)]
-    for start in range(m):
-        for length in range(2, m - 1, 2):
-            inside = [(start + k) % m for k in range(length)]
-            member = [False] * m
-            for i in inside:
-                member[i] = True
+    for end in range(2, m + 1):
+        for start in range(end - 2, max(end - m + 2, 0) - 1, -2):
+            member = [start <= i < end for i in range(m)]
             if all(member[i1] == member[i2] for i1, i2 in spans):
-                outside = [(start + length + k) % m for k in range(m - length)]
                 return (
-                    ChordDiagram.from_labels(w[i] for i in inside),
-                    ChordDiagram.from_labels(w[i] for i in outside),
+                    ChordDiagram.from_labels(w[start:end]),
+                    ChordDiagram.from_labels(w[end:] + w[:start]),
                 )
     return None
 
@@ -412,14 +433,19 @@ def split_connected_sum_members(cd):
 def recursive_prime_decompose(p):
     """Prime factors by recursive splitting: the reference ``prime_decompose``.
 
-    ``p`` is split at ``chords._first_closed_interval``, inside first, and
+    ``p`` is split at :func:`first_closed_interval`, inside first, and
     each part is split again.  A part is ``p`` with the other part's
     crossings deleted, each survivor keeping its flip bit
     (``planar._drop_labels``).  U has no factors; a prime curve is its own.
+    The first closed interval [s, e) never wraps, since its complement
+    would start earlier, and every component outside it has a position
+    >= e, since one wholly before s would span a closed interval starting
+    before s; so by induction on the parts the factors come in the order
+    of their components' last positions, as ``prime_decompose`` lists them.
     """
     if p.n == 0:
         return []
-    found = chords._first_closed_interval(p.word)
+    found = first_closed_interval(p.word)
     if found is None:
         return [p]
     start, end = found

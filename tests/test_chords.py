@@ -24,6 +24,7 @@ from conftest import (
     all_canonical_words,
     canonical_text_full_relabel,
     count_tr_sextuples,
+    first_closed_interval,
     interleavement_graph,
     is_orbit_min,
     pairing_words,
@@ -249,6 +250,14 @@ def test_split_connected_sum_composite():
     assert inside.word == (1, 1) and outside.word == (1, 1)
 
 
+def test_split_connected_sum_cuts_off_the_component_that_ends_first():
+    """The inside is the component with the earliest last position, here
+    the triangle 5 6 7, not the first closed interval by start (4 5 6 7 5
+    6 7 4); the outside is read from the inside's end."""
+    got = split_connected_sum(parse_code("1 2 1 3 2 4 5 6 7 5 6 7 4 3"))
+    assert [str(part) for part in got] == ["1 2 3 1 2 3", "1 2 3 4 3 2 4 1"]
+
+
 def test_split_connected_sum_prime_and_small():
     assert split_connected_sum(parse_code("1 2 3 1 2 3")) is None
     assert split_connected_sum(parse_code("1 1")) is None
@@ -273,7 +282,7 @@ def test_one_component_exactly_when_no_closed_interval(ns, words, primes):
             comps = chords._components(ChordDiagram(w))
             assert sum(comps) == (1 << n) - 1
             prime = len(comps) == 1
-            assert prime == (n >= 1 and chords._first_closed_interval(w) is None), w
+            assert prime == (n >= 1 and first_closed_interval(w) is None), w
             seen += 1
             found += prime
     assert (seen, found) == (words, primes)

@@ -397,6 +397,19 @@ def test_enumerate_non_integer_budget_exits_4(tmp_path, capsys, monkeypatch):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("raw", ["1_0", "+9", " 9", "9 ", "\u0669", "-1", ""])
+def test_budget_override_takes_ascii_digits_only(tmp_path, capsys, monkeypatch, raw):
+    """The budget override is ASCII decimal digits only, as a code's label
+    is; ``int()`` alone would take a sign, spaces, underscores and other
+    scripts' digits, and a budget of -1 would refuse even n = 0."""
+    monkeypatch.setenv(BUDGET_ENV, raw)
+    out_path = tmp_path / "ds.jsonl"
+    code, out, err = run(capsys, "enumerate", "0", "--out", str(out_path))
+    assert code == 4 and out == ""
+    assert err == f"{BUDGET_ENV} must be an integer, got {raw!r}\n"
+    assert not out_path.exists()
+
+
 def test_enumerate_unwritable_exits_5(tmp_path, capsys):
     code, out, err = run(capsys, "enumerate", "1", "--out", "/nonexistent/dir/ds.jsonl")
     assert code == 5

@@ -125,7 +125,7 @@ def test_connected_sum_lemma_builds_no_faces(monkeypatch):
 
 def test_connected_sum_lemma_counts_on_the_spliced_word(monkeypatch):
     """The check builds no curve per splice: ``connected_sum`` is never
-    called, and ``count_tr`` only filters the pools, once per enumerated
+    called, and ``count_tr`` only filters the summands, once per enumerated
     curve below the bound.  A splice that breaks p2's block around one p1
     symbol is caught, so the count is read off the whole spliced word.  The
     check assembles each splice's word after its head in ``_splice_rows``
@@ -142,8 +142,8 @@ def test_connected_sum_lemma_counts_on_the_spliced_word(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     assert check_connected_sum_lemma(6).passed
-    pooled = sum(len(enumerate_curves(n)) for n in range(1, 6))
-    assert calls == {"connected_sum": 0, "count_tr": pooled} and pooled == 25
+    enumerated = sum(len(enumerate_curves(n)) for n in range(1, 6))
+    assert calls == {"connected_sum": 0, "count_tr": enumerated} and enumerated == 25
 
     splice_rows = verify._splice_rows
 
@@ -220,10 +220,6 @@ def record_splices(monkeypatch):
     return reads
 
 
-def pool_every_curve(t, n, batch, table):
-    t.pools[n] = [p for p, _ in batch]
-
-
 @pytest.mark.parametrize(
     "every, read, nonzero",
     [(False, 572, 0), (True, 1_048, 476)],
@@ -239,7 +235,12 @@ def test_connected_sum_lemma_reads_a_splice_equal_to_each_ordered_one(
     not all 0, and the report lists one violation per splice read with
     triple chords."""
     if every:
-        spec = (1, 1, pool_every_curve, verify._splice_pools)
+        first, below, visit = verify._VISITS["connected-sum-lemma"]
+
+        def every_curve(t, n, batch, table):
+            visit(t, n, [(p, 0) for p, _ in batch], table)
+
+        spec = (first, below, every_curve)
         monkeypatch.setitem(verify._VISITS, "connected-sum-lemma", spec)
     reads = record_splices(monkeypatch)
     rep = run_checks(["connected-sum-lemma"], 7)[0]
@@ -275,6 +276,26 @@ def test_connected_sum_lemma_reads_one_splice_per_class(monkeypatch, max_n, read
     monkeypatch.setattr(verify, "_splice_rows", counted)
     assert run_checks(["connected-sum-lemma"], max_n)[0].passed
     assert rows == read
+
+
+def test_connected_sum_lemma_pools_only_first_summands(monkeypatch, census):
+    """A summand with more than max_n / 2 crossings is never the first, so
+    at max-n 9 the pools hold the triple-chord-free curves with n <= 4 and
+    no others."""
+    first, below, visit = verify._VISITS["connected-sum-lemma"]
+    tallies = []
+
+    def kept(t, n, batch, table):
+        tallies.append(t)
+        visit(t, n, batch, table)
+
+    monkeypatch.setitem(verify._VISITS, "connected-sum-lemma", (first, below, kept))
+    assert run_checks(["connected-sum-lemma"], 9)[0].passed
+    pools = tallies[-1].pools
+    assert {n: len(pool) for n, pool in pools.items()} == {
+        n: census["triple_free"][str(n)] for n in range(1, 5)
+    }
+    assert all(entry[0].n == n for n, pool in pools.items() for entry in pool)
 
 
 def test_teardrop_reversal_flags_triple_chords_as_excluded():
