@@ -85,7 +85,7 @@ def _cmd_analyze(args) -> int:
         try:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 code_texts = [ln for ln in fh.read().splitlines() if ln.strip()]
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             return _fail(EXIT_IO, f"cannot read {args.infile}: {exc}")
     else:
         code_texts = [args.code if args.code is not None else ""]

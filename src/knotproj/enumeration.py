@@ -10,7 +10,8 @@ canonical-first and pruned as chords close:
 
 * a word can only be canonical when the forward gap of chord 1 equals the
   smallest cyclic gap of any chord, so the search fixes that gap and prunes
-  every placement that would undercut it;
+  every placement that would undercut it; chord 1 is placed by the same
+  steps as every chord, and at position gap only its close is tried;
 * a chord's interlacement neighbourhood N(c) is complete once its second
   endpoint is placed, so a chord that would close interleaving an odd
   number of chords is never placed (parity, the first condition);
@@ -122,23 +123,17 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
     """The diagrams of the canonical double-occurrence words with n chords
     that pass Rosenstiehl's first two conditions, ascending.
 
-    Chord 1 is fixed to close at ``gap``, the smallest cyclic gap of any
-    chord, and placements that would undercut it are pruned.  A chord's
-    interlacement neighbourhood N(c) is known the moment it closes: it is the
-    set of labels seen exactly once strictly inside its interval, a
-    prefix-XOR difference.  Closing a chord with N(c) of odd size is pruned,
-    so in every word built each chord interleaves an even number of others.
-    Chords 2..gap all cross chord 1, so only odd gaps are searched.
+    Each odd ``gap``, the smallest cyclic gap of any chord, gets one search
+    (chords 2..gap all cross chord 1, so N(1) is even only when gap is odd).
+    Each position either closes an open chord at least ``gap`` long or
+    opens the next fresh label; chord 1 takes the same steps.  Positions
+    1..gap-1 close nothing, so they open 2..gap, and position gap opens
+    nothing, so chord 1, the only chord open that long, closes there.
 
-    Each closed chord keeps N(c).  Closing c is also pruned when some closed
-    chord a outside N(c) has ``N(a) & N(c)`` of odd size: non-interleaved
-    chords of a spherical code share an even number of neighbours.  Every
-    non-interleaved pair is checked once, when its later chord closes, and
-    with both neighbourhoods complete, so exactly the words failing the
-    condition are cut.  The condition reads the interlacement graph alone,
-    which rotations and reflections of the word keep, so a word's canonical
-    form passes it exactly when the word does: no class loses its canonical
-    word, and the canonicity prune below needs no change.
+    A chord's interlacement neighbourhood N(c) is known the moment it
+    closes: it is the set of labels seen exactly once strictly inside its
+    interval, a prefix-XOR difference.  Each closed chord keeps N(c) for the
+    parity and second-condition prunes the module docstring states.
 
     Canonicity is pruned as minimal-gap chords close (orderly generation).
     When a chord closes at position i exactly ``gap`` after its first
@@ -148,8 +143,8 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
     relabeling by first occurrence gives a prefix that depends on them alone.
     If that prefix reads below word[0..i], the reflection reads below every
     completion of the word, so no completion is canonical and the placement
-    is skipped; the prune is exact.  Chord 1's own closing reads 1 2 .. gap 1,
-    the word's own prefix, and never prunes.
+    is skipped; the prune is exact.  Chord 1's close compares no offset
+    (the range gap + 1 .. gap is empty) and never prunes.
 
     No relabeled tuple is built for that comparison.  As a chord of length d
     closes, d is written at its later endpoint and 2n - d at its earlier one,
@@ -190,36 +185,25 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
     out: list[ChordDiagram] = []
     for gap in range(1, n + 1, 2):
         slack = m - gap  # the longest a chord may be on the side it closes
-        # chord 1 closes at `gap`; the prefix before it is forced to be new chords
         word = [0] * m
-        word[0] = 1
-        word[gap] = 1
-        for k in range(1, gap):
-            word[k] = k + 1
         # pref[i] XORs 1 << word[k] over k < i
         pref = [0] * (m + 1)
-        for k in range(gap + 1):
-            pref[k + 1] = pref[k] ^ (1 << word[k])
         # the open chords' first positions, ascending, as are their labels
-        opens = list(range(1, gap))
+        opens: list[int] = []
         # (a, N(a)) of each closed chord, bit b of N(a) for label b
-        closed = [(1, pref[gap] ^ pref[1])]
+        closed: list[tuple[int, int]] = []
         # chords._back_steps of the word and of its reversal, written as each
         # chord closes; rback[m - 1 - p] is position p's step ahead
         back = [0] * m
         rback = [0] * m
-        back[gap] = rback[m - 1] = gap
-        back[0] = rback[m - 1 - gap] = slack
         # the starts of the candidate least readings, forward and backward
         # (chords._least_starts), that each chord side of length gap gives
-        starts = [(0, m - 1 - gap)]
-        if gap == slack:
-            starts.append((gap, m - 1))
+        starts: list[tuple[int, int]] = []
 
         def place(i: int, fresh: int) -> None:
             # fresh is the next unused label
             if i == m:
-                if not opens and chords._is_orbit_min(back, rback, starts, gap):
+                if chords._is_orbit_min(back, rback, starts, gap):
                     cd = ChordDiagram._of_canonical(tuple(word))
                     rows = [0] * n
                     for a, na in closed:
@@ -264,7 +248,7 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
                         starts.pop()
                     if d == slack:
                         starts.pop()
-            if fresh <= n:
+            if fresh <= n and i != gap:  # chord 1 closes at gap
                 opens.append(i)
                 word[i] = fresh
                 back[i] = 0  # a fresh label repeats nothing
@@ -272,7 +256,7 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
                 place(i + 1, fresh + 1)
                 opens.pop()
 
-        place(gap + 1, gap + 1)
+        place(0, 1)
     return out
 
 
@@ -432,22 +416,24 @@ def _parse_record(obj: dict, line: int) -> EnumerationRecord:
 def read_dataset(path) -> list[EnumerationRecord]:
     """Read a JSONL dataset back; schema violations name the offending line."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    with open(path, "rb") as fh:
+        raws = fh.read().splitlines()
+    if not raws:
         raise SchemaError("empty file: missing schema line", 1)
-    try:
-        head = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}", 1) from None
-    if head != {"schema": 1}:
-        raise SchemaError(f'expected {{"schema": 1}}, got {lines[0]!r}', 1)
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
+    for i, raw in enumerate(raws, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8: {exc}", i) from None
+        if i > 1 and not text.strip():
             continue
         try:
-            obj = json.loads(raw)
+            obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc.msg}", i) from None
-        records.append(_parse_record(obj, i))
+        if i > 1:
+            records.append(_parse_record(obj, i))
+        # True == 1.0 == 1, so the type is checked apart
+        elif obj != {"schema": 1} or type(obj["schema"]) is not int:
+            raise SchemaError(f'expected {{"schema": 1}}, got {text!r}', 1)
     return records

@@ -203,6 +203,15 @@ def test_analyze_batch_missing_file_exits_5(capsys):
     assert "cannot read" in err
 
 
+def test_analyze_batch_undecodable_file_exits_5(tmp_path, capsys):
+    """A byte that is not UTF-8 is an I/O failure, not a traceback."""
+    src = tmp_path / "codes.txt"
+    src.write_bytes(b"1 1\n\xff\n")
+    code, out, err = run(capsys, "analyze", "--in", str(src))
+    assert code == 5 and out == ""
+    assert err.startswith(f"cannot read {src}: ") and "can't decode byte 0xff" in err
+
+
 def test_analyze_code_and_in_exclude_each_other(tmp_path, capsys):
     """A positional code next to --in is refused, not silently dropped."""
     src = tmp_path / "codes.txt"

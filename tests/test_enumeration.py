@@ -215,7 +215,8 @@ def test_is_orbit_min_agrees_on_rotations_and_reflections():
 def test_close_time_prune_decides_as_the_tuple_reading(monkeypatch):
     """At every minimal-gap close of the n = 8 generator, the key comparison
     prunes exactly when the reflection read back from the closing position,
-    relabeled as a tuple, reads below the prefix."""
+    relabeled as a tuple, reads below the prefix.  Chord 1's close, once per
+    gap, is among them and never prunes."""
     pruned = []
     precedes = chords._precedes
 
@@ -231,7 +232,7 @@ def test_close_time_prune_decides_as_the_tuple_reading(monkeypatch):
 
     monkeypatch.setattr(chords, "_precedes", checked)
     _canonical_words(8)
-    assert (len(pruned), sum(pruned)) == (1_955, 672)
+    assert (len(pruned), sum(pruned)) == (1_959, 672)
 
 
 def test_generator_equals_pairing_oracle():
@@ -425,6 +426,11 @@ def test_arnold_round_trips_as_rational_text(tmp_path):
     [
         (lambda lines: ["garbage"] + lines[1:], 1, "invalid JSON"),
         (lambda lines: ['{"schema":2}'] + lines[1:], 1, "expected"),
+        (lambda lines: ['{"schema":true}'] + lines[1:], 1, "got '{\"schema\":true}'"),
+        (lambda lines: ['{"schema":1.0}'] + lines[1:], 1, "got '{\"schema\":1.0}'"),
+        # "\udcff" is written as the lone byte 0xff (surrogateescape)
+        (lambda lines: ['{"schema":1}\udcff'] + lines[1:], 1, "not UTF-8"),
+        (lambda lines: lines[:2] + ['{"code":"1 1\udcff"}'], 3, "not UTF-8"),
         (lambda lines: [], 1, "empty file"),
         (lambda lines: lines[:1] + ["{broken"] + lines[2:], 2, "invalid JSON"),
         (
@@ -474,8 +480,9 @@ def test_arnold_round_trips_as_rational_text(tmp_path):
 def test_schema_errors_carry_line_numbers(tmp_path, mutate, line, fragment):
     path = tmp_path / "ds.jsonl"
     write_dataset(all_records(1), path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(mutate(lines)) + "\n" if mutate(lines) else "")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    text = "\n".join(mutate(lines)) + "\n" if mutate(lines) else ""
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     with pytest.raises(SchemaError) as exc:
         read_dataset(path)
     assert exc.value.line == line
