@@ -226,8 +226,10 @@ def _back_steps(word: tuple[int, ...]) -> list[int]:
     relabeled by first occurrence, gives the symbol at offset k a repeated
     label exactly when ``back[(r + k) % m] <= k``, the partner having been
     read that many steps earlier; otherwise the label is fresh.  A reading
-    backward from r is the reading of ``word[::-1]`` forward from m - 1 - r,
-    so it uses ``_back_steps(word[::-1])``.
+    backward from r is the reading of ``word[::-1]`` forward from m - 1 - r.
+    Its back steps come from the same pass: a partner b steps back from
+    position p lies m - b steps back from m - 1 - p in the reversal, so
+    ``_back_steps(word[::-1])`` is ``[m - b for b in reversed(back)]``.
     """
     m = len(word)
     first = [-1] * (m // 2 + 1)
@@ -282,21 +284,23 @@ def _orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
     at least g + 1 fresh labels before its first repeat.  These candidates
     are the readings whose key at offset g is g; they agree through offset
     g, and each is compared with the best so far by :func:`_precedes` only
-    until their keys differ.  The winner alone is relabeled.
+    until their keys differ.  Both directions' steps come from one
+    :func:`_back_steps` pass, and the word is reversed, then relabeled,
+    only when a backward reading wins.
     """
     if not word:
         return ()
     m = len(word)
-    rev = word[::-1]
-    fwd = _back_steps(word) * 2
-    bwd = _back_steps(rev) * 2
-    g = min(fwd)
+    back = _back_steps(word)
+    fwd = back * 2
+    bwd = [m - b for b in reversed(back)] * 2
+    g = min(back)
     best = None
     for src in (fwd, bwd):
         for s in _least_starts(src, g):
             if best is None or _precedes(src, s, best, start, g + 1, m):
                 best, start = src, s
-    seq = word if best is fwd else rev
+    seq = word if best is fwd else word[::-1]
     return _relabel(seq[start:] + seq[:start])
 
 

@@ -94,7 +94,8 @@ def _cmd_analyze(args) -> int:
     results = [_analysis_obj(_parse(text), args.arnold, table) for text in code_texts]
     if args.json:
         payload = results[0] if args.infile is None else results
-        print(json.dumps(payload, indent=2))
+        # built just above from dicts, lists and strings: no cycle to check
+        print(json.dumps(payload, indent=2, check_circular=False))
     else:
         print("\n\n".join(_format_analysis(obj) for obj in results))
     return EXIT_OK

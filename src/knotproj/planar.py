@@ -560,14 +560,14 @@ def prime_decompose(p: PlanarCurve) -> list[PlanarCurve]:
     """Connected-sum factors, each prime: one per interlacement component.
 
     A factor is ``p`` with every crossing outside one component of the
-    interlacement graph (:func:`chords._components`) deleted by
-    :func:`_drop_labels`, which relabels the survivors by first occurrence
-    and moves each one's flip bit with it, so no factor is realized again.
-    That mask is spherical: a closed interval (a proper cyclic interval
-    closed under the chord pairing) is an arc of the curve that meets the
-    rest only at its two ends, and a circle on the sphere round that arc
-    cuts the curve twice.  Replacing the other side's arc by a
-    simple arc along that circle draws the part as a closed curve on the
+    interlacement graph (:func:`chords._components`) deleted: the
+    subsequence of ``p.word`` that the component's labels make, relabeled
+    by first occurrence, each flip bit moving with its label, so no factor
+    is realized again.  That mask is spherical: a closed interval (a proper
+    cyclic interval closed under the chord pairing) is an arc of the curve
+    that meets the rest only at its two ends, and a circle on the sphere
+    round that arc cuts the curve twice.  Replacing the other side's arc by
+    a simple arc along that circle draws the part as a closed curve on the
     same sphere, and each of its crossings keeps its local picture, hence
     its flip.  A factor is what repeated splitting at closed intervals
     leaves (the order argument below), so its mask is spherical too.
@@ -589,12 +589,34 @@ def prime_decompose(p: PlanarCurve) -> list[PlanarCurve]:
     is the subsequence of ``p.word`` it keeps, so it may be a rotation of the
     word read from its interval's ends; its canonical code is the same.  U
     decomposes into no factors.
+
+    One pass.  The word's symbols are grouped by component, each group in
+    word order (a stable sort), and :func:`_drop_labels` relabels the
+    grouped word once.  A group holds whole chords, so the labels of
+    component i come next in first-occurrence order, k_i of them, with
+    their flip bits at the same offset.  Cutting the result at the groups'
+    ends and subtracting each offset gives every factor's word and mask,
+    with no pass over the whole word per factor.  Factors with equal words
+    share one diagram, so a caller that canonicalizes each factor (the
+    ``analyze`` command) runs one orbit search per distinct word.
     """
+    comps = chords._components(p.code)
+    part = [0] * (p.n + 1)
+    for i, comp in enumerate(comps):
+        while comp:
+            low = comp & -comp
+            comp ^= low
+            part[low.bit_length()] = i
+    word, mask = _drop_labels(sorted(p.word, key=part.__getitem__), p.flips, ())
     factors = []
-    for comp in chords._components(p.code):
-        drop = {v for v in range(1, p.n + 1) if not comp >> (v - 1) & 1}
-        word, mask = _drop_labels(p.word, p.flips, drop)
-        factors.append(PlanarCurve(ChordDiagram._of_normal(word), mask))
+    codes: dict[tuple[int, ...], ChordDiagram] = {}
+    off = 0  # the labels of the components before this one
+    for comp in comps:
+        k = comp.bit_count()
+        w = tuple([x - off for x in word[2 * off : 2 * (off + k)]])
+        cd = codes.setdefault(w, ChordDiagram._of_normal(w))
+        factors.append(PlanarCurve(cd, mask >> off & ((1 << k) - 1)))
+        off += k
     return factors
 
 

@@ -84,6 +84,26 @@ def pairing_words(n):
     return out
 
 
+def curled_composite(rng, n):
+    """A random connected sum of trefoils and T(2,5) shadows, filled up to
+    n chords with curls, rotated: the shape of the benchmark's analyze codes."""
+    word = ()
+    while True:
+        prime = rng.choice(((1, 2, 3, 1, 2, 3), (1, 2, 3, 4, 5, 1, 2, 3, 4, 5)))
+        if (len(word) + len(prime)) // 2 >= n:
+            break
+        r = rng.randrange(len(prime))
+        inner = tuple(x + len(word) // 2 for x in prime[r:] + prime[:r])
+        i = rng.randrange(len(word) + 1)
+        word = word[:i] + inner + word[i:]
+    word = list(word)
+    for v in range(len(word) // 2 + 1, n + 1):
+        at = rng.randint(0, len(word))
+        word[at:at] = [v, v]
+    r = rng.randrange(len(word))
+    return tuple(word[r:] + word[:r])
+
+
 def _is_canonical(w):
     m = len(w)
     for refl in (False, True):

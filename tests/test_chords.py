@@ -24,6 +24,7 @@ from conftest import (
     all_canonical_words,
     canonical_text_full_relabel,
     count_tr_sextuples,
+    curled_composite,
     first_closed_interval,
     interleavement_graph,
     is_orbit_min,
@@ -171,18 +172,40 @@ def curled_word(rng, n):
 
 
 def test_orbit_min_matches_full_relabel_on_random_words():
-    """2,000 seeded words up to 12 chords against the relabeling of all 4n
-    transforms; half are curl-heavy, with many gap-1 candidates that tie
-    on their first keys."""
+    """2,000 seeded words up to 12 chords and 300 curl-decorated composites
+    with 7 to 16 chords, the analyze benchmark's sizes, against the
+    relabeling of all 4n transforms; the curl-heavy half and the composites
+    have many gap-1 candidates that tie on their first keys."""
     rng = random.Random(18)
+    words = []
     for k in range(2_000):
         n = rng.randint(1, 12)
-        cd = ChordDiagram.from_labels(curled_word(rng, n) if k % 2 else random_word(rng, n))
+        words.append(curled_word(rng, n) if k % 2 else random_word(rng, n))
+    words += [curled_composite(rng, rng.randint(7, 16)) for _ in range(300)]
+    for labels in words:
+        cd = ChordDiagram.from_labels(labels)
         w = cd.word
         least = chords._orbit_min(w)
         assert " ".join(map(str, least)) == canonical_text_full_relabel(cd), w
         for t in (w, least):
             assert is_orbit_min(t) == (t == least), t
+
+
+def test_reversed_back_steps_come_from_the_forward_pass():
+    """The back steps of a word's reversal are m minus its own, read
+    backwards (what ``_orbit_min`` builds its backward readings from): on
+    every canonical word with n <= 6 and on seeded random and composite
+    words up to 16 chords."""
+    rng = random.Random(34)
+    words = [w for n in range(7) for w in all_canonical_words(n)]
+    for _ in range(500):
+        n = rng.randint(1, 16)
+        words.append(ChordDiagram.from_labels(random_word(rng, n)).word)
+        if n >= 7:
+            words.append(ChordDiagram.from_labels(curled_composite(rng, n)).word)
+    for w in words:
+        m = len(w)
+        assert chords._back_steps(w[::-1]) == [m - b for b in reversed(chords._back_steps(w))], w
 
 
 # --- patterns ---------------------------------------------------------------

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from knotproj import (
 )
 from knotproj.enumeration import BUDGET_ENV
 
-from conftest import FIXTURES, weak_variant
+from conftest import FIXTURES, curled_composite, weak_variant
 
 
 def run(capsys, *argv):
@@ -186,6 +187,59 @@ def test_analyze_builds_one_table_per_command(tmp_path, capsys, monkeypatch):
     batch = tables[2:]
     assert type(batch[0]) is dict and all(t is batch[0] for t in batch)
     assert all(batch[0] is not t for t in tables[:2])
+
+
+def composite_codes():
+    """40 of :func:`conftest.curled_composite`, four per n = 7..16: codes
+    built from tuples alone, as the benchmark's analyze inputs are, each
+    with at least one prime and one curl."""
+    rng = random.Random(34)
+    return [
+        " ".join(map(str, curled_composite(rng, n))) for n in range(7, 17) for _ in range(4)
+    ]
+
+
+def test_analyze_composites_are_pinned(capsys):
+    """``analyze --json --arnold`` on each of :func:`composite_codes`, the
+    stdouts joined, byte for byte, by its sha256."""
+    outs = []
+    for text in composite_codes():
+        code, out, err = run(capsys, "analyze", "--json", "--arnold", text)
+        assert code == 0 and err == "", text
+        assert len(json.loads(out)["prime_factors"]) >= 2, text
+        outs.append(out)
+    want = (FIXTURES / "analyze_composites.sha256").read_text(encoding="utf-8").split()[0]
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == want
+
+
+def test_analyze_searches_each_distinct_factor_once(capsys, monkeypatch):
+    """trefoil # trefoil # trefoil with four curls: ``analyze`` runs three
+    orbit searches, for the code, ``1 1`` and ``1 2 3 1 2 3``, and
+    ``prime_decompose`` gives equal factor words one shared diagram."""
+    trefoil = planar.realize(chords.parse_code("1 2 3 1 2 3"))
+    loop = planar.realize(chords.parse_code("1 1"))
+    q = trefoil
+    for p, site in ((trefoil, 1), (loop, 4), (trefoil, 7), (loop, 0), (loop, 12), (loop, 5)):
+        q = planar.connected_sum(q, p, site, 0)
+    factors = planar.prime_decompose(q)
+    assert sorted(str(f.code) for f in factors) == ["1 1"] * 4 + ["1 2 3 1 2 3"] * 3
+    for f in factors:
+        for g in factors:
+            assert (f.code is g.code) == (f.word == g.word)
+    searched = []
+    orbit_min = chords._orbit_min
+
+    def counted(word):
+        searched.append(word)
+        return orbit_min(word)
+
+    monkeypatch.setattr(chords, "_orbit_min", counted)
+    code, out, _ = run(capsys, "analyze", "--json", str(q.code))
+    assert code == 0
+    assert sorted(json.loads(out)["prime_factors"]) == sorted(str(f.code) for f in factors)
+    assert sorted(orbit_min(w) for w in searched) == sorted(
+        [orbit_min(q.word), (1, 1), (1, 2, 3, 1, 2, 3)]
+    )
 
 
 def test_analyze_batch_malformed_line_exits_2_stdout_clean(tmp_path, capsys):
