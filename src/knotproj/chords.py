@@ -38,10 +38,12 @@ Each chord-level concept has one implementation:
   diagram and cached as ``ChordDiagram._bits``: every interleave question
   reads it, here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
   realization); :func:`_triangles` counts its triangles, the triple chords;
-  :func:`_components` lists its components, the prime factors behind
-  ``planar.prime_decompose``, :func:`split_connected_sum` and the dataset's
-  ``prime`` field.  The enumeration seeds ``_bits``, and
-  ``ChordDiagram._firsts``, from its search.
+  :func:`_components` lists its components, in one walk whose spanning
+  order ``planar._flip_coset`` propagates flips along; the components are
+  also the prime factors behind ``planar.prime_decompose``,
+  :func:`split_connected_sum` and the dataset's ``prime`` field.  The
+  enumeration seeds ``_bits``, and ``ChordDiagram._firsts``, from its
+  search.
 """
 
 from __future__ import annotations
@@ -93,16 +95,22 @@ def _normalize(labels) -> tuple[int, ...]:
 
 
 class _Frozen:
-    """Refuses attribute assignment and deletion.
+    """Refuses attribute assignment and deletion, and builds validated.
 
     A mixin for the NamedTuple subclasses that cache values in an instance
     ``__dict__`` (:class:`ChordDiagram`, ``planar.PlanarCurve``): their
     fields are read-only already, and this keeps new names out as well.
     ``cached_property`` and the package's own ``__dict__[...]`` writes go
-    past ``__setattr__``, so the caches still fill.
+    past ``__setattr__``, so the caches still fill.  Its ``_make`` builds
+    through the subclass's constructor, so ``_make`` and the inherited
+    ``_replace`` validate their fields as the constructor does.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
@@ -128,12 +136,6 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
         if _normalize(word) != word:
             raise MalformedCode(f"word {word!r} is not labeled by first occurrence")
         return cls._of_normal(word)
-
-    @classmethod
-    def _make(cls, iterable) -> "ChordDiagram":
-        """The diagram of the fields in ``iterable``, validated as by the
-        constructor; the inherited ``_replace`` builds through here."""
-        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -448,16 +450,22 @@ def gauss_parity_violations(cd: ChordDiagram) -> list[int]:
     return [a for a, b in enumerate(cd._bits, start=1) if b.bit_count() & 1]
 
 
-def _components(cd: ChordDiagram) -> list[int]:
-    """The components of the interlacement graph, by last position in the word.
+def _components(cd: ChordDiagram) -> tuple[list[int], list[tuple[int, int]]]:
+    """The components of the interlacement graph, by last position in the
+    word, and the walk's spanning order.
 
     Each component is a bit mask (bit a-1 for chord a) grown from
     ``cd._bits``.  The word is read from its end, so each component is met
-    at its last position; the list is then reversed.  U has none.
+    at its last position, its root; the list is then reversed.  The walk
+    leaves every chord once, and the order lists, in walk order, a pair
+    (a - 1, reached) for each chord a that first reaches others, ``reached``
+    their mask.  So each chord but a root is reached once, from a chord
+    reached before it.  U has no components.
     """
     adj = cd._bits
     seen = 0
     found = []
+    order = []
     for x in reversed(cd.word):
         if seen >> (x - 1) & 1:
             continue
@@ -465,13 +473,16 @@ def _components(cd: ChordDiagram) -> list[int]:
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            new = adj[low.bit_length() - 1] & ~comp
-            comp |= new
-            frontier |= new
+            a = low.bit_length() - 1
+            new = adj[a] & ~comp
+            if new:
+                order.append((a, new))
+                comp |= new
+                frontier |= new
         seen |= comp
         found.append(comp)
     found.reverse()
-    return found
+    return found, order
 
 
 def split_connected_sum(
@@ -489,7 +500,7 @@ def split_connected_sum(
     when there are fewer than two components.  They are not validated
     again: each holds whole chords.
     """
-    comps = _components(cd)
+    comps = _components(cd)[0]
     if len(comps) < 2:
         return None
     w = cd.word

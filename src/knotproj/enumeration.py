@@ -337,7 +337,7 @@ def build_record(
         monogons=degrees.count(1),
         strong_bigons=len(planar._strong_sites(p.word, bigons)),
         reduced=planar.is_reduced(p),
-        prime=len(chords._components(cd)) == 1,
+        prime=len(chords._components(cd)[0]) == 1,
         in_S=moves._reaches_U(p, table),
         arnold=invariants.arnold_invariant(p) if with_arnold else None,
     )

@@ -151,12 +151,6 @@ class PlanarCurve(chords._Frozen, _PlanarCurveFields):
             raise InvalidSite(f"flip mask {flips!r} not in 0..2**{code.n} - 1")
         return tuple.__new__(cls, (code, flips))
 
-    @classmethod
-    def _make(cls, iterable) -> "PlanarCurve":
-        """The curve of the fields in ``iterable``, validated as by the
-        constructor; the inherited ``_replace`` builds through here."""
-        return cls(*iterable)
-
     @property
     def word(self) -> tuple[int, ...]:
         return self.code.word
@@ -323,52 +317,38 @@ def _trace_faces(word: tuple[int, ...], flips: int) -> list[Face]:
 def _flip_coset(cd: ChordDiagram) -> tuple[int, list[int]]:
     """Candidate flip mask and the indicator masks of the interlacement components.
 
-    Bit v-1 of a mask is vertex v's flip.  Flips are propagated through each
-    component of the interleavement graph from its smallest label, set to 0:
-    for interleaved a and b the flips of a spherical realization satisfy
-    flip[a] ^ flip[b] = (g + |N(a) & N(b)|) mod 2, where g counts the code
-    positions strictly between the first occurrences of a and b, and N is the
-    interleavement neighbourhood.  Flipping a whole component mirrors that
-    part of the curve, so when the code is realizable its valid masks are
-    exactly the returned mask XOR the span of the component indicators.  Each
-    component is then mirrored when its largest label carries flip 1, which
-    makes the mask the smallest valid one in numeric (sweep) order.
+    Bit v-1 of a mask is vertex v's flip.  Flips are propagated along the
+    spanning order of :func:`chords._components`, each component's root set
+    to 0: for interleaved a and b the flips of a spherical realization
+    satisfy flip[a] ^ flip[b] = (g + |N(a) & N(b)|) mod 2, where g counts
+    the code positions strictly between the first occurrences of a and b,
+    so g = first[a] + first[b] + 1 mod 2, and N is the interleavement
+    neighbourhood.  Flipping a whole component mirrors that part of the
+    curve, so when the code is realizable its valid masks are exactly the
+    returned mask XOR the span of the component indicators.  Each component
+    is then mirrored when its largest label carries flip 1, which makes the
+    mask the smallest valid one in numeric (sweep) order, whatever the root.
+    The components come back as :func:`chords._components` lists them.
 
     ``cd._bits`` and ``cd._firsts`` come with an enumerated diagram; any
     other diagram builds each in one pass over its word.
-
-    The components are grown here by a walk of their own, not read from
-    :func:`chords._components`: propagating flips needs a spanning order
-    (each label reached from an interleaved label already set), which a
-    component mask does not give, so reusing it would add a second walk.
     """
     adj = cd._bits
     first = cd._firsts
+    components, order = chords._components(cd)
     mask = 0
-    seen = 0
-    components = []
-    for root in range(len(adj)):
-        if seen >> root & 1:
-            continue
-        comp = 1 << root
-        seen |= comp
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            rest = adj[a] & ~seen
-            seen |= rest
-            comp |= rest
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                b = low.bit_length() - 1
-                g = abs(first[b] - first[a]) - 1
-                if ((mask >> a & 1) + g + (adj[a] & adj[b]).bit_count()) & 1:
-                    mask |= low
-                stack.append(b)
+    for a, reached in order:
+        row = adj[a]
+        side = (mask >> a & 1) + first[a] + 1
+        while reached:
+            low = reached & -reached
+            reached ^= low
+            b = low.bit_length() - 1
+            if (side + first[b] + (row & adj[b]).bit_count()) & 1:
+                mask |= low
+    for comp in components:
         if mask >> (comp.bit_length() - 1) & 1:
             mask ^= comp
-        components.append(comp)
     return mask, components
 
 
@@ -600,7 +580,7 @@ def prime_decompose(p: PlanarCurve) -> list[PlanarCurve]:
     share one diagram, so a caller that canonicalizes each factor (the
     ``analyze`` command) runs one orbit search per distinct word.
     """
-    comps = chords._components(p.code)
+    comps = chords._components(p.code)[0]
     part = [0] * (p.n + 1)
     for i, comp in enumerate(comps):
         while comp:

@@ -1168,5 +1168,5 @@ def embedding_key(p):
 
 @pytest.fixture(scope="session")
 def census():
-    with open(FIXTURES / "census_counts.json") as fh:
+    with open(FIXTURES / "census_counts.json", encoding="utf-8") as fh:
         return json.load(fh)

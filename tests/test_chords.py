@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from knotproj import (
     ChordDiagram,
     chords,
+    planar,
     canonicalize,
     count_tr,
     count_x,
@@ -298,12 +299,28 @@ def test_split_connected_sum_prime_and_small():
 def test_one_component_exactly_when_no_closed_interval(ns, words, primes):
     """The dataset's ``prime`` test, one interlacement component, agrees with
     the closed-interval test on every canonical word with n <= 8, parity
-    or not (n = 8 under ``slow``); the components partition the chords."""
+    or not (n = 8 under ``slow``); the components partition the chords.
+
+    The walk is the one ``planar._flip_coset`` reads: its components come
+    back as ``_components`` lists them, and every chord but a component's
+    root, the chord at its last position, is reached once, from an
+    interleaved chord reached before it."""
     seen = found = 0
     for n in ns:
         for w in all_canonical_words(n):
-            comps = chords._components(ChordDiagram(w))
+            cd = ChordDiagram(w)
+            comps, order = chords._components(cd)
             assert sum(comps) == (1 << n) - 1
+            assert planar._flip_coset(cd)[1] == comps
+            reached = 0
+            for comp in comps:
+                root = next(x for x in reversed(w) if comp >> (x - 1) & 1)
+                reached |= 1 << (root - 1)
+            for a, new in order:
+                assert reached >> a & 1 and new and not new & reached, w
+                assert new & ~cd._bits[a] == 0, w
+                reached |= new
+            assert reached == (1 << n) - 1
             prime = len(comps) == 1
             assert prime == (n >= 1 and first_closed_interval(w) is None), w
             seen += 1

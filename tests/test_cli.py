@@ -133,7 +133,7 @@ def test_analyze_unrealizable_beyond_parity_exits_3(capsys):
 
 def test_analyze_batch(tmp_path, capsys):
     src = tmp_path / "codes.txt"
-    src.write_text("1 1\n\n1 2 3 1 2 3\n")
+    src.write_text("1 1\n\n1 2 3 1 2 3\n", encoding="utf-8")
     code, out, _ = run(capsys, "analyze", "--in", str(src), "--json")
     arr = json.loads(out)
     assert [o["code"] for o in arr] == ["1 1", "1 2 3 1 2 3"]
@@ -149,7 +149,7 @@ def test_analyze_batch_prints_what_each_code_prints(tmp_path, capsys):
         for p in enumerate_curves(n):
             texts.append(" ".join(map(str, p.word[n:] + p.word[:n])))
     src = tmp_path / "codes.txt"
-    src.write_text("\n".join(texts) + "\n")
+    src.write_text("\n".join(texts) + "\n", encoding="utf-8")
     for flags in (["--arnold"], ["--json"]):
         code, batch, _ = run(capsys, "analyze", "--in", str(src), *flags)
         assert code == 0
@@ -181,7 +181,7 @@ def test_analyze_builds_one_table_per_command(tmp_path, capsys, monkeypatch):
     assert len(tables) == 2 and all(type(t) is dict for t in tables)
     assert tables[0] is not tables[1]
     src = tmp_path / "codes.txt"
-    src.write_text(f"1 1\n1 2 3 1 2 3\n{COMPOSITE_WITH_CURL}\n")
+    src.write_text(f"1 1\n1 2 3 1 2 3\n{COMPOSITE_WITH_CURL}\n", encoding="utf-8")
     code, _, _ = run(capsys, "analyze", "--in", str(src), "--json")
     assert code == 0 and len(tables) == 5
     batch = tables[2:]
@@ -245,7 +245,7 @@ def test_analyze_searches_each_distinct_factor_once(capsys, monkeypatch):
 def test_analyze_batch_malformed_line_exits_2_stdout_clean(tmp_path, capsys):
     """A bad line stops the batch before anything is printed."""
     src = tmp_path / "codes.txt"
-    src.write_text("1 1\n1 2 1\n1 2 3 1 2 3\n")
+    src.write_text("1 1\n1 2 1\n1 2 3 1 2 3\n", encoding="utf-8")
     code, out, err = run(capsys, "analyze", "--in", str(src), "--json")
     assert code == 2 and out == ""
     assert err == MALFORMED_1_2_1
@@ -269,7 +269,7 @@ def test_analyze_batch_undecodable_file_exits_5(tmp_path, capsys):
 def test_analyze_code_and_in_exclude_each_other(tmp_path, capsys):
     """A positional code next to --in is refused, not silently dropped."""
     src = tmp_path / "codes.txt"
-    src.write_text("1 1\n")
+    src.write_text("1 1\n", encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         cli.main(["analyze", "1 2 1 2", "--in", str(src), "--json"])
     assert exc.value.code == 2
@@ -401,7 +401,7 @@ def assert_dataset_pinned(capsys, tmp_path, n, records):
     out_path = tmp_path / "ds.jsonl"
     code, out, _ = run(capsys, "enumerate", str(n), "--out", str(out_path))
     assert code == 0 and out.endswith(f"({records} records)\n")
-    want = (FIXTURES / f"enumerate_{n}.sha256").read_text().split()[0]
+    want = (FIXTURES / f"enumerate_{n}.sha256").read_text(encoding="utf-8").split()[0]
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want
 
 
@@ -510,7 +510,7 @@ def test_connected_sum_lemma_10_report_is_pinned(capsys, monkeypatch):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["curves_tested"] == 3_896
-    want = (FIXTURES / "csl_10.sha256").read_text().split()[0]
+    want = (FIXTURES / "csl_10.sha256").read_text(encoding="utf-8").split()[0]
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
@@ -524,7 +524,7 @@ def test_connected_sum_lemma_11_report_is_pinned(capsys, monkeypatch):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["curves_tested"] == 15_136
-    want = (FIXTURES / "csl_11.sha256").read_text().split()[0]
+    want = (FIXTURES / "csl_11.sha256").read_text(encoding="utf-8").split()[0]
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
@@ -533,7 +533,7 @@ def test_verify_8_report_is_pinned(capsys, monkeypatch):
     monkeypatch.delenv(BUDGET_ENV, raising=False)
     code, out, _ = run(capsys, "verify", "--all", "--max-n", "8", "--json")
     assert code == 0
-    want = (FIXTURES / "verify_8.sha256").read_text().split()[0]
+    want = (FIXTURES / "verify_8.sha256").read_text(encoding="utf-8").split()[0]
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
@@ -752,7 +752,7 @@ def test_dispatch_keeps_exit_codes_and_stdout(tmp_path, capsys, monkeypatch):
     first word is no subcommand (empty, help, unknown); a known subcommand's
     arguments go straight to its own parser."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "codes.txt").write_text("1 1\n1 2 3 1 2 3\n")
+    (tmp_path / "codes.txt").write_text("1 1\n1 2 3 1 2 3\n", encoding="utf-8")
     parser, commands = cli._build_parser()
     parsed = []
     original = argparse.ArgumentParser.parse_known_args
@@ -788,13 +788,13 @@ def test_entry_point_reads_sys_argv(capsys):
     argv = ["analyze", "--json", "1 1 2 2"]
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
     )
     assert proc.returncode == 0
     assert proc.stdout == run(capsys, *argv)[1]
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert "required: command" in proc.stderr

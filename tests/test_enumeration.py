@@ -387,7 +387,7 @@ def test_write_is_sorted_and_framed(tmp_path):
     path = tmp_path / "ds.jsonl"
     recs = all_records(3)
     write_dataset(list(reversed(recs)), path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == '{"schema":1}'
     assert len(lines) == 1 + len(recs)
     keys = [(json.loads(l)["n"], json.loads(l)["code"]) for l in lines[1:]]
@@ -406,8 +406,8 @@ def test_read_skips_blank_lines(tmp_path):
     path = tmp_path / "ds.jsonl"
     recs = all_records(1)
     write_dataset(recs, path)
-    body = path.read_text().replace("\n", "\n\n")
-    path.write_text(body)
+    body = path.read_text(encoding="utf-8").replace("\n", "\n\n")
+    path.write_text(body, encoding="utf-8")
     assert read_dataset(path) == recs
 
 
@@ -415,7 +415,7 @@ def test_arnold_round_trips_as_rational_text(tmp_path):
     path = tmp_path / "ds.jsonl"
     recs = all_records(3)
     write_dataset(recs, path)
-    raw = [json.loads(l) for l in path.read_text().splitlines()[1:]]
+    raw = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()[1:]]
     trefoil = next(o for o in raw if o["code"] == "1 2 3 1 2 3")
     assert trefoil["arnold"] == "2"
     assert all(isinstance(o["arnold"], str) for o in raw)

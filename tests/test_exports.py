@@ -56,7 +56,7 @@ def test_every_private_definition_is_named_in_the_package():
     defined = set()
     named = set()
     for path in pathlib.Path(knotproj.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if node.name.startswith("_") and not node.name.endswith("__"):
                     if node.name not in inherited:

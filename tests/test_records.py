@@ -204,7 +204,7 @@ def _modules_after(statement: str) -> set:
     script = f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=60, check=True,
     )
     return set(proc.stdout.split())
 
