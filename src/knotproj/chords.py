@@ -33,17 +33,17 @@ Each chord-level concept has one implementation:
   steps of its partial word as chords close and hands them to both its
   close-time prune (:func:`_precedes`) and its leaf test, with the
   candidate starts it records as chords close,
-* :func:`_interlacement_bits` is the interlacement core, a word read by
-  the prefix-XOR reader :func:`_read` from the empty state, built once per
-  diagram and cached as ``ChordDiagram._bits``: every interleave question
-  reads it, here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
-  realization); :func:`_triangles` counts its triangles, the triple chords;
+* :func:`_interlacement_bits` is the interlacement core, a word read
+  left to right with a running prefix XOR, built once per diagram and
+  cached as ``ChordDiagram._bits``: every interleave question reads it,
+  here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
+  realization), and the connected-sum check reads each spliced word with
+  it; :func:`_triangles` counts its triangles, the triple chords;
   :func:`_components` lists its components, in one walk whose spanning
   order ``planar._flip_coset`` propagates flips along; the components are
   also the prime factors behind ``planar.prime_decompose``,
   :func:`split_connected_sum` and the dataset's ``prime`` field.  The
-  enumeration seeds ``_bits``, and ``ChordDiagram._firsts``, from its
-  search.
+  enumeration seeds ``_bits`` from its search.
 """
 
 from __future__ import annotations
@@ -151,9 +151,9 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
         """The first position of each label a, at index a - 1, found on
         first use: label a first occurs where a is the next label.
 
-        The enumeration seeds it from its search, as the positions whose
-        back step (:func:`_back_steps`) wraps past the word's start.  Its
-        readers are :meth:`positions`, ``planar._flip_coset``,
+        An enumerated diagram finds it when realization's
+        ``planar._flip_coset`` first reads it.  Its readers are
+        :meth:`positions`, ``planar._flip_coset``,
         ``PlanarCurve.rotations``, ``planar.innermost_teardrop`` and
         ``invariants.a2_gauss_formula``.
         """
@@ -364,40 +364,28 @@ def interleaved(cd: ChordDiagram, a: int, b: int) -> bool:
     return bool(cd._bits[a - 1] >> (b - 1) & 1)
 
 
-def _read(rows: list[int], prefix: int, symbols) -> int:
-    """Read ``symbols`` into interlacement ``rows``; return the prefix XOR after them.
-
-    ``rows`` and ``prefix`` are the state after some leading part of a word
-    (the empty state: each chord's row holds its own bit, and the prefix is
-    0).  Each symbol x XORs the prefix, the XOR of ``1 << (w[i] - 1)`` over
-    the positions before it, into row x - 1, then toggles bit x - 1 of the
-    prefix.  Once a word labeled 1..n, each label twice, is read whole, row
-    a - 1 holds its own bit XOR the positions from chord a's first endpoint
-    up to its second.  The first endpoint cancels the own bit, and of the
-    positions strictly inside, every chord with both endpoints there cancels
-    and exactly the chords with one endpoint there, the chords that
-    interleave a, stay.  The state after a part depends only on that part,
-    so words that share a leading part can share its state.
-    """
-    for x in symbols:
-        rows[x - 1] ^= prefix
-        prefix ^= 1 << (x - 1)
-    return prefix
-
-
 def _interlacement_bits(word: tuple[int, ...]) -> tuple[int, ...]:
     """Interleavement graph as bitsets: entry a-1 has bit b-1 set iff a, b interleave.
 
-    The word read by :func:`_read` from the empty state, in one pass over
-    a word labeled 1..n, each label twice, in any order: first-occurrence
-    order is not needed.  A diagram reads it through ``ChordDiagram._bits``,
-    so each diagram builds it once.  ``verify._connected_sum_lemma`` reads its
-    spliced words (head, ``planar._splice_block`` and tail, not relabeled)
-    with :func:`_read` too, through ``verify._splice_rows``, from the state
-    after their shared head.
+    One pass over a word labeled 1..n, each label twice, in any order:
+    first-occurrence order is not needed.  Each row starts with its own
+    bit, and each symbol x XORs the prefix, the XOR of ``1 << (w[i] - 1)``
+    over the positions before it, into row x - 1, then toggles bit x - 1 of
+    the prefix.  So row a - 1 ends as its own bit XOR the positions from
+    chord a's first endpoint up to its second.  The first endpoint cancels
+    the own bit, and of the positions strictly inside, every chord with
+    both endpoints there cancels and exactly the chords with one endpoint
+    there, the chords that interleave a, stay.  A diagram reads it through
+    ``ChordDiagram._bits``, so each diagram builds it once, and
+    ``verify._connected_sum_lemma`` reads each spliced word with it (head,
+    ``planar._splice_block`` and tail, not relabeled), with no diagram
+    built.
     """
     rows = [1 << i for i in range(len(word) // 2)]
-    _read(rows, 0, word)
+    prefix = 0
+    for x in word:
+        rows[x - 1] ^= prefix
+        prefix ^= 1 << (x - 1)
     return tuple(rows)
 
 

@@ -33,8 +33,8 @@ candidate reading below the word.
 Realizability is decided by :func:`knotproj.planar._search_rotations`:
 crossing flips are propagated over the interlacement graph in O(n^2) bit
 operations and one walk of the face permutation confirms or refutes the
-candidate rotation system.  It reads the interlacement rows and first
-positions that each generated diagram brings from the search.
+candidate rotation system.  It reads the interlacement rows that each
+generated diagram brings from the search.
 
 A record reads its face degrees, monogons and strong 2-gons off one such
 walk (:func:`knotproj.planar._face_walk`), with no face list built.
@@ -168,16 +168,21 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
     recorded as it closes.
 
     The open chords are a list of first positions, ascending, so one
-    comparison with the earliest tells when a chord can no longer close
-    within ``m - gap``, and the loop stops at the first that would close
-    shorter than ``gap``.  Each diagram carries what the search kept, its
-    rows N(a) >> 1 as ``ChordDiagram._bits`` and its first positions as
-    ``ChordDiagram._firsts``, for :func:`planar._flip_coset` and the other
-    readers that ``_firsts`` lists.  The first positions are read off
-    ``back``: a chord of length d with endpoints p < q has ``back[p] = m - d``
-    and ``back[q] = d``, and m - d > p while d <= q, so the positions p with
-    ``back[p] > p`` are the first endpoints, ascending, which in a normalized
-    word is label order.
+    comparison with the earliest (the deadline) tells when a chord can no
+    longer close within ``m - gap``, and the loop stops at the first that
+    would close shorter than ``gap``.  The deadline is needed for
+    correctness, not only speed: the leaf test reads only the sides of
+    length ``gap``, so it relies on every chord keeping both sides at least
+    ``gap`` long, the side it closes on by the loop's stop and the other by
+    the deadline.  Without the deadline the output is unchanged for
+    n <= 9, but at n = 10 the gap-7 search emits 4 words that are not
+    canonical, their least back step 5, such as
+    1 2 3 4 5 6 7 1 2 8 4 9 10 5 6 7 8 3 9 10.
+
+    Each diagram carries the rows the search kept, N(a) >> 1, as
+    ``ChordDiagram._bits``; its first positions are left to
+    ``ChordDiagram._firsts``, found by a scan of the word when
+    :func:`planar._flip_coset` first reads them.
     """
     if n == 0:
         return [ChordDiagram._of_canonical(())]
@@ -209,8 +214,6 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
                     for a, na in closed:
                         rows[a - 1] = na >> 1
                     cd.__dict__["_bits"] = tuple(rows)
-                    # a first endpoint's back step wraps past the word's start
-                    cd.__dict__["_firsts"] = tuple([p for p in range(m) if back[p] > p])
                     out.append(cd)
                 return
             if opens and i > opens[0] + slack:
@@ -265,7 +268,7 @@ def enumerate_curves(n: int) -> list[PlanarCurve]:
 
     Codes come out canonical and in ascending word order, generated afresh
     on each call.  Each curve's code is the diagram the generator built,
-    with the interlacement rows and first positions it handed on; n = 0
+    with the interlacement rows it handed on; n = 0
     takes the same path to ``[U]``.  Raises :class:`BudgetExceeded` where
     :func:`check_budget` refuses n.
     """

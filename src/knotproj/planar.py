@@ -330,8 +330,9 @@ def _flip_coset(cd: ChordDiagram) -> tuple[int, list[int]]:
     mask the smallest valid one in numeric (sweep) order, whatever the root.
     The components come back as :func:`chords._components` lists them.
 
-    ``cd._bits`` and ``cd._firsts`` come with an enumerated diagram; any
-    other diagram builds each in one pass over its word.
+    ``cd._bits`` comes with an enumerated diagram; any other diagram
+    builds it, and every diagram builds ``cd._firsts``, in one pass over
+    its word.
     """
     adj = cd._bits
     first = cd._firsts
@@ -666,9 +667,10 @@ def connected_sum(
     its label, by :func:`_drop_labels` with nothing dropped, which makes it
     normal by construction, so it is not validated again.  Code-level
     readers that do not depend on label names, such as the triple-chord
-    count of ``verify._connected_sum_lemma`` (through ``verify._splice_rows``),
-    read the same unrelabeled word (p1's head, :func:`_splice_block`, p1's
-    tail) directly and build no curve.
+    count of ``verify._connected_sum_lemma``, read the same unrelabeled
+    word (p1's head, :func:`_splice_block`, p1's tail) directly, with
+    ``chords._interlacement_bits``, the reader every diagram's rows come
+    from, and build no curve.
     """
     _check_site(p1, site1, "site1")
     _check_site(p2, site2, "site2")

@@ -34,7 +34,8 @@ R(w, s) is the rotation of w that starts after site s:
   back steps give the same rotation up to relabeling, and so the same
   splices, so only the first site of each class is read.
 
-Each splice read is read whole, head, block and tail, from its own word:
+Each splice read is read whole, as one word, by
+``chords._interlacement_bits``, the reader every diagram's rows come from:
 rows assembled from the summands' interlacement graphs would assume that
 no chord of one summand interleaves a chord of the other, which is the
 lemma's proof, not a test of it.  ``curves_tested`` counts the ordered
@@ -93,7 +94,7 @@ class _Tally:
     """One check's findings so far in a pass, and the time it has taken.
 
     ``pools`` maps each n <= max_n / 2 to the triple-chord-free curves with
-    n crossings, each with its site classes and heads; only
+    n crossings, each with its site classes; only
     connected-sum-lemma fills it.
     """
 
@@ -197,53 +198,15 @@ def _site_classes(w: tuple[int, ...]) -> list[int]:
     return list(firsts.values())
 
 
-def _heads(
-    w1: tuple[int, ...], sites: list[int]
-) -> list[tuple[tuple[list[int], int], tuple[int, ...]]]:
-    """For each site1 in ``sites``: the reader's state after the head, and the tail.
-
-    The head ``w1[:site1 + 1]`` is read by ``chords._read`` from the empty
-    state of w1's n1 chords (the head holds no other label); the tail is
-    ``w1[site1 + 1:]``.
-    """
-    n1 = len(w1) // 2
-    heads = []
-    for site1 in sites:
-        rows = [1 << i for i in range(n1)]
-        prefix = chords._read(rows, 0, w1[: site1 + 1])
-        heads.append(((rows, prefix), w1[site1 + 1:]))
-    return heads
-
-
-def _splice_rows(
-    head: tuple[list[int], int], blocks: list[tuple[int, ...]], tail: tuple[int, ...]
-) -> list[list[int]]:
-    """The interlacement rows of the word head + block + tail, for each block.
-
-    ``head`` is the reader's state after the head (:func:`_heads`); the
-    rows of the blocks' n2 chords, labeled n1 + 1..n1 + n2, join it with
-    their own bits, and each block and then the tail are read on a copy.
-    """
-    rows, prefix = head
-    n1 = len(rows)
-    seeded = rows + [1 << (n1 + j) for j in range(len(blocks[0]) // 2)]
-    out = []
-    for block in blocks:
-        spliced = seeded.copy()
-        chords._read(spliced, prefix, block + tail)
-        out.append(spliced)
-    return out
-
-
 def _connected_sum_lemma(t: _Tally, n: int, batch: list, table: dict) -> None:
     """Splicing two triple-chord-free curves is triple-chord-free, at every site.
 
     This n's triple-chord-free curves are the second summands, spliced into
     each pooled first summand with n1 + n <= max_n and n1 <= n, and are
-    pooled themselves (with their site classes and :func:`_heads`) only when
-    2n <= max_n: a summand with more crossings is never the first.  So each
-    ordered pair of triple-chord-free curves with n1 + n2 <= max_n, at each
-    pair of sites, is covered at the batch of its larger summand;
+    pooled themselves (with their site classes) only when 2n <= max_n: a
+    summand with more crossings is never the first.  So each ordered pair
+    of triple-chord-free curves with n1 + n2 <= max_n, at each pair of
+    sites, is covered at the batch of its larger summand;
     ``curves_tested`` counts the ordered pairs.  A splice is read as its
     word, ``planar._splice_word``: the spliced code of
     ``planar.connected_sum`` before its relabeling by first occurrence,
@@ -270,26 +233,23 @@ def _connected_sum_lemma(t: _Tally, n: int, batch: list, table: dict) -> None:
     violation per splice read, at its sites, not one per ordered site pair,
     by the larger summand's n, then the smaller's.
 
-    Each splice read is the head ``w1[:s1 + 1]``, p2's block
-    (``planar._splice_block``) and the tail ``w1[s1 + 1:]``.  The
-    prefix-XOR reader ``chords._read`` reads the word left to right, and
-    its state after the head depends only on the head, so that state is
-    read once per p1 and site class (:func:`_heads`), each p2's blocks are
-    built once per n1, and each splice reads its own block and tail on a
-    copy of the head's state (:func:`_splice_rows`).  Its rows are then
-    exactly ``chords._interlacement_bits`` of its whole spliced word.  No
-    rows come from a summand's graph: assembling them from the summands'
-    graphs would assume that no chord of one summand interleaves a chord of
-    the other, which is the lemma's proof, not a test of it.  The check
-    stays at the code level: the spliced code is the same for every
-    embedding of the summands and for p2's mirror, so it reads no flips,
-    and checking the lemma for curves needs a statement about the map.
+    Each splice read is one word, the head ``w1[:s1 + 1]``, p2's block
+    (``planar._splice_block``, built once per p2, site class and n1) and
+    the tail ``w1[s1 + 1:]``, and its rows are
+    ``chords._interlacement_bits`` of that word, the reader every
+    diagram's rows come from.  No rows come from a summand's graph:
+    assembling them from the summands' graphs would assume that no chord of
+    one summand interleaves a chord of the other, which is the lemma's
+    proof, not a test of it.  The check stays at the code level: the
+    spliced code is the same for every embedding of the summands and for
+    p2's mirror, so it reads no flips, and checking the lemma for curves
+    needs a statement about the map.
     """
     pools = t.pools
     top = t.max_n
     free = [(p, _site_classes(p.word)) for p, tr in batch if not tr]
     if 2 * n <= top:
-        pools[n] = [(p, s, _heads(p.word, s)) for p, s in free]
+        pools[n] = free
     smaller = sum(len(pools[k]) for k in range(1, min(n, top - n + 1)))
     t.tested += len(free) * (2 * smaller + len(pools.get(n, ())))
     for n1 in range(1, min(n, top - n) + 1):
@@ -297,12 +257,14 @@ def _connected_sum_lemma(t: _Tally, n: int, batch: list, table: dict) -> None:
             (p2, s, [planar._splice_block(p2.word, s2, n1) for s2 in s])
             for p2, s in free
         ]
-        for i1, (p1, sites1, p1_heads) in enumerate(pools[n1]):
+        for i1, (p1, sites1) in enumerate(pools[n1]):
+            w1 = p1.word
             for p2, sites2, p2_blocks in blocks[i1 if n1 == n else 0:]:
-                for k1, (s1, (head, tail)) in enumerate(zip(sites1, p1_heads)):
+                for k1, s1 in enumerate(sites1):
+                    head, tail = w1[: s1 + 1], w1[s1 + 1:]
                     k0 = k1 if p1 is p2 else 0
-                    read = _splice_rows(head, p2_blocks[k0:], tail)
-                    for s2, rows in zip(sites2[k0:], read):
+                    for s2, block in zip(sites2[k0:], p2_blocks[k0:]):
+                        rows = chords._interlacement_bits(head + block + tail)
                         tr = chords._triangles(rows)
                         if tr:
                             t.violations.append(

@@ -132,12 +132,15 @@ def _counting(monkeypatch, module, name, record):
 
 
 def handed_facts_match(n):
-    """Each generated diagram carries its interlacement rows and first
-    positions, equal to what the diagram would compute itself."""
+    """Each generated diagram carries its interlacement rows, equal to what
+    the diagram would compute itself, and its canonical form, itself, and
+    nothing else; its first positions, found by the diagram's own scan,
+    are each label's first index in the word."""
     for cd in _canonical_words(n):
         w = cd.word
-        assert cd.__dict__["_bits"] == chords._interlacement_bits(w), w
-        assert cd.__dict__["_firsts"] == tuple(w.index(a) for a in range(1, n + 1)), w
+        assert set(cd.__dict__) == {"_bits", "_canon"}, w
+        assert cd._bits == chords._interlacement_bits(w), w
+        assert cd._firsts == tuple(w.index(a) for a in range(1, n + 1)), w
         assert cd._canon is cd
 
 
@@ -180,6 +183,27 @@ def test_close_time_prune_cuts_leaf_checks(monkeypatch):
     assert len(old) == 5_892
     # pinned; a further close-time prune may lower it
     assert len(new) == 1_967
+
+
+def test_generator_search_tree_is_pinned():
+    """The n = 8 search visits 10,212 nodes (``place`` calls, counted with
+    a profile hook) for its 780 diagrams, about 13 per diagram emitted.
+    Pinned; a further prune may lower it.  Without the deadline prune the
+    count rises to 10,214, so a change to it shows here."""
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "place":
+            nodes += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        words = _canonical_words(8)
+    finally:
+        sys.setprofile(previous)
+    assert (nodes, len(words)) == (10_212, 780)
 
 
 def test_is_orbit_min_agrees_on_leaf_checked_leaves(monkeypatch):

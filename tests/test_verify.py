@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -128,8 +129,8 @@ def test_connected_sum_lemma_counts_on_the_spliced_word(monkeypatch):
     called, and ``count_tr`` only filters the summands, once per enumerated
     curve below the bound.  A splice that breaks p2's block around one p1
     symbol is caught, so the count is read off the whole spliced word.  The
-    check assembles each splice's word after its head in ``_splice_rows``
-    (block, then tail), so the mutation goes in there."""
+    mutation goes into the reader the check hands each spliced word, at the
+    visit's current cut (``s1``) and block, read off its frame."""
     for n in range(1, 6):
         enumerate_curves(n)
     calls = {"connected_sum": 0, "count_tr": 0}
@@ -145,17 +146,19 @@ def test_connected_sum_lemma_counts_on_the_spliced_word(monkeypatch):
     enumerated = sum(len(enumerate_curves(n)) for n in range(1, 6))
     assert calls == {"connected_sum": 0, "count_tr": enumerated} and enumerated == 25
 
-    splice_rows = verify._splice_rows
+    bits = chords._interlacement_bits
 
-    def broken(head, blocks, tail):
+    def broken(word):
         # move p1's symbol after the cut into the middle of p2's block
-        if not tail:
-            return splice_rows(head, blocks, tail)
-        mid = len(blocks[0]) // 2
-        moved = [block[:mid] + tail[:1] + block[mid:] for block in blocks]
-        return splice_rows(head, moved, tail[1:])
+        visit = sys._getframe(1).f_locals
+        cut, size = visit["s1"] + 1, len(visit["block"])
+        end = cut + size
+        if end == len(word):  # no tail
+            return bits(word)
+        mid = cut + size // 2
+        return bits(word[:mid] + word[end : end + 1] + word[mid:end] + word[end + 1 :])
 
-    monkeypatch.setattr(verify, "_splice_rows", broken)
+    monkeypatch.setattr(chords, "_interlacement_bits", broken)
     rep = check_connected_sum_lemma(6)
     assert not rep.passed
     healthy = run_checks(["connected-sum-lemma"], 6)[0]
@@ -193,30 +196,35 @@ def test_connected_sum_lemma_tests_every_pair_of_triple_free_curves(census):
     assert rep.passed and (pairs, len(splices)) == (1_118, 46_780)
 
 
-def record_splices(monkeypatch):
-    """Wrap the connected-sum check's readers; the list they fill.
+def pool_every_curve(monkeypatch):
+    """Make the connected-sum visit take every curve as triple-chord-free,
+    so that it pools and splices curves with triple chords too."""
+    first, below, visit = verify._VISITS["connected-sum-lemma"]
 
-    Each splice the check reads adds its whole word (the head's symbols,
-    the block and the tail) and the triple-chord count of the rows it read.
+    def every_curve(t, n, batch, table):
+        visit(t, n, [(p, 0) for p, _ in batch], table)
+
+    spec = (first, below, every_curve)
+    monkeypatch.setitem(verify._VISITS, "connected-sum-lemma", spec)
+
+
+def record_splices(monkeypatch):
+    """Wrap ``chords._interlacement_bits``, the reader the connected-sum
+    check reads each splice with; the list it fills.
+
+    Each call adds the word read and the triple-chord count of its rows.
+    Census diagrams come with their rows, so in a connected-sum-only pass
+    the check's splices are the only words read.
     """
     reads = []
-    owners = {}
-    heads, splice_rows = verify._heads, verify._splice_rows
+    bits = chords._interlacement_bits
 
-    def recorded_heads(w1, sites):
-        out = heads(w1, sites)
-        for s1, (state, _) in zip(sites, out):
-            owners[id(state)] = w1[: s1 + 1]
-        return out
+    def recorded(word):
+        rows = bits(word)
+        reads.append((word, chords._triangles(rows)))
+        return rows
 
-    def recorded_rows(head, blocks, tail):
-        out = splice_rows(head, blocks, tail)
-        for block, rows in zip(blocks, out):
-            reads.append((owners[id(head)] + block + tail, chords._triangles(rows)))
-        return out
-
-    monkeypatch.setattr(verify, "_heads", recorded_heads)
-    monkeypatch.setattr(verify, "_splice_rows", recorded_rows)
+    monkeypatch.setattr(chords, "_interlacement_bits", recorded)
     return reads
 
 
@@ -235,15 +243,10 @@ def test_connected_sum_lemma_reads_a_splice_equal_to_each_ordered_one(
     not all 0, and the report lists one violation per splice read with
     triple chords."""
     if every:
-        first, below, visit = verify._VISITS["connected-sum-lemma"]
-
-        def every_curve(t, n, batch, table):
-            visit(t, n, [(p, 0) for p, _ in batch], table)
-
-        spec = (first, below, every_curve)
-        monkeypatch.setitem(verify._VISITS, "connected-sum-lemma", spec)
+        pool_every_curve(monkeypatch)
     reads = record_splices(monkeypatch)
     rep = run_checks(["connected-sum-lemma"], 7)[0]
+    monkeypatch.undo()  # the oracle reads its own words
     pools = {
         n: [p.word for p in enumerate_curves(n) if every or not chords.count_tr(p.code)]
         for n in range(1, 7)
@@ -260,22 +263,48 @@ def test_connected_sum_lemma_reads_a_splice_equal_to_each_ordered_one(
     assert rep.curves_tested == len({(w1, w2) for w1, _, w2, _ in oracle})
 
 
+def test_connected_sum_lemma_reads_the_spliced_word(monkeypatch):
+    """At max-n 7, with every curve pooled, each word the connected-sum
+    visit hands ``chords._interlacement_bits`` is ``planar._splice_word``
+    at the visit's current summands and sites, read off its frame, and
+    relabeled by first occurrence it is ``connected_sum``'s word there: the
+    check and ``connected_sum`` assemble one word."""
+    pool_every_curve(monkeypatch)
+    bits = chords._interlacement_bits
+    reads = []
+
+    def checked(word):
+        visit = sys._getframe(1)
+        assert visit.f_code is verify._connected_sum_lemma.__code__
+        at = tuple(visit.f_locals[k] for k in ("p1", "p2", "s1", "s2"))
+        p1, p2, s1, s2 = at
+        assert word == planar._splice_word(p1.word, p2.word, s1, s2), at
+        rows = bits(word)
+        reads.append((at, word, chords._triangles(rows)))
+        return rows
+
+    monkeypatch.setattr(chords, "_interlacement_bits", checked)
+    rep = run_checks(["connected-sum-lemma"], 7)[0]
+    monkeypatch.undo()
+    assert (len(reads), sum(tr > 0 for _, _, tr in reads)) == (1_048, 476)
+    assert len(rep.violations) == 476
+    for at, word, _ in reads:
+        assert chords._relabel(word) == planar.connected_sum(*at).word, at
+
+
 @pytest.mark.parametrize("max_n, read", [(7, 572), (9, 9_804)])
 def test_connected_sum_lemma_reads_one_splice_per_class(monkeypatch, max_n, read):
     """The check reads one splice per pair of site classes, not one per
-    ordered site pair (3,540 at max-n 7, 46,780 at max-n 9)."""
-    rows = 0
-    splice_rows = verify._splice_rows
+    ordered site pair (3,540 at max-n 7, 46,780 at max-n 9): the reader is
+    called once per splice read, and ``connected_sum`` never."""
+    reads = record_splices(monkeypatch)
 
-    def counted(head, blocks, tail):
-        nonlocal rows
-        out = splice_rows(head, blocks, tail)
-        rows += len(out)
-        return out
+    def refuse(*args):
+        raise AssertionError("the check built a connected sum")
 
-    monkeypatch.setattr(verify, "_splice_rows", counted)
+    monkeypatch.setattr(planar, "connected_sum", refuse)
     assert run_checks(["connected-sum-lemma"], max_n)[0].passed
-    assert rows == read
+    assert len(reads) == read
 
 
 def test_connected_sum_lemma_pools_only_first_summands(monkeypatch, census):
