@@ -29,10 +29,10 @@ Each chord-level concept has one implementation:
   behind :func:`canonicalize` (cached per diagram as
   ``ChordDiagram._canon``, the canonical diagram, whose own ``_canon`` is
   itself), which relabels only the winning reading, and the early-exit
-  canonicity test :func:`_is_orbit_min`; the enumeration keeps the back
-  steps of its partial word as chords close and hands them to both its
-  close-time prune (:func:`_precedes`) and its leaf test, with the
-  candidate starts it records as chords close,
+  canonicity test :func:`_is_orbit_min`, each listing its candidates with
+  :func:`_least_starts`; the enumeration keeps the back steps of its
+  partial word as chords close and hands them to both its close-time
+  prune (:func:`_precedes`) and its leaf test,
 * :func:`_interlacement_bits` is the interlacement core, a word read
   left to right with a running prefix XOR, built once per diagram and
   cached as ``ChordDiagram._bits``: every interleave question reads it,
@@ -322,22 +322,24 @@ def _least_starts(src: list[int], g: int) -> list[int]:
     return out
 
 
-def _is_orbit_min(
-    back: list[int], rback: list[int], starts: list[tuple[int, int]], g: int
-) -> bool:
+def _is_orbit_min(back: list[int], rback: list[int], g: int) -> bool:
     """Whether a normalized word equals its :func:`_orbit_min`, given the
-    :func:`_back_steps` of the word and of its reversal, the least step g
-    and the starts of the candidate readings (:func:`_least_starts`), a
-    forward and a backward one per pair, in any order.
+    :func:`_back_steps` of the word and of its reversal and the least step g.
 
-    The word must be a candidate itself (``back[g] == g``); the test stops
-    at the first candidate that :func:`_precedes` it.
+    The candidates are the readings :func:`_orbit_min` compares, listed by
+    :func:`_least_starts` in each direction.  The word must be a candidate
+    itself (``back[g] == g``), so it is the first forward one, and it is
+    skipped: compared with itself it would read the whole word.  The test
+    stops at the first candidate that :func:`_precedes` the word.
     """
     m = len(back)
     fwd = back * 2
     bwd = rback * 2
-    for s, r in starts:
-        if _precedes(fwd, s, back, 0, g + 1, m) or _precedes(bwd, r, back, 0, g + 1, m):
+    for s in _least_starts(fwd, g)[1:]:
+        if _precedes(fwd, s, back, 0, g + 1, m):
+            return False
+    for r in _least_starts(bwd, g):
+        if _precedes(bwd, r, back, 0, g + 1, m):
             return False
     return True
 

@@ -84,7 +84,9 @@ def _cmd_analyze(args) -> int:
     if args.infile is not None:
         try:
             with open(args.infile, "r", encoding="utf-8") as fh:
-                code_texts = [ln for ln in fh.read().splitlines() if ln.strip()]
+                # universal newlines leave only "\n"; splitlines() would also
+                # break at form feeds and the other separators a code may hold
+                code_texts = [ln for ln in fh.read().split("\n") if ln.strip()]
         except (OSError, UnicodeDecodeError) as exc:
             return _fail(EXIT_IO, f"cannot read {args.infile}: {exc}")
     else:

@@ -161,11 +161,10 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
     from the closing position with ``back`` read from 0, from offset
     gap + 1 on (both read 1 2 .. gap 1 before it).
 
-    The survivors get :func:`chords._is_orbit_min` on the same two arrays
-    and on the starts of the only readings that can be least, those that
-    read 1 2 .. gap 1 (:func:`chords._least_starts`): a chord that closes
-    at exactly ``gap``, on either side, gives one start per direction,
-    recorded as it closes.
+    The survivors get :func:`chords._is_orbit_min` on the same two arrays,
+    which lists the only readings that can be least, those that read
+    1 2 .. gap 1, with :func:`chords._least_starts`, as
+    :func:`chords._orbit_min` does.
 
     The open chords are a list of first positions, ascending, so one
     comparison with the earliest (the deadline) tells when a chord can no
@@ -201,14 +200,11 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
         # chord closes; rback[m - 1 - p] is position p's step ahead
         back = [0] * m
         rback = [0] * m
-        # the starts of the candidate least readings, forward and backward
-        # (chords._least_starts), that each chord side of length gap gives
-        starts: list[tuple[int, int]] = []
 
         def place(i: int, fresh: int) -> None:
             # fresh is the next unused label
             if i == m:
-                if chords._is_orbit_min(back, rback, starts, gap):
+                if chords._is_orbit_min(back, rback, gap):
                     cd = ChordDiagram._of_canonical(tuple(word))
                     rows = [0] * n
                     for a, na in closed:
@@ -235,9 +231,6 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
                     if d == gap:
                         if chords._precedes(rback, m - 1 - i, back, 0, gap + 1, i + 1):
                             continue
-                        starts.append((fp, m - 1 - i))
-                    if d == slack:
-                        starts.append((i, m - 1 - fp))
                     rback[m - 1 - fp] = d
                     back[fp] = rback[m - 1 - i] = m - d
                     del opens[j]
@@ -247,10 +240,6 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
                     closed.pop()
                     opens.insert(j, fp)
                     rback[m - 1 - fp] = 0  # fp opens again; it reads as fresh
-                    if d == gap:
-                        starts.pop()
-                    if d == slack:
-                        starts.pop()
             if fresh <= n and i != gap:  # chord 1 closes at gap
                 opens.append(i)
                 word[i] = fresh

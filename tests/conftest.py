@@ -13,9 +13,8 @@ built around (``planar._flip_coset``'s span, ``invariants.resolve``,
 ``chords._interlacement_bits`` with ``chords._triangles`` for the
 triple-chord count of each splice in :func:`ordered_splices`).
 :func:`is_orbit_min` is a driver, not an oracle: it hands
-``chords._is_orbit_min`` the candidate starts that ``chords._least_starts``
-scans for, so any word can be tested.  In particular the
-move oracles read moves off faces traced from the vertex rings
+``chords._is_orbit_min`` the back steps of any word, so any word can be
+tested.  In particular the move oracles read moves off faces traced from the vertex rings
 (:func:`face_moves`), never through ``applicable_moves`` or ``apply_move``.
 The one deliberately wrong rule here, :func:`weak_variant`, is a mutant for
 the tests that patch ``planar._is_strong``, not an oracle.
@@ -228,16 +227,16 @@ def reading_orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def is_orbit_min(word: tuple[int, ...]) -> bool:
-    """``chords._is_orbit_min`` on any normalized word: the back steps of the
-    word and of its reversal, and the candidate starts ``chords._least_starts``
-    scans for, which the generator records as its chords close instead."""
+    """``chords._is_orbit_min`` on any normalized word, handed the back steps
+    of the word and of its reversal, as the generator hands them at a leaf.
+    A word whose own reading is no candidate (``back[g] != g``) is not
+    least, and is not handed on."""
     if not word:
         return True
     back = chords._back_steps(word)
     rback = chords._back_steps(word[::-1])
     g = min(back)
-    starts = zip(chords._least_starts(back * 2, g), chords._least_starts(rback * 2, g))
-    return back[g] == g and chords._is_orbit_min(back, rback, list(starts), g)
+    return back[g] == g and chords._is_orbit_min(back, rback, g)
 
 
 def leaf_checked_words(n: int) -> list[tuple[int, ...]]:

@@ -242,6 +242,20 @@ def test_analyze_searches_each_distinct_factor_once(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "line",
+    [f"1 1{sep}2 2" for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
+    + ["1 2 3 1 2 3\x853 3"],
+)
+def test_analyze_batch_line_is_one_code(tmp_path, capsys, line):
+    """A file line is split at nothing but its newline: whitespace that
+    ``str.splitlines`` also breaks at stays inside the code, so the line
+    prints what the one code prints, exit code and error included."""
+    src = tmp_path / "codes.txt"
+    src.write_text(line + "\n", encoding="utf-8")
+    assert run(capsys, "analyze", "--in", str(src)) == run(capsys, "analyze", line)
+
+
 def test_analyze_batch_malformed_line_exits_2_stdout_clean(tmp_path, capsys):
     """A bad line stops the batch before anything is printed."""
     src = tmp_path / "codes.txt"
@@ -282,14 +296,14 @@ def torus_word(k):
     return " ".join(str(v) for v in list(range(1, k + 1)) * 2)
 
 
-def test_arnold_guard_refuses_large_sweep(capsys):
+def test_arnold_sweeps_past_n_12_unguarded(capsys):
     """The n > 12 guard is gone: the pair sum is O(n^2), so T(2,13) runs."""
     code, out, err = run(capsys, "analyze", torus_word(13), "--arnold")
     assert code == 0 and err == ""
     assert "arnold:        12" in out
 
 
-def test_arnold_guard_force_proceeds(capsys):
+def test_arnold_needs_no_force_at_n_41(capsys):
     """No --force is needed any more, even at n = 41."""
     code, out, _ = run(capsys, "analyze", torus_word(41), "--arnold", "--json")
     assert code == 0

@@ -154,24 +154,29 @@ def test_generator_hands_on_rows_and_first_positions_at_10():
     handed_facts_match(10)
 
 
-def test_recorded_starts_equal_least_starts(monkeypatch):
-    """At every leaf the generator tests, the starts it recorded as chords
-    closed at the least gap are the candidates ``chords._least_starts``
-    scans for, and the least gap is the least back step."""
-    leaves = []
+def test_leaf_arrays_are_the_words_back_steps(monkeypatch):
+    """At every leaf the generator tests, ``back`` and ``rback`` are the back
+    steps of the finished word (read off the ``place`` frame) and of its
+    reversal, and the gap is the least back step, taken at offset gap by the
+    word's own reading.  ``chords._is_orbit_min`` lists its candidates from
+    these arrays alone; the last condition is the one the deadline keeps."""
+    leaves = 0
     is_min = chords._is_orbit_min
 
-    def checked(back, rback, starts, g):
-        assert min(back) == back[g] == g
-        assert sorted(s for s, _ in starts) == chords._least_starts(back * 2, g), back
-        assert sorted(r for _, r in starts) == chords._least_starts(rback * 2, g), back
-        leaves.append(g)
-        return is_min(back, rback, starts, g)
+    def checked(back, rback, g):
+        nonlocal leaves
+        word = tuple(sys._getframe(1).f_locals["word"])
+        m = len(word)
+        assert back == chords._back_steps(word), word
+        assert rback == [m - b for b in reversed(back)], word
+        assert min(back) == back[g] == g, word
+        leaves += 1
+        return is_min(back, rback, g)
 
     monkeypatch.setattr(chords, "_is_orbit_min", checked)
     for n in range(1, 9):
         _canonical_words(n)
-    assert len(leaves) > 1_967
+    assert leaves == 2_464
 
 
 def test_close_time_prune_cuts_leaf_checks(monkeypatch):
