@@ -312,9 +312,9 @@ def build_record(
     (``planar.prime_decompose`` says why that is primality).
 
     ``in_S`` is one greedy run (``moves._reaches_U``).  ``table``, a dict
-    that starts empty, maps the states earlier runs passed to their runs'
-    end states, so a sweep that passes one table to every record stops each
-    run at the first state already run from; the module docstring of
+    that starts empty, maps the loop-free states earlier runs passed to
+    their runs' end states, so a sweep that passes one table to every record
+    stops each run at the first loop-free state already run from; the module docstring of
     :mod:`knotproj.moves` says why the table is exact and why it serves one
     sweep only.  With no table every run goes to its end.
     """

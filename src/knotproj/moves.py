@@ -62,15 +62,23 @@ builds no curve and no interlacement core while it looks for a move.
   in1, when it wraps around the word's end), and both admissible rotations,
   (in1, in2, out1, out2) and (in1, out2, out1, in2), put those two darts
   next to each other, so the loop bounds a face of degree 1.  So the 1b
-  sites are the word's loop edges (:func:`_loops`), and the run takes the
-  smallest with no face walked.
+  sites are the word's loop edges (:func:`_loops`), read with no face
+  walked.
+* The run deletes every monogon in one pass (:func:`_curls`).  Two 1b
+  moves sit at different crossings, so they commute, and repeated 1b
+  deletes one set of crossings whatever the order.  A stack pass pops a
+  label when it meets its partner on top, a 1b on the word read as a line;
+  then equal labels come off the two ends, which are cyclically adjacent.
+  Each deletion is a 1b and no loop is left, so the pass deletes that set,
+  and one :func:`planar._drop_labels` call reaches the state that 1b at
+  the smallest loop, one move at a time, reaches (:func:`_spell`).
 * The s2b sites come from one walk of the face permutation
   (:func:`planar._face_walk`), whose strong 2-gons :func:`planar._strong_sites`
-  reads off the word by :func:`planar._is_strong`.  The run walks only a
-  word with no loop edge, takes the smallest site, and checks on the same
-  walk that the carried mask still has n + 2 faces.  A curve keeps its walk
-  (``PlanarCurve._walk``), which a realized curve, or a move's result, has
-  made already.
+  reads off the word by :func:`planar._is_strong`.  The run walks only the
+  loop-free state its pass left, takes the smallest site, and checks on the
+  same walk that the carried mask still has n + 2 faces.  A curve keeps its
+  walk (``PlanarCurve._walk``), which a realized curve, or a move's result,
+  has made already.
 * Deleting crossings keeps every survivor's flip and relabels the survivors
   by first occurrence, each flip bit moving with its label
   (:func:`planar._drop_labels`), and a curve is fixed by its word and flip
@@ -84,22 +92,24 @@ curve's normal form, and it is U, ``((), 0)``, exactly when the curve is in
 S.  The tests compare the run with a face trace after every move on every
 embedding with n <= 7.
 
-Every run keeps a table from (word, flip mask) states to the end state of
-the run from that state.  :func:`_reduce` stops at the first state the
-table holds, with that state's end, and maps every state it passed to its
-end.  The ``enumerate``, ``analyze`` and ``verify`` commands each pass all
-their runs one table: the ``enumerate`` sweep, the one code or the codes of
-one ``--in`` file of ``analyze``, and the one census pass of ``verify``,
-whose inclusion-chain and main-theorem checks share it.  A call with no
-table, as :func:`in_S` and :func:`reduce_no_triple` make, gets a fresh one.
+Every run keeps a table from loop-free (word, flip mask) states, the
+states its passes leave, to the end state of the run from that state.
+:func:`_reduce` stops at the first loop-free state the table holds, with
+that state's end, and maps every loop-free state it passed to its end.
+The states between the 1b moves of one pass are never keys.  The
+``enumerate``, ``analyze`` and ``verify`` commands each pass all their runs
+one table: the ``enumerate`` sweep, the one code or the codes of one
+``--in`` file of ``analyze``, and the one census pass of ``verify``, whose
+inclusion-chain and main-theorem checks share it.  A call with no table, as
+:func:`in_S` and :func:`reduce_no_triple` make, gets a fresh one.
 
 * The table is exact because the run is deterministic, not because of
-  Newman's lemma.  The next state is a function of the current one alone:
-  the smallest loop label, else the smallest strong site of the state's face
-  walk (the start curve's kept walk is that walk), then
-  :func:`planar._drop_labels`.  Both the word and the mask are normalized,
-  so two runs that reach one state go on identically from it, and a
-  state's end does not depend on the path that led there.  Confluence is
+  Newman's lemma.  The next loop-free state is a function of the current
+  one alone: the smallest strong site of the state's face walk (the start
+  curve's kept walk is that walk), then :func:`planar._drop_labels`, then
+  the pass.  Both the word and the mask are normalized, so two runs that
+  reach one state go on identically from it, and a state's end does not
+  depend on the path that led there.  Confluence is
   what makes that end the normal form, and whether it is U the answer to
   membership in S; the table only reuses runs.
 * A table lives for one sweep.  Its end states hold for the move rules that
@@ -192,59 +202,96 @@ def _loops(word: tuple[int, ...]) -> set[int]:
     return {x for x, y in zip(word, word[1:] + word[:1]) if x == y}
 
 
+def _curls(word: tuple[int, ...]) -> list[int]:
+    """The labels repeated 1b deletes from ``word``: a stack pass, then the
+    two ends (the module docstring says why)."""
+    drop, stack = [], [0]  # 0, no label, stands under the stack
+    for x in word:
+        if stack[-1] == x:
+            drop.append(stack.pop())
+        else:
+            stack.append(x)
+    i, j = 1, len(stack) - 1
+    while i < j and stack[i] == stack[j]:
+        drop.append(stack[i])
+        i, j = i + 1, j - 1
+    return drop
+
+
 def _reduce(
     p: PlanarCurve, table: dict | None = None
-) -> tuple[list[tuple[Move, tuple[int, ...]]], tuple[tuple[int, ...], int]]:
-    """Take the first applicable move until none applies.
+) -> tuple[list[Move], tuple[tuple[int, ...], int]]:
+    """Delete every monogon, then take the smallest s2b, until neither applies.
 
-    Returns the (move, word) steps and the run's end state, the (word, flip
+    Returns the s2b moves taken and the run's end state, the (word, flip
     mask) where it stopped: ``((), 0)`` for U, or the first state that admits
     no move.  The module docstring says what the run carries and when it
-    walks.
+    walks; :func:`_spell` lists the single moves.
 
-    ``table`` maps each (word, flip mask) state an earlier run passed to
-    that run's end state.  The run stops at the first state the table holds,
-    with that state's end, and maps every state it passed, the start
-    included, to its end; U is never a key.  With no table the run gets a
-    fresh one, so it takes every step.
+    ``table`` maps each loop-free (word, flip mask) state an earlier run
+    passed to that run's end state.  The run stops at the first loop-free
+    state the table holds, with that state's end, and maps every loop-free
+    state it passed to its end; U is never a key.  With no table the run
+    gets a fresh one, so it takes every step.
     """
     if table is None:
         table = {}
-    steps = []
+    taken = []
     passed = []
     word, mask = p.word, p.flips
     end = (), 0
     while word:
+        curls = _curls(word)
+        if curls:
+            word, mask = planar._drop_labels(word, mask, curls)
+            if not word:
+                break
         if (word, mask) in table:
             end = table[word, mask]
             break
         passed.append((word, mask))
-        loops = _loops(word)
-        if loops:
-            move = Move("1b", (min(loops),))
+        # a loop-free start curve keeps the walk that accepted its mask
+        if taken or curls:
+            degrees, bigons = planar._face_walk(word, mask)
         else:
-            # the start curve may keep the walk that accepted its mask
-            degrees, bigons = planar._face_walk(word, mask) if steps else p._walk
-            if len(degrees) != len(word) // 2 + 2:
-                raise planar._not_spherical(word, mask)
-            sites = planar._strong_sites(word, bigons)
-            if not sites:
-                end = word, mask
-                break
-            move = Move("s2b", min(sites))
+            degrees, bigons = p._walk
+        if len(degrees) != len(word) // 2 + 2:
+            raise planar._not_spherical(word, mask)
+        sites = planar._strong_sites(word, bigons)
+        if not sites:
+            end = word, mask
+            break
+        move = Move("s2b", min(sites))
+        taken.append(move)
         word, mask = planar._drop_labels(word, mask, move.site)
-        steps.append((move, word))
     table.update(dict.fromkeys(passed, end))
-    return steps, end
+    return taken, end
 
 
-def _trace(
-    p: PlanarCurve, steps: list[tuple[Move, tuple[int, ...]]]
-) -> ReductionTrace:
+def _spell(
+    word: tuple[int, ...], taken: list[Move]
+) -> list[tuple[Move, tuple[int, ...]]]:
+    """The single moves, each with the word it reached, of the run from
+    ``word`` that took the s2b moves ``taken``: 1b at the smallest loop while
+    one is left, else the run's next s2b, never a site chosen here."""
+    steps = []
+    pending = iter(taken)
+    while word:
+        loops = _loops(word)
+        move = Move("1b", (min(loops),)) if loops else next(pending, None)
+        if move is None:
+            break
+        word = planar._drop_labels(word, 0, move.site)[0]
+        steps.append((move, word))
+    return steps
+
+
+def _trace(p: PlanarCurve, taken: list[Move]) -> ReductionTrace:
     """The witness of a run that reached U, each code canonicalized once."""
     start = canonicalize(p.code)
     coded = tuple(
-        (mv, canonicalize(ChordDiagram._of_normal(word))) for mv, word in steps
+        (mv, canonicalize(ChordDiagram._of_normal(word)))
+        for mv, word in _spell(p.word, taken)
     )
     return ReductionTrace(
         start=start, steps=coded, terminal=coded[-1][1] if coded else start
@@ -271,10 +318,10 @@ def reduce_no_triple(p: PlanarCurve) -> ReductionTrace:
         raise PreconditionTripleChord(
             f"curve {str(canonicalize(p.code))!r} contains a triple chord"
         )
-    steps, (word, _) = _reduce(p)
+    taken, (word, _) = _reduce(p)
     if word:
         raise _stuck(word)
-    return _trace(p, steps)
+    return _trace(p, taken)
 
 
 def _stuck(word: tuple[int, ...]) -> TheoremViolation:
@@ -292,7 +339,7 @@ def in_S(p: PlanarCurve) -> tuple[bool, ReductionTrace | None]:
     the curve is in S exactly when the run reaches U, and the run is the
     witness.
     """
-    steps, (word, _) = _reduce(p)
+    taken, (word, _) = _reduce(p)
     if word:
         return False, None
-    return True, _trace(p, steps)
+    return True, _trace(p, taken)

@@ -129,7 +129,7 @@ def _main_theorem(t: _Tally, n: int, batch: list, table: dict) -> None:
     ends: a run that ends on a word as long as the curve's took no move and
     breaks the first, one that ends short of U after a move breaks the
     second.  The runs share the pass's table of end states, so each stops at
-    the first state an earlier run passed, with that run's end.
+    the first loop-free state an earlier run passed, with that run's end.
     """
     for p, tr in batch:
         if tr:

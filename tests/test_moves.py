@@ -1,3 +1,4 @@
+import random
 from functools import cache
 from itertools import combinations
 
@@ -30,6 +31,7 @@ from conftest import (
     dfs_in_S,
     embedding_key,
     face_moves,
+    pairing_words,
     stepwise_reduce,
     vertex_rings,
 )
@@ -164,6 +166,7 @@ def test_theorem_violation_is_raisable(monkeypatch):
     from knotproj import moves as moves_mod
 
     monkeypatch.setattr(moves_mod, "_loops", lambda word: set())
+    monkeypatch.setattr(moves_mod, "_curls", lambda word: [])
     monkeypatch.setattr(planar, "_is_strong", lambda word, t1, t2: False)
     with pytest.raises(TheoremViolation):
         moves_mod.reduce_no_triple(curve("1 1"))
@@ -348,14 +351,58 @@ def test_normal_form_does_not_depend_on_the_first_move():
 # --- the greedy loop against a face trace per move --------------------------------
 
 
+def smallest_loop_deletes(word, mask):
+    """Delete the smallest loop label with ``planar._drop_labels`` until the
+    word has no two cyclically adjacent equal labels."""
+    while True:
+        loops = [x for i, x in enumerate(word) if x == word[i - 1]]
+        if not loops:
+            return word, mask
+        word, mask = planar._drop_labels(word, mask, (min(loops),))
+
+
+def test_curls_are_what_repeated_1b_deletes_through_n6():
+    """One stack pass and one ``_drop_labels`` give the word and mask that
+    deleting the smallest loop one at a time gives, on every normalized
+    word with n <= 6 under flip masks 0, all ones and a seeded one."""
+    rng = random.Random(1942)
+    curled = cancelled = 0
+    for n in range(1, 7):
+        for word in pairing_words(n):
+            curls = moves._curls(word)
+            curled += bool(curls)
+            cancelled += len(curls) == n
+            for mask in (0, (1 << n) - 1, rng.getrandbits(n)):
+                got = planar._drop_labels(word, mask, curls)
+                assert got == smallest_loop_deletes(word, mask), (word, mask)
+    # a word cancels whole exactly when no two chords interleave: the
+    # Catalan numbers 1, 2, 5, 14, 42, 132
+    assert (curled, cancelled) == (7809, 196)
+
+
+def test_curls_hand_cases():
+    # only the wrap across the word's ends is a loop
+    word = (1, 2, 3, 2, 3, 1)
+    assert sorted(moves._curls(word)) == [1]
+    assert planar._drop_labels(word, 0b101, moves._curls(word)) == ((1, 2, 1, 2), 0b10)
+    # the whole word cancels
+    assert sorted(moves._curls((1, 2, 2, 3, 3, 1))) == [1, 2, 3]
+    # trimming the ends frees the next pair of ends
+    assert sorted(moves._curls((1, 2, 3, 4, 3, 4, 2, 1))) == [1, 2]
+    assert moves._curls((1, 2, 1, 2)) == []
+    assert moves._curls(()) == []
+
+
 def test_reduce_matches_stepwise_oracle_through_n7():
-    """The run's steps and end state are the face-traced run's, and the end
-    state embeds as the curve where that run stopped."""
+    """The run's steps, spelled out one move at a time, and its end state
+    are the face-traced run's, and the end state embeds as the curve where
+    that run stopped."""
     stuck = 0
     for p in embeddings(7):
-        steps, end = moves._reduce(p)
+        taken, end = moves._reduce(p)
         want_steps, want_end = stepwise_reduce(p)
-        assert steps == want_steps, p
+        assert moves._spell(p.word, taken) == want_steps, p
+        assert taken == [mv for mv, _ in want_steps if mv.kind == "s2b"], p
         assert end == (want_end.word, want_end.flips), p
         got = planar._embed(*end)
         assert (got.word, got.rotations, got.faces) == (
@@ -369,7 +416,7 @@ def test_reduce_matches_stepwise_oracle_through_n7():
 
 def test_step_words_are_normalized():
     for p in embeddings(7):
-        for _, word in moves._reduce(p)[0]:
+        for _, word in moves._spell(p.word, moves._reduce(p)[0]):
             assert chords._normalize(word) == word, p
 
 
@@ -475,9 +522,9 @@ def test_nothing_in_the_package_traces_faces(monkeypatch):
 def assert_shared_table_is_exact(max_n):
     """One table shared by the runs of every curve with 1 <= n <= max_n, in
     ``enumerate`` order: each run ends where a fresh run ends, every entry is
-    the end of a fresh run from its state, U is no key, and a run from a held
-    state takes no step.  Returns the number of runs and of states left in
-    the table."""
+    the end of a fresh run from its state, U and states with a loop edge are
+    no keys, and a run from a held state takes no step.  Returns the number
+    of runs and of states left in the table."""
     curves = [p for n in range(1, max_n + 1) for p in enumerate_curves(n)]
     table = {}
     for p in curves:
@@ -485,6 +532,7 @@ def assert_shared_table_is_exact(max_n):
         assert end == moves._reduce(p)[1], p
         assert moves._reaches_U(p, table) is (not end[0]), p
     assert ((), 0) not in table
+    assert not any(has_loop_edge(word) for word, _ in table)
     for state, end in table.items():
         q = planar._embed(*state)
         assert end == moves._reduce(q)[1], state
@@ -493,13 +541,19 @@ def assert_shared_table_is_exact(max_n):
 
 
 def test_shared_table_matches_fresh_runs_through_n8():
-    assert assert_shared_table_is_exact(8) == (990, 1948)
+    assert assert_shared_table_is_exact(8) == (990, 163)
 
 
 @pytest.mark.slow
 def test_shared_table_matches_fresh_runs_through_n9(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "9")
-    assert assert_shared_table_is_exact(9) == (4881, 10086)
+    assert assert_shared_table_is_exact(9) == (4881, 713)
+
+
+@pytest.mark.slow
+def test_shared_table_matches_fresh_runs_through_n10(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "10")
+    assert assert_shared_table_is_exact(10) == (26532, 3217)
 
 
 def test_shared_table_verdicts_match_face_traced_runs_through_n8():
@@ -518,17 +572,20 @@ def test_shared_table_verdicts_match_face_traced_runs_through_n8():
 
 def test_empty_table_takes_every_step():
     """With an empty table the run takes the steps of a run with none and
-    ends at the same state, and maps each state it passed, in order, to
-    that end."""
+    ends at the same state, and maps each loop-free state its single moves
+    pass, in order, to that end."""
     for n in range(1, 8):
         for p in enumerate_curves(n):
             table = {}
-            steps, end = moves._reduce(p, table)
-            assert (steps, end) == moves._reduce(p), p
-            words = [p.word] + [word for _, word in steps]
-            assert [word for word, _ in table] == [w for w in words if w], p
-            assert next(iter(table)) == (p.word, p.flips), p
-            assert set(table.values()) == {end}, p
+            taken, end = moves._reduce(p, table)
+            assert (taken, end) == moves._reduce(p), p
+            states = [(p.word, p.flips)]
+            for mv, _ in moves._spell(p.word, taken):
+                states.append(planar._drop_labels(*states[-1], mv.site))
+            passed = [(w, m) for w, m in states if w and not has_loop_edge(w)]
+            assert list(table) == passed, p
+            assert states[-1] == end, p
+            assert set(table.values()) == ({end} if passed else set()), p
 
 
 # --- normal forms ---------------------------------------------------------------------
