@@ -1,9 +1,9 @@
 """Combinatorics of spherical knot projections.
 
 Gauss codes and chord diagrams, spherical realization as combinatorial maps,
-the 1b/s2b reduction calculus, the averaged-a2 invariant, exhaustive small-n
-enumeration, and machine verification of the structural claims tying them
-together.
+the 1b/s2b reduction calculus, the Arnold invariant (8 times the average of
+a2 over all resolutions, an integer), exhaustive small-n enumeration, and
+machine verification of the structural claims tying them together.
 """
 
 from . import chords, enumeration, errors, invariants, moves, planar, verify

@@ -197,6 +197,18 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
         return " ".join(map(str, self.word))
 
 
+def _decimal(text: str) -> int:
+    """``text`` as an int when it is ASCII decimal digits after an optional
+    "-"; else ValueError.
+
+    This is how a code's label and a dataset's ``arnold`` are written.
+    """
+    # int() alone also takes "+1", " 1", "1_0" and non-ASCII digits
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError
+    return int(text)  # ValueError too past the interpreter's digit limit
+
+
 def parse_code(text: str) -> ChordDiagram:
     """Parse a Gauss-code string into a :class:`ChordDiagram`.
 
@@ -209,10 +221,7 @@ def parse_code(text: str) -> ChordDiagram:
     labels = []
     for tok in filter(None, _SEP.split(text)):
         try:
-            # int() alone also takes "+1", "1_0" and non-ASCII digits
-            if not (tok.isascii() and tok.removeprefix("-").isdigit()):
-                raise ValueError
-            v = int(tok)  # ValueError too past the interpreter's digit limit
+            v = _decimal(tok)
         except ValueError:
             raise MalformedCode(f"unparseable token {tok!r}") from None
         if v <= 0:

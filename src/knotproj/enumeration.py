@@ -45,20 +45,19 @@ the list.  Each command reads each n once (``enumerate`` record by record,
 ``verify`` in its one pass), so only the n in hand is alive.
 
 Datasets are JSONL: a {"schema":1} header line, then one record per curve,
-ordered by (n, code).  Rationals are serialized exactly ("p/q", or "k" for
-integers).
+ordered by (n, code).  The Arnold invariant is written as a decimal integer
+string.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from typing import NamedTuple, get_type_hints
 
 from . import chords, invariants, moves, planar
 from .chords import ChordDiagram
-from .errors import BudgetExceeded, SchemaError
+from .errors import BudgetExceeded, MalformedCode, SchemaError
 from .planar import PlanarCurve
 
 __all__ = [
@@ -296,7 +295,7 @@ class EnumerationRecord(NamedTuple):
     reduced: bool
     prime: bool
     in_S: bool
-    arnold: Fraction | None = None
+    arnold: int | None = None
 
 
 def build_record(
@@ -349,7 +348,7 @@ _BOOL_FIELDS = tuple(f for f in _RECORD_FIELDS if _TYPES[f] is bool)
 def _record_to_obj(rec: EnumerationRecord) -> dict:
     """The JSON object of a record, its keys in field order.
 
-    ``face_degrees`` becomes a list and ``arnold`` rational text, or is left
+    ``face_degrees`` becomes a list and ``arnold`` decimal text, or is left
     out when it is None.
     """
     obj = rec._asdict()
@@ -357,7 +356,7 @@ def _record_to_obj(rec: EnumerationRecord) -> dict:
     if rec.arnold is None:
         del obj["arnold"]
     else:
-        obj["arnold"] = invariants.format_rational(rec.arnold)
+        obj["arnold"] = str(rec.arnold)
     return obj
 
 
@@ -394,14 +393,22 @@ def _parse_record(obj: dict, line: int) -> EnumerationRecord:
         isinstance(d, int) and not isinstance(d, bool) for d in fd
     ):
         raise SchemaError("face_degrees must be a list of integers", line)
+    try:
+        cd = chords.parse_code(obj["code"])
+    except MalformedCode as exc:
+        raise SchemaError(f"code is not a Gauss code: {exc}", line) from None
+    if str(cd) != obj["code"]:
+        raise SchemaError(f"code must be written {str(cd)!r}", line)
+    if cd.n != obj["n"]:
+        raise SchemaError(f"n is {obj['n']} but code has {cd.n} crossing(s)", line)
     arnold = None
     if "arnold" in obj:
-        if not isinstance(obj["arnold"], str):
-            raise SchemaError("arnold must be a rational string", line)
         try:
-            arnold = invariants.parse_rational(obj["arnold"])
-        except ValueError as exc:
-            raise SchemaError(str(exc), line) from None
+            if not isinstance(obj["arnold"], str):
+                raise ValueError
+            arnold = chords._decimal(obj["arnold"])
+        except ValueError:
+            raise SchemaError("arnold must be a decimal integer string", line) from None
     return EnumerationRecord(**{**obj, "face_degrees": tuple(fd), "arnold": arnold})
 
 

@@ -1,35 +1,33 @@
-"""The averaged Conway coefficient a2 of a projection, and its Arnold multiple.
+"""The Arnold invariant of a projection, and a2 on a single resolution.
 
 A projection with n crossings has 2**n knot diagrams obtained by choosing an
 over/under resolution at every crossing.  For each one, a2 is the z^2
 coefficient of the Conway polynomial.  Averaging a2 over all resolutions and
 multiplying by 8 gives the projection invariant computed by
-:func:`arnold_invariant`; it vanishes on every curve reducible by 1b/s2b
-moves.
+:func:`arnold_invariant`, an even integer; it vanishes on every curve
+reducible by 1b/s2b moves.
 
-:func:`average_a2` visits no resolution and walks no face.  It is a sum
-of signs over interleaved chord pairs, one sign per pair read off the two
-flip bits of the curve's mask, with the pairs taken from the interlacement
-core (``ChordDiagram._bits``) one row at a time.  Its docstring derives the
-sum from the based Gauss-diagram formula for a2 (Polyak and Viro, IMRN
-1994; Polyak, Topology 37, 1998) and the sign rule of :class:`Resolution`,
-which hold for any mask.  That every embedding of one code has the same
-invariant follows from the component structure of the spherical masks,
-which ``planar._flip_coset`` propagates by the flip relation (de Fraysseix
-and Ossona de Mendez, Discrete Comput. Geom. 22, 1999).
+:func:`arnold_invariant` visits no resolution and walks no face.  It is 2
+times a sum of signs over interleaved chord pairs, one sign per pair read off
+the two flip bits of the curve's mask, with the pairs taken from the
+interlacement core (``ChordDiagram._bits``) one row at a time.  Its
+docstring derives the sum from the based Gauss-diagram formula for a2 (Polyak
+and Viro, IMRN 1994; Polyak, Topology 37, 1998) and the sign rule of
+:class:`Resolution`, which hold for any mask.  That every embedding of one
+code has the same invariant follows from the component structure of the
+spherical masks, which ``planar._flip_coset`` propagates by the flip relation
+(de Fraysseix and Ossona de Mendez, Discrete Comput. Geom. 22, 1999).
 
 :class:`Resolution`, :func:`resolve` and :func:`a2_gauss_formula` evaluate
 a2 on a single resolution of an embedded curve, from its crossing signs.
 Nothing in the package calls them.  The tests hold the formula against a
-skein-relation evaluator and the pair sum against the formula's average over
-all resolutions, and the benchmark's tracer counts calls to
+skein-relation evaluator and the pair sum against 8 times the formula's
+average over all resolutions, and the benchmark's tracer counts calls to
 :func:`a2_gauss_formula`.
 """
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
 from typing import NamedTuple
 
 from .planar import PlanarCurve
@@ -38,10 +36,7 @@ __all__ = [
     "Resolution",
     "resolve",
     "a2_gauss_formula",
-    "average_a2",
     "arnold_invariant",
-    "format_rational",
-    "parse_rational",
 ]
 
 
@@ -131,8 +126,8 @@ def a2_gauss_formula(r: Resolution, base: int = 0) -> int:
     return total
 
 
-def average_a2(p: PlanarCurve) -> Fraction:
-    """Exact average of a2 over all 2**n resolutions, read from the flip mask.
+def arnold_invariant(p: PlanarCurve) -> int:
+    """Eight times the average of a2 over all 2**n resolutions, from the mask.
 
     Only ``p.flips`` and the interlacement core ``p.code._bits`` are read.
     Over the interleaved pairs a, b with first[a] < first[b] < second[a] <
@@ -141,14 +136,14 @@ def average_a2(p: PlanarCurve) -> Fraction:
 
         (-1) ** (1 + flip[a] + flip[b]),
 
-    +1 when the two flips differ and -1 when they match, divided by 4.
+    +1 when the two flips differ and -1 when they match, times 2.
 
     Why.  In :func:`a2_gauss_formula` with base point 0 such a pair counts
     in exactly one of its 4 over/under bit combinations, the arrow pattern
     ``_PV_*`` (a's first passage over, b's first passage under), and there
     it adds sign(a) * sign(b).  Every other bit is free, so the pair adds a
-    quarter of that product to the average.  The product is read off the
-    mask in two steps.
+    quarter of that product to the average, and twice the product to 8
+    times the average.  The product is read off the mask in two steps.
 
     1. sign(a) * sign(b) = (-1) ** (1 + flip[a] + flip[b]) in that pattern.
        A sign is -1 exactly when the first passage's over bit differs from
@@ -172,30 +167,4 @@ def average_a2(p: PlanarCurve) -> Fraction:
         above = row >> (a + 1) << (a + 1)
         differ = above & (flips ^ -(flips >> a & 1))
         total += 2 * differ.bit_count() - above.bit_count()
-    return Fraction(total, 4)
-
-
-def arnold_invariant(p: PlanarCurve) -> Fraction:
-    """Eight times the averaged a2 (an integer-valued invariant in practice)."""
-    return 8 * average_a2(p)
-
-
-def format_rational(q: Fraction) -> str:
-    """Serialize exactly: "p/q", or just "k" when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")  # \d takes any script's digits
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse the "p/q" / "k" syntax, ASCII digits only; else ValueError."""
-    if not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not a rational literal: {text!r}")
-    num, sep, den = text.partition("/")
-    try:
-        return Fraction(int(num), int(den)) if sep else Fraction(int(num))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+    return 2 * total

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from . import chords, moves, planar
 from .enumeration import _check_nonnegative, check_budget, enumerate_curves
-from .invariants import arnold_invariant, format_rational
+from .invariants import arnold_invariant
 from .planar import PlanarCurve
 
 __all__ = [
@@ -164,7 +164,7 @@ def _inclusion_chain(t: _Tally, n: int, batch: list, table: dict) -> None:
             t.witnesses.append((_code(p), f"strict: in S, tr={tr}"))
         a = arnold_invariant(p)
         if member and a != 0:
-            t.violations.append((_code(p), f"in S but arnold={format_rational(a)}"))
+            t.violations.append((_code(p), f"in S but arnold={a}"))
         if a == 0 and not member:
             t.witnesses.append((_code(p), "strict: arnold=0, not in S"))
 

@@ -1,6 +1,5 @@
 import json
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -337,7 +336,7 @@ def test_build_record_trefoil():
     assert rec.face_degrees == (2, 2, 2, 3, 3)
     assert (rec.monogons, rec.strong_bigons) == (0, 0)
     assert rec.reduced and rec.prime and not rec.in_S
-    assert rec.arnold == Fraction(2)
+    assert rec.arnold == 2 and type(rec.arnold) is int
 
 
 def test_build_record_matches_face_record_oracle():
@@ -477,11 +476,6 @@ def test_arnold_round_trips_as_rational_text(tmp_path):
             3,
             "must be an integer",
         ),
-        (
-            lambda lines: lines[:2] + [lines[2].replace('"arnold":"0"', '"arnold":"x"')],
-            3,
-            "not a rational literal",
-        ),
         (lambda lines: lines[:2] + ["[1, 2]"], 3, "record is not a JSON object"),
         (
             lambda lines: lines[:2] + [lines[2].replace('"code":"1 1"', '"code":11')],
@@ -500,9 +494,43 @@ def test_arnold_round_trips_as_rational_text(tmp_path):
             "face_degrees must be a list of integers",
         ),
         (
-            lambda lines: lines[:2] + [lines[2].replace('"arnold":"0"', '"arnold":0')],
+            lambda lines: lines[:2] + [lines[2].replace('"code":"1 1"', '"code":"x y"')],
             3,
-            "arnold must be a rational string",
+            "code is not a Gauss code: unparseable token 'x'",
+        ),
+        (
+            lambda lines: lines[:2] + [lines[2].replace('"code":"1 1"', '"code":"2 2"')],
+            3,
+            "code must be written '1 1'",
+        ),
+        (
+            lambda lines: lines[:2] + [lines[2].replace('"n":1', '"n":2')],
+            3,
+            "n is 2 but code has 1 crossing(s)",
+        ),
+        *(
+            pytest.param(
+                lambda lines, bad=bad: lines[:2]
+                + [lines[2].replace('"arnold":"0"', f'"arnold":{json.dumps(bad)}')],
+                3,
+                "arnold must be a decimal integer string",
+                id=f"arnold={bad!r}",
+            )
+            for bad in [
+                0, None, "", "x", "1/", "/2", "1/0", "1.5", "1 / 2", "\u0663",
+                "1/\u0663", "1/4", "4/2", "+2", " 2", "2 ", "--2", "-",
+            ]
+        ),
+        pytest.param(
+            lambda lines: lines[:2]
+            + [lines[2].replace('"arnold":"0"', '"arnold":"' + "9" * 5000 + '"')],
+            3,
+            "arnold must be a decimal integer string",
+            id="arnold-past-int-digit-limit",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="int() has no digit limit before Python 3.11",
+            ),
         ),
     ],
 )

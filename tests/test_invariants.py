@@ -1,7 +1,3 @@
-from fractions import Fraction
-
-import pytest
-
 from knotproj import (
     ChordDiagram,
     PlanarCurve,
@@ -9,12 +5,9 @@ from knotproj import (
     a2_gauss_formula,
     all_realizations,
     arnold_invariant,
-    average_a2,
     enumerate_curves,
-    format_rational,
     invariants,
     parse_code,
-    parse_rational,
     realize,
     resolve,
 )
@@ -145,10 +138,6 @@ def test_formula_base_independent():
 # --- averaging -----------------------------------------------------------------
 
 
-def test_average_a2_trefoil():
-    assert average_a2(curve("1 2 3 1 2 3")) == Fraction(1, 4)
-
-
 def test_arnold_known_values():
     assert arnold_invariant(U) == 0
     assert arnold_invariant(curve("1 1")) == 0
@@ -158,7 +147,6 @@ def test_arnold_known_values():
 def test_arnold_matches_skein_average():
     for n in range(0, 5):
         for p in enumerate_curves(n):
-            assert average_a2(p) == skein_average_a2(p)
             assert arnold_invariant(p) == 8 * skein_average_a2(p)
 
 
@@ -166,7 +154,7 @@ def test_pair_sum_matches_sweep_on_every_embedding():
     for n in range(0, 6):
         for p in enumerate_curves(n):
             for q in all_realizations(p.code):
-                assert average_a2(q) == sweep_average_a2(q)
+                assert arnold_invariant(q) == 8 * sweep_average_a2(q)
 
 
 def test_pair_sum_matches_sweep_on_every_mask_through_n4():
@@ -178,7 +166,7 @@ def test_pair_sum_matches_sweep_on_every_mask_through_n4():
             cd = ChordDiagram(word)
             for m in range(2 ** n):
                 p = PlanarCurve(cd, m)
-                assert average_a2(p) == sweep_average_a2(p), (word, m)
+                assert arnold_invariant(p) == 8 * sweep_average_a2(p), (word, m)
                 checked += 1
     assert checked == 1814
 
@@ -186,7 +174,7 @@ def test_pair_sum_matches_sweep_on_every_mask_through_n4():
 def test_pair_sum_matches_sweep_through_n7():
     for n in range(0, 8):
         for p in enumerate_curves(n):
-            assert average_a2(p) == sweep_average_a2(p)
+            assert arnold_invariant(p) == 8 * sweep_average_a2(p)
 
 
 def test_word_sum_matches_dart_sum_through_n7():
@@ -202,7 +190,7 @@ def test_word_sum_matches_dart_sum_through_n7():
                     cd = ChordDiagram.from_labels(seq[r:] + seq[:r])
                     curves.append(realize(cd))
             for q in curves:
-                assert average_a2(q) == dart_average_a2(q), q
+                assert arnold_invariant(q) == 8 * dart_average_a2(q), q
             checked += len(curves)
     assert checked == 7305 + 6276  # embeddings, plus 4n words per curve
 
@@ -230,30 +218,11 @@ def test_arnold_does_not_sweep_resolutions(monkeypatch):
     assert calls == ["resolve", "a2_gauss_formula"]
 
 
-def test_arnold_exact_rational():
-    val = arnold_invariant(curve("1 2 3 1 2 3"))
-    assert isinstance(val, Fraction)
-
-
-# --- rational text form ------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "q,text",
-    [
-        (Fraction(0), "0"),
-        (Fraction(2), "2"),
-        (Fraction(-3), "-3"),
-        (Fraction(1, 4), "1/4"),
-        (Fraction(-7, 2), "-7/2"),
-    ],
-)
-def test_rational_round_trip(q, text):
-    assert format_rational(q) == text
-    assert parse_rational(text) == q
-
-
-@pytest.mark.parametrize("bad", ["", "x", "1/", "/2", "1/0", "1.5", "1 / 2", "\u0663", "1/\u0663"])
-def test_parse_rational_rejects(bad):
-    with pytest.raises(ValueError):
-        parse_rational(bad)
+def test_arnold_is_an_even_int_on_the_n8_census():
+    checked = 0
+    for n in range(1, 9):
+        for p in enumerate_curves(n):
+            v = arnold_invariant(p)
+            assert type(v) is int and v % 2 == 0, (p, v)
+            checked += 1
+    assert checked == 990
