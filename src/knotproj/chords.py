@@ -39,10 +39,11 @@ Each chord-level concept has one implementation:
   here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
   realization), and the connected-sum check reads each spliced word with
   it; :func:`_triangles` counts its triangles, the triple chords;
-  :func:`_components` lists its components, in one walk whose spanning
-  order ``planar._flip_coset`` propagates flips along; the components are
-  also the prime factors behind ``planar.prime_decompose``,
-  :func:`split_connected_sum` and the dataset's ``prime`` field.  The
+  :func:`_components` lists its components in one walk that propagates
+  realization's flips (``planar._flip_coset``) as it grows each one; the
+  components are also the prime factors behind ``planar.prime_decompose``
+  and :func:`split_connected_sum`, and realization keeps their count's
+  verdict, the dataset's ``prime`` field, as ``ChordDiagram._prime``.  The
   enumeration seeds ``_bits`` from its search.
 """
 
@@ -152,8 +153,8 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
         first use: label a first occurs where a is the next label.
 
         An enumerated diagram finds it when realization's
-        ``planar._flip_coset`` first reads it.  Its readers are
-        :meth:`positions`, ``planar._flip_coset``,
+        :func:`_components` walk first reads it.  Its readers are
+        :meth:`positions`, :func:`_components`,
         ``PlanarCurve.rotations``, ``planar.innermost_teardrop`` and
         ``invariants.a2_gauss_formula``.
         """
@@ -162,6 +163,12 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
             if x > len(firsts):
                 firsts.append(i)
         return tuple(firsts)
+
+    @cached_property
+    def _prime(self) -> bool:
+        """Whether the interlacement graph has one component: kept by
+        ``planar._search_rotations`` from its walk, else walked on first use."""
+        return len(_components(self)[0]) == 1
 
     @cached_property
     def _canon(self) -> "ChordDiagram":
@@ -449,22 +456,23 @@ def gauss_parity_violations(cd: ChordDiagram) -> list[int]:
     return [a for a, b in enumerate(cd._bits, start=1) if b.bit_count() & 1]
 
 
-def _components(cd: ChordDiagram) -> tuple[list[int], list[tuple[int, int]]]:
+def _components(cd: ChordDiagram) -> tuple[list[int], int]:
     """The components of the interlacement graph, by last position in the
-    word, and the walk's spanning order.
+    word, and the candidate flip mask one walk propagates over them.
 
     Each component is a bit mask (bit a-1 for chord a) grown from
     ``cd._bits``.  The word is read from its end, so each component is met
-    at its last position, its root; the list is then reversed.  The walk
-    leaves every chord once, and the order lists, in walk order, a pair
-    (a - 1, reached) for each chord a that first reaches others, ``reached``
-    their mask.  So each chord but a root is reached once, from a chord
-    reached before it.  U has no components.
+    at its last position, its root, which takes flip 0; the list is then
+    reversed.  Every other chord b is reached once, from an interleaved
+    chord a reached before it, and takes its flip from a's by the flip
+    relation ``planar._flip_coset`` states, with g = first[a] + first[b] +
+    1 mod 2 (``cd._firsts``).  A finished component is mirrored when its
+    largest label carries flip 1.  U has no components and mask 0.
     """
     adj = cd._bits
-    seen = 0
+    first = cd._firsts
+    seen = mask = 0
     found = []
-    order = []
     for x in reversed(cd.word):
         if seen >> (x - 1) & 1:
             continue
@@ -473,15 +481,24 @@ def _components(cd: ChordDiagram) -> tuple[list[int], list[tuple[int, int]]]:
             low = frontier & -frontier
             frontier ^= low
             a = low.bit_length() - 1
-            new = adj[a] & ~comp
+            row = adj[a]
+            new = row & ~comp
             if new:
-                order.append((a, new))
                 comp |= new
                 frontier |= new
+                side = (mask >> a & 1) + first[a] + 1
+                while new:
+                    bit = new & -new
+                    new ^= bit
+                    b = bit.bit_length() - 1
+                    if (side + first[b] + (row & adj[b]).bit_count()) & 1:
+                        mask |= bit
+        if mask >> (comp.bit_length() - 1) & 1:
+            mask ^= comp
         seen |= comp
         found.append(comp)
     found.reverse()
-    return found, order
+    return found, mask
 
 
 def split_connected_sum(

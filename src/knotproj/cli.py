@@ -121,25 +121,28 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    records = []
+    # a budget refusal comes before --out is opened, and an unwritable
+    # --out before the first count line
+    enumeration.check_budget(args.n)
     # one greedy-run table for the whole sweep (build_record)
     table = {}
-    # the largest n is checked up front, so a refusal prints no count line
-    enumeration.check_budget(args.n)
-    for n in range(1, args.n + 1) if args.n else [0]:
-        curves = enumeration.enumerate_curves(n)
-        for p in curves:
-            records.append(
-                enumeration.build_record(
-                    p, with_arnold=n <= args.arnold_max, table=table
-                )
-            )
-        print(f"n={n}: {len(curves)}")
+    count = 0
     try:
-        enumeration.write_dataset(records, args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(enumeration._SCHEMA_LINE)
+            for n in range(1, args.n + 1) if args.n else [0]:
+                before = count
+                # census order is (n, code); each n's list is freed after its loop
+                for p in enumeration.enumerate_curves(n):
+                    rec = enumeration.build_record(
+                        p, with_arnold=n <= args.arnold_max, table=table
+                    )
+                    fh.write(enumeration._record_line(rec))
+                    count += 1
+                print(f"n={n}: {count - before}")
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write {args.out}: {exc}")
-    print(f"wrote {args.out} ({len(records)} records)")
+    print(f"wrote {args.out} ({count} records)")
     return EXIT_OK
 
 

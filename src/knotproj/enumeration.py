@@ -45,8 +45,9 @@ the list.  Each command reads each n once (``enumerate`` record by record,
 ``verify`` in its one pass), so only the n in hand is alive.
 
 Datasets are JSONL: a {"schema":1} header line, then one record per curve,
-ordered by (n, code).  The Arnold invariant is written as a decimal integer
-string.
+ordered by (n, code), the census's own order, so the ``enumerate`` command
+writes each record as it builds it (:func:`_record_line`) with no sort.
+The Arnold invariant is written as a decimal integer string.
 """
 
 from __future__ import annotations
@@ -308,7 +309,8 @@ def build_record(
     ``planar.strong_bigons`` list; an enumerated curve keeps the walk that
     accepted its mask, so it is not walked again.  ``prime`` asks only
     whether the interlacement graph has exactly one component
-    (``planar.prime_decompose`` says why that is primality).
+    (``planar.prime_decompose`` says why that is primality), which
+    realization keeps from its walk as ``ChordDiagram._prime``.
 
     ``in_S`` is one greedy run (``moves._reaches_U``).  ``table``, a dict
     that starts empty, maps the loop-free states earlier runs passed to
@@ -328,7 +330,7 @@ def build_record(
         monogons=degrees.count(1),
         strong_bigons=len(planar._strong_sites(p.word, bigons)),
         reduced=planar.is_reduced(p),
-        prime=len(chords._components(cd)[0]) == 1,
+        prime=cd._prime,
         in_S=moves._reaches_U(p, table),
         arnold=invariants.arnold_invariant(p) if with_arnold else None,
     )
@@ -360,15 +362,23 @@ def _record_to_obj(rec: EnumerationRecord) -> dict:
     return obj
 
 
+# one encoder for every line: json.dumps with options builds one per call
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_SCHEMA_LINE = _encode({"schema": 1}) + "\n"
+
+
+def _record_line(rec: EnumerationRecord) -> str:
+    """A record's dataset line: :func:`_record_to_obj`, compact, newline-ended."""
+    return _encode(_record_to_obj(rec)) + "\n"
+
+
 def write_dataset(records, path) -> None:
     """Write records as JSONL, schema line first, ordered by (n, code)."""
     ordered = sorted(records, key=lambda r: (r.n, tuple(map(int, r.code.split()))))
-    # one encoder for every line: json.dumps with options builds one per call
-    encode = json.JSONEncoder(separators=(",", ":")).encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(encode({"schema": 1}) + "\n")
+        fh.write(_SCHEMA_LINE)
         for rec in ordered:
-            fh.write(encode(_record_to_obj(rec)) + "\n")
+            fh.write(_record_line(rec))
 
 
 def _parse_record(obj: dict, line: int) -> EnumerationRecord:

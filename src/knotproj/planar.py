@@ -34,10 +34,11 @@ characterization of Gauss codes (Rosenstiehl, C. R. Acad. Sci. Paris 283,
 codes", Discrete Comput. Geom. 22, 1999), the flips of interleaved chords a
 and b of a spherical realization differ by the parity of g + |N(a) & N(b)|,
 with g the number of code positions strictly between their first
-occurrences and N the interlacement neighbourhood.  Propagating that rule
-over each component of the interlacement graph fixes every flip up to
-mirroring whole components, in O(n^2) bit operations; one walk of the face
-permutation then confirms the candidate or shows the code is not spherical.
+occurrences and N the interlacement neighbourhood.  The walk that grows each
+component of the interlacement graph propagates that rule as it goes, which
+fixes every flip up to mirroring whole components in O(n^2) bit operations
+and gives the components too; one walk of the face permutation then
+confirms the candidate or shows the code is not spherical.
 
 Faces, monogons, strong 2-gons and the connected-sum structure all live
 here because they need the realized map (or feed it); a connected sum
@@ -317,39 +318,19 @@ def _trace_faces(word: tuple[int, ...], flips: int) -> list[Face]:
 def _flip_coset(cd: ChordDiagram) -> tuple[int, list[int]]:
     """Candidate flip mask and the indicator masks of the interlacement components.
 
-    Bit v-1 of a mask is vertex v's flip.  Flips are propagated along the
-    spanning order of :func:`chords._components`, each component's root set
-    to 0: for interleaved a and b the flips of a spherical realization
-    satisfy flip[a] ^ flip[b] = (g + |N(a) & N(b)|) mod 2, where g counts
-    the code positions strictly between the first occurrences of a and b,
-    so g = first[a] + first[b] + 1 mod 2, and N is the interleavement
-    neighbourhood.  Flipping a whole component mirrors that part of the
-    curve, so when the code is realizable its valid masks are exactly the
-    returned mask XOR the span of the component indicators.  Each component
-    is then mirrored when its largest label carries flip 1, which makes the
-    mask the smallest valid one in numeric (sweep) order, whatever the root.
-    The components come back as :func:`chords._components` lists them.
-
-    ``cd._bits`` comes with an enumerated diagram; any other diagram
-    builds it, and every diagram builds ``cd._firsts``, in one pass over
-    its word.
+    Bit v-1 of a mask is vertex v's flip.  For interleaved a and b the flips
+    of a spherical realization satisfy flip[a] ^ flip[b] = (g + |N(a) &
+    N(b)|) mod 2, where g counts the code positions strictly between the
+    first occurrences of a and b and N is the interleavement neighbourhood.
+    :func:`chords._components` propagates that relation as its walk grows
+    each component from a root at flip 0, and both come from that one walk.
+    Flipping a whole component mirrors that part of the curve, so when the
+    code is realizable its valid masks are exactly the returned mask XOR the
+    span of the component indicators.  The walk mirrors each component whose
+    largest label carries flip 1, which makes the mask the smallest valid
+    one in numeric (sweep) order, whatever the root.
     """
-    adj = cd._bits
-    first = cd._firsts
-    components, order = chords._components(cd)
-    mask = 0
-    for a, reached in order:
-        row = adj[a]
-        side = (mask >> a & 1) + first[a] + 1
-        while reached:
-            low = reached & -reached
-            reached ^= low
-            b = low.bit_length() - 1
-            if (side + first[b] + (row & adj[b]).bit_count()) & 1:
-                mask |= low
-    for comp in components:
-        if mask >> (comp.bit_length() - 1) & 1:
-            mask ^= comp
+    components, mask = chords._components(cd)
     return mask, components
 
 
@@ -427,10 +408,14 @@ def _search_rotations(cd: ChordDiagram) -> PlanarCurve | None:
 
     The flip mask comes from :func:`_flip_coset` in O(n^2) bit operations;
     one face walk then confirms it, so a code that passes parity but is not
-    spherical still gets None.
+    spherical still gets None.  The same walk gives the interlacement
+    components, so the curve's code keeps ``_prime`` from it (U's too).
     """
-    mask, _ = _flip_coset(cd)
-    return _curve_for_mask(cd, mask)
+    mask, components = _flip_coset(cd)
+    p = _curve_for_mask(cd, mask)
+    if p is not None:
+        p.code.__dict__["_prime"] = len(components) == 1
+    return p
 
 
 def all_realizations(cd: ChordDiagram) -> list[PlanarCurve]:

@@ -20,6 +20,7 @@ The one deliberately wrong rule here, :func:`weak_variant`, is a mutant for
 the tests that patch ``planar._is_strong``, not an oracle.
 """
 
+import heapq
 import json
 import os
 import pathlib
@@ -423,6 +424,45 @@ def first_closed_interval(word):
             if pref[end] == pref[start]:
                 return start, end
     return None
+
+
+def propagated_flip_mask(cd):
+    """The candidate flip mask by propagating the flip relation from scratch.
+
+    Each component of :func:`interleavement_graph` is grown from the chord
+    at its last position in the word, at flip 0.  The search expands the
+    reached chord with the smallest label next (a heap), and each chord it
+    reaches takes flip[b] = flip[a] ^ ((g + |N(a) & N(b)|) mod 2), g the
+    number of positions strictly between the first occurrences of a and b.
+    A finished component is mirrored when its largest label has flip 1.  On
+    a code that is not spherical the relation may contradict itself round a
+    cycle, and then the mask depends on which chord reaches which, so the
+    expansion order is the walk's (``chords._components``); on a spherical
+    code any order gives the same mask.
+    """
+    g = interleavement_graph(cd)
+    first = {}
+    for i, x in enumerate(cd.word):
+        first.setdefault(x, i)
+    flip = {}
+    for root in reversed(cd.word):
+        if root in flip:
+            continue
+        flip[root] = 0
+        comp = [root]
+        heap = [root]
+        while heap:
+            a = heapq.heappop(heap)
+            for b in g[a]:
+                if b not in flip:
+                    between = abs(first[a] - first[b]) - 1
+                    flip[b] = flip[a] ^ (between + len(g[a] & g[b])) % 2
+                    comp.append(b)
+                    heapq.heappush(heap, b)
+        if flip[max(comp)]:
+            for b in comp:
+                flip[b] ^= 1
+    return sum(1 << (b - 1) for b, f in flip.items() if f)
 
 
 def split_connected_sum_members(cd):

@@ -29,8 +29,11 @@ from conftest import (
     first_closed_interval,
     interleavement_graph,
     is_orbit_min,
+    mask_rings,
     pairing_words,
+    propagated_flip_mask,
     split_connected_sum_members,
+    sweep_realizations,
 )
 
 
@@ -301,31 +304,37 @@ def test_one_component_exactly_when_no_closed_interval(ns, words, primes):
     the closed-interval test on every canonical word with n <= 8, parity
     or not (n = 8 under ``slow``); the components partition the chords.
 
-    The walk is the one ``planar._flip_coset`` reads: its components come
-    back as ``_components`` lists them, and every chord but a component's
-    root, the chord at its last position, is reached once, from an
-    interleaved chord reached before it."""
+    The same walk propagates the flip relation: its mask equals the
+    from-scratch propagation on every word, spherical or not, and
+    ``planar._flip_coset`` hands on exactly what the walk returns."""
     seen = found = 0
     for n in ns:
         for w in all_canonical_words(n):
             cd = ChordDiagram(w)
-            comps, order = chords._components(cd)
+            comps, mask = chords._components(cd)
             assert sum(comps) == (1 << n) - 1
-            assert planar._flip_coset(cd)[1] == comps
-            reached = 0
-            for comp in comps:
-                root = next(x for x in reversed(w) if comp >> (x - 1) & 1)
-                reached |= 1 << (root - 1)
-            for a, new in order:
-                assert reached >> a & 1 and new and not new & reached, w
-                assert new & ~cd._bits[a] == 0, w
-                reached |= new
-            assert reached == (1 << n) - 1
+            assert planar._flip_coset(cd) == (mask, comps)
+            assert mask == propagated_flip_mask(ChordDiagram(w)), w
             prime = len(comps) == 1
             assert prime == (n >= 1 and first_closed_interval(w) is None), w
             seen += 1
             found += prime
     assert (seen, found) == (words, primes)
+
+
+def test_walk_mask_is_the_sweeps_first_realization():
+    """On every canonical word with n <= 6 that a 2**n sweep realizes, the
+    walk's mask is the first mask the sweep accepts; those words are the
+    census's 69 classes."""
+    realized = 0
+    for n in range(7):
+        for w in all_canonical_words(n):
+            first = next(sweep_realizations(w), None)
+            if first is not None:
+                mask = chords._components(ChordDiagram(w))[1]
+                assert mask_rings(w, mask) == first, w
+                realized += 1
+    assert realized == 69
 
 
 def test_split_parts_rejoin_label_counts():

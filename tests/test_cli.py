@@ -488,9 +488,32 @@ def test_budget_override_takes_ascii_digits_only(tmp_path, capsys, monkeypatch, 
 
 
 def test_enumerate_unwritable_exits_5(tmp_path, capsys):
-    code, out, err = run(capsys, "enumerate", "1", "--out", "/nonexistent/dir/ds.jsonl")
-    assert code == 5
-    assert "cannot write" in err
+    """``--out`` is opened before the first n is enumerated, so an
+    unwritable path prints no count line."""
+    out_path = tmp_path / "missing" / "ds.jsonl"
+    code, out, err = run(capsys, "enumerate", "1", "--out", str(out_path))
+    assert code == 5 and out == ""
+    assert err.startswith(f"cannot write {out_path}: ")
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_enumerate_streams_the_sorted_dataset(tmp_path, capsys, monkeypatch, n):
+    """``enumerate`` writes each record as it builds it, with no sort and no
+    call of ``write_dataset``, and its file is byte for byte what
+    ``write_dataset`` makes of the records read back: the census comes in
+    (n, code) order."""
+    streamed = tmp_path / "streamed.jsonl"
+    with monkeypatch.context() as m:
+
+        def refuse(*args):
+            raise AssertionError("enumerate called write_dataset")
+
+        m.setattr(enumeration, "write_dataset", refuse)
+        code, _, _ = run(capsys, "enumerate", str(n), "--out", str(streamed))
+    assert code == 0
+    rewritten = tmp_path / "rewritten.jsonl"
+    enumeration.write_dataset(read_dataset(streamed), rewritten)
+    assert rewritten.read_bytes() == streamed.read_bytes()
 
 
 # --- verify ----------------------------------------------------------------------

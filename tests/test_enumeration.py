@@ -15,7 +15,7 @@ from knotproj import (
     write_dataset,
     U,
 )
-from knotproj import chords, planar
+from knotproj import chords, moves, planar
 from knotproj.enumeration import (
     BUDGET_ENV,
     DEFAULT_MAX_N,
@@ -30,6 +30,7 @@ from conftest import (
     brute_force_realizable,
     canonical_text_full_relabel,
     face_record,
+    first_closed_interval,
     is_orbit_min,
     leaf_checked_words,
     pairing_words,
@@ -368,6 +369,45 @@ def test_build_record_builds_one_interlacement_core(monkeypatch):
     assert (rec.x, rec.tr, rec.strong_bigons, rec.reduced, rec.in_S) == (3, 1, 0, False, False)
     assert words.count(p.word) == 1
     assert p.code is p.code
+
+
+def test_census_walks_each_interlacement_graph_once(monkeypatch):
+    """Realization's one walk gives a diagram's flips and its ``prime``:
+    over ``enumerate_curves`` and ``build_record`` for n <= 8,
+    ``chords._components`` runs exactly once per generated diagram, and
+    ``build_record`` reads the verdict realization kept."""
+    walked = []
+    _counting(monkeypatch, chords, "_components", walked)
+    table = {}
+    for n in range(9):
+        for p in enumerate_curves(n):
+            build_record(p, table=table)
+    generated = [cd.word for n in range(9) for cd in _canonical_words(n)]
+    assert [args[0].word for args in walked] == generated
+    assert len(generated) == 1_025
+
+
+def test_kept_primality_equals_a_fresh_walk():
+    """The ``prime`` that realization keeps equals the walk a fresh diagram
+    makes on first use, and so does ``prime`` on curves realization did not
+    build (move results, connected sums, prime factors, every embedding of
+    a code), each against the closed-interval oracle."""
+    table = {}
+    built = []
+    for n in range(1, 7):
+        for p in enumerate_curves(n):
+            assert "_prime" in p.code.__dict__
+            assert p.code._prime == ChordDiagram(p.word)._prime
+            built += [moves.apply_move(p, mv) for mv in moves.applicable_moves(p)]
+            built += [planar.connected_sum(p, q, 0, 0) for q in enumerate_curves(3)]
+            built += planar.prime_decompose(p)
+            built += planar.all_realizations(ChordDiagram(p.word))
+    # U's verdict is kept once realization has returned it; the rest walk
+    assert all("_prime" not in q.code.__dict__ for q in built if q is not U)
+    for q in built:
+        want = q.n >= 1 and first_closed_interval(q.word) is None
+        assert build_record(q, with_arnold=False, table=table).prime == want, q.word
+    assert len(built) == 2_043
 
 
 def test_census_records_validate_no_word(monkeypatch):
