@@ -36,8 +36,8 @@ operations and one walk of the face permutation confirms or refutes the
 candidate rotation system.  It reads the interlacement rows that each
 generated diagram brings from the search.
 
-A record reads its face degrees, monogons and strong 2-gons off one such
-walk (:func:`knotproj.planar._face_walk`), with no face list built.
+A record reads its face degrees off that walk and its strong 2-gons off
+the word (:func:`knotproj.planar._strong_sites`), with no face list built.
 
 :func:`enumerate_curves` keeps nothing between calls: each call generates
 and realizes its n afresh, and the curves live as long as the caller holds
@@ -304,10 +304,10 @@ def build_record(
 ) -> EnumerationRecord:
     """Compute a record for one realized curve.
 
-    The face fields come from the curve's :func:`planar._face_walk`, which
-    counts exactly what ``p.faces``, ``planar.monogons`` and
-    ``planar.strong_bigons`` list; an enumerated curve keeps the walk that
-    accepted its mask, so it is not walked again.  ``prime`` asks only
+    The face degrees come from the curve's :func:`planar._face_walk`, the
+    walk that accepted an enumerated curve's mask, and the strong 2-gons
+    from :func:`planar._strong_sites`; they count exactly what ``p.faces``,
+    ``planar.monogons`` and ``planar.strong_bigons`` list.  ``prime`` asks only
     whether the interlacement graph has exactly one component
     (``planar.prime_decompose`` says why that is primality), which
     realization keeps from its walk as ``ChordDiagram._prime``.
@@ -320,7 +320,7 @@ def build_record(
     sweep only.  With no table every run goes to its end.
     """
     cd = p.code
-    degrees, bigons = p._walk
+    degrees = p._walk
     return EnumerationRecord(
         code=str(chords.canonicalize(cd)),
         n=p.n,
@@ -328,7 +328,7 @@ def build_record(
         tr=chords.count_tr(cd),
         face_degrees=tuple(sorted(degrees)),
         monogons=degrees.count(1),
-        strong_bigons=len(planar._strong_sites(p.word, bigons)),
+        strong_bigons=len(planar._strong_sites(p.word, p.flips)),
         reduced=planar.is_reduced(p),
         prime=cd._prime,
         in_S=moves._reaches_U(p, table),

@@ -2,10 +2,16 @@
 
 1b deletes the crossing at a monogon; s2b deletes the two crossings of a
 strong 2-gon.  Both act on the embedded curve they are given, by map
-surgery: the deleted crossings leave, every other crossing keeps its local
-rotation, and one face walk checks that the result still has n + 2 faces.
-So the result of a move depends only on the curve and the set of crossings
-it deletes.
+surgery: the deleted crossings leave and every other crossing keeps its
+local rotation.  No face is walked to check the result.  A small disk round
+the face meets the rest of the curve in two arc ends for a monogon and four
+for a strong 2-gon with corners a and b; round the disk these read out of
+a, into a, out of b, into b, and the curve links "into a" to "out of b" and
+"into b" to "out of a".  Joining the linked ends inside the disk takes one
+arc, or two between neighbouring ends, which need not cross, so the result
+is drawn on the same sphere.  So a move's result depends only on the curve
+and the set of crossings it deletes, and the moves check only the curve
+they are given, which the constructor does not (:func:`_check_spherical`).
 
 S is the class of curves reducible to the simple closed curve U using only
 these two moves.  One greedy run decides it: take the first applicable
@@ -51,9 +57,10 @@ applies, and it is U exactly when some sequence of moves reaches U.  The
 tests check every overlapping pair of moves on every embedding with n <= 7.
 
 A curve's moves are read one way, by :func:`applicable_moves` and the
-greedy run alike, with no :class:`~knotproj.planar.Face` built.  A curve is
-its normalized word and its flip mask, so the run carries just those two and
-builds no curve and no interlacement core while it looks for a move.
+greedy run alike, with no :class:`~knotproj.planar.Face` built and no face
+walked.  A curve is its normalized word and its flip mask, so the run
+carries just those two and builds no curve and no interlacement core while
+it looks for a move.
 
 * A monogon is exactly a loop edge, a label at two cyclically adjacent
   positions, whatever the flips.  A degree-1 face is one dart whose edge
@@ -72,13 +79,23 @@ builds no curve and no interlacement core while it looks for a move.
   Each deletion is a 1b and no loop is left, so the pass deletes that set,
   and one :func:`planar._drop_labels` call reaches the state that 1b at
   the smallest loop, one move at a time, reaches (:func:`_spell`).
-* The s2b sites come from one walk of the face permutation
-  (:func:`planar._face_walk`), whose strong 2-gons :func:`planar._strong_sites`
-  reads off the word by :func:`planar._is_strong`.  The run walks only the
-  loop-free state its pass left, takes the smallest site, and checks on the
-  same walk that the carried mask still has n + 2 faces.  A curve keeps its
-  walk (``PlanarCurve._walk``), which a realized curve, or a move's result,
-  has made already.
+* A strong 2-gon is read off the word and the flips
+  (:func:`planar._strong_sites`).  Its edges run a -> b and b -> a, a != b,
+  at four distinct positions: a shared one would put a corner of the face
+  between the in- and out-dart of one passage, which are opposite in both
+  rotations.  So the word reads a b X b a Y cyclically, and a normalized
+  word, which starts at 1, reads ``a a+1 .. a+1 a`` (nested: adjacent first
+  occurrences are consecutive labels) unless it starts inside one of the
+  two edges, ``1 .. 1 b .. b`` with b = ``word[-1]`` (wrapped).  Either
+  pattern fixes its two edges.  By :func:`planar._face_step`, with a at p
+  and q + 1 and b = a + 1 at p + 1 and q in the nested pattern, step[2p]
+  is 2q exactly when flip[b] = 1 and step[2q] is 2p exactly when
+  flip[a] = 0; step[2p + 1] is 2q + 1 exactly when flip[a] = 1 and
+  step[2q + 1] is 2p + 1 exactly when flip[b] = 0; no other step joins the
+  two edges.  So they bound a face exactly when the flips differ.  In the
+  wrapped pattern, with 1 at 0 and s and b at s + 1 and m - 1, the same
+  reading gives 2s <-> 2m - 2 when both flips are 1 and 2s + 1 <-> 2m - 1
+  when both are 0: a face exactly when the flips are equal.
 * Deleting crossings keeps every survivor's flip and relabels the survivors
   by first occurrence, each flip bit moving with its label
   (:func:`planar._drop_labels`), and a curve is fixed by its word and flip
@@ -105,13 +122,12 @@ inclusion-chain and main-theorem checks share it.  A call with no table, as
 
 * The table is exact because the run is deterministic, not because of
   Newman's lemma.  The next loop-free state is a function of the current
-  one alone: the smallest strong site of the state's face walk (the start
-  curve's kept walk is that walk), then :func:`planar._drop_labels`, then
-  the pass.  Both the word and the mask are normalized, so two runs that
-  reach one state go on identically from it, and a state's end does not
-  depend on the path that led there.  Confluence is
-  what makes that end the normal form, and whether it is U the answer to
-  membership in S; the table only reuses runs.
+  one alone: the smallest strong site of the state's word and flips, then
+  :func:`planar._drop_labels`, then the pass.  Both the word and the mask
+  are normalized, so two runs that reach one state go on identically from
+  it, and a state's end does not depend on the path that led there.
+  Confluence is what makes that end the normal form, and whether it is U
+  the answer to membership in S; the table only reuses runs.
 * A table lives for one sweep.  Its end states hold for the move rules that
   computed them, and it is never kept at module level or on a curve: a
   table that outlived its command would answer a later one under a
@@ -125,7 +141,12 @@ from typing import NamedTuple
 
 from . import planar
 from .chords import ChordDiagram, canonicalize, count_tr
-from .errors import InapplicableMove, PreconditionTripleChord, TheoremViolation
+from .errors import (
+    InapplicableMove,
+    NotRealizable,
+    PreconditionTripleChord,
+    TheoremViolation,
+)
 from .planar import PlanarCurve
 
 __all__ = [
@@ -175,9 +196,11 @@ class ReductionTrace(NamedTuple):
 
 def applicable_moves(p: PlanarCurve) -> list[Move]:
     """Every applicable move, 1b sites first, each site listed once, ascending,
-    read as the greedy run reads them (see the module docstring)."""
+    read as the greedy run reads them (see the module docstring); a curve
+    whose mask is not spherical raises (:func:`_check_spherical`)."""
+    _check_spherical(p)
     ones = sorted(_loops(p.word))
-    twos = sorted(set(planar._strong_sites(p.word, p._walk[1])))
+    twos = planar._strong_sites(p.word, p.flips)
     return [Move("1b", (v,)) for v in ones] + [Move("s2b", ab) for ab in twos]
 
 
@@ -185,9 +208,10 @@ def apply_move(p: PlanarCurve, move: Move) -> PlanarCurve:
     """Apply one currently-applicable move to the embedded curve ``p``.
 
     The map is edited, not re-realized: :func:`planar._drop_labels` keeps
-    every surviving crossing's flip, and the result keeps the walk that checks it.
-    Any value equal to an applicable move, a plain (kind, site) tuple too, is
-    applied as that move; any other raises :class:`InapplicableMove`.
+    every surviving crossing's flip, and the result is not walked (the
+    module docstring says why).  Any value equal to an applicable move, a
+    plain (kind, site) tuple too, is applied as that move; any other raises
+    :class:`InapplicableMove`.
     """
     moves = applicable_moves(p)
     if move not in moves:
@@ -195,6 +219,15 @@ def apply_move(p: PlanarCurve, move: Move) -> PlanarCurve:
         raise InapplicableMove(f"{shown} is not applicable to {p!r}")
     _, site = move  # a Move, or a plain tuple equal to one
     return planar._embed(*planar._drop_labels(p.word, p.flips, site))
+
+
+def _check_spherical(p: PlanarCurve) -> None:
+    """Raise :class:`NotRealizable` unless ``p``'s kept walk has n + 2 faces
+    (free for a realized curve)."""
+    if len(p._walk) != p.n + 2:
+        word = " ".join(map(str, p.word))
+        why = "leaves no spherical map"
+        raise NotRealizable(f"flip mask {p.flips:#x} on {word!r} {why}")
 
 
 def _loops(word: tuple[int, ...]) -> set[int]:
@@ -225,8 +258,8 @@ def _reduce(
 
     Returns the s2b moves taken and the run's end state, the (word, flip
     mask) where it stopped: ``((), 0)`` for U, or the first state that admits
-    no move.  The module docstring says what the run carries and when it
-    walks; :func:`_spell` lists the single moves.
+    no move.  The module docstring says what the run carries and why it
+    walks no face; :func:`_spell` lists the single moves.
 
     ``table`` maps each loop-free (word, flip mask) state an earlier run
     passed to that run's end state.  The run stops at the first loop-free
@@ -234,6 +267,7 @@ def _reduce(
     state it passed to its end; U is never a key.  With no table the run
     gets a fresh one, so it takes every step.
     """
+    _check_spherical(p)
     if table is None:
         table = {}
     taken = []
@@ -250,18 +284,11 @@ def _reduce(
             end = table[word, mask]
             break
         passed.append((word, mask))
-        # a loop-free start curve keeps the walk that accepted its mask
-        if taken or curls:
-            degrees, bigons = planar._face_walk(word, mask)
-        else:
-            degrees, bigons = p._walk
-        if len(degrees) != len(word) // 2 + 2:
-            raise planar._not_spherical(word, mask)
-        sites = planar._strong_sites(word, bigons)
+        sites = planar._strong_sites(word, mask)
         if not sites:
             end = word, mask
             break
-        move = Move("s2b", min(sites))
+        move = Move("s2b", sites[0])
         taken.append(move)
         word, mask = planar._drop_labels(word, mask, move.site)
     table.update(dict.fromkeys(passed, end))
@@ -312,8 +339,10 @@ def reduce_no_triple(p: PlanarCurve) -> ReductionTrace:
     The move taken at each step is the first applicable one (1b before s2b,
     smallest site first), making the trace reproducible.  A triple-chord-free
     curve with crossings always admits a move; if that ever failed,
-    :class:`TheoremViolation` would report the counterexample.
+    :class:`TheoremViolation` would report the counterexample.  A mask that
+    is not spherical raises first (:func:`_check_spherical`).
     """
+    _check_spherical(p)
     if count_tr(p.code):
         raise PreconditionTripleChord(
             f"curve {str(canonicalize(p.code))!r} contains a triple chord"

@@ -16,17 +16,16 @@ Faces come from one step array, :func:`_face_step`, built from the word and
 the flip mask alone: it sends each dart to the next dart of its face.  A flip
 mask is a spherical realization exactly when that permutation has n + 2
 cycles (Euler's formula with V = n, E = 2n).  Two walkers read the cycles.
-:func:`_face_walk` is the lean one: one pass gives each face's degree and
-the edges of each 2-gon, with no :class:`Face` built, and it is all that
-accepts or rejects a candidate mask, lists a curve's moves, drives the
-greedy 1b/s2b run, fills a census record and answers the verify checks.  A
-curve whose mask a walk accepted keeps that walk, so a census curve's map,
-or a move's result, is walked once.  :func:`_trace_faces` serves only the
-public ``faces``, which :func:`monogons` and :func:`strong_bigons` filter.
-Strongness itself is one comparison on the word, :func:`_is_strong`, made
-each time a walk's 2-gons are read (:func:`_strong_sites`).  The step array
-is the one place that writes the rotation rule down: a curve's
-``rotations`` are read back off it, a derived view for readers of the map.
+:func:`_face_walk` is the lean one: one pass gives the face degrees, with
+no :class:`Face` built.  It accepts or rejects a candidate mask, and a
+curve keeps the walk that accepted its mask, which its census record and
+the moves' check read.  :func:`_trace_faces` serves only the public
+``faces``, which :func:`monogons` and :func:`strong_bigons` filter.  No move
+walks a face: a monogon is a loop edge, and :func:`_strong_sites`, the one
+reader of strongness, reads the strong 2-gons off the word and the flips
+(:mod:`knotproj.moves` proves it).  The step array is the one place that
+writes the rotation rule down: a curve's ``rotations`` are read back off
+it, a derived view for readers of the map.
 
 No search over the 2**n flip masks is needed.  By the interlacement-graph
 characterization of Gauss codes (Rosenstiehl, C. R. Acad. Sci. Paris 283,
@@ -173,9 +172,9 @@ class PlanarCurve(chords._Frozen, _PlanarCurveFields):
         return tuple(rings)
 
     @cached_property
-    def _walk(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """This curve's :func:`_face_walk`: the walk that accepted its mask
-        (:func:`_curve_for_mask`), or one made on first read."""
+    def _walk(self) -> tuple[int, ...]:
+        """This curve's face degrees, the :func:`_face_walk` that accepted
+        its mask (:func:`_curve_for_mask`), or one made on first read."""
         return _face_walk(self.word, self.flips)
 
     @cached_property
@@ -221,72 +220,60 @@ def _face_step(word: tuple[int, ...], flips: int) -> list[int]:
     return step
 
 
-def _is_strong(word: tuple[int, ...], t1: int, t2: int) -> bool:
-    """Whether the 2-gon bounded by edges t1 and t2 is a strong 2-gon.
-
-    Both edges join the face's two corners, and edge t starts at ``word[t]``.
-    Different start labels mean one edge runs a -> b and the other b -> a:
-    the word reads a b .. b a, the chords are nested and the orientation of
-    the curve runs coherently around the face.  Equal start labels mean
-    either both edges run a -> b (a b .. a b, interleaved chords, parallel
-    strands) or both are loops at a, as on the figure-eight's outer face;
-    neither is strong.
-    """
-    return word[t1] != word[t2]
-
-
-def _face_walk(
-    word: tuple[int, ...], flips: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Face degrees and 2-gons of the curve with this word and flip mask.
+def _face_walk(word: tuple[int, ...], flips: int) -> tuple[int, ...]:
+    """Face degrees of the curve with this word and flip mask.
 
     One pass over the cycles of :func:`_face_step`, with no :class:`Face`
     built.  The degrees come in the order of each cycle's smallest dart, as
     :func:`_trace_faces` lists the faces, so there are n + 2 of them exactly
-    when the mask is spherical; U's two faces have degree 0.  Each 2-cycle
-    d <-> e, d its smaller dart, gives its two edges (d >> 1, e >> 1);
-    :func:`_strong_sites` reads the strong 2-gons off them.  Both come back
-    as tuples, so the walk a curve keeps (``PlanarCurve._walk``) holds no
-    list's spare capacity; every reader only reads it.
+    when the mask is spherical; U's two faces have degree 0.  A tuple, as a
+    curve keeps it (``PlanarCurve._walk``), holds no spare capacity.
     """
     if not word:
-        return (0, 0), ()
+        return 0, 0
     step = _face_step(word, flips)
     degrees = []
-    bigons = []
     for start in range(len(step)):
         d = step[start]
         if d < 0:  # a visited dart's step is set to -1
             continue
-        second = d
         step[start] = -1
         k = 1
         while d != start:
             step[d], d = -1, step[d]
             k += 1
         degrees.append(k)
-        if k == 2:
-            bigons.append((start >> 1, second >> 1))
-    return tuple(degrees), tuple(bigons)
+    return tuple(degrees)
 
 
-def _strong_sites(
-    word: tuple[int, ...], bigons: tuple[tuple[int, int], ...]
-) -> list[tuple[int, int]]:
-    """The strong 2-gons among the 2-gons of a :func:`_face_walk`, by site.
+def _strong_sites(word: tuple[int, ...], flips: int) -> list[tuple[int, int]]:
+    """The sites (a, b), a < b, of the strong 2-gons of the curve with this
+    normalized word and flip mask, sorted, read in one pass with no face
+    walked (:mod:`knotproj.moves` proves the rule).  A strong 2-gon is
 
-    A 2-gon with edges t1 and t2 that :func:`_is_strong` accepts gives the
-    site (a, b), its two corners ascending, one per face; the corners are
-    the two ends of edge t1.  The filter runs on each read, not inside the
-    walk, so the walk a curve keeps holds the map's 2-gons and no
-    strongness verdict.
+    * nested, ``a a+1 .. a+1 a``: the first occurrences of a and a + 1 are
+      adjacent, their second occurrences adjacent in reverse, and their
+      flips differ; or
+    * wrapped, ``1 .. 1 b .. b`` with b = ``word[-1]`` and b's first
+      occurrence right after 1's second: the flips of 1 and b are equal.
     """
     m = len(word)
+    first = [-1] * (m // 2 + 1)
+    second = first[:]
+    for t, v in enumerate(word):
+        if first[v] < 0:
+            first[v] = t
+        else:
+            second[v] = t
     sites = []
-    for t1, t2 in bigons:
-        if _is_strong(word, t1, t2):
-            a, b = word[t1], word[(t1 + 1) % m]  # edge t1 joins the corners
-            sites.append((a, b) if a < b else (b, a))
+    for a in range(1, m // 2):
+        if first[a + 1] == first[a] + 1 and second[a] == second[a + 1] + 1:
+            if (flips >> (a - 1) ^ flips >> a) & 1:
+                sites.append((a, a + 1))
+    b = word[-1] if word else 1
+    if b > 1 and first[b] == second[1] + 1 and not (flips ^ flips >> (b - 1)) & 1:
+        sites.append((1, b))
+        sites.sort()
     return sites
 
 
@@ -345,7 +332,7 @@ def _curve_for_mask(cd: ChordDiagram, mask: int) -> PlanarCurve | None:
     for n = 0.
     """
     walk = _face_walk(cd.word, mask)
-    if len(walk[0]) != cd.n + 2:
+    if len(walk) != cd.n + 2:
         return None
     if not cd.word:
         return U
@@ -380,27 +367,13 @@ def _drop_labels(
     return tuple(out), flips
 
 
-def _not_spherical(word: tuple[int, ...], mask: int) -> NotRealizable:
-    """The error for a word and flip mask without n + 2 faces."""
-    return NotRealizable(
-        f"flip mask {mask:#x} on {' '.join(map(str, word))!r} "
-        "leaves no spherical map"
-    )
-
-
 def _embed(word: tuple[int, ...], mask: int) -> PlanarCurve:
-    """The curve with this normalized word and flip mask, after one face walk.
+    """The curve with this normalized word and flip mask; the empty word gives U.
 
-    The curve keeps the walk (:func:`_curve_for_mask`), so the moves of a
-    move's result are read without another; the empty word gives U.  The
-    word is normal by construction (:func:`_drop_labels`), so it is not
-    validated again.  Raises :class:`NotRealizable` unless the walk gives
-    n + 2 faces.
+    The word is normal by construction (:func:`_drop_labels`) and a move's
+    result spherical (:mod:`knotproj.moves`), so neither is checked.
     """
-    q = _curve_for_mask(ChordDiagram._of_normal(word), mask)
-    if q is None:
-        raise _not_spherical(word, mask)
-    return q
+    return PlanarCurve(ChordDiagram._of_normal(word), mask) if word else U
 
 
 def _search_rotations(cd: ChordDiagram) -> PlanarCurve | None:
@@ -465,16 +438,12 @@ def strong_bigons(p: PlanarCurve) -> list[Face]:
     "Any nontrivial knot projection with no triple chords has a monogon or a
     bigon" (arXiv:2108.10133) defines a strong 2-gon as a 2-gon oriented by
     an orientation of the curve: its two edges run coherently around it, one
-    from corner a to b and the other from b back to a.  :func:`_is_strong`
-    reads that off the word, and only those faces admit the s2b move.
+    from corner a to b and the other from b back to a.  These are the
+    degree-2 faces whose corner pair :func:`_strong_sites` lists, and only
+    they admit the s2b move.
     """
-    out = []
-    for f in p.faces:
-        if f.degree == 2:
-            d, e = f.dart_cycle
-            if _is_strong(p.word, d >> 1, e >> 1):
-                out.append(f)
-    return out
+    sites = _strong_sites(p.word, p.flips)
+    return [f for f in p.faces if f.degree == 2 and tuple(sorted(f.corners)) in sites]
 
 
 def innermost_teardrop(p: PlanarCurve) -> Teardrop:

@@ -17,7 +17,7 @@ triple-chord count of each splice in :func:`ordered_splices`).
 tested.  In particular the move oracles read moves off faces traced from the vertex rings
 (:func:`face_moves`), never through ``applicable_moves`` or ``apply_move``.
 The one deliberately wrong rule here, :func:`weak_variant`, is a mutant for
-the tests that patch ``planar._is_strong``, not an oracle.
+the tests that patch ``planar._strong_sites``, not an oracle.
 """
 
 import heapq
@@ -1091,14 +1091,16 @@ def strong_bigon_sites(faces, cd):
     return out
 
 
-def weak_variant(word, t1, t2):
+def weak_variant(word, flips):
     """Deliberately wrong strongness rule, for mutation tests that patch
-    ``planar._is_strong``: a 2-gon on edges t1 and t2 counts when its
-    corner chords interleave (the pattern the real rule excludes) instead of
-    nesting.  Both edges join the same two corners, word[t1] and
-    word[t1 + 1]."""
-    a, b = word[t1], word[(t1 + 1) % len(word)]
-    return a != b and interleaved(ChordDiagram(word), a, b)
+    ``planar._strong_sites``: the sorted sites of the 2-gons whose corner
+    chords interleave (the pattern the real rule excludes) instead of
+    nesting, read off the faces traced from the vertex rings
+    (:func:`ring_traced_faces`)."""
+    cd = ChordDiagram(word)
+    faces = ring_traced_faces(word, mask_rings(word, flips))
+    pairs = {tuple(sorted(f.corners)) for f in faces if f.degree == 2}
+    return sorted((a, b) for a, b in pairs if a != b and interleaved(cd, a, b))
 
 
 def face_record(p):

@@ -19,8 +19,10 @@ from knotproj import planar
 from conftest import (
     a2_skein,
     brute_force_realizable,
+    mask_rings,
     pairing_words,
     resolutions,
+    ring_traced_faces,
     skein_average_a2,
     trace_face_count,
 )
@@ -102,14 +104,16 @@ def test_criterion_6_invariant_oracles(capfd):
 def test_criterion_7_strongness_discriminator(capfd, monkeypatch):
     with criterion(capfd, 7, "interleaved-bigon mutant breaks the verified corollaries"):
 
-        def interleaved_variant(word, t1, t2):
-            # both edges of the 2-gon join its corners word[t1] and word[t1 + 1]
-            a, b = word[t1], word[(t1 + 1) % len(word)]
-            return a != b and kp.interleaved(kp.ChordDiagram(word), a, b)
+        def interleaved_variant(word, flips):
+            # the 2-gons of the traced faces whose corner chords interleave
+            cd = kp.ChordDiagram(word)
+            faces = ring_traced_faces(word, mask_rings(word, flips))
+            pairs = {tuple(sorted(f.corners)) for f in faces if f.degree == 2}
+            return sorted((a, b) for a, b in pairs if a != b and kp.interleaved(cd, a, b))
 
         healthy = kp.check_inclusion_chain(3)
         assert healthy.passed
-        monkeypatch.setattr(planar, "_is_strong", interleaved_variant)
+        monkeypatch.setattr(planar, "_strong_sites", interleaved_variant)
         mutated = kp.check_inclusion_chain(3)
         bigons = kp.check_two_strong_bigons(4)
         assert not mutated.passed or not bigons.passed

@@ -446,7 +446,7 @@ def test_enumerate_verdict_table_lives_for_one_command(tmp_path, capsys, monkeyp
         return rec.in_S
 
     assert trefoil_in_S() is False
-    monkeypatch.setattr(planar, "_is_strong", weak_variant)
+    monkeypatch.setattr(planar, "_strong_sites", weak_variant)
     assert trefoil_in_S() is True
 
 
@@ -603,7 +603,7 @@ def test_verify_verdict_table_lives_for_one_command(capsys, monkeypatch):
     argv = ["verify", "--all", "--max-n", "6", "--json"]
     code, healthy, _ = run(capsys, *argv)
     assert code == 0
-    monkeypatch.setattr(planar, "_is_strong", weak_variant)
+    monkeypatch.setattr(planar, "_strong_sites", weak_variant)
     code, mutated, _ = run(capsys, *argv)
     fresh = [
         verify.run_checks([cid], 6)[0].to_json_obj() for cid in verify.CHECK_IDS

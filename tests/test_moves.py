@@ -25,7 +25,12 @@ from knotproj import (
 )
 from knotproj import chords, moves, planar
 from knotproj.enumeration import BUDGET_ENV, build_record
-from knotproj.errors import InapplicableMove, PreconditionTripleChord, TheoremViolation
+from knotproj.errors import (
+    InapplicableMove,
+    NotRealizable,
+    PreconditionTripleChord,
+    TheoremViolation,
+)
 
 from conftest import (
     dfs_in_S,
@@ -167,7 +172,7 @@ def test_theorem_violation_is_raisable(monkeypatch):
 
     monkeypatch.setattr(moves_mod, "_loops", lambda word: set())
     monkeypatch.setattr(moves_mod, "_curls", lambda word: [])
-    monkeypatch.setattr(planar, "_is_strong", lambda word, t1, t2: False)
+    monkeypatch.setattr(planar, "_strong_sites", lambda word, flips: [])
     with pytest.raises(TheoremViolation):
         moves_mod.reduce_no_triple(curve("1 1"))
 
@@ -425,8 +430,9 @@ def has_loop_edge(word):
 
 
 def test_face_traces_only_where_no_monogon_is_left(monkeypatch):
-    """The run builds no Face and no interlacement core: a word with no loop
-    edge is walked once by ``_face_walk``, and nothing else reads its map."""
+    """The run builds no Face, walks no face and builds no interlacement
+    core: a realized curve keeps the walk that checked its mask, and the
+    strong 2-gons of every state are read off its word and flips."""
     spiral, torus = nested_spiral(), torus_with_curls()
     small = embeddings(6)
     for p in (spiral, torus, *small):
@@ -453,17 +459,12 @@ def test_face_traces_only_where_no_monogon_is_left(monkeypatch):
     monkeypatch.setattr(chords, "_interlacement_bits", counted_bits)
     assert in_S(spiral)[0]
     assert str(reduce_no_triple(spiral).terminal) == ""
-    assert walked == []
     assert in_S(torus) == (False, None)
-    assert len(walked) == 1
-    walked.clear()
     for p in small:
         in_S(p)
         if not count_tr(p.code):
             reduce_no_triple(p)
-    assert walked
-    assert not any(has_loop_edge(word) for word in walked)
-    assert traced == [] and cores == []
+    assert walked == [] and traced == [] and cores == []
 
 
 # --- one route to a curve's moves ---------------------------------------------------
@@ -487,6 +488,37 @@ def test_apply_move_matches_a_face_read_after_dropping_labels():
             want = PlanarCurve(ChordDiagram.from_labels(word), mask)
             q = apply_move(p, mv)
             assert (q.word, q.flips, q.faces) == (word, mask, want.faces), (p, mv)
+
+
+def spherical(word, mask):
+    return len(planar._face_walk(word, mask)) == len(word) // 2 + 2
+
+
+def test_run_states_and_move_results_are_spherical():
+    """No move's result is walked in the package, so the walk checks it
+    here: every loop-free state a run passes (the keys of a shared table),
+    every run's end state and every ``apply_move`` result has n + 2 faces,
+    on every embedding with n <= 7."""
+    table = {}
+    results = 0
+    for p in embeddings(7):
+        assert spherical(*moves._reduce(p, table)[1]), p
+        for mv in applicable_moves(p):
+            q = apply_move(p, mv)
+            assert spherical(q.word, q.flips), (p, mv)
+            results += 1
+    assert all(spherical(*state) for state in table)
+    assert (len(table), results) == (106, 32942)
+
+
+def test_moves_check_a_callers_curve_is_spherical():
+    """The constructor does not check the mask; the moves check the curve
+    they are given, once."""
+    torus = PlanarCurve(parse_code("1 2 3 1 2 3"), 0)
+    calls = (in_S, reduce_no_triple, applicable_moves, lambda p: apply_move(p, ("1b", (1,))))
+    for call in calls:
+        with pytest.raises(NotRealizable, match="no spherical map"):
+            call(torus)
 
 
 def test_nothing_in_the_package_traces_faces(monkeypatch):

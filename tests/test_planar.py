@@ -22,6 +22,7 @@ from knotproj import (
     strong_bigons,
 )
 from knotproj import chords, planar
+from knotproj.enumeration import BUDGET_ENV
 from knotproj.errors import InvalidSite, NoCrossings, NotRealizable
 
 from conftest import (
@@ -133,7 +134,7 @@ def orbit_count_mismatches(word, masks):
     bad, rejected = [], 0
     for mask in masks:
         traced = len(ring_traced_faces(word, mask_rings(word, mask)))
-        if len(planar._face_walk(word, mask)[0]) != traced:
+        if len(planar._face_walk(word, mask)) != traced:
             bad.append(mask)
         rejected += traced != len(word) // 2 + 2
     return bad, rejected
@@ -180,25 +181,52 @@ def test_all_realizations_match_eager_construction():
 
 
 def test_step_array_faces_match_ring_traced_faces():
-    """Both step-array walkers: the Face lists of ``_trace_faces``, and the
-    degrees and 2-gons of ``_face_walk``, whose strong 2-gon sites
-    (``_strong_sites``, an orientation rule on the word) are held against
-    the definition by chords (distinct corners whose chords do not
-    interleave)."""
+    """Both step-array walkers, the Face lists of ``_trace_faces`` and the
+    degrees of ``_face_walk``, against faces traced off the vertex rings;
+    and the strong 2-gon sites of ``_strong_sites``, a flip rule on the
+    word, against those faces read by the definition by chords (distinct
+    corners whose chords do not interleave)."""
     embeddings = strong = 0
     for n in range(1, 8):
         for p in enumerate_curves(n):
             for r in all_realizations(p.code):
                 want = ring_traced_faces(r.word, mask_rings(r.word, r.flips))
                 assert planar._trace_faces(r.word, r.flips) == want, r.word
-                degrees, bigons = planar._face_walk(r.word, r.flips)
-                sites = planar._strong_sites(r.word, bigons)
-                assert degrees == tuple(f.degree for f in want), r.word
-                assert sites == strong_bigon_sites(want, r.code), r.word
+                sites = planar._strong_sites(r.word, r.flips)
+                assert planar._face_walk(r.word, r.flips) == tuple(
+                    f.degree for f in want
+                ), r.word
+                assert sites == sorted(strong_bigon_sites(want, r.code)), r.word
                 embeddings += 1
                 strong += len(sites)
     assert (embeddings, strong) == (7_304, 6_448)
-    assert planar._face_walk((), 0) == ((0, 0), ())
+    assert planar._face_walk((), 0) == (0, 0)
+    assert planar._strong_sites((), 0) == []
+
+
+def assert_strong_sites_match_traced_faces(n):
+    """The flip rule against the faces ``_trace_faces`` lists, read by the
+    definition by chords, on every embedding of every curve with n
+    crossings; returns the number of embeddings and of strong 2-gons."""
+    embeddings = strong = 0
+    for p in enumerate_curves(n):
+        for r in all_realizations(p.code):
+            sites = planar._strong_sites(r.word, r.flips)
+            want = strong_bigon_sites(planar._trace_faces(r.word, r.flips), r.code)
+            assert sites == sorted(want), r
+            embeddings += 1
+            strong += len(sites)
+    return embeddings, strong
+
+
+def test_strong_sites_match_traced_faces_at_8():
+    assert assert_strong_sites_match_traced_faces(8) == (34_882, 35_242)
+
+
+@pytest.mark.slow
+def test_strong_sites_match_traced_faces_at_9(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "9")
+    assert assert_strong_sites_match_traced_faces(9) == (239_798, 257_750)
 
 
 def test_realized_code_is_validated_once(monkeypatch):
@@ -258,9 +286,13 @@ def test_unrealizable_code_costs_one_face_trace(monkeypatch):
 
 
 def test_deleting_a_crossing_off_any_move_can_leave_no_spherical_map():
+    """Deleting one crossing of the trefoil leaves ``1 2 1 2`` with fewer
+    than n + 2 faces; a move never deletes that set, so its result is not
+    walked (the moves tests check that every result has n + 2 faces)."""
     t = realize(parse_code("1 2 3 1 2 3"))
-    with pytest.raises(NotRealizable, match="no spherical map"):
-        planar._embed(*planar._drop_labels(t.word, t.flips, {1}))
+    word, mask = planar._drop_labels(t.word, t.flips, {1})
+    assert word == (1, 2, 1, 2)
+    assert len(planar._face_walk(word, mask)) < 4
     assert planar._embed(*planar._drop_labels(t.word, t.flips, {1, 2, 3})) is U
 
 
@@ -489,7 +521,7 @@ def test_connected_sum_splices_the_embeddings():
                                 for rb in b_maps:
                                     q = connected_sum(ra, rb, s1, s2)
                                     assert q.code == want, (ra, rb, s1, s2)
-                                    assert len(planar._face_walk(q.word, q.flips)[0]) == q.n + 2
+                                    assert len(planar._face_walk(q.word, q.flips)) == q.n + 2
                                     diff = q.flips ^ base
                                     assert all(diff & c in (0, c) for c in components)
                                     splices += 1
@@ -592,7 +624,7 @@ def test_prime_decompose_inverts_connected_sum():
         assert len(factors) == 2, (p1, p2, s1, s2)
         f1, f2 = factors if factors[0] == p1 else factors[::-1]
         for f in factors:
-            assert len(planar._face_walk(f.word, f.flips)[0]) == f.n + 2
+            assert len(planar._face_walk(f.word, f.flips)) == f.n + 2
         assert (f1.word, f1.flips) == (p1.word, p1.flips)
         back = connected_sum(f1, f2, s1, 2 * p2.n - 1)
         assert (back.word, back.flips) == (q.word, q.flips)

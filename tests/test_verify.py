@@ -382,14 +382,14 @@ def test_interleaved_mutant_breaks_the_chain(monkeypatch):
     longer forces the arnold invariant to vanish."""
     baseline = check_inclusion_chain(3)
     assert baseline.passed
-    monkeypatch.setattr(planar, "_is_strong", weak_variant)
+    monkeypatch.setattr(planar, "_strong_sites", weak_variant)
     mutated = check_inclusion_chain(3)
     assert not mutated.passed
     assert any("arnold" in reason for _, reason in mutated.violations)
 
 
 def test_mutant_detected_by_bigon_census_too(monkeypatch):
-    monkeypatch.setattr(planar, "_is_strong", weak_variant)
+    monkeypatch.setattr(planar, "_strong_sites", weak_variant)
     rep = check_two_strong_bigons(4)
     assert not rep.passed
 
@@ -405,7 +405,7 @@ def test_main_theorem_reports_a_curve_with_no_strong_2_gon(monkeypatch):
     verdict table that outlived its call would hide the mutant."""
     baseline = check_main_theorem(6)
     assert baseline.passed and baseline.curves_tested == 39
-    monkeypatch.setattr(planar, "_is_strong", lambda word, t1, t2: False)
+    monkeypatch.setattr(planar, "_strong_sites", lambda word, flips: [])
     rep = check_main_theorem(6)
     assert rep.curves_tested == 39
     assert list(rep.violations) == [
@@ -431,13 +431,13 @@ def hide_every_move(monkeypatch):
     reads as strong."""
     monkeypatch.setattr(moves, "_loops", lambda word: set())
     monkeypatch.setattr(moves, "_curls", lambda word: [])
-    monkeypatch.setattr(planar, "_is_strong", lambda word, t1, t2: False)
+    monkeypatch.setattr(planar, "_strong_sites", lambda word, flips: [])
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda mp: mp.setattr(planar, "_is_strong", weak_variant),
+        lambda mp: mp.setattr(planar, "_strong_sites", weak_variant),
         hide_every_move,
     ],
     ids=["weak-variant", "hide-every-move"],
