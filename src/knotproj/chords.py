@@ -44,7 +44,8 @@ Each chord-level concept has one implementation:
   components are also the prime factors behind ``planar.prime_decompose``
   and :func:`split_connected_sum`, and realization keeps their count's
   verdict, the dataset's ``prime`` field, as ``ChordDiagram._prime``.  The
-  enumeration seeds ``_bits`` from its search.
+  enumeration seeds ``_bits`` and the first positions ``_firsts`` from its
+  search.
 """
 
 from __future__ import annotations
@@ -152,11 +153,11 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
         """The first position of each label a, at index a - 1, found on
         first use: label a first occurs where a is the next label.
 
-        An enumerated diagram finds it when realization's
-        :func:`_components` walk first reads it.  Its readers are
-        :meth:`positions`, :func:`_components`,
-        ``PlanarCurve.rotations``, ``planar.innermost_teardrop`` and
-        ``invariants.a2_gauss_formula``.
+        An enumerated diagram is handed it instead by the generator, which
+        keeps each label's first position as it places it, so realization's
+        :func:`_components` walk scans nothing.  Its readers are
+        :meth:`positions`, :func:`_components`, ``PlanarCurve.rotations``,
+        ``planar.innermost_teardrop`` and ``invariants.a2_gauss_formula``.
         """
         firsts: list[int] = []
         for i, x in enumerate(self.word):

@@ -33,8 +33,8 @@ candidate reading below the word.
 Realizability is decided by :func:`knotproj.planar._search_rotations`:
 crossing flips are propagated over the interlacement graph in O(n^2) bit
 operations and one walk of the face permutation confirms or refutes the
-candidate rotation system.  It reads the interlacement rows that each
-generated diagram brings from the search.
+candidate rotation system.  It reads the interlacement rows and the first
+positions that each generated diagram brings from the search.
 
 A record reads its face degrees off that walk and its strong 2-gons off
 the word (:func:`knotproj.planar._strong_sites`), with no face list built.
@@ -47,13 +47,16 @@ the list.  Each command reads each n once (``enumerate`` record by record,
 Datasets are JSONL: a {"schema":1} header line, then one record per curve,
 ordered by (n, code), the census's own order, so the ``enumerate`` command
 writes each record as it builds it (:func:`_record_line`) with no sort.
-The Arnold invariant is written as a decimal integer string.
+Each line is one ``%`` format, held by the test suite to json's compact
+encoding of :func:`_record_to_obj`.  The Arnold invariant is written as a
+decimal integer string.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, get_type_hints
 
 from . import chords, invariants, moves, planar
@@ -179,9 +182,9 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
     1 2 3 4 5 6 7 1 2 8 4 9 10 5 6 7 8 3 9 10.
 
     Each diagram carries the rows the search kept, N(a) >> 1, as
-    ``ChordDiagram._bits``; its first positions are left to
-    ``ChordDiagram._firsts``, found by a scan of the word when
-    :func:`planar._flip_coset` first reads them.
+    ``ChordDiagram._bits``, and its first positions as
+    ``ChordDiagram._firsts``: ``firsts`` gains a label's position as it
+    opens and loses it on backtrack, so at a leaf it holds every label's.
     """
     if n == 0:
         return [ChordDiagram._of_canonical(())]
@@ -194,6 +197,8 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
         pref = [0] * (m + 1)
         # the open chords' first positions, ascending, as are their labels
         opens: list[int] = []
+        # the first position of each opened label a, at index a - 1
+        firsts: list[int] = []
         # (a, N(a)) of each closed chord, bit b of N(a) for label b
         closed: list[tuple[int, int]] = []
         # chords._back_steps of the word and of its reversal, written as each
@@ -210,6 +215,7 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
                     for a, na in closed:
                         rows[a - 1] = na >> 1
                     cd.__dict__["_bits"] = tuple(rows)
+                    cd.__dict__["_firsts"] = tuple(firsts)
                     out.append(cd)
                 return
             if opens and i > opens[0] + slack:
@@ -242,10 +248,12 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
                     rback[m - 1 - fp] = 0  # fp opens again; it reads as fresh
             if fresh <= n and i != gap:  # chord 1 closes at gap
                 opens.append(i)
+                firsts.append(i)
                 word[i] = fresh
                 back[i] = 0  # a fresh label repeats nothing
                 pref[i + 1] = pref[i] ^ (1 << fresh)
                 place(i + 1, fresh + 1)
+                firsts.pop()
                 opens.pop()
 
         place(0, 1)
@@ -257,7 +265,7 @@ def enumerate_curves(n: int) -> list[PlanarCurve]:
 
     Codes come out canonical and in ascending word order, generated afresh
     on each call.  Each curve's code is the diagram the generator built,
-    with the interlacement rows it handed on; n = 0
+    with the interlacement rows and first positions it handed on; n = 0
     takes the same path to ``[U]``.  Raises :class:`BudgetExceeded` where
     :func:`check_budget` refuses n.
     """
@@ -280,10 +288,11 @@ class EnumerationRecord(NamedTuple):
     """One dataset row: the canonical code and its computed facts.
 
     This class is the record schema: its fields, in order, are the keys of a
-    dataset line, and the writer and the reader take their field lists from
-    it.  ``arnold`` is None when the record was built without the Arnold
-    invariant (the CLI computes it up to ``--arnold-max``); it is then
-    omitted from the JSON.
+    dataset line.  The reader and :func:`_record_to_obj` take their field
+    lists from it, and the test suite holds the writer's line format to
+    :func:`_record_to_obj`.  ``arnold`` is None when the record was built
+    without the Arnold invariant (the CLI computes it up to
+    ``--arnold-max``); it is then omitted from the JSON.
     """
 
     code: str
@@ -351,7 +360,8 @@ def _record_to_obj(rec: EnumerationRecord) -> dict:
     """The JSON object of a record, its keys in field order.
 
     ``face_degrees`` becomes a list and ``arnold`` decimal text, or is left
-    out when it is None.
+    out when it is None.  ``analyze`` prints it; a dataset line is its
+    compact encoding, written by :func:`_record_line` without it.
     """
     obj = rec._asdict()
     obj["face_degrees"] = list(rec.face_degrees)
@@ -362,14 +372,33 @@ def _record_to_obj(rec: EnumerationRecord) -> dict:
     return obj
 
 
-# one encoder for every line: json.dumps with options builds one per call
-_encode = json.JSONEncoder(separators=(",", ":")).encode
-_SCHEMA_LINE = _encode({"schema": 1}) + "\n"
+_SCHEMA_LINE = '{"schema":1}\n'
+# a record line, keys in field order, as json.JSONEncoder with compact
+# separators writes _record_to_obj (the test suite holds the two equal);
+# the last %s is the arnold member or nothing
+_RECORD_LINE = (
+    '{"code":%s,"n":%d,"x":%d,"tr":%d,"face_degrees":[%s],"monogons":%d,'
+    '"strong_bigons":%d,"reduced":%s,"prime":%s,"in_S":%s%s}\n'
+)
+_JSON_BOOL = ("false", "true")
 
 
 def _record_line(rec: EnumerationRecord) -> str:
-    """A record's dataset line: :func:`_record_to_obj`, compact, newline-ended."""
-    return _encode(_record_to_obj(rec)) + "\n"
+    """A record's dataset line: one ``%`` format, with no dict and no encoder."""
+    code, n, x, tr, degrees, monogons, bigons, reduced, prime, in_s, arnold = rec
+    return _RECORD_LINE % (
+        encode_basestring_ascii(code),
+        n,
+        x,
+        tr,
+        ",".join(map(str, degrees)),
+        monogons,
+        bigons,
+        _JSON_BOOL[reduced],
+        _JSON_BOOL[prime],
+        _JSON_BOOL[in_s],
+        "" if arnold is None else ',"arnold":"%d"' % arnold,
+    )
 
 
 def write_dataset(records, path) -> None:

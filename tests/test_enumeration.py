@@ -21,6 +21,8 @@ from knotproj.enumeration import (
     DEFAULT_MAX_N,
     EnumerationRecord,
     _canonical_words,
+    _record_line,
+    _record_to_obj,
 )
 from knotproj.errors import BudgetExceeded, NotRealizable, SchemaError
 
@@ -133,12 +135,12 @@ def _counting(monkeypatch, module, name, record):
 
 def handed_facts_match(n):
     """Each generated diagram carries its interlacement rows, equal to what
-    the diagram would compute itself, and its canonical form, itself, and
-    nothing else; its first positions, found by the diagram's own scan,
-    are each label's first index in the word."""
+    the diagram would compute itself, its first positions, each label's
+    first index in the word, and its canonical form, itself, and nothing
+    else."""
     for cd in _canonical_words(n):
         w = cd.word
-        assert set(cd.__dict__) == {"_bits", "_canon"}, w
+        assert set(cd.__dict__) == {"_bits", "_canon", "_firsts"}, w
         assert cd._bits == chords._interlacement_bits(w), w
         assert cd._firsts == tuple(w.index(a) for a in range(1, n + 1)), w
         assert cd._canon is cd
@@ -179,22 +181,33 @@ def test_leaf_arrays_are_the_words_back_steps(monkeypatch):
     assert leaves == 2_464
 
 
-def test_close_time_prune_cuts_leaf_checks(monkeypatch):
+def close_time_prune_cuts(monkeypatch, n, leaf_checked, checked):
+    """The generator runs ``chords._is_orbit_min`` on ``checked`` leaves,
+    the leaf-checked generator ``reading_orbit_min`` on ``leaf_checked``."""
     new, old = [], []
-    _counting(monkeypatch, chords, "_is_orbit_min", new)
-    _counting(monkeypatch, conftest, "reading_orbit_min", old)
-    _canonical_words(8)
-    leaf_checked_words(8)
-    assert len(old) == 5_892
+    with monkeypatch.context() as mp:
+        _counting(mp, chords, "_is_orbit_min", new)
+        _counting(mp, conftest, "reading_orbit_min", old)
+        _canonical_words(n)
+        leaf_checked_words(n)
+    assert len(old) == leaf_checked, n
     # pinned; a further close-time prune may lower it
-    assert len(new) == 1_967
+    assert len(new) == checked, n
 
 
-def test_generator_search_tree_is_pinned():
-    """The n = 8 search visits 10,212 nodes (``place`` calls, counted with
-    a profile hook) for its 780 diagrams, about 13 per diagram emitted.
-    Pinned; a further prune may lower it.  Without the deadline prune the
-    count rises to 10,214, so a change to it shows here."""
+def test_close_time_prune_cuts_leaf_checks(monkeypatch):
+    close_time_prune_cuts(monkeypatch, 8, 5_892, 1_967)
+    close_time_prune_cuts(monkeypatch, 9, 47_061, 10_995)
+
+
+@pytest.mark.slow
+def test_close_time_prune_cuts_leaf_checks_at_10(monkeypatch):
+    close_time_prune_cuts(monkeypatch, 10, 423_018, 65_405)
+
+
+def search_tree(n):
+    """``_canonical_words(n)``'s node count (``place`` calls, counted with
+    a profile hook) and diagram count."""
     nodes = 0
 
     def profile(frame, event, arg):
@@ -205,10 +218,25 @@ def test_generator_search_tree_is_pinned():
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        words = _canonical_words(8)
+        words = _canonical_words(n)
     finally:
         sys.setprofile(previous)
-    assert (nodes, len(words)) == (10_212, 780)
+    return nodes, len(words)
+
+
+def test_generator_search_tree_is_pinned():
+    """The n = 8 search visits 10,212 nodes for its 780 diagrams, about 13
+    per diagram emitted, and the n = 9 search 57,584 for 4,109, about 14.
+    Pinned; a further prune may lower them.  Without the deadline prune the
+    n = 8 count rises to 10,214, so a change to it shows here."""
+    assert search_tree(8) == (10_212, 780)
+    assert search_tree(9) == (57_584, 4_109)
+
+
+@pytest.mark.slow
+def test_generator_search_tree_is_pinned_at_10():
+    """348,509 nodes for 23,584 diagrams, about 15 per diagram emitted."""
+    assert search_tree(10) == (348_509, 23_584)
 
 
 def test_is_orbit_min_agrees_on_leaf_checked_leaves(monkeypatch):
@@ -442,6 +470,47 @@ def all_records(max_n):
         for p in enumerate_curves(n):
             recs.append(build_record(p))
     return recs
+
+
+def encoder_line(rec):
+    """The line ``_record_line`` replaced: json's compact encoding of
+    :func:`enumeration._record_to_obj`, newline-ended."""
+    return json.JSONEncoder(separators=(",", ":")).encode(_record_to_obj(rec)) + "\n"
+
+
+def test_record_line_equals_the_compact_encoder():
+    """The one-format line against the encoder on every census record with
+    n <= 8, once with the Arnold invariant and once without."""
+    table = {}
+    lines = 0
+    for n in range(0, 9):
+        for p in enumerate_curves(n):
+            for with_arnold in (True, False):
+                rec = build_record(p, with_arnold, table=table)
+                assert _record_line(rec) == encoder_line(rec), (rec.code, with_arnold)
+                lines += 1
+    assert lines == 2 * 991
+
+
+@pytest.mark.parametrize(
+    "code,face_degrees,arnold",
+    [
+        ("", (0, 0), 0),  # U
+        ("", (0, 0), None),
+        ("1 2 3 1 2 3", (2, 2, 2, 3, 3), 2),
+        ("1 1", (1, 1, 2), -3),
+        ("1 1", (1, 1, 2), 10**30),
+        # quote, backslash, control and non-ASCII characters pin the escaping
+        ('"q" \\ \n \u00e9 \u2028 \U0001f600', (), None),
+    ],
+    ids=["u", "u-no-arnold", "trefoil", "negative-arnold", "long-arnold", "escapes"],
+)
+def test_record_line_equals_the_compact_encoder_on_hand_built_records(
+    code, face_degrees, arnold
+):
+    for flags in [(False, False, False), (True, False, True), (False, True, False)]:
+        rec = EnumerationRecord(code, 0, 1, 2, face_degrees, 3, 4, *flags, arnold)
+        assert _record_line(rec) == encoder_line(rec), rec
 
 
 def test_write_read_identity(tmp_path):
