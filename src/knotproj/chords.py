@@ -23,20 +23,20 @@ Each chord-level concept has one implementation:
 * a reading of a word (a rotation or reflection, relabeled by first
   occurrence) is compared with another through integer keys, not relabeled
   tuples: :func:`_back_steps` gives each position the steps back to its
-  partner, once per word, and :func:`_precedes` compares two readings key
-  by key, in word order.  :func:`_least_starts` lists the readings that
-  can be least.  Together they are the orbit minimum :func:`_orbit_min`,
-  behind :func:`canonicalize` (cached per diagram as
-  ``ChordDiagram._canon``, the canonical diagram, whose own ``_canon`` is
-  itself), which relabels only the winning reading, and the early-exit
-  canonicity test :func:`_is_orbit_min`, each listing its candidates with
-  :func:`_least_starts`; the enumeration keeps the back steps of its
-  partial word as chords close and hands them to both its close-time
-  prune (:func:`_precedes`) and its leaf test,
+  partner, once per word, and :func:`_precedes`, the one comparison, reads
+  two readings key by key, in word order, and gives the sign.
+  :func:`_least_starts` lists the readings that can be least.  Together
+  they are the orbit minimum :func:`_orbit_min`, behind
+  :func:`canonicalize` (cached per diagram as ``ChordDiagram._canon``, the
+  canonical diagram, whose own ``_canon`` is itself), which relabels only
+  the winning reading.  The enumeration keeps the back steps of its
+  partial word as chords close; its close-time prune compares a
+  reflection with them, and its leaf test only the candidates the search
+  recorded, each from where the search left it,
 * :func:`_interlacement_bits` is the interlacement core, a word read
   left to right with a running prefix XOR, built once per diagram and
   cached as ``ChordDiagram._bits``: every interleave question reads it,
-  here and in :mod:`knotproj.planar` (strong 2-gons, reducedness,
+  here and in :mod:`knotproj.planar` (reducedness, primality and
   realization), and the connected-sum check reads each spliced word with
   it; :func:`_triangles` counts its triangles, the triple chords;
   :func:`_components` lists its components in one walk that propagates
@@ -45,7 +45,8 @@ Each chord-level concept has one implementation:
   and :func:`split_connected_sum`, and realization keeps their count's
   verdict, the dataset's ``prime`` field, as ``ChordDiagram._prime``.  The
   enumeration seeds ``_bits`` and the first positions ``_firsts`` from its
-  search.
+  search, and both the face walk and the strong 2-gon rule read the
+  latter.
 """
 
 from __future__ import annotations
@@ -151,19 +152,17 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
     @cached_property
     def _firsts(self) -> tuple[int, ...]:
         """The first position of each label a, at index a - 1, found on
-        first use: label a first occurs where a is the next label.
+        first use (:func:`_first_positions`).
 
         An enumerated diagram is handed it instead by the generator, which
         keeps each label's first position as it places it, so realization's
-        :func:`_components` walk scans nothing.  Its readers are
-        :meth:`positions`, :func:`_components`, ``PlanarCurve.rotations``,
-        ``planar.innermost_teardrop`` and ``invariants.a2_gauss_formula``.
+        :func:`_components` walk and face walk and the census record scan
+        nothing.  Its readers are :meth:`positions`, :func:`_components`,
+        ``planar._face_step`` (faces, rotations and the realization walk),
+        ``planar._strong_sites`` for a curve, ``planar.innermost_teardrop``
+        and ``invariants.a2_gauss_formula``.
         """
-        firsts: list[int] = []
-        for i, x in enumerate(self.word):
-            if x > len(firsts):
-                firsts.append(i)
-        return tuple(firsts)
+        return _first_positions(self.word)
 
     @cached_property
     def _prime(self) -> bool:
@@ -202,7 +201,17 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
         return i, self.word.index(label, i + 1)
 
     def __str__(self) -> str:
-        return " ".join(map(str, self.word))
+        return " ".join(["%d"] * len(self.word)) % self.word
+
+
+def _first_positions(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Each label a's first position in a normalized word, at index a - 1:
+    label a first occurs where a is the next label."""
+    firsts: list[int] = []
+    for i, x in enumerate(word):
+        if x > len(firsts):
+            firsts.append(i)
+    return tuple(firsts)
 
 
 def _decimal(text: str) -> int:
@@ -263,9 +272,11 @@ def _back_steps(word: tuple[int, ...]) -> list[int]:
     return back
 
 
-def _precedes(a: list[int], s: int, b: list[int], t: int, k: int, stop: int) -> bool:
-    """Whether the reading with back steps ``a`` from ``s`` is less, relabeled
-    by first occurrence, than the one with ``b`` from ``t``.
+def _precedes(a: list[int], s: int, b: list[int], t: int, k: int, stop: int) -> int:
+    """The sign of the reading with back steps ``a`` from ``s`` against the
+    one with ``b`` from ``t``, both relabeled by first occurrence: negative
+    when the first is less, 0 when they tie through offset stop - 1,
+    positive when it is greater.
 
     Both readings must agree before offset k; offsets k .. stop - 1 are
     compared, ``a[s + k]`` against ``b[t + k]``, so a reading that wraps
@@ -288,9 +299,9 @@ def _precedes(a: list[int], s: int, b: list[int], t: int, k: int, stop: int) -> 
             if y > k:
                 y = 0
             if x != y:
-                return x > y
+                return y - x
         k += 1
-    return False
+    return 0
 
 
 def _orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -317,7 +328,7 @@ def _orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
     best = None
     for src in (fwd, bwd):
         for s in _least_starts(src, g):
-            if best is None or _precedes(src, s, best, start, g + 1, m):
+            if best is None or _precedes(src, s, best, start, g + 1, m) < 0:
                 best, start = src, s
     seq = word if best is fwd else word[::-1]
     return _relabel(seq[start:] + seq[:start])
@@ -337,28 +348,6 @@ def _least_starts(src: list[int], g: int) -> list[int]:
         out.append(q - g)
         q += 1
     return out
-
-
-def _is_orbit_min(back: list[int], rback: list[int], g: int) -> bool:
-    """Whether a normalized word equals its :func:`_orbit_min`, given the
-    :func:`_back_steps` of the word and of its reversal and the least step g.
-
-    The candidates are the readings :func:`_orbit_min` compares, listed by
-    :func:`_least_starts` in each direction.  The word must be a candidate
-    itself (``back[g] == g``), so it is the first forward one, and it is
-    skipped: compared with itself it would read the whole word.  The test
-    stops at the first candidate that :func:`_precedes` the word.
-    """
-    m = len(back)
-    fwd = back * 2
-    bwd = rback * 2
-    for s in _least_starts(fwd, g)[1:]:
-        if _precedes(fwd, s, back, 0, g + 1, m):
-            return False
-    for r in _least_starts(bwd, g):
-        if _precedes(bwd, r, back, 0, g + 1, m):
-            return False
-    return True
 
 
 def canonicalize(cd: ChordDiagram) -> ChordDiagram:

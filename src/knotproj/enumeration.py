@@ -27,8 +27,9 @@ Both conditions speak only of the interlacement graph, which rotating,
 reflecting and relabeling the word leave unchanged (up to renaming its
 vertices), so a word passes them exactly when its canonical form does: the
 prunes lose no class, and the canonicity prune needs no change.  Only the
-survivors get the orbit-minimality check, which stops at the first
-candidate reading below the word.
+survivors get the orbit-minimality check, which reads only the candidate
+readings that the close-time comparisons left open, and stops at the first
+below the word.
 
 Realizability is decided by :func:`knotproj.planar._search_rotations`:
 crossing flips are propagated over the interlacement graph in O(n^2) bit
@@ -164,10 +165,18 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
     from the closing position with ``back`` read from 0, from offset
     gap + 1 on (both read 1 2 .. gap 1 before it).
 
-    The survivors get :func:`chords._is_orbit_min` on the same two arrays,
-    which lists the only readings that can be least, those that read
-    1 2 .. gap 1, with :func:`chords._least_starts`, as
-    :func:`chords._orbit_min` does.
+    The survivors are tested at the leaf on the same two arrays, against
+    the only readings that can be least, those that read 1 2 .. gap 1
+    (:func:`chords._orbit_min`): each starts at an end of a chord side
+    ``gap`` long, so ``cands`` gains it as that chord closes and loses it
+    on backtrack.  A chord closing ``gap`` after fp adds the forward reading
+    from fp (unless fp = 0, the word's own) and the backward one from i;
+    one closing ``slack`` after fp, its other side ``gap`` long, adds the
+    forward reading from i and the backward one from fp.  Each is read
+    from offset gap + 1 but the backward one from i: the close-time
+    comparison is three-way, so that reading is dropped when it read larger
+    (it stays larger, since what is placed later reads as before within
+    word[0..i]) and kept, to be read from offset i + 1, only when it tied.
 
     The open chords are a list of first positions, ascending, so one
     comparison with the earliest (the deadline) tells when a chord can no
@@ -205,18 +214,24 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
         # chord closes; rback[m - 1 - p] is position p's step ahead
         back = [0] * m
         rback = [0] * m
+        # the candidate readings closed chords left open: (reverse?, start,
+        # offset to compare from), the start indexing rback when reversed
+        cands: list[tuple[bool, int, int]] = []
 
         def place(i: int, fresh: int) -> None:
             # fresh is the next unused label
             if i == m:
-                if chords._is_orbit_min(back, rback, gap):
-                    cd = ChordDiagram._of_canonical(tuple(word))
-                    rows = [0] * n
-                    for a, na in closed:
-                        rows[a - 1] = na >> 1
-                    cd.__dict__["_bits"] = tuple(rows)
-                    cd.__dict__["_firsts"] = tuple(firsts)
-                    out.append(cd)
+                keys = (back * 2, rback * 2)
+                for rev, s, k in cands:
+                    if chords._precedes(keys[rev], s, back, 0, k, m) < 0:
+                        return
+                cd = ChordDiagram._of_canonical(tuple(word))
+                rows = [0] * n
+                for a, na in closed:
+                    rows[a - 1] = na >> 1
+                cd.__dict__["_bits"] = tuple(rows)
+                cd.__dict__["_firsts"] = tuple(firsts)
+                out.append(cd)
                 return
             if opens and i > opens[0] + slack:
                 return  # the earliest open chord can no longer close
@@ -234,15 +249,25 @@ def _canonical_words(n: int) -> list[ChordDiagram]:
                     lab = word[fp]
                     word[i] = lab
                     back[i] = d
+                    top = len(cands)
                     if d == gap:
-                        if chords._precedes(rback, m - 1 - i, back, 0, gap + 1, i + 1):
+                        c = chords._precedes(rback, m - 1 - i, back, 0, gap + 1, i + 1)
+                        if c < 0:
                             continue
+                        if fp:
+                            cands.append((False, fp, gap + 1))
+                        if not c:  # tied through i
+                            cands.append((True, m - 1 - i, i + 1))
+                    if d == slack:  # the side from i round to fp is gap long
+                        cands.append((False, i, gap + 1))
+                        cands.append((True, m - 1 - fp, gap + 1))
                     rback[m - 1 - fp] = d
                     back[fp] = rback[m - 1 - i] = m - d
                     del opens[j]
                     closed.append((lab, nc))
                     pref[i + 1] = pref[i] ^ (1 << lab)
                     place(i + 1, fresh)
+                    del cands[top:]
                     closed.pop()
                     opens.insert(j, fp)
                     rback[m - 1 - fp] = 0  # fp opens again; it reads as fresh
@@ -337,7 +362,7 @@ def build_record(
         tr=chords.count_tr(cd),
         face_degrees=tuple(sorted(degrees)),
         monogons=degrees.count(1),
-        strong_bigons=len(planar._strong_sites(p.word, p.flips)),
+        strong_bigons=len(planar._strong_sites(p.word, p.flips, cd._firsts)),
         reduced=planar.is_reduced(p),
         prime=cd._prime,
         in_S=moves._reaches_U(p, table),
@@ -391,7 +416,7 @@ def _record_line(rec: EnumerationRecord) -> str:
         n,
         x,
         tr,
-        ",".join(map(str, degrees)),
+        ",".join(["%d"] * len(degrees)) % tuple(degrees),  # a caller's may be a list
         monogons,
         bigons,
         _JSON_BOOL[reduced],

@@ -79,8 +79,9 @@ it looks for a move.
   Each deletion is a 1b and no loop is left, so the pass deletes that set,
   and one :func:`planar._drop_labels` call reaches the state that 1b at
   the smallest loop, one move at a time, reaches (:func:`_spell`).
-* A strong 2-gon is read off the word and the flips
-  (:func:`planar._strong_sites`).  Its edges run a -> b and b -> a, a != b,
+* A strong 2-gon is read off the word, its first positions and the flips
+  (:func:`planar._strong_sites`); a run state's first positions take one
+  scan of its word.  Its edges run a -> b and b -> a, a != b,
   at four distinct positions: a shared one would put a corner of the face
   between the in- and out-dart of one passage, which are opposite in both
   rotations.  So the word reads a b X b a Y cyclically, and a normalized
@@ -139,7 +140,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import planar
+from . import chords, planar
 from .chords import ChordDiagram, canonicalize, count_tr
 from .errors import (
     InapplicableMove,
@@ -200,7 +201,7 @@ def applicable_moves(p: PlanarCurve) -> list[Move]:
     whose mask is not spherical raises (:func:`_check_spherical`)."""
     _check_spherical(p)
     ones = sorted(_loops(p.word))
-    twos = planar._strong_sites(p.word, p.flips)
+    twos = planar._strong_sites(p.word, p.flips, p.code._firsts)
     return [Move("1b", (v,)) for v in ones] + [Move("s2b", ab) for ab in twos]
 
 
@@ -284,7 +285,7 @@ def _reduce(
             end = table[word, mask]
             break
         passed.append((word, mask))
-        sites = planar._strong_sites(word, mask)
+        sites = planar._strong_sites(word, mask, chords._first_positions(word))
         if not sites:
             end = word, mask
             break

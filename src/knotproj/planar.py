@@ -12,20 +12,21 @@ A curve is therefore fixed by its word and its flip mask, and
 :class:`PlanarCurve` holds just those two, the word as its diagram; its
 rotations and faces are built on first read.
 
-Faces come from one step array, :func:`_face_step`, built from the word and
-the flip mask alone: it sends each dart to the next dart of its face.  A flip
-mask is a spherical realization exactly when that permutation has n + 2
-cycles (Euler's formula with V = n, E = 2n).  Two walkers read the cycles.
-:func:`_face_walk` is the lean one: one pass gives the face degrees, with
-no :class:`Face` built.  It accepts or rejects a candidate mask, and a
-curve keeps the walk that accepted its mask, which its census record and
-the moves' check read.  :func:`_trace_faces` serves only the public
-``faces``, which :func:`monogons` and :func:`strong_bigons` filter.  No move
-walks a face: a monogon is a loop edge, and :func:`_strong_sites`, the one
-reader of strongness, reads the strong 2-gons off the word and the flips
-(:mod:`knotproj.moves` proves it).  The step array is the one place that
-writes the rotation rule down: a curve's ``rotations`` are read back off
-it, a derived view for readers of the map.
+Faces come from one step array, :func:`_face_step`, built from the diagram
+(its word and first positions) and the flip mask alone: it sends each dart
+to the next dart of its face.  A flip mask is a spherical realization
+exactly when that permutation has n + 2 cycles (Euler's formula with V = n,
+E = 2n).  Two walkers read the cycles.  :func:`_face_walk` is the lean
+one: one pass gives the face degrees, with no :class:`Face` built.  It
+accepts or rejects a candidate mask, and a curve keeps the walk that
+accepted its mask, which its census record and the moves' check read.
+:func:`_trace_faces` serves only the public ``faces``, which
+:func:`monogons` and :func:`strong_bigons` filter.  No move walks a face:
+a monogon is a loop edge, and :func:`_strong_sites`, the one reader of
+strongness, reads the strong 2-gons off the word, its first positions and
+the flips (:mod:`knotproj.moves` proves it).  The step array is the one
+place that writes the rotation rule down: a curve's ``rotations`` are read
+back off it, a derived view for readers of the map.
 
 No search over the 2**n flip masks is needed.  By the interlacement-graph
 characterization of Gauss codes (Rosenstiehl, C. R. Acad. Sci. Paris 283,
@@ -162,7 +163,7 @@ class PlanarCurve(chords._Frozen, _PlanarCurveFields):
     @cached_property
     def rotations(self) -> tuple[tuple[int, int, int, int], ...]:
         # the rotation successor of dart a is step[a ^ 1]
-        step = _face_step(self.word, self.flips)
+        step = _face_step(self.code, self.flips)
         rings = []
         for t in self.code._firsts:  # v's first occurrence: in1 = 2t - 1 (mod 4n)
             ring = [(2 * t - 1) % len(step)]
@@ -175,13 +176,13 @@ class PlanarCurve(chords._Frozen, _PlanarCurveFields):
     def _walk(self) -> tuple[int, ...]:
         """This curve's face degrees, the :func:`_face_walk` that accepted
         its mask (:func:`_curve_for_mask`), or one made on first read."""
-        return _face_walk(self.word, self.flips)
+        return _face_walk(self.code, self.flips)
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
         if not self.word:
             return (Face((), ()), Face((), ()))
-        return tuple(_trace_faces(self.word, self.flips))
+        return tuple(_trace_faces(self.code, self.flips))
 
     def __repr__(self) -> str:
         return f"PlanarCurve({' '.join(map(str, self.word)) or 'U'!r})"
@@ -190,8 +191,8 @@ class PlanarCurve(chords._Frozen, _PlanarCurveFields):
 U = PlanarCurve(ChordDiagram(()), 0)
 
 
-def _face_step(word: tuple[int, ...], flips: int) -> list[int]:
-    """The face permutation of the curve with this word and flip mask.
+def _face_step(cd: ChordDiagram, flips: int) -> list[int]:
+    """The face permutation of the curve with this diagram and flip mask.
 
     A face steps from dart d to ``step[d]``, the successor of d ^ 1 in the
     rotation at its vertex.  Vertex v with occurrences t1 < t2 has darts
@@ -200,17 +201,15 @@ def _face_step(word: tuple[int, ...], flips: int) -> list[int]:
     at flip 1, the two orders transversality allows; each rotation successor
     a -> b gives ``step[a ^ 1] = b``.  This is the only statement of the
     rotation rule: ``PlanarCurve.rotations`` reads the rings back off the
-    array.
+    array.  Each vertex's t1 is its first position (``cd._firsts``), and
+    t2 the next occurrence of its label after it.
     """
+    word = cd.word
     nd = 2 * len(word)
     step = [0] * nd
-    first = [-1] * (len(word) // 2 + 1)
-    for t, v in enumerate(word):
-        t1 = first[v]
-        if t1 < 0:
-            first[v] = t
-            continue
-        in1, out1, in2, out2 = (2 * t1 - 1) % nd, 2 * t1, 2 * t - 1, 2 * t
+    for v, t1 in enumerate(cd._firsts, 1):
+        t2 = word.index(v, t1 + 1)
+        in1, out1, in2, out2 = (2 * t1 - 1) % nd, 2 * t1, 2 * t2 - 1, 2 * t2
         if flips >> (v - 1) & 1:
             step[in1 ^ 1], step[out2 ^ 1] = out2, out1
             step[out1 ^ 1], step[in2 ^ 1] = in2, in1
@@ -220,8 +219,8 @@ def _face_step(word: tuple[int, ...], flips: int) -> list[int]:
     return step
 
 
-def _face_walk(word: tuple[int, ...], flips: int) -> tuple[int, ...]:
-    """Face degrees of the curve with this word and flip mask.
+def _face_walk(cd: ChordDiagram, flips: int) -> tuple[int, ...]:
+    """Face degrees of the curve with this diagram and flip mask.
 
     One pass over the cycles of :func:`_face_step`, with no :class:`Face`
     built.  The degrees come in the order of each cycle's smallest dart, as
@@ -229,9 +228,9 @@ def _face_walk(word: tuple[int, ...], flips: int) -> tuple[int, ...]:
     when the mask is spherical; U's two faces have degree 0.  A tuple, as a
     curve keeps it (``PlanarCurve._walk``), holds no spare capacity.
     """
-    if not word:
+    if not cd.word:
         return 0, 0
-    step = _face_step(word, flips)
+    step = _face_step(cd, flips)
     degrees = []
     for start in range(len(step)):
         d = step[start]
@@ -246,47 +245,47 @@ def _face_walk(word: tuple[int, ...], flips: int) -> tuple[int, ...]:
     return tuple(degrees)
 
 
-def _strong_sites(word: tuple[int, ...], flips: int) -> list[tuple[int, int]]:
+def _strong_sites(word: tuple[int, ...], flips: int, firsts) -> list[tuple[int, int]]:
     """The sites (a, b), a < b, of the strong 2-gons of the curve with this
-    normalized word and flip mask, sorted, read in one pass with no face
-    walked (:mod:`knotproj.moves` proves the rule).  A strong 2-gon is
+    normalized word and flip mask, sorted, read with no face walked
+    (:mod:`knotproj.moves` proves the rule).  A strong 2-gon is
 
     * nested, ``a a+1 .. a+1 a``: the first occurrences of a and a + 1 are
       adjacent, their second occurrences adjacent in reverse, and their
       flips differ; or
     * wrapped, ``1 .. 1 b .. b`` with b = ``word[-1]`` and b's first
       occurrence right after 1's second: the flips of 1 and b are equal.
+
+    ``firsts`` holds each label a's first position at index a - 1
+    (``ChordDiagram._firsts``); a second occurrence is found with
+    ``word.index`` only where the first occurrences and the flips allow a site.
     """
-    m = len(word)
-    first = [-1] * (m // 2 + 1)
-    second = first[:]
-    for t, v in enumerate(word):
-        if first[v] < 0:
-            first[v] = t
-        else:
-            second[v] = t
     sites = []
-    for a in range(1, m // 2):
-        if first[a + 1] == first[a] + 1 and second[a] == second[a + 1] + 1:
-            if (flips >> (a - 1) ^ flips >> a) & 1:
+    for a in range(1, len(firsts)):
+        f = firsts[a - 1]
+        if firsts[a] == f + 1 and (flips >> (a - 1) ^ flips >> a) & 1:
+            s = word.index(a, f + 2)  # a's second; a + 1's must sit at s - 1 > f + 1
+            if s > f + 2 and word[s - 1] == a + 1:
                 sites.append((a, a + 1))
     b = word[-1] if word else 1
-    if b > 1 and first[b] == second[1] + 1 and not (flips ^ flips >> (b - 1)) & 1:
-        sites.append((1, b))
-        sites.sort()
+    if b > 1 and not (flips ^ flips >> (b - 1)) & 1:
+        if firsts[b - 1] == word.index(1, 1) + 1:
+            sites.append((1, b))
+            sites.sort()
     return sites
 
 
-def _trace_faces(word: tuple[int, ...], flips: int) -> list[Face]:
-    """The faces of the curve with this word and flip mask, as :class:`Face` objects.
+def _trace_faces(cd: ChordDiagram, flips: int) -> list[Face]:
+    """The faces of the curve with this diagram and flip mask, as :class:`Face` objects.
 
     The cycles of :func:`_face_step`, each from its smallest dart, in the
     order of those darts.  The corner passed on leaving dart d is the vertex
     at the head of d ^ 1: a tail dart 2t sits at ``word[t]`` and a head dart
     2t+1 at ``word[t+1]``, so the corner is ``word[((d ^ 1) + 1) // 2 % m]``.
     """
+    word = cd.word
     m = len(word)
-    step = _face_step(word, flips)
+    step = _face_step(cd, flips)
     out: list[Face] = []
     for start in range(len(step)):
         if step[start] < 0:
@@ -331,7 +330,7 @@ def _curve_for_mask(cd: ChordDiagram, mask: int) -> PlanarCurve | None:
     curve is :data:`U` itself: this is the one place an entry point gets U
     for n = 0.
     """
-    walk = _face_walk(cd.word, mask)
+    walk = _face_walk(cd, mask)
     if len(walk) != cd.n + 2:
         return None
     if not cd.word:
@@ -442,7 +441,7 @@ def strong_bigons(p: PlanarCurve) -> list[Face]:
     degree-2 faces whose corner pair :func:`_strong_sites` lists, and only
     they admit the s2b move.
     """
-    sites = _strong_sites(p.word, p.flips)
+    sites = _strong_sites(p.word, p.flips, p.code._firsts)
     return [f for f in p.faces if f.degree == 2 and tuple(sorted(f.corners)) in sites]
 
 

@@ -175,7 +175,7 @@ def _two_strong_bigons(t: _Tally, n: int, batch: list, table: dict) -> None:
         if tr or not planar.is_reduced(p):
             continue
         t.tested += 1
-        k = len(planar._strong_sites(p.word, p.flips))
+        k = len(planar._strong_sites(p.word, p.flips, p.code._firsts))
         if k < 2:
             t.violations.append((_code(p), f"only {k} strong 2-gon(s)"))
 

@@ -12,10 +12,12 @@ built around (``planar._flip_coset``'s span, ``invariants.resolve``,
 :func:`recursive_prime_decompose`, and
 ``chords._interlacement_bits`` with ``chords._triangles`` for the
 triple-chord count of each splice in :func:`ordered_splices`).
-:func:`is_orbit_min` is a driver, not an oracle: it hands
-``chords._is_orbit_min`` the back steps of any word, so any word can be
-tested.  In particular the move oracles read moves off faces traced from the vertex rings
-(:func:`face_moves`), never through ``applicable_moves`` or ``apply_move``.
+:func:`_is_orbit_min` is the generator's leaf oracle, which lists every
+candidate reading with ``chords._least_starts`` and compares each with
+``chords._precedes``; :func:`is_orbit_min` hands it the back steps of any
+word, so any word can be tested.  In particular the move oracles read
+moves off faces traced from the vertex rings (:func:`face_moves`), never
+through ``applicable_moves`` or ``apply_move``.
 The one deliberately wrong rule here, :func:`weak_variant`, is a mutant for
 the tests that patch ``planar._strong_sites``, not an oracle.
 """
@@ -227,9 +229,33 @@ def reading_orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
+def _is_orbit_min(back: list[int], rback: list[int], g: int) -> bool:
+    """Whether a normalized word equals its ``chords._orbit_min``, given the
+    ``chords._back_steps`` of the word and of its reversal and the least
+    step g: the leaf oracle for ``enumeration._canonical_words``.
+
+    The candidates are the readings ``chords._orbit_min`` compares, listed
+    by ``chords._least_starts`` in each direction, every one read from
+    offset g + 1.  The word must be a candidate itself (``back[g] == g``),
+    so it is the first forward one, and it is skipped: compared with itself
+    it would read the whole word.  The test stops at the first candidate
+    that reads below the word.
+    """
+    m = len(back)
+    fwd = back * 2
+    bwd = rback * 2
+    for s in chords._least_starts(fwd, g)[1:]:
+        if chords._precedes(fwd, s, back, 0, g + 1, m) < 0:
+            return False
+    for r in chords._least_starts(bwd, g):
+        if chords._precedes(bwd, r, back, 0, g + 1, m) < 0:
+            return False
+    return True
+
+
 def is_orbit_min(word: tuple[int, ...]) -> bool:
-    """``chords._is_orbit_min`` on any normalized word, handed the back steps
-    of the word and of its reversal, as the generator hands them at a leaf.
+    """:func:`_is_orbit_min` on any normalized word, handed the back steps
+    of the word and of its reversal, as the generator holds them at a leaf.
     A word whose own reading is no candidate (``back[g] != g``) is not
     least, and is not handed on."""
     if not word:
@@ -237,7 +263,7 @@ def is_orbit_min(word: tuple[int, ...]) -> bool:
     back = chords._back_steps(word)
     rback = chords._back_steps(word[::-1])
     g = min(back)
-    return back[g] == g and chords._is_orbit_min(back, rback, g)
+    return back[g] == g and _is_orbit_min(back, rback, g)
 
 
 def leaf_checked_words(n: int) -> list[tuple[int, ...]]:
@@ -1091,7 +1117,7 @@ def strong_bigon_sites(faces, cd):
     return out
 
 
-def weak_variant(word, flips):
+def weak_variant(word, flips, firsts):
     """Deliberately wrong strongness rule, for mutation tests that patch
     ``planar._strong_sites``: the sorted sites of the 2-gons whose corner
     chords interleave (the pattern the real rule excludes) instead of

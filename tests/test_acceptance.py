@@ -104,7 +104,7 @@ def test_criterion_6_invariant_oracles(capfd):
 def test_criterion_7_strongness_discriminator(capfd, monkeypatch):
     with criterion(capfd, 7, "interleaved-bigon mutant breaks the verified corollaries"):
 
-        def interleaved_variant(word, flips):
+        def interleaved_variant(word, flips, firsts):
             # the 2-gons of the traced faces whose corner chords interleave
             cd = kp.ChordDiagram(word)
             faces = ring_traced_faces(word, mask_rings(word, flips))

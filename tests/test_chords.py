@@ -19,6 +19,7 @@ from knotproj import (
     parse_code,
     split_connected_sum,
 )
+from knotproj.enumeration import _canonical_words
 from knotproj.errors import MalformedCode, UnknownLabel
 
 from conftest import (
@@ -110,6 +111,17 @@ def test_diagram_validates_construction():
             build((1, 1, 2, 2, 3))
     with pytest.raises(MalformedCode, match=r"label 'b' appears 1 time\(s\)"):
         ChordDiagram.from_labels("aab")
+
+
+def test_text_is_the_labels_joined_by_spaces():
+    """``str`` of a diagram, one ``%d`` format per word length, against the
+    labels joined by spaces: U, words with labels of 10 and above, and
+    every word the generator emits with n <= 8."""
+    words = [(), tuple(range(1, 13)) * 2, tuple(range(1, 101)) * 2, (1, 1)]
+    words += [cd.word for n in range(9) for cd in _canonical_words(n)]
+    assert len(words) == 4 + 1 + 1 + 1 + 3 + 5 + 15 + 44 + 175 + 780
+    for w in words:
+        assert str(ChordDiagram(w)) == " ".join(map(str, w)), w
 
 
 def test_positions_ascending_and_unknown_label():

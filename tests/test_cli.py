@@ -425,9 +425,10 @@ def test_enumerate_8_dataset_is_pinned(tmp_path, capsys, monkeypatch):
     assert_dataset_pinned(capsys, tmp_path, 8, 990)
 
 
-@pytest.mark.slow
 def test_enumerate_9_dataset_is_pinned(tmp_path, capsys, monkeypatch):
-    """The n <= 9 dataset (4,881 records), byte for byte, by its sha256."""
+    """The n <= 9 dataset (4,881 records), byte for byte, by its sha256; a
+    tier-1 test (about 0.6 s), so every CI Python version checks the
+    generator's n = 9 output."""
     monkeypatch.setenv(BUDGET_ENV, "9")
     assert_dataset_pinned(capsys, tmp_path, 9, 4881)
 

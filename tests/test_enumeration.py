@@ -156,53 +156,109 @@ def test_generator_hands_on_rows_and_first_positions_at_10():
     handed_facts_match(10)
 
 
-def test_leaf_arrays_are_the_words_back_steps(monkeypatch):
-    """At every leaf the generator tests, ``back`` and ``rback`` are the back
-    steps of the finished word (read off the ``place`` frame) and of its
-    reversal, and the gap is the least back step, taken at offset gap by the
-    word's own reading.  ``chords._is_orbit_min`` lists its candidates from
-    these arrays alone; the last condition is the one the deadline keeps."""
+def leaf_states(n):
+    """The state of ``_canonical_words(n)`` at each leaf of its search, read
+    off the ``place`` frame as it returns from the leaf: (word, back, rback,
+    gap, cands, emitted), ``cands`` the candidate readings recorded as
+    chords closed and ``emitted`` whether the leaf handed its word on."""
+    states = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code.co_name == "place":
+            f = frame.f_locals
+            if f["i"] == f["m"]:
+                word, out = tuple(f["word"]), f["out"]
+                emitted = bool(out) and out[-1].word == word
+                states.append(
+                    (word, f["back"][:], f["rback"][:], f["gap"], f["cands"][:], emitted)
+                )
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        words = _canonical_words(n)
+    finally:
+        sys.setprofile(previous)
+    assert [w for w, *_, emitted in states if emitted] == [cd.word for cd in words]
+    return states
+
+
+def test_leaf_arrays_are_the_words_back_steps():
+    """At every leaf of the generator, ``back`` and ``rback`` are the back
+    steps of the finished word and of its reversal, and the gap is the
+    least back step, taken at offset gap by the word's own reading.  The
+    leaf compares its candidates on these arrays; the last condition is the
+    one the deadline keeps."""
     leaves = 0
-    is_min = chords._is_orbit_min
-
-    def checked(back, rback, g):
-        nonlocal leaves
-        word = tuple(sys._getframe(1).f_locals["word"])
-        m = len(word)
-        assert back == chords._back_steps(word), word
-        assert rback == [m - b for b in reversed(back)], word
-        assert min(back) == back[g] == g, word
-        leaves += 1
-        return is_min(back, rback, g)
-
-    monkeypatch.setattr(chords, "_is_orbit_min", checked)
     for n in range(1, 9):
-        _canonical_words(n)
+        for word, back, rback, g, _, _ in leaf_states(n):
+            m = len(word)
+            assert back == chords._back_steps(word), word
+            assert rback == [m - b for b in reversed(back)], word
+            assert min(back) == back[g] == g, word
+            leaves += 1
     assert leaves == 2_464
 
 
-def close_time_prune_cuts(monkeypatch, n, leaf_checked, checked):
-    """The generator runs ``chords._is_orbit_min`` on ``checked`` leaves,
-    the leaf-checked generator ``reading_orbit_min`` on ``leaf_checked``."""
-    new, old = [], []
-    with monkeypatch.context() as mp:
-        _counting(mp, chords, "_is_orbit_min", new)
-        _counting(mp, conftest, "reading_orbit_min", old)
-        _canonical_words(n)
-        leaf_checked_words(n)
-    assert len(old) == leaf_checked, n
-    # pinned; a further close-time prune may lower it
-    assert len(new) == checked, n
+def assert_leaf_reads_the_recorded_candidates(n):
+    """At every leaf, the candidates the search recorded as chords closed
+    are the ones that can still be least.  The forward starts are every
+    start ``chords._least_starts`` lists but the word's own, each read from
+    offset gap + 1.  A backward start it lists is recorded, and then its
+    reading agrees with the word before the recorded offset, or else it
+    reads larger than the word.  The leaf's verdict is the oracle's,
+    ``conftest._is_orbit_min``.  Returns the leaf count."""
+    states = leaf_states(n)
+    for word, back, rback, g, cands, emitted in states:
+        m = len(word)
+        fwd = [s for rev, s, k in cands if not rev]
+        assert sorted(fwd) == chords._least_starts(back * 2, g)[1:], word
+        assert all(k == g + 1 for rev, _, k in cands if not rev), word
+        bwd = {s: k for rev, s, k in cands if rev}
+        assert len(bwd) == len(cands) - len(fwd), word
+        starts = chords._least_starts(rback * 2, g)
+        assert set(bwd) <= set(starts), word
+        rw = word[::-1]
+        for r in starts:
+            reading = conftest._relabel(rw[r:] + rw[:r])
+            if r in bwd:
+                k = bwd[r]
+                assert g < k <= m and reading[:k] == word[:k], word
+            else:
+                assert reading > word, word
+        assert emitted == conftest._is_orbit_min(back, rback, g), word
+    return len(states)
 
 
-def test_close_time_prune_cuts_leaf_checks(monkeypatch):
-    close_time_prune_cuts(monkeypatch, 8, 5_892, 1_967)
-    close_time_prune_cuts(monkeypatch, 9, 47_061, 10_995)
+def test_leaf_reads_the_recorded_candidates():
+    assert sum(assert_leaf_reads_the_recorded_candidates(n) for n in range(1, 10)) == 13_459
 
 
 @pytest.mark.slow
-def test_close_time_prune_cuts_leaf_checks_at_10(monkeypatch):
-    close_time_prune_cuts(monkeypatch, 10, 423_018, 65_405)
+def test_leaf_reads_the_recorded_candidates_at_10():
+    assert assert_leaf_reads_the_recorded_candidates(10) == 65_405
+
+
+def close_time_prune_cuts(n, leaf_checked, checked):
+    """The generator reaches ``checked`` leaves, the leaf-checked generator
+    runs ``reading_orbit_min`` on ``leaf_checked``."""
+    old = []
+    with pytest.MonkeyPatch.context() as mp:
+        _counting(mp, conftest, "reading_orbit_min", old)
+        leaf_checked_words(n)
+    assert len(old) == leaf_checked, n
+    # pinned; a further close-time prune may lower it
+    assert len(leaf_states(n)) == checked, n
+
+
+def test_close_time_prune_cuts_leaf_checks():
+    close_time_prune_cuts(8, 5_892, 1_967)
+    close_time_prune_cuts(9, 47_061, 10_995)
+
+
+@pytest.mark.slow
+def test_close_time_prune_cuts_leaf_checks_at_10():
+    close_time_prune_cuts(10, 423_018, 65_405)
 
 
 def search_tree(n):
@@ -271,25 +327,32 @@ def test_is_orbit_min_agrees_on_rotations_and_reflections():
 
 def test_close_time_prune_decides_as_the_tuple_reading(monkeypatch):
     """At every minimal-gap close of the n = 8 generator, the key comparison
-    prunes exactly when the reflection read back from the closing position,
-    relabeled as a tuple, reads below the prefix.  Chord 1's close, once per
-    gap, is among them and never prunes."""
-    pruned = []
+    reads the reflection back from the closing position against the prefix
+    as the relabeled tuples compare: it prunes exactly when the reflection
+    reads below, and ties exactly when the two are equal.  Chord 1's close,
+    once per gap, is among them and ties."""
+    signs = []
     precedes = chords._precedes
 
     def checked(a, s, b, t, k, stop):
         got = precedes(a, s, b, t, k, stop)
         caller = sys._getframe(1)
-        if caller.f_code.co_name == "place":  # the close-time prune
+        if caller.f_code.co_name == "place":
             i, word = caller.f_locals["i"], caller.f_locals["word"]
-            prefix = tuple(word[: i + 1])
-            assert got == conftest._reads_below(prefix[::-1], 0, prefix), prefix
-            pruned.append(got)
+            if i < len(word):  # the close-time prune, not the leaf
+                prefix = tuple(word[: i + 1])
+                below = conftest._reads_below(prefix[::-1], 0, prefix)
+                assert (got < 0) == below, prefix
+                assert (got == 0) == (conftest._relabel(prefix[::-1]) == prefix), prefix
+                signs.append(got)
         return got
 
     monkeypatch.setattr(chords, "_precedes", checked)
     _canonical_words(8)
-    assert (len(pruned), sum(pruned)) == (1_959, 672)
+    smaller = sum(c < 0 for c in signs)
+    larger = sum(c > 0 for c in signs)
+    assert (len(signs), smaller) == (1_959, 672)
+    assert (larger, len(signs) - smaller - larger) == (1_049, 238)
 
 
 def test_generator_equals_pairing_oracle():
@@ -502,8 +565,20 @@ def test_record_line_equals_the_compact_encoder():
         ("1 1", (1, 1, 2), 10**30),
         # quote, backslash, control and non-ASCII characters pin the escaping
         ('"q" \\ \n \u00e9 \u2028 \U0001f600', (), None),
+        ("1 2 1 2", (2, 10, 11, 100, 12345), 7),  # degrees of 10 and above
+        # a library caller's record may hold its degrees as a list
+        ("1 1", [1, 1, 2], None),
     ],
-    ids=["u", "u-no-arnold", "trefoil", "negative-arnold", "long-arnold", "escapes"],
+    ids=[
+        "u",
+        "u-no-arnold",
+        "trefoil",
+        "negative-arnold",
+        "long-arnold",
+        "escapes",
+        "wide-degrees",
+        "list-degrees",
+    ],
 )
 def test_record_line_equals_the_compact_encoder_on_hand_built_records(
     code, face_degrees, arnold

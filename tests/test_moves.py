@@ -172,7 +172,7 @@ def test_theorem_violation_is_raisable(monkeypatch):
 
     monkeypatch.setattr(moves_mod, "_loops", lambda word: set())
     monkeypatch.setattr(moves_mod, "_curls", lambda word: [])
-    monkeypatch.setattr(planar, "_strong_sites", lambda word, flips: [])
+    monkeypatch.setattr(planar, "_strong_sites", lambda word, flips, firsts: [])
     with pytest.raises(TheoremViolation):
         moves_mod.reduce_no_triple(curve("1 1"))
 
@@ -442,13 +442,13 @@ def test_face_traces_only_where_no_monogon_is_left(monkeypatch):
     trace_faces, face_walk = planar._trace_faces, planar._face_walk
     interlacement_bits = chords._interlacement_bits
 
-    def counted_trace(word, flips):
-        traced.append(word)
-        return trace_faces(word, flips)
+    def counted_trace(cd, flips):
+        traced.append(cd)
+        return trace_faces(cd, flips)
 
-    def counted_walk(word, flips):
-        walked.append(word)
-        return face_walk(word, flips)
+    def counted_walk(cd, flips):
+        walked.append(cd)
+        return face_walk(cd, flips)
 
     def counted_bits(word):
         cores.append(word)
@@ -491,7 +491,7 @@ def test_apply_move_matches_a_face_read_after_dropping_labels():
 
 
 def spherical(word, mask):
-    return len(planar._face_walk(word, mask)) == len(word) // 2 + 2
+    return len(planar._face_walk(ChordDiagram(word), mask)) == len(word) // 2 + 2
 
 
 def test_run_states_and_move_results_are_spherical():
@@ -531,9 +531,9 @@ def test_nothing_in_the_package_traces_faces(monkeypatch):
     traced = []
     original = planar._trace_faces
 
-    def counted(word, flips):
-        traced.append(word)
-        return original(word, flips)
+    def counted(cd, flips):
+        traced.append(cd)
+        return original(cd, flips)
 
     monkeypatch.setattr(planar, "_trace_faces", counted)
     for cid in CHECK_IDS:
@@ -545,7 +545,7 @@ def test_nothing_in_the_package_traces_faces(monkeypatch):
             applicable_moves(apply_move(p, mv))
     assert traced == []
     assert len(curves[5].faces) == curves[5].n + 2
-    assert traced == [curves[5].word]
+    assert traced == [curves[5].code]
 
 
 # --- runs that share a table of end states -----------------------------------------

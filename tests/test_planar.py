@@ -134,7 +134,7 @@ def orbit_count_mismatches(word, masks):
     bad, rejected = [], 0
     for mask in masks:
         traced = len(ring_traced_faces(word, mask_rings(word, mask)))
-        if len(planar._face_walk(word, mask)) != traced:
+        if len(planar._face_walk(ChordDiagram(word), mask)) != traced:
             bad.append(mask)
         rejected += traced != len(word) // 2 + 2
     return bad, rejected
@@ -191,17 +191,17 @@ def test_step_array_faces_match_ring_traced_faces():
         for p in enumerate_curves(n):
             for r in all_realizations(p.code):
                 want = ring_traced_faces(r.word, mask_rings(r.word, r.flips))
-                assert planar._trace_faces(r.word, r.flips) == want, r.word
-                sites = planar._strong_sites(r.word, r.flips)
-                assert planar._face_walk(r.word, r.flips) == tuple(
+                assert planar._trace_faces(r.code, r.flips) == want, r.word
+                sites = planar._strong_sites(r.word, r.flips, r.code._firsts)
+                assert planar._face_walk(r.code, r.flips) == tuple(
                     f.degree for f in want
                 ), r.word
                 assert sites == sorted(strong_bigon_sites(want, r.code)), r.word
                 embeddings += 1
                 strong += len(sites)
     assert (embeddings, strong) == (7_304, 6_448)
-    assert planar._face_walk((), 0) == (0, 0)
-    assert planar._strong_sites((), 0) == []
+    assert planar._face_walk(U.code, 0) == (0, 0)
+    assert planar._strong_sites((), 0, ()) == []
 
 
 def assert_strong_sites_match_traced_faces(n):
@@ -211,8 +211,8 @@ def assert_strong_sites_match_traced_faces(n):
     embeddings = strong = 0
     for p in enumerate_curves(n):
         for r in all_realizations(p.code):
-            sites = planar._strong_sites(r.word, r.flips)
-            want = strong_bigon_sites(planar._trace_faces(r.word, r.flips), r.code)
+            sites = planar._strong_sites(r.word, r.flips, r.code._firsts)
+            want = strong_bigon_sites(planar._trace_faces(r.code, r.flips), r.code)
             assert sites == sorted(want), r
             embeddings += 1
             strong += len(sites)
@@ -273,9 +273,9 @@ def test_unrealizable_code_costs_one_face_trace(monkeypatch):
     for name in ("_trace_faces", "_face_walk"):
         original = getattr(planar, name)
 
-        def counting(word, arg, _name=name, _original=original):
-            calls.append((_name, len(word)))
-            return _original(word, arg)
+        def counting(cd, arg, _name=name, _original=original):
+            calls.append((_name, len(cd.word)))
+            return _original(cd, arg)
 
         monkeypatch.setattr(planar, name, counting)
     cd = parse_code("1 2 3 1 2 4 5 3 4 5 " + " ".join(f"{v} {v}" for v in range(6, 19)))
@@ -292,7 +292,7 @@ def test_deleting_a_crossing_off_any_move_can_leave_no_spherical_map():
     t = realize(parse_code("1 2 3 1 2 3"))
     word, mask = planar._drop_labels(t.word, t.flips, {1})
     assert word == (1, 2, 1, 2)
-    assert len(planar._face_walk(word, mask)) < 4
+    assert len(planar._face_walk(ChordDiagram(word), mask)) < 4
     assert planar._embed(*planar._drop_labels(t.word, t.flips, {1, 2, 3})) is U
 
 
@@ -521,7 +521,7 @@ def test_connected_sum_splices_the_embeddings():
                                 for rb in b_maps:
                                     q = connected_sum(ra, rb, s1, s2)
                                     assert q.code == want, (ra, rb, s1, s2)
-                                    assert len(planar._face_walk(q.word, q.flips)) == q.n + 2
+                                    assert len(planar._face_walk(q.code, q.flips)) == q.n + 2
                                     diff = q.flips ^ base
                                     assert all(diff & c in (0, c) for c in components)
                                     splices += 1
@@ -624,7 +624,7 @@ def test_prime_decompose_inverts_connected_sum():
         assert len(factors) == 2, (p1, p2, s1, s2)
         f1, f2 = factors if factors[0] == p1 else factors[::-1]
         for f in factors:
-            assert len(planar._face_walk(f.word, f.flips)) == f.n + 2
+            assert len(planar._face_walk(f.code, f.flips)) == f.n + 2
         assert (f1.word, f1.flips) == (p1.word, p1.flips)
         back = connected_sum(f1, f2, s1, 2 * p2.n - 1)
         assert (back.word, back.flips) == (q.word, q.flips)

@@ -109,9 +109,9 @@ def test_connected_sum_lemma_builds_no_faces(monkeypatch):
     traced = []
     original = planar._trace_faces
 
-    def counted(word, flips):
-        traced.append(word)
-        return original(word, flips)
+    def counted(cd, flips):
+        traced.append(cd)
+        return original(cd, flips)
 
     def refuse(*args):
         raise AssertionError("a splice searched or counted its map")
@@ -405,7 +405,7 @@ def test_main_theorem_reports_a_curve_with_no_strong_2_gon(monkeypatch):
     verdict table that outlived its call would hide the mutant."""
     baseline = check_main_theorem(6)
     assert baseline.passed and baseline.curves_tested == 39
-    monkeypatch.setattr(planar, "_strong_sites", lambda word, flips: [])
+    monkeypatch.setattr(planar, "_strong_sites", lambda word, flips, firsts: [])
     rep = check_main_theorem(6)
     assert rep.curves_tested == 39
     assert list(rep.violations) == [
@@ -431,7 +431,7 @@ def hide_every_move(monkeypatch):
     reads as strong."""
     monkeypatch.setattr(moves, "_loops", lambda word: set())
     monkeypatch.setattr(moves, "_curls", lambda word: [])
-    monkeypatch.setattr(planar, "_strong_sites", lambda word, flips: [])
+    monkeypatch.setattr(planar, "_strong_sites", lambda word, flips, firsts: [])
 
 
 @pytest.mark.parametrize(
