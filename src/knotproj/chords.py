@@ -17,16 +17,19 @@ Conventions:
 Each chord-level concept has one implementation:
 
 * :func:`_relabel` renames labels by first occurrence; :func:`_normalize`
-  adds the validation (each label exactly twice), once per diagram built
-  from outside labels (``from_labels``, :func:`parse_code`, or the
-  constructor given a word),
+  adds the validation (each label exactly twice, one sort), once per
+  diagram built from outside labels (``from_labels``, :func:`parse_code`,
+  or the constructor given a tuple of ints); :func:`parse_code` reads a
+  code's tokens together, with ``str.split`` and ``int``, and one by one
+  only to name a bad token,
 * a reading of a word (a rotation or reflection, relabeled by first
   occurrence) is compared with another through integer keys, not relabeled
   tuples: :func:`_back_steps` gives each position the steps back to its
   partner, once per word, and :func:`_precedes`, the one comparison, reads
   two readings key by key, in word order, and gives the sign.
   :func:`_least_starts` lists the readings that can be least.  Together
-  they are the orbit minimum :func:`_orbit_min`, behind
+  they are the orbit minimum :func:`_orbit_min`, which skips the readings
+  a tie proves equal (a tie gives the back steps' period), behind
   :func:`canonicalize` (cached per diagram as ``ChordDiagram._canon``, the
   canonical diagram, whose own ``_canon`` is itself), which relabels only
   the winning reading.  The enumeration keeps the back steps of its
@@ -51,7 +54,7 @@ Each chord-level concept has one implementation:
 
 from __future__ import annotations
 
-import re
+from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
@@ -69,9 +72,6 @@ __all__ = [
     "split_connected_sum",
 ]
 
-_SEP = re.compile(r"[\s,]+")
-
-
 def _relabel(labels) -> tuple[int, ...]:
     """Rename labels to 1, 2, .. in order of first appearance; no validation."""
     ids: dict = {}
@@ -82,18 +82,18 @@ def _normalize(labels) -> tuple[int, ...]:
     """:func:`_relabel` a sequence of labels, checking each occurs exactly twice.
 
     Raises :class:`MalformedCode`, naming the first offending label as given,
-    unless every label occurs exactly twice.
+    unless every label occurs exactly twice: the sorted word's pairs are
+    equal, and there are as many pairs as labels.
     """
-    word = _relabel(labels)
-    counts = [0] * (max(word, default=0) + 1)
-    for y in word:
-        counts[y] += 1
-    for y in range(1, len(counts)):
-        if counts[y] != 2:
-            x = labels[word.index(y)]
-            raise MalformedCode(
-                f"label {x!r} appears {counts[y]} time(s), expected exactly 2"
-            )
+    ids: dict = {}
+    word = tuple([ids.setdefault(x, len(ids) + 1) for x in labels])
+    pairs = sorted(word)
+    if pairs[::2] != pairs[1::2] or len(word) != 2 * len(ids):
+        counts = Counter(word)
+        y = next(y for y in range(1, len(ids) + 1) if counts[y] != 2)
+        raise MalformedCode(
+            f"label {labels[word.index(y)]!r} appears {counts[y]} time(s), expected exactly 2"
+        )
     return word
 
 
@@ -136,6 +136,9 @@ class ChordDiagram(_Frozen, _ChordDiagramFields):
     """
 
     def __new__(cls, word: tuple[int, ...]):
+        # tuple equality alone would pass 1.0 and True for the label 1
+        if type(word) is not tuple or not set(map(type, word)) <= {int}:
+            raise MalformedCode(f"word {word!r} is not a tuple of int labels")
         if _normalize(word) != word:
             raise MalformedCode(f"word {word!r} is not labeled by first occurrence")
         return cls._of_normal(word)
@@ -234,17 +237,29 @@ def parse_code(text: str) -> ChordDiagram:
     digits (no sign, underscore or other script), each appearing exactly
     twice.  Labels are renamed to 1..n by first occurrence; a string with no
     token gives U.
+
+    The joined tokens are read at once when they are ASCII digits, each
+    label by ``int``; the per-token loop runs only when that fails or a
+    label is 0, to name the first bad token.  ``str.split`` splits at the
+    code points the regex ``\\s`` matches.
     """
-    labels = []
-    for tok in filter(None, _SEP.split(text)):
+    toks = text.replace(",", " ").split()
+    joined = "".join(toks)
+    if joined.isascii() and joined.isdigit():
         try:
-            v = _decimal(tok)
+            labels = list(map(int, toks))
+        except ValueError:  # past int()'s digit limit: the loop names the token
+            labels = [0]
+        if 0 not in labels:
+            return ChordDiagram.from_labels(labels)
+    for tok in toks:
+        try:
+            if _decimal(tok) > 0:
+                continue
         except ValueError:
             raise MalformedCode(f"unparseable token {tok!r}") from None
-        if v <= 0:
-            raise MalformedCode(f"labels must be positive integers, got {tok!r}")
-        labels.append(v)
-    return ChordDiagram.from_labels(labels)
+        raise MalformedCode(f"labels must be positive integers, got {tok!r}")
+    return ChordDiagram._of_normal(())  # no token: U
 
 
 def _back_steps(word: tuple[int, ...]) -> list[int]:
@@ -317,6 +332,13 @@ def _orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
     until their keys differ.  Both directions' steps come from one
     :func:`_back_steps` pass, and the word is reversed, then relabeled,
     only when a backward reading wins.
+
+    A tie through the whole word with the best of the same direction, d
+    starts earlier, shows that the back steps, and the reflection's, repeat
+    every d: each later candidate reads as the one d before it, so both
+    directions stop at their first start >= d (two comparisons on T(2,k)).
+    That first tie comes at the least period P: the best has not changed
+    since its start b, and the candidate b + P, read earlier, would tie.
     """
     if not word:
         return ()
@@ -326,10 +348,15 @@ def _orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
     bwd = [m - b for b in reversed(back)] * 2
     g = min(back)
     best = None
+    p = m  # the back steps' period, once a tie shows it
     for src in (fwd, bwd):
         for s in _least_starts(src, g):
-            if best is None or _precedes(src, s, best, start, g + 1, m) < 0:
+            if s >= p:
+                break
+            if best is None or (sign := _precedes(src, s, best, start, g + 1, m)) < 0:
                 best, start = src, s
+            elif sign == 0 and best is src:
+                p = s - start
     seq = word if best is fwd else word[::-1]
     return _relabel(seq[start:] + seq[:start])
 

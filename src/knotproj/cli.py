@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import chords, enumeration, moves, planar, verify
 from .errors import BudgetExceeded, MalformedCode, NotRealizable
@@ -65,6 +66,30 @@ def _analysis_obj(
     return obj
 
 
+# the JSON text of each type of value an analysis object holds
+_JSON_SCALAR = {
+    str: encode_basestring_ascii,
+    bool: enumeration._JSON_BOOL.__getitem__,
+    int: "%d".__mod__,
+}
+
+
+def _analysis_json(obj: dict) -> str:
+    """``json.dumps(obj, indent=2)`` of an :func:`_analysis_obj`, read off
+    its strings, ints, bools and lists of them (a test holds the two equal);
+    json's own indenting encoder is pure Python."""
+    members = []
+    for key, val in obj.items():
+        if type(val) is not list:
+            val = _JSON_SCALAR[type(val)](val)
+        elif val:
+            val = "[\n    %s\n  ]" % ",\n    ".join([_JSON_SCALAR[type(v)](v) for v in val])
+        else:
+            val = "[]"
+        members.append('  "%s": %s' % (key, val))
+    return "{\n%s\n}" % ",\n".join(members)
+
+
 def _format_analysis(obj: dict) -> str:
     lines = []
     for key, val in obj.items():
@@ -81,6 +106,8 @@ def _format_analysis(obj: dict) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    """Print each code's :func:`_analysis_obj`: as text, or with ``--json``
+    as :func:`_analysis_json` writes it, a ``--in`` batch as a JSON list."""
     if args.infile is not None:
         try:
             with open(args.infile, "r", encoding="utf-8") as fh:
@@ -95,9 +122,11 @@ def _cmd_analyze(args) -> int:
     table = {}
     results = [_analysis_obj(_parse(text), args.arnold, table) for text in code_texts]
     if args.json:
-        payload = results[0] if args.infile is None else results
-        # built just above from dicts, lists and strings: no cycle to check
-        print(json.dumps(payload, indent=2, check_circular=False))
+        texts = [_analysis_json(obj) for obj in results]
+        if args.infile is None:
+            print(texts[0])
+        else:  # a JSON list, each object indented 2 more
+            print("[\n  %s\n]" % ",\n".join(texts).replace("\n", "\n  ") if texts else "[]")
     else:
         print("\n\n".join(_format_analysis(obj) for obj in results))
     return EXIT_OK

@@ -15,7 +15,9 @@ triple-chord count of each splice in :func:`ordered_splices`).
 :func:`_is_orbit_min` is the generator's leaf oracle, which lists every
 candidate reading with ``chords._least_starts`` and compares each with
 ``chords._precedes``; :func:`is_orbit_min` hands it the back steps of any
-word, so any word can be tested.  In particular the move oracles read
+word, so any word can be tested.  :func:`token_reader` is the code
+reader ``chords.parse_code`` had before it read a code's tokens together.
+In particular the move oracles read
 moves off faces traced from the vertex rings (:func:`face_moves`), never
 through ``applicable_moves`` or ``apply_move``.
 The one deliberately wrong rule here, :func:`weak_variant`, is a mutant for
@@ -26,6 +28,7 @@ import heapq
 import json
 import os
 import pathlib
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -43,7 +46,7 @@ from knotproj import (
     planar,
     realize,
 )
-from knotproj.errors import InapplicableMove, NoCrossings
+from knotproj.errors import InapplicableMove, MalformedCode, NoCrossings
 from knotproj.moves import ReductionTrace
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -104,6 +107,38 @@ def curled_composite(rng, n):
         word[at:at] = [v, v]
     r = rng.randrange(len(word))
     return tuple(word[r:] + word[:r])
+
+
+_SEP = re.compile(r"[\s,]+")
+
+
+def token_reader(text):
+    """The word of a code's text, or MalformedCode: the token-by-token
+    reader ``chords.parse_code`` replaced with one joined test.
+
+    The text is split at runs of ``[\\s,]``, each token must be ASCII
+    digits after an optional "-" and read as a positive int, and each label
+    is then counted; its messages are the ones ``parse_code`` raises.
+    """
+    labels = []
+    for tok in filter(None, _SEP.split(text)):
+        if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+            raise MalformedCode(f"unparseable token {tok!r}")
+        try:
+            v = int(tok)
+        except ValueError:  # past the interpreter's digit limit
+            raise MalformedCode(f"unparseable token {tok!r}") from None
+        if v <= 0:
+            raise MalformedCode(f"labels must be positive integers, got {tok!r}")
+        labels.append(v)
+    word = _relabel(labels)
+    for y in range(1, max(word, default=0) + 1):
+        if word.count(y) != 2:
+            raise MalformedCode(
+                f"label {labels[word.index(y)]!r} appears {word.count(y)} time(s), "
+                "expected exactly 2"
+            )
+    return word
 
 
 def _is_canonical(w):

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -33,8 +34,10 @@ from conftest import (
     mask_rings,
     pairing_words,
     propagated_flip_mask,
+    reading_orbit_min,
     split_connected_sum_members,
     sweep_realizations,
+    token_reader,
 )
 
 
@@ -98,6 +101,80 @@ def test_parse_rejects_malformed(text, fragment):
     with pytest.raises(MalformedCode, match=None) as exc:
         parse_code(text)
     assert fragment in str(exc.value)
+
+
+def test_separators_are_the_regex_separators():
+    """``parse_code`` splits at ``str.isspace`` code points and commas,
+    where the token reader split at ``[\\s,]``: the two agree on every code
+    point."""
+    sep = re.compile(r"[\s,]")
+    differ = [
+        hex(cp)
+        for cp in range(sys.maxunicode + 1)
+        if (chr(cp).isspace() or cp == 0x2C) != bool(sep.match(chr(cp)))
+    ]
+    assert differ == []
+
+
+# every separator a batch line keeps inside one code, and more
+SEPARATORS = [" ", ",", "\t", "\n", "\r", "\xa0", "\u3000"]
+SEPARATORS += "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+BAD_TOKENS = ["0", "00", "-0", "-1", "+1", "-", "1_0", "1.5", "a", "\u00b2", "\u0661", "\uff11"]
+BAD_TOKENS.append("9" * 5000)
+
+
+def token_soups(rng, count):
+    """Empty text, separators alone, then ``count`` seeded codes: random
+    words whose labels are written with or without leading zeros, joined by
+    runs of separators, with a bad token put in or a token dropped in about
+    half."""
+    yield ""
+    yield from SEPARATORS
+    yield "".join(SEPARATORS)
+    for _ in range(count):
+        names = rng.sample(range(1, 40), 12)
+        word = random_word(rng, rng.randint(0, 6))
+        toks = ["0" * rng.randint(0, 2) + str(names[x - 1]) for x in word]
+        roll = rng.random()
+        if roll < 0.35:
+            toks.insert(rng.randint(0, len(toks)), rng.choice(BAD_TOKENS))
+        elif roll < 0.5 and toks:
+            del toks[rng.randrange(len(toks))]
+        seps = ["".join(rng.choices(SEPARATORS, k=rng.randint(1, 3))) for _ in toks]
+        text = "".join(t + sep for t, sep in zip(toks, seps))
+        yield rng.choice(["", ",", " \u2028"]) + text
+
+
+def test_parse_code_matches_the_token_reader():
+    """The joined test and its per-token fallback against the token reader
+    (``conftest.token_reader``): the same word, or the same message, on
+    4,000 seeded token soups."""
+
+    def outcome(read, text):
+        try:
+            return read(text)
+        except MalformedCode as exc:
+            return str(exc)
+
+    texts = list(token_soups(random.Random(44), 4_000))
+    words = 0
+    for text in texts:
+        got = outcome(lambda t: parse_code(t).word, text)
+        assert got == outcome(token_reader, text), text
+        words += type(got) is tuple
+    assert 1_000 < words < 3_000
+
+
+@pytest.mark.parametrize(
+    "word",
+    [(1.0, 1.0), (True, True), (1, 2.0, 1, 2.0), [1, 1]],
+    ids=["float", "bool", "float-second", "list"],
+)
+def test_diagram_refuses_labels_that_are_not_ints(word):
+    """Tuple equality takes 1.0 and True for 1, so only the labels' types
+    can refuse them; a list word is refused by the same message."""
+    with pytest.raises(MalformedCode, match="is not a tuple of int labels"):
+        ChordDiagram(word)
 
 
 def test_diagram_validates_construction():
@@ -205,6 +282,48 @@ def test_orbit_min_matches_full_relabel_on_random_words():
         assert " ".join(map(str, least)) == canonical_text_full_relabel(cd), w
         for t in (w, least):
             assert is_orbit_min(t) == (t == least), t
+
+
+def torus_word(k):
+    """The Gauss word of the torus shadow T(2,k): 1 2 .. k 1 2 .. k."""
+    return tuple(range(1, k + 1)) * 2
+
+
+def ring(block, r):
+    """r copies of a normalized word, each relabeled after the last."""
+    b = len(block) // 2
+    return tuple(x + i * b for i in range(r) for x in block)
+
+
+def test_orbit_min_on_torus_shadows_and_rings():
+    """T(2,k) for k <= 60 and rings of up to 8 copies of ``1 1``, the
+    trefoil and T(2,5), where most candidates tie: every rotation and
+    reflection of each reads the orbit minimum of the tuple reading."""
+    words = [torus_word(k) for k in range(1, 61)]
+    words += [ring(b, r) for b in ((1, 1), torus_word(3), torus_word(5)) for r in range(1, 9)]
+    for w in words:
+        want = reading_orbit_min(w)
+        for seq in (w, w[::-1]):
+            for r in range(len(seq)):
+                t = ChordDiagram.from_labels(seq[r:] + seq[:r]).word
+                assert chords._orbit_min(t) == want, t
+
+
+def test_orbit_min_compares_torus_shadows_twice(monkeypatch):
+    """Every candidate reading of T(2,k) ties, and the first tie gives
+    period 1: one comparison a direction, for every k <= 60."""
+    calls = []
+    precedes = chords._precedes
+
+    def counted(*args):
+        calls.append(args)
+        return precedes(*args)
+
+    monkeypatch.setattr(chords, "_precedes", counted)
+    for k in range(1, 61):
+        calls.clear()
+        assert chords._orbit_min(torus_word(k)) == torus_word(k)
+        assert len(calls) == 2, k
 
 
 def test_reversed_back_steps_come_from_the_forward_pass():

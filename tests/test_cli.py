@@ -89,6 +89,38 @@ def test_analyze_json_stdout_pinned(capsys):
 """
 
 
+def test_analysis_json_is_json_dumps():
+    """``cli._analysis_json`` against ``json.dumps(obj, indent=2)`` on the
+    analysis object of U and of every census curve with n <= 7, with and
+    without the Arnold invariant: empty, one-item and long lists, every
+    bool and the optional ``arnold``."""
+    table = {}
+    objs = []
+    for with_arnold in (False, True):
+        objs.append(cli._analysis_obj(planar.U.code, with_arnold, table))
+        for n in range(1, 8):
+            objs += [cli._analysis_obj(p.code, with_arnold, table) for p in enumerate_curves(n)]
+    assert {type(v) for obj in objs for v in obj.values()} == {str, int, bool, list}
+    for obj in objs:
+        assert cli._analysis_json(obj) == json.dumps(obj, indent=2), obj
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [[], ["", "  "], ["1 1"], ["", "1 1", "1 2 3 1 2 3", COMPOSITE_WITH_CURL, ""]],
+    ids=["no-line", "blank-lines", "one-code", "three-codes"],
+)
+def test_analyze_batch_json_is_json_dumps(tmp_path, capsys, lines):
+    """A ``--in`` batch prints ``json.dumps`` of its list with indent 2:
+    ``[]`` when the file holds no code."""
+    src = tmp_path / "codes.txt"
+    src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "--in", str(src), "--json", "--arnold")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert len(json.loads(out)) == sum(1 for line in lines if line.strip())
+
+
 def test_analyze_human_stdout_pinned(capsys):
     code, out, err = run(capsys, "analyze", COMPOSITE_WITH_CURL)
     assert code == 0 and err == ""
