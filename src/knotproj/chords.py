@@ -27,7 +27,7 @@ Each chord-level concept has one implementation:
   tuples: :func:`_back_steps` gives each position the steps back to its
   partner, once per word, and :func:`_precedes`, the one comparison, reads
   two readings key by key, in word order, and gives the sign.
-  :func:`_least_starts` lists the readings that can be least.  Together
+  :func:`_least_starts` yields the readings that can be least.  Together
   they are the orbit minimum :func:`_orbit_min`, which skips the readings
   a tie proves equal (a tie gives the back steps' period), behind
   :func:`canonicalize` (cached per diagram as ``ChordDiagram._canon``, the
@@ -55,6 +55,7 @@ Each chord-level concept has one implementation:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from functools import cached_property
 from typing import NamedTuple
 
@@ -336,7 +337,8 @@ def _orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
     A tie through the whole word with the best of the same direction, d
     starts earlier, shows that the back steps, and the reflection's, repeat
     every d: each later candidate reads as the one d before it, so both
-    directions stop at their first start >= d (two comparisons on T(2,k)).
+    directions stop at their first start >= d (two comparisons on T(2,k)),
+    and :func:`_least_starts` finds no start past it.
     That first tie comes at the least period P: the best has not changed
     since its start b, and the candidate b + P, read earlier, would tie.
     """
@@ -361,20 +363,19 @@ def _orbit_min(word: tuple[int, ...]) -> tuple[int, ...]:
     return _relabel(seq[start:] + seq[:start])
 
 
-def _least_starts(src: list[int], g: int) -> list[int]:
+def _least_starts(src: list[int], g: int) -> Iterator[int]:
     """The starts of the readings of one direction that can be least.
 
     ``src`` holds a word's :func:`_back_steps` twice over, g is the least
     step, and a reading is a candidate when its key at offset g is g: it
-    reads 1 2 .. g 1.  Starts ascend.
+    reads 1 2 .. g 1.  Starts ascend, each found as it is asked for, so a
+    search that stops early scans no further.
     """
-    out = []
     q = g
     for _ in range(src.count(g) >> 1):  # src holds each step twice
         q = src.index(g, q)
-        out.append(q - g)
+        yield q - g
         q += 1
-    return out
 
 
 def canonicalize(cd: ChordDiagram) -> ChordDiagram:

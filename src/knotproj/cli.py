@@ -6,19 +6,30 @@ unrealizable codes, 4 for budget refusals, 5 for file I/O problems, 6 for an
 unknown check id, and 1 when a verify run finds violations.  The first three
 are mapped from their exceptions in one place, :func:`main`; the subcommands
 just let them propagate.
+
+:func:`_build_parser` is the one definition of the arguments, their help
+and their usage errors.  A plain command line, each option spelled in full
+and each value a token of its own, is read by :func:`_read_argv` from
+``_ARGUMENTS``, a table a test holds to those parsers; argparse, imported
+only then, parses every other line, so help, usage errors, abbreviations
+and ``--opt=value`` keep its text and exit codes.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import chords, enumeration, moves, planar, verify
 from .errors import BudgetExceeded, MalformedCode, NotRealizable
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -223,12 +234,23 @@ def _cmd_dot(args) -> int:
     return EXIT_OK
 
 
+def _int(text: str) -> int:
+    """An integer argument: ASCII decimal digits after an optional "-", as
+    a code's label and ``KNOTPROJ_MAX_N`` are written (``chords._decimal``)."""
+    return chords._decimal(text)
+
+
+_int.__name__ = "int"  # argparse's error reads "invalid int value: ..."
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser and its subcommand table (name -> subparser).
 
     Each subparser carries its handler as the ``handler`` default.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="knotproj",
         description="Combinatorics of spherical knot projections.",
@@ -250,11 +272,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_re.set_defaults(handler=_cmd_reduce)
 
     p_en = sub.add_parser("enumerate", help="write the curve dataset up to n")
-    p_en.add_argument("n", type=int)
+    p_en.add_argument("n", type=_int)
     p_en.add_argument("--out", required=True)
     p_en.add_argument(
         "--arnold-max",
-        type=int,
+        type=_int,
         default=enumeration.DEFAULT_ARNOLD_MAX_N,
         help="compute arnold only for n at most this (default %(default)s)",
     )
@@ -264,7 +286,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     group = p_ve.add_mutually_exclusive_group(required=True)
     group.add_argument("--check", help="one of: " + ", ".join(verify.CHECK_IDS))
     group.add_argument("--all", action="store_true")
-    p_ve.add_argument("--max-n", type=int, default=6)
+    p_ve.add_argument("--max-n", type=_int, default=6)
     p_ve.add_argument("--json", action="store_true")
     p_ve.set_defaults(handler=_cmd_verify)
 
@@ -275,21 +297,113 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+# Each subcommand's handler, its arguments as _build_parser declares them
+# (a test holds the two equal), option string, or None for its one
+# positional, -> (dest, nargs, type, default, required), nargs 0 marking a
+# flag; and its mutually exclusive groups, (dests, required).
+_ARGUMENTS = {
+    "analyze": (
+        _cmd_analyze,
+        {
+            None: ("code", "?", None, None, False),
+            "--arnold": ("arnold", 0, None, False, False),
+            "--json": ("json", 0, None, False, False),
+            "--in": ("infile", None, None, None, False),
+        },
+        ((("code", "infile"), False),),
+    ),
+    "reduce": (_cmd_reduce, {None: ("code", None, None, None, True)}, ()),
+    "enumerate": (
+        _cmd_enumerate,
+        {
+            None: ("n", None, _int, None, True),
+            "--out": ("out", None, None, None, True),
+            "--arnold-max": (
+                "arnold_max", None, _int, enumeration.DEFAULT_ARNOLD_MAX_N, False
+            ),
+        },
+        (),
+    ),
+    "verify": (
+        _cmd_verify,
+        {
+            "--check": ("check", None, None, None, False),
+            "--all": ("all", 0, None, False, False),
+            "--max-n": ("max_n", None, _int, 6, False),
+            "--json": ("json", 0, None, False, False),
+        },
+        ((("check", "all"), True),),
+    ),
+    "dot": (_cmd_dot, {None: ("code", None, None, None, True)}, ()),
+}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace a subcommand's parser gives a plain command line, or
+    None for any other line, which argparse then parses (or refuses).
+
+    A line is plain when its first token is a subcommand, each later token
+    starting with "-" is one of its option strings in full, given once,
+    each valued option's value is the next token and does not start with
+    "-", an integer reads by ``_int``, the positional appears at most once,
+    every required argument is given, and each exclusive group has at most
+    one member given, one if it is required.
+    """
+    spec = _ARGUMENTS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    handler, arguments, groups = spec
+    given = {}
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        key = tok if tok[:1] == "-" else None
+        row = arguments.get(key)
+        if row is None or row[0] in given:
+            return None
+        dest, nargs, kind = row[:3]
+        if nargs == 0:
+            given[dest] = True
+            continue
+        if key is not None:
+            tok = next(tokens, "-")
+            if tok[:1] == "-":
+                return None
+        if kind is not None:
+            try:
+                tok = kind(tok)
+            except ValueError:
+                return None
+        given[dest] = tok
+    for dests, required in groups:
+        count = sum(d in given for d in dests)
+        if count > 1 or required and not count:
+            return None
+    for dest, _, _, default, required in arguments.values():
+        if dest not in given:
+            if required:
+                return None
+            given[dest] = default
+    return SimpleNamespace(**given, handler=handler)
+
+
 def main(argv=None) -> int:
     """Run one command line (``sys.argv[1:]`` when ``argv`` is None).
 
-    A known subcommand's arguments are parsed by its own parser, which is
-    all the top-level parser would do after its generic pass; the top-level
-    parser runs only for an empty argv, ``-h`` and an unknown subcommand,
-    where it prints help or exits 2.
+    A plain line (:func:`_read_argv`) builds no parser.  Any other line
+    goes to argparse: a known subcommand's arguments to its own parser,
+    which is all the top-level parser would do after its generic pass, and
+    an empty argv, ``-h`` or an unknown subcommand to the top-level parser,
+    which prints help or exits 2.
     """
     if argv is None:
         argv = sys.argv[1:]
-    parser, commands = _build_parser()
-    if argv and argv[0] in commands:
-        args = commands[argv[0]].parse_args(argv[1:])
-    else:
-        args = parser.parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        parser, commands = _build_parser()
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except MalformedCode as exc:

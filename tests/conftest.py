@@ -279,7 +279,7 @@ def _is_orbit_min(back: list[int], rback: list[int], g: int) -> bool:
     m = len(back)
     fwd = back * 2
     bwd = rback * 2
-    for s in chords._least_starts(fwd, g)[1:]:
+    for s in list(chords._least_starts(fwd, g))[1:]:
         if chords._precedes(fwd, s, back, 0, g + 1, m) < 0:
             return False
     for r in chords._least_starts(bwd, g):

@@ -1,6 +1,7 @@
 import argparse
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -776,9 +777,11 @@ NO_OUTPUT = "e3b0c44298fc"  # sha256 of ""
 
 # argv, exit code (or SystemExit code) and the first 12 hex digits of the
 # sha256 of stdout, recorded when every argv went through the top-level
-# parser's full parse.  A None digest marks help, which must be the help text
-# of the parser named by argv[0] (the top-level one when argv[0] is no
-# subcommand).  ``codes.txt`` holds two codes; the working directory is empty.
+# parser's full parse; the rows of integers written with "+", "_" or a
+# fullwidth digit, which that parse read as ints, exit 2 on purpose.  A None
+# digest marks help, which must be the help text of the parser named by
+# argv[0] (the top-level one when argv[0] is no subcommand).  ``codes.txt``
+# holds two codes; the working directory is empty.
 DISPATCH_TABLE = [
     ([], 2, NO_OUTPUT),
     (["-h"], 0, None),
@@ -792,6 +795,8 @@ DISPATCH_TABLE = [
     (["analyze", "1 1", "--force"], 2, NO_OUTPUT),
     (["analyze", "1 1", "--in", "codes.txt"], 2, NO_OUTPUT),
     (["analyze", "1 2 1"], 2, NO_OUTPUT),
+    (["analyze", "--arn", "1 1"], 0, "551c1e7d5ffa"),
+    (["analyze", "--", "1 1"], 0, "ecf5c5f3344c"),
     (["reduce", "1 1 2 2"], 0, "11648103a55c"),
     (["reduce", "--help"], 0, None),
     (["reduce"], 2, NO_OUTPUT),
@@ -802,6 +807,9 @@ DISPATCH_TABLE = [
     (["enumerate", "2"], 2, NO_OUTPUT),
     (["enumerate", "2", "--out", "ds.jsonl", "--arnold-max", "x"], 2, NO_OUTPUT),
     (["enumerate", "2", "--out", "ds.jsonl", "--bogus"], 2, NO_OUTPUT),
+    (["enumerate", "\uff13", "--out", "ds.jsonl"], 2, NO_OUTPUT),
+    (["enumerate", "2", "--out", "ds.jsonl", "--arnold-max", "+3"], 2, NO_OUTPUT),
+    (["enumerate", "2", "--out=ds.jsonl"], 0, "b557a9962f69"),
     (["verify", "--check", "main-theorem", "--max-n", "3"], 0, "f7514db8ed1b"),
     (["verify", "--all", "--max-n", "3", "--json"], 0, "64b44a3ab0bd"),
     (["verify", "-h"], 0, None),
@@ -809,6 +817,9 @@ DISPATCH_TABLE = [
     (["verify"], 2, NO_OUTPUT),
     (["verify", "--all", "--check", "main-theorem"], 2, NO_OUTPUT),
     (["verify", "--all", "--bogus"], 2, NO_OUTPUT),
+    (["verify", "--check", "main-theorem", "--max-n", "1_0"], 2, NO_OUTPUT),
+    (["verify", "--all", "--max-n", "-1"], 4, NO_OUTPUT),
+    (["verify", "--all", "-h"], 0, None),
     (["dot", "1 2 1 2"], 0, "2024aec8bda9"),
     (["dot", "-h"], 0, None),
     (["dot"], 2, NO_OUTPUT),
@@ -816,11 +827,29 @@ DISPATCH_TABLE = [
 ]
 
 
+# the rows the plain-line reader takes (cli._read_argv): argparse parses
+# none of them; every other row is parsed by argparse
+PLAIN_ROWS = [
+    ["analyze", "1 2 3 1 2 3"],
+    ["analyze", "--json", "--arnold", "1 1 2 2"],
+    ["analyze", "--in", "codes.txt", "--json"],
+    ["analyze", "1 2 1"],
+    ["reduce", "1 1 2 2"],
+    ["enumerate", "2", "--out", "ds.jsonl"],
+    ["verify", "--check", "main-theorem", "--max-n", "3"],
+    ["verify", "--all", "--max-n", "3", "--json"],
+    ["dot", "1 2 1 2"],
+]
+
+
 def test_dispatch_keeps_exit_codes_and_stdout(tmp_path, capsys, monkeypatch):
     """Every argv of the table exits and prints as it did through the full
-    top-level parse, and the top-level parser parses only the argvs whose
-    first word is no subcommand (empty, help, unknown); a known subcommand's
-    arguments go straight to its own parser."""
+    top-level parse, a plain row runs no argparse parse at all, and the
+    top-level parser parses only the argvs whose first word is no
+    subcommand (empty, help, unknown); a known subcommand's other lines go
+    straight to its own parser."""
+    rows = [argv for argv, _, _ in DISPATCH_TABLE]
+    assert all(argv in rows for argv in PLAIN_ROWS)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "codes.txt").write_text("1 1\n1 2 3 1 2 3\n", encoding="utf-8")
     parser, commands = cli._build_parser()
@@ -845,7 +874,150 @@ def test_dispatch_keeps_exit_codes_and_stdout(tmp_path, capsys, monkeypatch):
             assert out == (parser if top else commands[argv[0]]).format_help(), argv
         else:
             assert hashlib.sha256(out.encode()).hexdigest()[:12] == want_sha, argv
-        assert ("knotproj" in parsed) == top, argv
+        if argv in PLAIN_ROWS:
+            assert parsed == [], argv
+        else:
+            assert parsed and ("knotproj" in parsed) == top, argv
+
+
+def test_plain_rows_build_no_parser(tmp_path, capsys, monkeypatch):
+    """A plain line builds no parser (``test_records`` checks, in a fresh
+    interpreter, that it imports no argparse either)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "codes.txt").write_text("1 1\n1 2 3 1 2 3\n", encoding="utf-8")
+    cli._build_parser.cache_clear()
+    for argv in PLAIN_ROWS:
+        cli.main(list(argv))
+    assert cli._build_parser.cache_info().currsize == 0
+
+
+# --- the plain-line reader ---------------------------------------------------------
+
+# each subcommand's plain lines, as the argument groups ("atoms") they are
+# made of, and the tokens that make a line unusual: abbreviations, "=",
+# "--", help, integers argparse's int() would take, a leading "-"
+READER_LINES = {
+    "analyze": [
+        [["--arnold"], ["--json"], ["1 1"]],
+        [["--json"], ["--in", "codes.txt"]],
+    ],
+    "reduce": [[["1 1"]]],
+    "enumerate": [[["2"], ["--out", "ds.jsonl"], ["--arnold-max", "3"]]],
+    "verify": [
+        [["--check", "main-theorem"], ["--max-n", "3"], ["--json"]],
+        [["--all"], ["--max-n", "3"], ["--json"]],
+    ],
+    "dot": [[["1 2 1 2"]]],
+}
+UNUSUAL_TOKENS = [
+    "-h", "--help", "--", "-1", "+7", "7_0", "\u0663", "", "-1 1",
+    "--arn", "--max", "--js", "--out=F", "--in=codes.txt", "--max-n=3",
+]
+
+
+def reader_corpus(name):
+    """Plain lines of ``name`` in every order of their atoms, then: every
+    line of up to one atom more than a plain line holds, drawn from its
+    atoms (repeats, missing and extra arguments, a code with ``--in``);
+    every line of up to three tokens drawn from its tokens and the unusual
+    ones (values that start with "-", among others); and each unusual token
+    put at every place of each plain line."""
+    lines = READER_LINES[name]
+    plain = [
+        [tok for atom in order for tok in atom]
+        for atoms in lines
+        for order in itertools.permutations(atoms)
+    ]
+    atoms = list({tuple(atom): atom for line in lines for atom in line}.values())
+    mixed = [
+        [tok for atom in atoms_k for tok in atom]
+        for k in range(max(map(len, lines)) + 2)
+        for atoms_k in itertools.product(atoms, repeat=k)
+    ]
+    pool = sorted({tok for line in plain for tok in line}) + UNUSUAL_TOKENS
+    short = [
+        list(toks) for k in range(4) for toks in itertools.product(pool, repeat=k)
+    ]
+    inserted = [
+        line[:i] + [tok] + line[i:]
+        for line in plain
+        for tok in UNUSUAL_TOKENS
+        for i in range(len(line) + 1)
+    ]
+    return plain, mixed + short + inserted
+
+
+@pytest.mark.parametrize("name", sorted(READER_LINES))
+def test_reader_reads_what_the_subparser_parses(name):
+    """``_read_argv`` gives None, or the namespace the subcommand's own
+    parser gives; it takes every plain line, in any order of its atoms."""
+    _, commands = cli._build_parser()
+    plain, corpus = reader_corpus(name)
+    taken = 0
+    for args in plain + corpus:
+        got = cli._read_argv([name, *args])
+        if got is None:
+            assert args not in plain, args
+            continue
+        try:
+            want = commands[name].parse_args(args)
+        except SystemExit:
+            pytest.fail(f"the reader took a line argparse refuses: {args!r}")
+        assert vars(got) == vars(want), args
+        taken += 1
+    assert taken > len(plain)
+
+
+def _declared(sub):
+    """A subparser's handler, arguments and exclusive groups, in the shape
+    of ``cli._ARGUMENTS``'s rows."""
+    arguments = {}
+    for action in sub._actions:
+        if action.dest == "help":
+            continue
+        assert len(action.option_strings) <= 1, action
+        key = action.option_strings[0] if action.option_strings else None
+        assert key not in arguments, key  # one positional at most
+        # nargs 0 is store_true, whose value is True; else one value is stored
+        assert action.const is (True if action.nargs == 0 else None), action
+        arguments[key] = (
+            action.dest, action.nargs, action.type, action.default, action.required
+        )
+    groups = tuple(
+        (tuple(a.dest for a in group._group_actions), group.required)
+        for group in sub._mutually_exclusive_groups
+    )
+    return sub.get_default("handler"), arguments, groups
+
+
+def test_reader_table_is_the_parsers():
+    """The reader's table declares what ``_build_parser`` declares: option
+    strings, dests, nargs, types, defaults, required flags, the exclusive
+    groups and the handler."""
+    _, commands = cli._build_parser()
+    assert {name: _declared(sub) for name, sub in commands.items()} == cli._ARGUMENTS
+
+
+@pytest.mark.parametrize("raw", ["\uff13", "\u0663", "+3", " 3", "3 ", "1_0", "x"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "--check", "main-theorem", "--max-n", "{}"], "--max-n"),
+        (["enumerate", "{}", "--out", "ds.jsonl"], "n"),
+        (["enumerate", "1", "--out", "ds.jsonl", "--arnold-max", "{}"], "--arnold-max"),
+    ],
+)
+def test_integer_arguments_take_ascii_digits_only(tmp_path, capsys, monkeypatch, argv, option, raw):
+    """An integer argument is written as a code's label is, ASCII decimal
+    digits after an optional "-"; ``int()`` alone would also take a sign,
+    spaces, underscores and other scripts' digits."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([tok.format(raw) for tok in argv])
+    cap = capsys.readouterr()
+    assert exc.value.code == 2 and cap.out == ""
+    assert f"error: argument {option}: invalid int value: {raw!r}" in cap.err
+    assert not (tmp_path / "ds.jsonl").exists()
 
 
 def test_entry_point_reads_sys_argv(capsys):

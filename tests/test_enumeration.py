@@ -212,11 +212,11 @@ def assert_leaf_reads_the_recorded_candidates(n):
     for word, back, rback, g, cands, emitted in states:
         m = len(word)
         fwd = [s for rev, s, k in cands if not rev]
-        assert sorted(fwd) == chords._least_starts(back * 2, g)[1:], word
+        assert sorted(fwd) == list(chords._least_starts(back * 2, g))[1:], word
         assert all(k == g + 1 for rev, _, k in cands if not rev), word
         bwd = {s: k for rev, s, k in cands if rev}
         assert len(bwd) == len(cands) - len(fwd), word
-        starts = chords._least_starts(rback * 2, g)
+        starts = list(chords._least_starts(rback * 2, g))
         assert set(bwd) <= set(starts), word
         rw = word[::-1]
         for r in starts:

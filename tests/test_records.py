@@ -217,3 +217,13 @@ def test_cli_import_loads_no_class_generator():
     added = _modules_after("import knotproj.cli") - _modules_after("pass")
     assert "knotproj.cli" in added
     assert added.isdisjoint({"dataclasses", "inspect", "fractions", "decimal"})
+
+
+def test_plain_command_imports_no_argparse():
+    """A plain command line is read without argparse, which with the
+    ``gettext`` and ``locale`` it imports costs every launch about 2 ms; a
+    subprocess, since pytest itself imports argparse."""
+    run = "from knotproj.cli import main\nmain(['analyze', '--json', '1 1'])"
+    added = _modules_after(run) - _modules_after("pass")
+    assert "knotproj.cli" in added and "argparse" not in added
+    assert "argparse" in _modules_after(f"{run}\nmain(['analyze', '--arn', '1 1'])")
