@@ -43,8 +43,8 @@ Each chord-level concept has one implementation:
   realization), and the connected-sum check reads each spliced word with
   it; :func:`_triangles` counts its triangles, the triple chords;
   :func:`_components` lists its components in one walk that propagates
-  realization's flips (``planar._flip_coset``) as it grows each one; the
-  components are also the prime factors behind ``planar.prime_decompose``
+  realization's flips (``planar._search_rotations``) as it grows each one;
+  the components are also the prime factors behind ``planar.prime_decompose``
   and :func:`split_connected_sum`, and realization keeps their count's
   verdict, the dataset's ``prime`` field, as ``ChordDiagram._prime``.  The
   enumeration seeds ``_bits`` and the first positions ``_firsts`` from its
@@ -68,7 +68,6 @@ __all__ = [
     "interleaved",
     "count_x",
     "count_tr",
-    "is_nugatory",
     "gauss_parity_violations",
     "split_connected_sum",
 ]
@@ -459,12 +458,6 @@ def _triangles(adj: tuple[int, ...]) -> int:
     return total
 
 
-def is_nugatory(cd: ChordDiagram, a: int) -> bool:
-    """Whether chord ``a`` interleaves no other chord (an isolated chord)."""
-    cd.positions(a)
-    return cd._bits[a - 1] == 0
-
-
 def gauss_parity_violations(cd: ChordDiagram) -> list[int]:
     """Chords interleaving an odd number of chords, ascending.
 
@@ -483,9 +476,9 @@ def _components(cd: ChordDiagram) -> tuple[list[int], int]:
     at its last position, its root, which takes flip 0; the list is then
     reversed.  Every other chord b is reached once, from an interleaved
     chord a reached before it, and takes its flip from a's by the flip
-    relation ``planar._flip_coset`` states, with g = first[a] + first[b] +
-    1 mod 2 (``cd._firsts``).  A finished component is mirrored when its
-    largest label carries flip 1.  U has no components and mask 0.
+    relation ``planar._search_rotations`` states, with g = first[a] +
+    first[b] + 1 mod 2 (``cd._firsts``).  A finished component is mirrored
+    when its largest label carries flip 1.  U has no components and mask 0.
     """
     adj = cd._bits
     first = cd._firsts

@@ -7,12 +7,13 @@ unknown check id, and 1 when a verify run finds violations.  The first three
 are mapped from their exceptions in one place, :func:`main`; the subcommands
 just let them propagate.
 
-:func:`_build_parser` is the one definition of the arguments, their help
-and their usage errors.  A plain command line, each option spelled in full
-and each value a token of its own, is read by :func:`_read_argv` from
-``_ARGUMENTS``, a table a test holds to those parsers; argparse, imported
-only then, parses every other line, so help, usage errors, abbreviations
-and ``--opt=value`` keep its text and exit codes.
+``_ARGUMENTS`` is the one declaration of the arguments: each subcommand's
+handler and help line, and each argument's dest, type, default and help.
+A plain command line, each option spelled in full and each value a token
+of its own, is read from it by :func:`_read_argv`.  Every other line goes
+to the parsers :func:`_build_parser` builds from it, argparse imported
+only then, so help, usage errors, abbreviations and ``--opt=value`` keep
+argparse's text and exit codes.
 """
 
 from __future__ import annotations
@@ -243,9 +244,68 @@ def _int(text: str) -> int:
 _int.__name__ = "int"  # argparse's error reads "invalid int value: ..."
 
 
+# Each subcommand's handler and help line; its arguments, option string,
+# or None for its one positional, -> (dest, nargs, type, default, required,
+# help), nargs 0 marking a flag; and its mutually exclusive groups, (dests,
+# required).  The one declaration: _read_argv reads a plain line with it,
+# and _build_parser builds argparse from it.
+_ARGUMENTS = {
+    "analyze": (
+        _cmd_analyze,
+        "pattern counts, faces, and invariants",
+        {
+            None: ("code", "?", None, None, False, "Gauss code (quoted)"),
+            "--arnold": ("arnold", 0, None, False, False, "also compute the Arnold invariant"),
+            "--json": ("json", 0, None, False, False, None),
+            "--in": ("infile", None, None, None, False, "batch file, one code per line"),
+        },
+        ((("code", "infile"), False),),
+    ),
+    "reduce": (
+        _cmd_reduce,
+        "greedy 1b/s2b reduction or S-membership",
+        {None: ("code", None, None, None, True, None)},
+        (),
+    ),
+    "enumerate": (
+        _cmd_enumerate,
+        "write the curve dataset up to n",
+        {
+            None: ("n", None, _int, None, True, None),
+            "--out": ("out", None, None, None, True, None),
+            "--arnold-max": (
+                "arnold_max", None, _int, enumeration.DEFAULT_ARNOLD_MAX_N, False,
+                "compute arnold only for n at most this (default %(default)s)",
+            ),
+        },
+        (),
+    ),
+    "verify": (
+        _cmd_verify,
+        "run machine checks over the enumeration",
+        {
+            "--check": (
+                "check", None, None, None, False, "one of: " + ", ".join(verify.CHECK_IDS)
+            ),
+            "--all": ("all", 0, None, False, False, None),
+            "--max-n": ("max_n", None, _int, 6, False, None),
+            "--json": ("json", 0, None, False, False, None),
+        },
+        ((("check", "all"), True),),
+    ),
+    "dot": (
+        _cmd_dot,
+        "chord diagram as Graphviz source",
+        {None: ("code", None, None, None, True, None)},
+        (),
+    ),
+}
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and its subcommand table (name -> subparser).
+    """The top-level parser and its subcommand table (name -> subparser),
+    built from ``_ARGUMENTS``.
 
     Each subparser carries its handler as the ``handler`` default.
     """
@@ -256,86 +316,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         description="Combinatorics of spherical knot projections.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_an = sub.add_parser("analyze", help="pattern counts, faces, and invariants")
-    source = p_an.add_mutually_exclusive_group()
-    source.add_argument("code", nargs="?", default=None, help="Gauss code (quoted)")
-    p_an.add_argument(
-        "--arnold", action="store_true", help="also compute the Arnold invariant"
-    )
-    p_an.add_argument("--json", action="store_true")
-    source.add_argument("--in", dest="infile", default=None, help="batch file, one code per line")
-    p_an.set_defaults(handler=_cmd_analyze)
-
-    p_re = sub.add_parser("reduce", help="greedy 1b/s2b reduction or S-membership")
-    p_re.add_argument("code")
-    p_re.set_defaults(handler=_cmd_reduce)
-
-    p_en = sub.add_parser("enumerate", help="write the curve dataset up to n")
-    p_en.add_argument("n", type=_int)
-    p_en.add_argument("--out", required=True)
-    p_en.add_argument(
-        "--arnold-max",
-        type=_int,
-        default=enumeration.DEFAULT_ARNOLD_MAX_N,
-        help="compute arnold only for n at most this (default %(default)s)",
-    )
-    p_en.set_defaults(handler=_cmd_enumerate)
-
-    p_ve = sub.add_parser("verify", help="run machine checks over the enumeration")
-    group = p_ve.add_mutually_exclusive_group(required=True)
-    group.add_argument("--check", help="one of: " + ", ".join(verify.CHECK_IDS))
-    group.add_argument("--all", action="store_true")
-    p_ve.add_argument("--max-n", type=_int, default=6)
-    p_ve.add_argument("--json", action="store_true")
-    p_ve.set_defaults(handler=_cmd_verify)
-
-    p_dot = sub.add_parser("dot", help="chord diagram as Graphviz source")
-    p_dot.add_argument("code")
-    p_dot.set_defaults(handler=_cmd_dot)
-
+    for name, (handler, help_line, arguments, groups) in _ARGUMENTS.items():
+        command = sub.add_parser(name, help=help_line)
+        owner = {}
+        for dests, required in groups:
+            group = command.add_mutually_exclusive_group(required=required)
+            owner.update(dict.fromkeys(dests, group))
+        for key, (dest, nargs, kind, default, required, text) in arguments.items():
+            add = owner.get(dest, command).add_argument
+            if key is None:  # argparse takes no dest= or required= here
+                add(dest, nargs=nargs, type=kind, default=default, help=text)
+            elif nargs == 0:
+                add(key, dest=dest, action="store_true", help=text)
+            else:
+                add(key, dest=dest, type=kind, default=default, required=required, help=text)
+        command.set_defaults(handler=handler)
     return parser, sub.choices
-
-
-# Each subcommand's handler, its arguments as _build_parser declares them
-# (a test holds the two equal), option string, or None for its one
-# positional, -> (dest, nargs, type, default, required), nargs 0 marking a
-# flag; and its mutually exclusive groups, (dests, required).
-_ARGUMENTS = {
-    "analyze": (
-        _cmd_analyze,
-        {
-            None: ("code", "?", None, None, False),
-            "--arnold": ("arnold", 0, None, False, False),
-            "--json": ("json", 0, None, False, False),
-            "--in": ("infile", None, None, None, False),
-        },
-        ((("code", "infile"), False),),
-    ),
-    "reduce": (_cmd_reduce, {None: ("code", None, None, None, True)}, ()),
-    "enumerate": (
-        _cmd_enumerate,
-        {
-            None: ("n", None, _int, None, True),
-            "--out": ("out", None, None, None, True),
-            "--arnold-max": (
-                "arnold_max", None, _int, enumeration.DEFAULT_ARNOLD_MAX_N, False
-            ),
-        },
-        (),
-    ),
-    "verify": (
-        _cmd_verify,
-        {
-            "--check": ("check", None, None, None, False),
-            "--all": ("all", 0, None, False, False),
-            "--max-n": ("max_n", None, _int, 6, False),
-            "--json": ("json", 0, None, False, False),
-        },
-        ((("check", "all"), True),),
-    ),
-    "dot": (_cmd_dot, {None: ("code", None, None, None, True)}, ()),
-}
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
@@ -352,7 +348,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     spec = _ARGUMENTS.get(argv[0]) if argv else None
     if spec is None:
         return None
-    handler, arguments, groups = spec
+    handler, _, arguments, groups = spec
     given = {}
     tokens = iter(argv[1:])
     for tok in tokens:
@@ -378,7 +374,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
         count = sum(d in given for d in dests)
         if count > 1 or required and not count:
             return None
-    for dest, _, _, default, required in arguments.values():
+    for dest, _, _, default, required, _ in arguments.values():
         if dest not in given:
             if required:
                 return None

@@ -15,7 +15,7 @@ docstring derives the sum from the based Gauss-diagram formula for a2 (Polyak
 and Viro, IMRN 1994; Polyak, Topology 37, 1998) and the sign rule of
 :class:`Resolution`, which hold for any mask.  That every embedding of one
 code has the same invariant follows from the component structure of the
-spherical masks, which ``planar._flip_coset`` propagates by the flip relation
+spherical masks, which ``chords._components`` propagates by the flip relation
 (de Fraysseix and Ossona de Mendez, Discrete Comput. Geom. 22, 1999).
 
 :class:`Resolution`, :func:`resolve` and :func:`a2_gauss_formula` evaluate
@@ -155,7 +155,7 @@ def arnold_invariant(p: PlanarCurve) -> int:
        mirroring a component toggles the flips of all its chords, both of
        the pair's among them, so it keeps their XOR.  The spherical masks
        of a code are one mask XOR any set of components
-       (``planar._flip_coset``), so every one gives the same sum.
+       (``planar._search_rotations``), so every one gives the same sum.
 
     Each chord a counts its interleaved chords b > a at once: the row of a
     above bit a, against the flips XOR a's own flip spread over every bit.

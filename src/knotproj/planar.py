@@ -301,25 +301,6 @@ def _trace_faces(cd: ChordDiagram, flips: int) -> list[Face]:
     return out
 
 
-def _flip_coset(cd: ChordDiagram) -> tuple[int, list[int]]:
-    """Candidate flip mask and the indicator masks of the interlacement components.
-
-    Bit v-1 of a mask is vertex v's flip.  For interleaved a and b the flips
-    of a spherical realization satisfy flip[a] ^ flip[b] = (g + |N(a) &
-    N(b)|) mod 2, where g counts the code positions strictly between the
-    first occurrences of a and b and N is the interleavement neighbourhood.
-    :func:`chords._components` propagates that relation as its walk grows
-    each component from a root at flip 0, and both come from that one walk.
-    Flipping a whole component mirrors that part of the curve, so when the
-    code is realizable its valid masks are exactly the returned mask XOR the
-    span of the component indicators.  The walk mirrors each component whose
-    largest label carries flip 1, which makes the mask the smallest valid
-    one in numeric (sweep) order, whatever the root.
-    """
-    components, mask = chords._components(cd)
-    return mask, components
-
-
 def _curve_for_mask(cd: ChordDiagram, mask: int) -> PlanarCurve | None:
     """The curve with the given flip mask, or None unless it has n + 2 faces.
 
@@ -378,12 +359,22 @@ def _embed(word: tuple[int, ...], mask: int) -> PlanarCurve:
 def _search_rotations(cd: ChordDiagram) -> PlanarCurve | None:
     """First rotation assignment whose face count is n + 2, in mask order.
 
-    The flip mask comes from :func:`_flip_coset` in O(n^2) bit operations;
-    one face walk then confirms it, so a code that passes parity but is not
-    spherical still gets None.  The same walk gives the interlacement
+    Bit v-1 of a flip mask is vertex v's flip.  For interleaved a and b the
+    flips of a spherical realization satisfy flip[a] ^ flip[b] = (g +
+    |N(a) & N(b)|) mod 2, where g counts the code positions strictly
+    between the first occurrences of a and b and N is the interleavement
+    neighbourhood.  :func:`chords._components` propagates that relation in
+    O(n^2) bit operations as its walk grows each interlacement component
+    from a root at flip 0.  Flipping a whole component mirrors that part of
+    the curve, so when the code is realizable its valid masks are exactly
+    the walk's mask XOR the span of the component indicators.  The walk
+    mirrors each component whose largest label carries flip 1, which makes
+    the mask the smallest valid one in numeric (sweep) order, whatever the
+    root.  One face walk then confirms it, so a code that passes parity
+    but is not spherical still gets None.  The same walk gives the
     components, so the curve's code keeps ``_prime`` from it (U's too).
     """
-    mask, components = _flip_coset(cd)
+    components, mask = chords._components(cd)
     p = _curve_for_mask(cd, mask)
     if p is not None:
         p.code.__dict__["_prime"] = len(components) == 1
@@ -393,13 +384,13 @@ def _search_rotations(cd: ChordDiagram) -> PlanarCurve | None:
 def all_realizations(cd: ChordDiagram) -> list[PlanarCurve]:
     """Every accepted rotation assignment in mask order, with no parity prefilter.
 
-    Only the 2**k masks of the coset from :func:`_flip_coset` can be
-    spherical (k interlacement components); each is confirmed by its own
-    face walk, and the empty diagram's one mask gives ``[U]``.  Used to
-    check that realization-dependent quantities do not actually depend on
-    the realization found first.
+    Only the 2**k masks of the coset :func:`_search_rotations` describes
+    can be spherical (k interlacement components); each is confirmed by
+    its own face walk, and the empty diagram's one mask gives ``[U]``.
+    Used to check that realization-dependent quantities do not actually
+    depend on the realization found first.
     """
-    base, components = _flip_coset(cd)
+    components, base = chords._components(cd)
     masks = [base]
     for comp in components:
         masks += [m ^ comp for m in masks]

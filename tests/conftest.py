@@ -6,7 +6,7 @@ is evidence and not tautology.  What the oracles do take from the package is
 limited to its value types (``ChordDiagram``, ``PlanarCurve``, ``Face``,
 ``Move``, ``Teardrop``, ``ReductionTrace``), ``canonicalize`` and ``realize``
 where an oracle checks a later stage, and the few internals an oracle is
-built around (``planar._flip_coset``'s span, ``invariants.resolve``,
+built around (``chords._components``'s span, ``invariants.resolve``,
 ``a2_gauss_formula``, the ``_PV_*`` arrow pattern,
 ``planar._drop_labels`` for the recursive splitter
 :func:`recursive_prime_decompose`, and
@@ -24,6 +24,7 @@ The one deliberately wrong rule here, :func:`weak_variant`, is a mutant for
 the tests that patch ``planar._strong_sites``, not an oracle.
 """
 
+import argparse
 import heapq
 import json
 import os
@@ -41,10 +42,13 @@ from knotproj import (
     Teardrop,
     canonicalize,
     chords,
+    cli,
+    enumeration,
     interleaved,
     invariants,
     planar,
     realize,
+    verify,
 )
 from knotproj.errors import InapplicableMove, MalformedCode, NoCrossings
 from knotproj.moves import ReductionTrace
@@ -694,8 +698,9 @@ def brute_force_realizable(word):
 
 
 def flip_coset_masks(cd):
-    """Every mask of the ``_flip_coset`` span, ascending: the only candidates."""
-    base, components = planar._flip_coset(cd)
+    """Every mask of the ``chords._components`` span, ascending: the only
+    candidates."""
+    components, base = chords._components(cd)
     masks = [base]
     for comp in components:
         masks += [m ^ comp for m in masks]
@@ -1272,3 +1277,54 @@ def embedding_key(p):
 def census():
     with open(FIXTURES / "census_counts.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def reference_parser():
+    """The top-level parser and its subcommand table, declared argument by
+    argument as ``cli._build_parser`` declared them before it read
+    ``cli._ARGUMENTS``: the oracle the built parsers' help, usage and
+    parses are held to."""
+    parser = argparse.ArgumentParser(
+        prog="knotproj",
+        description="Combinatorics of spherical knot projections.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_an = sub.add_parser("analyze", help="pattern counts, faces, and invariants")
+    source = p_an.add_mutually_exclusive_group()
+    source.add_argument("code", nargs="?", default=None, help="Gauss code (quoted)")
+    p_an.add_argument(
+        "--arnold", action="store_true", help="also compute the Arnold invariant"
+    )
+    p_an.add_argument("--json", action="store_true")
+    source.add_argument("--in", dest="infile", default=None, help="batch file, one code per line")
+    p_an.set_defaults(handler=cli._cmd_analyze)
+
+    p_re = sub.add_parser("reduce", help="greedy 1b/s2b reduction or S-membership")
+    p_re.add_argument("code")
+    p_re.set_defaults(handler=cli._cmd_reduce)
+
+    p_en = sub.add_parser("enumerate", help="write the curve dataset up to n")
+    p_en.add_argument("n", type=cli._int)
+    p_en.add_argument("--out", required=True)
+    p_en.add_argument(
+        "--arnold-max",
+        type=cli._int,
+        default=enumeration.DEFAULT_ARNOLD_MAX_N,
+        help="compute arnold only for n at most this (default %(default)s)",
+    )
+    p_en.set_defaults(handler=cli._cmd_enumerate)
+
+    p_ve = sub.add_parser("verify", help="run machine checks over the enumeration")
+    group = p_ve.add_mutually_exclusive_group(required=True)
+    group.add_argument("--check", help="one of: " + ", ".join(verify.CHECK_IDS))
+    group.add_argument("--all", action="store_true")
+    p_ve.add_argument("--max-n", type=cli._int, default=6)
+    p_ve.add_argument("--json", action="store_true")
+    p_ve.set_defaults(handler=cli._cmd_verify)
+
+    p_dot = sub.add_parser("dot", help="chord diagram as Graphviz source")
+    p_dot.add_argument("code")
+    p_dot.set_defaults(handler=cli._cmd_dot)
+
+    return parser, sub.choices

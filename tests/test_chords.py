@@ -16,7 +16,6 @@ from knotproj import (
     enumerate_curves,
     gauss_parity_violations,
     interleaved,
-    is_nugatory,
     parse_code,
     split_connected_sum,
 )
@@ -383,12 +382,10 @@ def test_interleavement_graph_shape():
 
 
 def test_is_nugatory():
+    """A nugatory chord, one that interleaves no other, has an empty
+    interlacement row."""
     cd = parse_code("1 1 2 3 2 3")
-    assert is_nugatory(cd, 1)
-    assert not is_nugatory(cd, 2)
-    for bad in (0, 4, "1", True, False):
-        with pytest.raises(UnknownLabel):
-            is_nugatory(cd, bad)
+    assert [row == 0 for row in cd._bits] == [True, False, False]
 
 
 def test_gauss_parity_violations():
@@ -436,8 +433,7 @@ def test_one_component_exactly_when_no_closed_interval(ns, words, primes):
     or not (n = 8 under ``slow``); the components partition the chords.
 
     The same walk propagates the flip relation: its mask equals the
-    from-scratch propagation on every word, spherical or not, and
-    ``planar._flip_coset`` hands on exactly what the walk returns.
+    from-scratch propagation on every word, spherical or not.
 
     The words are counted per n too: chord diagrams up to rotation and
     reflection, OEIS A007769, an independent count of what the canonicity
@@ -451,7 +447,6 @@ def test_one_component_exactly_when_no_closed_interval(ns, words, primes):
             cd = ChordDiagram(w)
             comps, mask = chords._components(cd)
             assert sum(comps) == (1 << n) - 1
-            assert planar._flip_coset(cd) == (mask, comps)
             assert mask == propagated_flip_mask(ChordDiagram(w)), w
             prime = len(comps) == 1
             assert prime == (n >= 1 and first_closed_interval(w) is None), w
@@ -496,7 +491,7 @@ def assert_routes_match_oracles(cd):
     g = interleavement_graph(cd)
     assert count_x(cd) == sum(len(s) for s in g.values()) // 2
     for a in range(1, cd.n + 1):
-        assert is_nugatory(cd, a) == (not g[a])
+        assert (cd._bits[a - 1] == 0) == (not g[a])
 
 
 def test_chord_routes_match_oracles_on_pairing_words():

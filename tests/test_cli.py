@@ -1,6 +1,9 @@
 import argparse
+import contextlib
+import functools
 import gc
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -24,7 +27,7 @@ from knotproj import (
 )
 from knotproj.enumeration import BUDGET_ENV
 
-from conftest import FIXTURES, curled_composite, weak_variant
+from conftest import FIXTURES, curled_composite, reference_parser, weak_variant
 
 
 def run(capsys, *argv):
@@ -360,16 +363,20 @@ def test_main_reuses_parser_across_calls(capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_help_shows_arnold_max_default(capsys, monkeypatch):
-    monkeypatch.setattr(enumeration, "DEFAULT_ARNOLD_MAX_N", 9)
-    cli._build_parser.cache_clear()
-    try:
-        with pytest.raises(SystemExit):
-            cli.main(["enumerate", "--help"])
-    finally:
-        cli._build_parser.cache_clear()
+def test_help_shows_arnold_max_default(capsys):
+    """Help shows the one table's ``--arnold-max`` default, and the reader
+    and argparse read the same value for a line that leaves it out: the
+    plain spelling and ``--out=F`` run with one ``arnold_max``."""
+    default = cli._ARGUMENTS["enumerate"][2]["--arnold-max"][3]
+    assert default == enumeration.DEFAULT_ARNOLD_MAX_N
+    with pytest.raises(SystemExit):
+        cli.main(["enumerate", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "(default 9)" in help_text
+    assert f"(default {default})" in help_text
+    plain = cli._read_argv(["enumerate", "2", "--out", "F"])
+    parsed = cli._build_parser()[1]["enumerate"].parse_args(["2", "--out=F"])
+    assert cli._read_argv(["enumerate", "2", "--out=F"]) is None
+    assert plain.arnold_max == parsed.arnold_max == default
 
 
 # --- reduce ----------------------------------------------------------------------
@@ -968,9 +975,9 @@ def test_reader_reads_what_the_subparser_parses(name):
     assert taken > len(plain)
 
 
-def _declared(sub):
-    """A subparser's handler, arguments and exclusive groups, in the shape
-    of ``cli._ARGUMENTS``'s rows."""
+def _declared(sub, help_line):
+    """A subparser's handler, help line, arguments and exclusive groups, in
+    the shape of ``cli._ARGUMENTS``'s rows."""
     arguments = {}
     for action in sub._actions:
         if action.dest == "help":
@@ -981,21 +988,61 @@ def _declared(sub):
         # nargs 0 is store_true, whose value is True; else one value is stored
         assert action.const is (True if action.nargs == 0 else None), action
         arguments[key] = (
-            action.dest, action.nargs, action.type, action.default, action.required
+            action.dest, action.nargs, action.type, action.default, action.required,
+            action.help,
         )
     groups = tuple(
         (tuple(a.dest for a in group._group_actions), group.required)
         for group in sub._mutually_exclusive_groups
     )
-    return sub.get_default("handler"), arguments, groups
+    return sub.get_default("handler"), help_line, arguments, groups
 
 
 def test_reader_table_is_the_parsers():
-    """The reader's table declares what ``_build_parser`` declares: option
-    strings, dests, nargs, types, defaults, required flags, the exclusive
-    groups and the handler."""
-    _, commands = cli._build_parser()
-    assert {name: _declared(sub) for name, sub in commands.items()} == cli._ARGUMENTS
+    """``_build_parser`` declares what the reader's table declares: option
+    strings, dests, nargs, types, defaults, required flags, help texts,
+    the exclusive groups, the handler and the subcommand's help line."""
+    parser, commands = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    help_lines = {a.dest: a.help for a in subparsers._choices_actions}
+    declared = {name: _declared(sub, help_lines[name]) for name, sub in commands.items()}
+    assert declared == cli._ARGUMENTS
+
+
+def parse_outcome(parser, args):
+    """What ``parser`` makes of ``args``: the namespace, or the exit code,
+    stdout and stderr of its help or usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parser.parse_args(args))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(READER_LINES))
+def test_built_parsers_are_the_reference_parsers(name, monkeypatch):
+    """The parsers ``_build_parser`` builds from ``cli._ARGUMENTS`` print
+    the reference parsers' help and usage, the top-level one and
+    subcommand ``name``'s; that subparser parses every line of its reader
+    corpus as its reference does, and the top-level one every dispatch
+    row.  Each parser formats its help and usage once (they were just
+    compared), so the corpus pays for the parses alone."""
+    parser, commands = cli._build_parser()
+    ref_parser, ref_commands = reference_parser()
+    assert list(commands) == list(ref_commands)
+    for got, want in [(parser, ref_parser), (commands[name], ref_commands[name])]:
+        assert got.format_help() == want.format_help(), got.prog
+        assert got.format_usage() == want.format_usage(), got.prog
+    for method in ("format_help", "format_usage"):
+        cached = functools.cache(getattr(argparse.ArgumentParser, method))
+        monkeypatch.setattr(argparse.ArgumentParser, method, cached)
+    for argv, _, _ in DISPATCH_TABLE:
+        assert parse_outcome(parser, argv) == parse_outcome(ref_parser, argv), argv
+    plain, corpus = reader_corpus(name)
+    for args in plain + corpus:
+        got = parse_outcome(commands[name], args)
+        assert got == parse_outcome(ref_commands[name], args), args
 
 
 @pytest.mark.parametrize("raw", ["\uff13", "\u0663", "+3", " 3", "3 ", "1_0", "x"])

@@ -264,14 +264,15 @@ def test_moves_never_realize(monkeypatch):
     p = torus_with_curls()
     spiral = nested_spiral()
     calls = []
-    for name in ("realize", "_search_rotations", "_flip_coset"):
-        original = getattr(planar, name)
+    spied = [(planar, "realize"), (planar, "_search_rotations"), (chords, "_components")]
+    for module, name in spied:
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(planar, name, counted)
+        monkeypatch.setattr(module, name, counted)
     assert in_S(p) == (False, None)
     assert apply_move(p, Move("1b", (1,))).n == 42
     with pytest.raises(PreconditionTripleChord):
@@ -280,7 +281,7 @@ def test_moves_never_realize(monkeypatch):
     assert calls == []
     # the counters do see realization
     planar.realize(parse_code("1 1"))
-    assert calls == ["realize", "_search_rotations", "_flip_coset"]
+    assert calls == ["realize", "_search_rotations", "_components"]
 
 
 def test_in_s_matches_dfs_oracle_through_n8():

@@ -515,7 +515,7 @@ def test_connected_sum_splices_the_embeddings():
                         for s2 in range(2 * n2):
                             want = realized_connected_sum(a, b, s1, s2).code
                             assert count_tr(want) == count_tr_sextuples(want)
-                            base, components = planar._flip_coset(want)
+                            components, base = chords._components(want)
                             sites += 1
                             for ra in a_maps:
                                 for rb in b_maps:
@@ -680,7 +680,7 @@ def test_prime_decompose_realizes_no_part(monkeypatch):
     def refuse(*args):
         raise AssertionError("prime_decompose re-realized a part")
 
-    for name in ("realize", "_search_rotations", "_flip_coset", "_face_walk"):
+    for name in ("realize", "_search_rotations", "_face_walk"):
         monkeypatch.setattr(planar, name, refuse)
     factors = prime_decompose(q)
     assert sorted(str(chords.canonicalize(f.code)) for f in factors) == [

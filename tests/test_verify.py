@@ -118,7 +118,7 @@ def test_connected_sum_lemma_builds_no_faces(monkeypatch):
 
     monkeypatch.setattr(planar, "_trace_faces", counted)
     with monkeypatch.context() as m:
-        m.setattr(planar, "_flip_coset", refuse)
+        m.setattr(chords, "_components", refuse)
         m.setattr(planar, "_face_walk", refuse)
         assert check_connected_sum_lemma(6).passed
     assert traced == []
